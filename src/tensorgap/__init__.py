@@ -15,7 +15,7 @@ from .errors import (
     ZeroTensorError,
 )
 from .fields import GF, QQ, FieldSpec, Scalar, is_prime
-from .ratfunc import EpsField, Poly, RatFunc, rf_series, rf_valuation
+from .ratfunc import EpsField, Poly, RatFunc
 from .linalg import Matrix, mat_det, mat_inverse, mat_rank, mat_solve
 from .tensors import (
     Tensor,

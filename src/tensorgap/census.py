@@ -12,7 +12,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .classify import Orbit222, cayley_hyperdet, classify_222
+from .classify import Orbit222, _orbit_label, cayley_hyperdet
 from .errors import FieldMismatchError, SearchSpaceTooLargeError
 from .fields import GF
 from .linalg import mat_rank
@@ -79,14 +79,13 @@ def tensor_to_id(t: Tensor) -> int:
 
 def _census_row(tensor_id: int, p: int) -> CensusRow:
     t = tensor_from_id(tensor_id, p)
-    label = classify_222(t)
+    ranks = tuple(mat_rank(flatten(t, [a])) for a in range(3))
+    cay = cayley_hyperdet(t)
+    label = _orbit_label(ranks, cay)
     if t.is_zero():
-        ranks = (0, 0, 0)
         subrank = 0
     else:
-        ranks = tuple(mat_rank(flatten(t, [a])) for a in range(3))
         subrank = 2 if subrank_bruteforce(t, 2) else 1
-    cay = cayley_hyperdet(t)
     return CensusRow(
         tensor_id=tensor_id,
         label=label,

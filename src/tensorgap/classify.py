@@ -36,8 +36,8 @@ from .linalg import Matrix, mat_det, mat_inverse, mat_rank
 from .ranks import (
     DEFAULT_START_BOUND,
     RankSignature,
+    canonical_subsets,
     generic_compress,
-    has_rank_one_flattening,
     rank_signature,
 )
 from .tensors import Tensor, compose_maps, flatten, restrict, unit_tensor
@@ -143,27 +143,31 @@ def cayley_hyperdet(t: Tensor) -> Scalar:
     return total
 
 
+_ORBIT_BY_RANKS = {
+    (0, 0, 0): Orbit222.ZERO,
+    (1, 1, 1): Orbit222.RANK_ONE,
+    (1, 2, 2): Orbit222.PENCIL_1X2,
+    (2, 1, 2): Orbit222.PENCIL_2X1,
+    (2, 2, 1): Orbit222.PENCIL_2X2_SPLIT,
+}
+
+
+def _orbit_label(ranks: tuple, cayley) -> Orbit222:
+    """Orbit class from the three flattening ranks and, for ranks (2, 2, 2)
+    only, the hyperdeterminant value."""
+    if ranks == (2, 2, 2):
+        return Orbit222.UNIT_CLASS if cayley else Orbit222.W_CLASS
+    if ranks not in _ORBIT_BY_RANKS:
+        raise ClassificationInconsistencyError(f"impossible rank pattern {ranks}")
+    return _ORBIT_BY_RANKS[ranks]
+
+
 def classify_222(t: Tensor) -> Orbit222:
     """Orbit class of a 2x2x2 tensor from flattening ranks and the hyperdeterminant."""
     if t.dims != (2, 2, 2):
         raise DimensionMismatchError(f"orbit classification needs dims (2,2,2), got {t.dims}")
-    if t.is_zero():
-        return Orbit222.ZERO
-    r1 = mat_rank(flatten(t, [0]))
-    r2 = mat_rank(flatten(t, [1]))
-    r3 = mat_rank(flatten(t, [2]))
-    pattern = (r1, r2, r3)
-    if pattern == (1, 1, 1):
-        return Orbit222.RANK_ONE
-    if pattern == (1, 2, 2):
-        return Orbit222.PENCIL_1X2
-    if pattern == (2, 1, 2):
-        return Orbit222.PENCIL_2X1
-    if pattern == (2, 2, 1):
-        return Orbit222.PENCIL_2X2_SPLIT
-    if pattern == (2, 2, 2):
-        return Orbit222.UNIT_CLASS if cayley_hyperdet(t) else Orbit222.W_CLASS
-    raise ClassificationInconsistencyError(f"impossible rank pattern {pattern}")
+    ranks = tuple(mat_rank(flatten(t, [a])) for a in range(3))
+    return _orbit_label(ranks, cayley_hyperdet(t) if ranks == (2, 2, 2) else None)
 
 
 def multilinear_rank_le_2(t: Tensor) -> bool:
@@ -304,7 +308,9 @@ def trichotomy(
     if not isinstance(t.ring, FieldSpec):
         raise DimensionMismatchError("trichotomy works over Q or F_p")
     signature = rank_signature(t)
-    witness_axes = has_rank_one_flattening(t)
+    witness_axes = next(
+        (axes for axes in canonical_subsets(3) if signature.ranks[axes] <= 1), None
+    )
     if witness_axes is not None:
         return ClassificationReport(
             trichotomy=TrichotomyClass.FLATTENING_RANK_ONE,
@@ -350,7 +356,7 @@ def trichotomy(
             )
 
     # Every sample was in the W class; require the deterministic subspace gate.
-    if not multilinear_rank_le_2(t):
+    if any(r > 2 for r in signature.ranks.values()):
         raise ClassificationInconsistencyError(
             "hyperdeterminant vanished on all samples but some multilinear rank "
             "exceeds 2; the seed produced degenerate compressions, retry"

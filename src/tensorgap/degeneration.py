@@ -141,25 +141,38 @@ def _expand(base_tensor: Tensor, curves) -> Tensor:
     return restrict(lift_tensor(base_tensor, eps_ring), curves)
 
 
+def _expand_certificate(cert: DegenerationCertificate) -> Tensor:
+    """curve * (compressed) source over K(eps), after the shape checks.
+
+    Raises SingularCurveError when a curve matrix has determinant zero.
+    """
+    compressed = cert.compressed_source()
+    if compressed.dims != cert.target.dims:
+        raise DimensionMismatchError(
+            f"(compressed) source dims {compressed.dims} != target dims {cert.target.dims}"
+        )
+    for j, curve in enumerate(cert.curves):
+        if curve.rows != curve.cols or curve.rows != compressed.dims[j]:
+            raise DimensionMismatchError(f"curve {j} has the wrong shape")
+        if not mat_det(curve):
+            raise SingularCurveError(f"curve {j} has determinant identically zero")
+    return _expand(compressed, cert.curves)
+
+
 def apply_certificate(cert: DegenerationCertificate) -> ExpansionRecord:
     """Expand curve * (compressed) source exactly at eps = 0.
 
     Raises SingularCurveError when a curve matrix has determinant zero.
     """
-    compressed = cert.compressed_source()
-    for j, curve in enumerate(cert.curves):
-        if curve.rows != curve.cols:
-            raise DimensionMismatchError(f"curve {j} is not square")
-        if not mat_det(curve):
-            raise SingularCurveError(f"curve {j} has determinant identically zero")
-    expanded = _expand(compressed, cert.curves)
+    expanded = _expand_certificate(cert)
     valuations = tuple(e.valuation() if e else math.inf for e in expanded.entries)
     finite = [v for v in valuations if v != math.inf]
     m = max(0, -min(finite)) if finite else 0
-    base = compressed.ring if isinstance(compressed.ring, FieldSpec) else compressed.ring.base
+    base = expanded.ring.base
     coeff_rows = []
-    for e in expanded.entries:
-        coeff_rows.append(tuple(e.coefficient(x) for x in range(-m, 1)))
+    for e, v in zip(expanded.entries, valuations):
+        head = e.series(0) if v <= 0 else []
+        coeff_rows.append((base.zero(),) * (m + 1 - len(head)) + tuple(head))
     constant = Tensor(base, expanded.dims, [row[-1] for row in coeff_rows])
     return ExpansionRecord(
         dims=expanded.dims,
@@ -173,19 +186,10 @@ def apply_certificate(cert: DegenerationCertificate) -> ExpansionRecord:
 def verify_certificate(cert: DegenerationCertificate) -> VerificationResult:
     """Accept iff curves are invertible, the expansion has no pole, and the
     eps^0 coefficient tensor equals the target exactly."""
-    compressed = cert.compressed_source()
-    if compressed.dims != cert.target.dims:
-        raise DimensionMismatchError(
-            f"(compressed) source dims {compressed.dims} != target dims {cert.target.dims}"
-        )
-    for j, curve in enumerate(cert.curves):
-        if curve.rows != curve.cols or curve.rows != compressed.dims[j]:
-            raise DimensionMismatchError(f"curve {j} has the wrong shape")
-        if not mat_det(curve):
-            return VerificationResult(
-                False, "singular-curve", f"curve {j} has determinant identically zero"
-            )
-    expanded = _expand(compressed, cert.curves)
+    try:
+        expanded = _expand_certificate(cert)
+    except SingularCurveError as exc:
+        return VerificationResult(False, "singular-curve", str(exc))
     for flat, e in enumerate(expanded.entries):
         if e and e.valuation() < 0:
             idx = expanded.multi_index(flat)
@@ -317,14 +321,11 @@ def grassmann_degenerates(curves, e_t, e_s) -> bool:
     if target.is_zero():
         raise DegenerateSpanError("e_s pair is linearly dependent")
     curves = tuple(curves)
-    eps_ring = curves[0].ring
-    a = restrict(lift_tensor(t0, eps_ring), curves)
-    b = restrict(lift_tensor(t1, eps_ring), curves)
-    wedge = pluecker_wedge(a, b)
+    wedge = pluecker_wedge(_expand(t0, curves), _expand(t1, curves))
     if wedge.is_zero():
         return False
     v = min(c.valuation() for c in wedge.coords if c)
-    base = eps_ring.base
+    base = curves[0].ring.base
     limit = WedgePoint(base, wedge.ambient_dim, tuple(c.coefficient(v) for c in wedge.coords))
     return limit.proportional_to(target)
 
@@ -498,9 +499,8 @@ def _certify_cube(t: Tensor):
     corner_prev = Tensor.from_dict(field, (2,) * (k - 1), {(0,) * (k - 1): field.one()})
 
     # Complete s to a basis of the slice span and transport both vectors.
-    a = restrict(lift_tensor(s, eps_ring), rec)
-    s_comp = s1 if alpha else s0
-    b = restrict(lift_tensor(s_comp, eps_ring), rec)
+    a = _expand(s, rec)
+    b = _expand(s1 if alpha else s0, rec)
     p = _extract_independent_coefficient(a, b, w_prev)
 
     shear = _find_shear(p)
@@ -517,8 +517,8 @@ def _certify_cube(t: Tensor):
         if not grassmann_degenerates(curve, (s0, s1), (w_prev, corner_prev)):
             continue
         # Recover the last factor from the flattening-image matching system.
-        a_o = restrict(lift_tensor(s0, eps_ring), curve)
-        b_o = restrict(lift_tensor(s1, eps_ring), curve)
+        a_o = _expand(s0, curve)
+        b_o = _expand(s1, curve)
         ra, rb, a0, b0 = _dvr_reduce_pair(a_o, b_o)
         top = _solve_in_plane(a0, b0, w_prev)
         bottom = _solve_in_plane(a0, b0, corner_prev)
@@ -545,10 +545,7 @@ def _certify_cube(t: Tensor):
         if not mat_det(x):
             raise CertificateConstructionError("recovered final factor is singular")
         curves = curve + (x,)
-        expanded = _expand(t, curves)
-        if tensor_min_valuation(expanded) >= 0 and eps_coefficient_tensor(
-            expanded, 0
-        ) == w_tensor(k, (2,) * k, field):
+        if verify_certificate(DegenerationCertificate(t, w_tensor(k, (2,) * k, field), curves)):
             return curves
         raise CertificateConstructionError(
             "assembled curves failed exact verification despite an accepted "

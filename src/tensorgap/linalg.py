@@ -1,12 +1,18 @@
 """Exact matrix algebra over Q, F_p, F_{p^m} and K(eps).
 
 Matrices are immutable row-major arrays of Scalars (over Q, F_p or F_{p^m})
-or RatFuncs (over K(eps)), tagged with their ring.  Rank and determinant use
-fraction-free Bareiss elimination over Q to keep intermediate values small,
-a plain modular elimination over F_p (rows packed into bitmasks when p = 2),
-and ordinary Gaussian elimination with field division over F_{p^m} and,
-with normalized rational-function arithmetic, over K(eps).  All results are
-exact.
+or RatFuncs (over K(eps)), tagged with their ring.
+
+One kernel, `_echelon`, does Gaussian elimination with field division in any
+supported ring; it reduces the leading columns of a row list in place and
+returns the pivot columns and the parity of the row swaps.  Everything but
+the hot rank routes is built on it: `mat_solve` eliminates [A | b] and
+back-substitutes, `mat_det` is the swap sign times the product of the
+pivots, and `mat_inverse` eliminates [A | I] once and back-substitutes each
+column of I.  `mat_rank` uses it over F_{p^m} and K(eps); on raw values it
+keeps three faster routes: fraction-free Bareiss elimination over Q (Bareiss
+1968) to keep intermediate values small, modular elimination on int residues
+over F_p, and rows packed into bitmasks over F_2.  All results are exact.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec
 from .ratfunc import EpsField, RatFunc
 
 
@@ -208,12 +214,21 @@ def _bareiss_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def _generic_rank(rows) -> int:
-    """Gaussian elimination with field division; used over F_{p^m} and K(eps)."""
+def _echelon(rows, ncols: int):
+    """Row-reduce the first ncols columns of rows in place by field division.
+
+    Rows may be wider than ncols; the extra (augmented) columns take part in
+    every row operation but never supply a pivot.  Returns the pivot column of
+    each leading row and the parity of the row swaps made.
+    """
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    parity = 0
     for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
         pivot = None
         for r in range(rank, nrows):
             if rows[r][col]:
@@ -221,7 +236,9 @@ def _generic_rank(rows) -> int:
                 break
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            parity ^= 1
         prow = rows[rank]
         inv = prow[col].inverse()
         for r in range(rank + 1, nrows):
@@ -229,16 +246,28 @@ def _generic_rank(rows) -> int:
             if f:
                 f = f * inv
                 rr = rows[r]
-                for c in range(col, ncols):
+                for c in range(col, width):
                     rr[c] = rr[c] - f * prow[c]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+        pivots.append(col)
+    return pivots, parity
+
+
+def _back_substitute(rows, pivots, ncols: int, rhs: int, zero):
+    """The solution, free variables zero, whose right-hand side is column
+    `rhs` of an echelon form from `_echelon`."""
+    x = [zero] * ncols
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
+        acc = rows[r][rhs]
+        for c in range(col + 1, ncols):
+            if rows[r][c] and x[c]:
+                acc = acc - rows[r][c] * x[c]
+        x[col] = acc / rows[r][col]
+    return x
 
 
 def mat_rank(m: Matrix) -> int:
-    """Exact rank over Q (Bareiss), F_p (modular), or F_{p^m} and K(eps) (Gaussian)."""
+    """Exact rank over Q (Bareiss), F_p (modular), or F_{p^m} and K(eps) (`_echelon`)."""
     if isinstance(m.ring, FieldSpec) and m.ring.m == 1:
         p = m.ring.p
         if p is None:
@@ -253,103 +282,51 @@ def mat_rank(m: Matrix) -> int:
                 rows.append(bits)
             return _gf2_rank(rows)
         return _fp_rank([[e.value for e in m.row(i)] for i in range(m.rows)], p)
-    return _generic_rank(m.to_rows())
+    return len(_echelon(m.to_rows(), m.cols)[0])
 
 
 def mat_solve(a: Matrix, b):
     """One exact solution of a x = b, or None when the system is inconsistent.
 
     b is a sequence of ring elements of length a.rows; free variables are set
-    to zero.  Works over Q, F_p and K(eps).
+    to zero.  Works over Q, F_p, F_{p^m} and K(eps).
     """
     b = [a.ring.coerce(v) for v in b]
     if len(b) != a.rows:
         raise DimensionMismatchError(f"matrix has {a.rows} rows but b has {len(b)}")
-    ring = a.ring
     rows = [list(a.row(i)) + [b[i]] for i in range(a.rows)]
-    ncols = a.cols
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = prow[col].inverse()
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            if f:
-                f = f * inv
-                rr = rows[r]
-                for c in range(col, ncols + 1):
-                    rr[c] = rr[c] - f * prow[c]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][ncols]:
-            return None
-    x = [ring.zero()] * ncols
-    for r in range(rank - 1, -1, -1):
-        col = pivots[r]
-        acc = rows[r][ncols]
-        for c in range(col + 1, ncols):
-            if rows[r][c] and x[c]:
-                acc = acc - rows[r][c] * x[c]
-        x[col] = acc / rows[r][col]
-    return x
+    pivots, _ = _echelon(rows, a.cols)
+    if any(rows[r][a.cols] for r in range(len(pivots), a.rows)):
+        return None
+    return _back_substitute(rows, pivots, a.cols, a.cols, a.ring.zero())
 
 
 def mat_det(m: Matrix):
-    """Exact determinant of a square matrix (any supported ring)."""
+    """Exact determinant of a square matrix (any supported ring): the swap
+    sign times the product of the pivots of `_echelon`."""
     if m.rows != m.cols:
         raise DimensionMismatchError("determinant of a non-square matrix")
-    n = m.rows
-    ring = m.ring
-    if n == 0:
-        return ring.one()
     rows = m.to_rows()
-    det = ring.one()
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return ring.zero()
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        prow = rows[col]
-        det = det * prow[col]
-        inv = prow[col].inverse()
-        for r in range(col + 1, n):
-            f = rows[r][col]
-            if f:
-                f = f * inv
-                rr = rows[r]
-                for c in range(col, n):
-                    rr[c] = rr[c] - f * prow[c]
+    pivots, parity = _echelon(rows, m.cols)
+    if len(pivots) < m.rows:
+        return m.ring.zero()
+    det = -m.ring.one() if parity else m.ring.one()
+    for i in range(m.rows):
+        det = det * rows[i][i]
     return det
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a square invertible matrix."""
+    """Exact inverse of a square invertible matrix: one elimination of [m | I]."""
     if m.rows != m.cols:
         raise DimensionMismatchError("inverse of a non-square matrix")
     n = m.rows
-    cols = []
-    for j in range(n):
-        e = [m.ring.one() if i == j else m.ring.zero() for i in range(n)]
-        x = mat_solve(m, e)
-        if x is None:
-            raise ZeroDivisionError("matrix is singular")
-        cols.append(x)
+    one, zero = m.ring.one(), m.ring.zero()
+    rows = [list(m.row(i)) + [one if i == j else zero for j in range(n)] for i in range(n)]
+    pivots, _ = _echelon(rows, n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    cols = [_back_substitute(rows, pivots, n, n + j, zero) for j in range(n)]
     return Matrix(m.ring, n, n, [cols[j][i] for i in range(n) for j in range(n)])
 
 

@@ -10,8 +10,8 @@ representations.  :class:`EpsField` tags K(eps) the way FieldSpec tags K.
 Curves of group elements appearing in degeneration certificates have rational
 function entries, so exact arithmetic here removes any need for truncation
 order bookkeeping.  Laurent data at eps = 0 is recovered on demand:
-``rf_valuation`` gives the order of vanishing (negative at a pole, +inf at 0)
-and ``rf_series`` expands exactly up to a requested exponent.
+``RatFunc.valuation`` gives the order of vanishing (negative at a pole, +inf
+at 0) and ``RatFunc.series`` expands exactly up to a requested exponent.
 """
 
 from __future__ import annotations
@@ -464,12 +464,3 @@ def ratfunc_parse(field: FieldSpec, text: str) -> RatFunc:
         num_text, den_text = text, "1"
     return RatFunc(poly_parse(field, num_text), poly_parse(field, den_text))
 
-
-def rf_valuation(f: RatFunc):
-    """Order of vanishing of f at eps = 0 (+inf for f = 0)."""
-    return f.valuation()
-
-
-def rf_series(f: RatFunc, upto: int) -> list[Scalar]:
-    """Exact Laurent coefficients of f from its valuation up to exponent `upto`."""
-    return f.series(upto)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -157,3 +158,82 @@ def test_bareiss_handles_zero_pivot_columns():
 def test_mixed_field_entries_rejected():
     with pytest.raises(FieldMismatchError):
         Matrix(QQ, 1, 2, [QQ.one(), GF(2).one()])
+
+
+# -- the elimination kernel over every ring --------------------------------------
+
+RINGS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F4": GF(2, 2), "Q(eps)": EPS}
+
+
+def _random_element(ring, rng):
+    """A small random element; zero often, so that pivots need row swaps."""
+    if rng.random() < 0.4:
+        return ring.zero()
+    if ring == EPS:
+        a, b = EPS.from_int(rng.randint(-2, 2)), EPS.from_int(rng.randint(-2, 2))
+        return a + b * EPS.eps(rng.randint(-1, 2))
+    if ring == QQ:
+        return QQ.from_int(rng.randint(-3, 3))
+    return rng.choice(list(ring.elements()))
+
+
+def _leibniz_det(m):
+    """Independent oracle: the permutation-sum determinant."""
+    n = m.rows
+    total = m.ring.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = m.ring.one()
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_det_needs_row_swaps_in_every_ring():
+    for ring in RINGS.values():
+        one, zero = ring.one(), ring.zero()
+        swap = Matrix(ring, 2, 2, [zero, one, one, zero])
+        assert mat_det(swap) == -one
+        cycle = Matrix(ring, 3, 3, [zero, one, zero, zero, zero, one, one, zero, zero])
+        assert mat_det(cycle) == one
+        assert mat_inverse(cycle) == cycle.transpose()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(RINGS)), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_det_inverse_and_solve_match_oracles(ring_name, n, seed):
+    ring = RINGS[ring_name]
+    rng = random.Random(seed)
+    a = Matrix(ring, n, n, [_random_element(ring, rng) for _ in range(n * n)])
+    det = mat_det(a)
+    assert det == _leibniz_det(a)
+    if det:
+        assert a * mat_inverse(a) == Matrix.identity(ring, n)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            mat_inverse(a)
+
+    # A consistent system: b is the image of a random vector.
+    b = a.apply([_random_element(ring, rng) for _ in range(n)])
+    x = mat_solve(a, b)
+    assert x is not None and a.apply(x) == b
+
+    # An inconsistent one: the last row of a singular matrix is a combination
+    # of the others, y = (c, -1) is a left null vector, and y . b != 0.
+    if n == 0:
+        return
+    rows = [[_random_element(ring, rng) for _ in range(n)] for _ in range(n - 1)]
+    c = [_random_element(ring, rng) for _ in range(n - 1)]
+    last = [ring.zero()] * n
+    for ci, row in zip(c, rows):
+        last = [u + ci * v for u, v in zip(last, row)]
+    order = list(range(n))
+    rng.shuffle(order)
+    all_rows = rows + [last]
+    y = c + [-ring.one()]
+    b = [_random_element(ring, rng) for _ in range(n)]
+    if not sum((yi * bi for yi, bi in zip(y, b)), ring.zero()):
+        b[-1] = b[-1] + ring.one()
+    singular = Matrix.from_rows(ring, [all_rows[i] for i in order])
+    assert mat_solve(singular, [b[i] for i in order]) is None

@@ -13,8 +13,6 @@ from tensorgap.ratfunc import (
     RatFunc,
     poly_gcd,
     ratfunc_parse,
-    rf_series,
-    rf_valuation,
 )
 
 EPS = EpsField(QQ)
@@ -81,21 +79,21 @@ def test_ratfunc_den_monic():
 
 def test_valuation_examples():
     # eps^2 / (1 + eps) -> 2 ; (1 + eps)/eps^3 -> -3 ; 0 -> +inf
-    assert rf_valuation(RF((0, 0, 1), (1, 1))) == 2
-    assert rf_valuation(RF((1, 1), (0, 0, 0, 1))) == -3
-    assert rf_valuation(EPS.zero()) == math.inf
+    assert RF((0, 0, 1), (1, 1)).valuation() == 2
+    assert RF((1, 1), (0, 0, 0, 1)).valuation() == -3
+    assert EPS.zero().valuation() == math.inf
 
 
 def test_series_geometric():
     f = RF((1,), (1, -1))  # 1 / (1 - eps)
-    assert [c.value for c in rf_series(f, 2)] == [1, 1, 1]
+    assert [c.value for c in f.series(2)] == [1, 1, 1]
 
 
 def test_series_laurent_tail():
     f = RF((1, 1), (0, 1))  # (1 + eps) / eps
-    assert rf_valuation(f) == -1
-    assert [c.value for c in rf_series(f, 0)] == [1, 1]
-    assert rf_series(EPS.zero(), 5) == []
+    assert f.valuation() == -1
+    assert [c.value for c in f.series(0)] == [1, 1]
+    assert EPS.zero().series(5) == []
 
 
 def test_series_below_valuation_rejected():
@@ -153,9 +151,9 @@ small_rf = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(small_rf, small_rf)
 def test_valuation_laws(f, g):
-    vf, vg = rf_valuation(f), rf_valuation(g)
-    assert rf_valuation(f * g) == vf + vg
-    assert rf_valuation(f + g) >= min(vf, vg)
+    vf, vg = f.valuation(), g.valuation()
+    assert (f * g).valuation() == vf + vg
+    assert (f + g).valuation() >= min(vf, vg)
 
 
 @settings(max_examples=200, deadline=None)
