@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -6,6 +7,7 @@ import pytest
 
 from tensorgap.degeneration import (
     DegenerationCertificate,
+    WedgePoint,
     apply_certificate,
     construct_w_degeneration,
     grassmann_degenerates,
@@ -22,11 +24,11 @@ from tensorgap.errors import (
     SingularCurveError,
 )
 from tensorgap.fields import GF, QQ
-from tensorgap.io import certificate_to_document
+from tensorgap.io import certificate_to_document, save_certificate
 from tensorgap.linalg import Matrix
 from tensorgap.ranks import has_rank_one_flattening, rank_signature
 from tensorgap.ratfunc import EpsField
-from tensorgap.tensors import Tensor, pad, restrict, unit_tensor, w_tensor
+from tensorgap.tensors import Tensor, lift_tensor, pad, restrict, unit_tensor, w_tensor
 from conftest import random_rational_tensor
 
 EPS = EpsField(QQ)
@@ -183,6 +185,101 @@ def test_grassmann_identity_and_collapse():
         grassmann_degenerates(ident, (corner, corner), (w2, corner))
 
 
+def _pluecker_limit(curves, e_t):
+    """The Pluecker form of the Grassmannian limit: the transported wedge at
+    its minimal eps power, or None when the wedge vanishes identically."""
+    a, b = (restrict(lift_tensor(t, EPS), curves) for t in e_t)
+    wedge = pluecker_wedge(a, b)
+    if wedge.is_zero():
+        return None
+    v = min(c.valuation() for c in wedge.coords if c)
+    return WedgePoint(QQ, wedge.ambient_dim, tuple(c.coefficient(v) for c in wedge.coords))
+
+
+def _pluecker_accepts(limit, e_s) -> bool:
+    return limit is not None and limit.proportional_to(pluecker_wedge(*e_s))
+
+
+def _plane_of_wedge(wedge: WedgePoint, dims):
+    """Two tensors spanning the plane of a nonzero decomposable wedge a ^ b.
+
+    Row i of the skew matrix (p_ic) is a_i b - b_i a; rows i and j span the
+    plane when p_ij != 0.
+    """
+    n = wedge.ambient_dim
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    p = dict(zip(pairs, wedge.coords))
+    i, j = next(pair for pair in pairs if p[pair])
+
+    def row(r):
+        return Tensor(QQ, dims, [
+            p[(r, c)] if r < c else -p[(c, r)] if c < r else QQ.zero() for c in range(n)
+        ])
+
+    return row(i), row(j)
+
+
+def _random_eps_entry(rng):
+    e = EPS.zero()
+    for d in range(2):
+        e = e + EPS.from_int(rng.randint(-2, 2)) * EPS.eps(d)
+    return e * EPS.eps(-1) if rng.random() < 0.25 else e
+
+
+def test_grassmann_rank_test_agrees_with_pluecker():
+    rng = random.Random(4321)
+    accepted = rejected = 0
+    for order, trials in ((2, 40), (3, 8)):
+        dims = (2,) * order
+        for _ in range(trials):
+            curves = tuple(
+                Matrix(EPS, 2, 2, [_random_eps_entry(rng) for _ in range(4)])
+                for _ in range(order)
+            )
+            e_t = tuple(random_rational_tensor(dims, rng, bound=2) for _ in range(2))
+            if pluecker_wedge(*e_t).is_zero():
+                continue
+            limit = _pluecker_limit(curves, e_t)
+            targets = [e_t]
+            if limit is not None:
+                u, v = _plane_of_wedge(limit, dims)
+                for _ in range(2):
+                    x, y, z, w = (QQ.from_int(rng.randint(-3, 3)) for _ in range(4))
+                    if not x * w - y * z:
+                        continue
+                    s0 = u.scale(x) + v.scale(y)
+                    s1 = u.scale(z) + v.scale(w)
+                    # an invertible combination of the limit plane is accepted
+                    assert _pluecker_accepts(limit, (s0, s1))
+                    assert grassmann_degenerates(curves, e_t, (s0, s1))
+                    accepted += 1
+                    idx = tuple(rng.randrange(2) for _ in dims)
+                    bump = Tensor.from_dict(QQ, dims, {idx: rng.choice((-1, 1))})
+                    targets.append((s0 + bump, s1))
+            for e_s in targets:
+                if pluecker_wedge(*e_s).is_zero():
+                    with pytest.raises(DegenerateSpanError):
+                        grassmann_degenerates(curves, e_t, e_s)
+                    continue
+                expected = _pluecker_accepts(limit, e_s)
+                assert grassmann_degenerates(curves, e_t, e_s) == expected
+                accepted += expected
+                rejected += not expected
+    assert accepted >= 100 and rejected >= 100
+    # the first curve folds e_1 onto e_0 / (1 + eps): e00 and e10 are carried
+    # to e00 and e00 / (1 + eps), dependent over K(eps) with a ratio that is
+    # no polynomial, so no finite number of reduction steps separates them
+    fold = Matrix(EPS, 2, 2, [EPS.one(), EPS.one() / (EPS.one() + EPS.eps()), EPS.zero(), EPS.zero()])
+    e00 = Tensor.from_dict(QQ, (2, 2), {(0, 0): 1})
+    e10 = Tensor.from_dict(QQ, (2, 2), {(1, 0): 1})
+    curves = (fold, Matrix.identity(EPS, 2))
+    assert restrict(lift_tensor(e10, EPS), curves) == restrict(
+        lift_tensor(e00, EPS), curves
+    ).scale(EPS.one() / (EPS.one() + EPS.eps()))
+    assert _pluecker_limit(curves, (e00, e10)) is None
+    assert not grassmann_degenerates(curves, (e00, e10), (e00, e10))
+
+
 def test_grassmann_on_stabilizer_transport():
     # the inner step of the builder, standalone: the scaling curve carries
     # the span <W2, P> (corner coefficient nonzero) to <W2, corner>.
@@ -295,3 +392,25 @@ def test_construct_k4_with_eps_recursion():
         corner = Tensor.from_dict(QQ, (2, 2, 2), {(0, 0, 0): 1})
         assert grassmann_degenerates(cert.curves[:3], (s0, s1), (w3, corner))
         done += 1
+
+
+# sha256 of the saved certificate of construct_w_degeneration(I_{k,2}, seed=0)
+UNIT_CERT_SHA256 = {
+    3: "7aad3a945e6e7c2661656376999909a2bfcfa3488aa8fd8cd4682629e2da5016",
+    4: "6825819dfbef3393b78baa4e393ae640db83cf6b00794d2d70e5ce3ff59ffae8",
+    5: "069d1f58422133278b0723cc5746c6aae305572fb6af5180791fe981bd7ac038",
+    6: "65d3658692bee78b3389ccf0dd0d7ed8ae5b5f7ad5cb513f8ade37cade53b8eb",
+}
+
+
+@pytest.mark.parametrize("k", sorted(UNIT_CERT_SHA256))
+def test_unit_ladder_certificates_byte_identical(k, tmp_path):
+    path = tmp_path / f"unit{k}.json"
+    save_certificate(construct_w_degeneration(unit_tensor(k, 2, QQ), seed=0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == UNIT_CERT_SHA256[k]
+
+
+def test_construct_unit_k7():
+    cert = construct_w_degeneration(unit_tensor(7, 2, QQ), seed=0)
+    assert verify_certificate(cert).accepted
+    assert cert.target == w_tensor(7, (2,) * 7, QQ)
