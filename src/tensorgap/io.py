@@ -21,6 +21,9 @@ from .ratfunc import EpsField, Poly, RatFunc
 from .tensors import Tensor
 
 FORMAT_VERSION = 1
+# Dense tensors are allocated from a document's dims before any entry is
+# read, so dims that ask for more entries than this are refused.
+_MAX_TENSOR_ENTRIES = 2**20
 
 
 def _field_name(field: FieldSpec) -> str:
@@ -86,6 +89,14 @@ def tensor_from_document(doc, location="tensor") -> Tensor:
         or not all(isinstance(d, int) and d >= 1 for d in dims)
     ):
         raise DocumentFormatError(f"bad dims {dims!r}", f"{location}.dims")
+    size = 1
+    for d in dims:
+        size *= d
+    if size > _MAX_TENSOR_ENTRIES:
+        raise DocumentFormatError(
+            f"dims {dims!r} need {size} entries, more than {_MAX_TENSOR_ENTRIES}",
+            f"{location}.dims",
+        )
     dims = tuple(dims)
     raw = doc.get("entries")
     if not isinstance(raw, list):

@@ -1,13 +1,18 @@
 """Flattening-rank signatures, partition-rank gates, and brute-force oracles.
 
-Two independent routes decide whether a tensor has partition rank at least
-two.  The direct route inspects the rank signature: partition rank one means
-exactly that some flattening has rank one, so pR >= 2 holds iff the tensor is
+Two routes decide whether a tensor has partition rank at least two.  The
+direct route inspects the rank signature: partition rank one means exactly
+that some flattening has rank one, so pR >= 2 holds iff the tensor is
 nonzero and no flattening rank drops to one.  The recursive route fixes the
 last factor p, requires rk(T_p) >= 2, and searches the image of T_p for an
 order-(k-1) element that again has partition rank at least two.  Both must
 agree; the test suite checks this exhaustively over F_2 and on randomized
-rational instances.
+rational instances.  The routes are independent only where the recursive
+route enumerates: over a finite field, a slice image of dimension above
+PROJECTIVE_ENUM_DIM is sampled, and when the samples find no witness the
+answer comes from the direct route (has_rank_one_flattening), as it does
+over Q.  The exhaustive checks (2x2x2 and 2x2x2x2 over F_2) never reach
+that branch.
 
 Genericity policy: over Q the image is sampled with integer coefficients in
 [-B, B], B doubling as attempts accumulate; a failed budget falls back to the
@@ -50,7 +55,7 @@ from .errors import (
 )
 from .fields import GF, FieldSpec
 from .linalg import Matrix, mat_rank
-from .tensors import Tensor, as_matrix, flatten, identity_maps, lift_tensor, restrict
+from .tensors import Tensor, _strides, as_matrix, flatten, identity_maps, lift_tensor, restrict
 
 DEFAULT_BRUTE_CEILING = 2**30
 DEFAULT_SAMPLE_BUDGET = 24
@@ -149,18 +154,14 @@ def has_rank_one_flattening(t: Tensor):
 # -- the recursive partition-rank gate ----------------------------------------
 
 
-def _independent_slices(t: Tensor, axis: int):
-    """Indices of slices forming a basis of the image of the axis-flattening."""
+def _independent_slices(m: Matrix):
+    """Rows of m, taken greedily, that form a basis of its row space."""
     basis = []
-    chosen = []
-    for i in range(t.dims[axis]):
-        s = t.slice_along(axis, i)
-        candidate = basis + [list(s.entries)]
-        m = Matrix(t.ring, len(candidate), s.size, [e for row in candidate for e in row])
-        if mat_rank(m) == len(candidate):
+    for i in range(m.rows):
+        candidate = basis + [m.row(i)]
+        if mat_rank(Matrix.from_rows(m.ring, candidate)) == len(candidate):
             basis = candidate
-            chosen.append(i)
-    return chosen
+    return basis
 
 
 def _combine_slices(slices, coeffs):
@@ -221,8 +222,10 @@ def pr_at_least_two(
     F_{p^m} past that bound, where a witness exists whenever pR >= 2
     (Schwartz-Zippel; see the module docstring).  For images of dimension
     at most PROJECTIVE_ENUM_DIM both passes enumerate, and the answer never
-    consults the signature oracle.  Over a too-small F_{p^m} ground field a
-    "no" raises FieldMismatchError instead.
+    consults the signature oracle.  For a larger image the passes sample,
+    and a sampled "no" is the answer of has_rank_one_flattening, so there
+    the gate is not independent of the signature oracle.  Over a too-small
+    F_{p^m} ground field a "no" raises FieldMismatchError instead.
     """
     if not isinstance(t.ring, FieldSpec):
         raise FieldMismatchError("partition-rank gate works over Q or a finite field")
@@ -243,10 +246,11 @@ def _pr_recurse(t: Tensor, rng: random.Random, axis, budget: int) -> bool:
     if t.order == 2:
         return mat_rank(as_matrix(t)) >= 2
     p_axis = t.order - 1 if axis is None else axis
-    if mat_rank(flatten(t, [p_axis])) < 2:
+    m = flatten(t, [p_axis])
+    if mat_rank(m) < 2:
         return False
-    slice_idx = _independent_slices(t, p_axis)
-    slices = [t.slice_along(p_axis, i) for i in slice_idx]
+    slice_dims = t.dims[:p_axis] + t.dims[p_axis + 1 :]
+    slices = [Tensor(t.ring, slice_dims, row) for row in _independent_slices(m)]
     dim = len(slices)
     field = t.ring
 
@@ -331,46 +335,63 @@ def _covector_table(t: Tensor):
     """Values of the multilinear form on every tuple of covectors.
 
     Covectors on factor j are coded 0 .. p^(n_j) - 1 with base-p digits as
-    coefficients (digit i multiplies index i).  The returned flat list is
-    indexed row-major by the covector codes, factor 0 outermost.
+    coefficients (digit i multiplies index i).  The table is the restriction
+    of T by, per factor, the p^(n_j) x n_j matrix whose rows are all
+    covectors in code order; it is returned as a flat list of residues,
+    indexed row-major by the covector codes (factor 0 outermost), and its
+    shape.
     """
     field = t.ring
     if not field.is_prime_field:
         raise FieldMismatchError(f"covector codes are base-p digits over F_p, not {field.name}")
+    maps = [_covector_rows(field, n, range(field.p**n)) for n in t.dims]
+    table = restrict(t, maps)
+    return [e.value for e in table.entries], list(table.dims)
+
+
+def _covector_rows(field: FieldSpec, n: int, codes) -> Matrix:
+    """The matrix whose rows are the covectors with the given codes."""
     p = field.p
-    values = [e.value for e in t.entries]
-    shape = list(t.dims)
-    for axis in range(t.order - 1, -1, -1):
-        n = shape[axis]
-        block = 1
-        for d in shape[axis + 1 :]:
-            block *= d
-        outer = len(values) // (n * block)
-        codes = p**n
-        digits = [[(code // p**i) % p for i in range(n)] for code in range(codes)]
-        new_values = [0] * (outer * codes * block)
-        for o in range(outer):
-            base_in = o * n * block
-            base_out = o * codes * block
-            for code in range(codes):
-                dg = digits[code]
-                for b in range(block):
-                    acc = 0
-                    for i in range(n):
-                        c = dg[i]
-                        if c:
-                            acc += c * values[base_in + i * block + b]
-                    new_values[base_out + code * block + b] = acc % p
-        values = new_values
-        shape[axis] = codes
-    return values, shape
+    rows = [[field.from_int((c // p**i) % p) for i in range(n)] for c in codes]
+    return Matrix.from_rows(field, rows)
 
 
-def _search_space(p: int, row_counts, col_counts) -> int:
+def _first_match(t: Tensor, conditions, row_counts, per_factor, what: str, ceiling: int):
+    """The first assignment in itertools.product(*per_factor), one tuple of
+    covector codes per factor, under which T restricts to the target; None
+    if there is none.
+
+    conditions lists the target's (index, residue) pairs and row_counts its
+    dims.  per_factor is consumed only after the search space
+    p^(sum m_j n_j) has passed the ceiling, so callers pass it lazily.
+    """
+    p = t.ring.p
     size = 1
-    for m, n in zip(row_counts, col_counts):
+    for m, n in zip(row_counts, t.dims):
         size *= p ** (m * n)
-    return size
+    if size > ceiling:
+        raise SearchSpaceTooLargeError(
+            f"{what} search space {size} exceeds ceiling {ceiling}",
+            size=size,
+            ceiling=ceiling,
+        )
+    table, shape = _covector_table(t)
+    strides = _strides(tuple(shape))
+
+    k = t.order
+    conditions = sorted(conditions, key=lambda c: -c[1])  # check the nonzero ones first
+    for assignment in itertools.product(*per_factor):
+        ok = True
+        for jdx, target in conditions:
+            flat = 0
+            for a in range(k):
+                flat += assignment[a][jdx[a]] * strides[a]
+            if table[flat] != target:
+                ok = False
+                break
+        if ok:
+            return assignment
+    return None
 
 
 def subrank_bruteforce(
@@ -393,43 +414,12 @@ def subrank_bruteforce(
     if r == 1:
         return True
     p = field.p
-    size = _search_space(p, [r] * t.order, t.dims)
-    if size > ceiling:
-        raise SearchSpaceTooLargeError(
-            f"subrank search space {size} exceeds ceiling {ceiling}",
-            size=size,
-            ceiling=ceiling,
-        )
-    table, shape = _covector_table(t)
-    strides = [1] * t.order
-    for a in range(t.order - 2, -1, -1):
-        strides[a] = strides[a + 1] * shape[a + 1]
-
-    k = t.order
-    conditions = []
-    for jdx in itertools.product(range(r), repeat=k):
-        target = 1 if len(set(jdx)) == 1 else 0
-        conditions.append((jdx, target))
-    conditions.sort(key=lambda c: -c[1])  # check the diagonal ones first
-
-    nonzero_codes = [
-        [code for code in range(1, p**d)] for d in t.dims
+    unit = [
+        (jdx, 1 if len(set(jdx)) == 1 else 0)
+        for jdx in itertools.product(range(r), repeat=t.order)
     ]
-    per_factor = [
-        list(itertools.permutations(codes, r)) for codes in nonzero_codes
-    ]
-    for assignment in itertools.product(*per_factor):
-        ok = True
-        for jdx, target in conditions:
-            flat = 0
-            for a in range(k):
-                flat += assignment[a][jdx[a]] * strides[a]
-            if table[flat] != target:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    per_factor = (list(itertools.permutations(range(1, p**d), r)) for d in t.dims)
+    return _first_match(t, unit, [r] * t.order, per_factor, "subrank", ceiling) is not None
 
 
 def restricts_to_bruteforce(
@@ -449,45 +439,11 @@ def restricts_to_bruteforce(
     p = field.p
     if s.is_zero():
         return tuple(Matrix.zeros(field, m, n) for m, n in zip(s.dims, t.dims))
-    size = _search_space(p, s.dims, t.dims)
-    if size > ceiling:
-        raise SearchSpaceTooLargeError(
-            f"restriction search space {size} exceeds ceiling {ceiling}",
-            size=size,
-            ceiling=ceiling,
-        )
-    table, shape = _covector_table(t)
-    strides = [1] * t.order
-    for a in range(t.order - 2, -1, -1):
-        strides[a] = strides[a + 1] * shape[a + 1]
-
-    k = t.order
-    conditions = []
-    for flat in range(s.size):
-        jdx = s.multi_index(flat)
-        conditions.append((jdx, s.entries[flat].value))
-    conditions.sort(key=lambda c: -abs(c[1]))
-
-    per_factor = [
+    target = [(s.multi_index(flat), e.value) for flat, e in enumerate(s.entries)]
+    per_factor = (
         list(itertools.product(range(p**n), repeat=m)) for m, n in zip(s.dims, t.dims)
-    ]
-    for assignment in itertools.product(*per_factor):
-        ok = True
-        for jdx, target in conditions:
-            flat = 0
-            for a in range(k):
-                flat += assignment[a][jdx[a]] * strides[a]
-            if table[flat] != target:
-                ok = False
-                break
-        if ok:
-            maps = []
-            for a in range(k):
-                rows = []
-                for code in assignment[a]:
-                    rows.append(
-                        [field.from_int((code // p**i) % p) for i in range(t.dims[a])]
-                    )
-                maps.append(Matrix.from_rows(field, rows))
-            return tuple(maps)
-    return None
+    )
+    assignment = _first_match(t, target, s.dims, per_factor, "restriction", ceiling)
+    if assignment is None:
+        return None
+    return tuple(_covector_rows(field, n, codes) for n, codes in zip(t.dims, assignment))

@@ -7,13 +7,19 @@ vectors e_1, e_2 are indices 0, 1 here).  Alongside the standard tensors
 I-vs-complement flattenings, and restriction by a tuple of linear maps, one
 per factor.
 
+Every reshuffle of entries (flattenings, slices, axis permutations, the
+Kronecker product) is a gather through one cached axis-order map,
+``_axis_order(dims, perm)``.  ``mode_apply`` is the only contraction:
+restriction, padding and the covector tables of the brute-force oracles are
+mode products.
+
 Kronecker index convention: the combined index on factor j is
 ``i_j * m_j + i'_j`` (left factor major); tests depend on it bit-exactly.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import FieldSpec
@@ -36,13 +42,10 @@ class Tensor:
             size *= d
         if len(entries) != size:
             raise DimensionMismatchError(f"dims {dims} need {size} entries, got {len(entries)}")
-        strides = [1] * len(dims)
-        for a in range(len(dims) - 2, -1, -1):
-            strides[a] = strides[a + 1] * dims[a + 1]
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_strides", tuple(strides))
+        object.__setattr__(self, "_strides", _strides(dims))
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -133,12 +136,10 @@ class Tensor:
         """The order-(k-1) slice at a fixed index of one axis (k >= 2)."""
         if self.order < 2:
             raise DimensionMismatchError("cannot slice an order-1 tensor")
-        new_dims = self.dims[:axis] + self.dims[axis + 1 :]
-        out = []
-        for rest in itertools.product(*(range(d) for d in new_dims)):
-            idx = rest[:axis] + (index,) + rest[axis:]
-            out.append(self.entries[self.flat_index(idx)])
-        return Tensor(self.ring, new_dims, out)
+        m = flatten(self, [axis])
+        if not 0 <= index < m.rows:
+            raise DimensionMismatchError(f"slice {index} out of range for dims {self.dims}")
+        return Tensor(self.ring, self.dims[:axis] + self.dims[axis + 1 :], m.row(index))
 
     def permute_axes(self, perm) -> "Tensor":
         """Reorder factors; perm[a] is the source axis placed at position a."""
@@ -146,17 +147,34 @@ class Tensor:
         if sorted(perm) != list(range(self.order)):
             raise DimensionMismatchError(f"bad axis permutation {perm}")
         new_dims = tuple(self.dims[a] for a in perm)
-        out = [None] * self.size
-        t = Tensor.zeros(self.ring, new_dims)
-        for flat, e in enumerate(self.entries):
-            idx = self.multi_index(flat)
-            out[t.flat_index(tuple(idx[a] for a in perm))] = e
-        return Tensor(self.ring, new_dims, out)
+        return Tensor(self.ring, new_dims, [self.entries[f] for f in _axis_order(self.dims, perm)])
 
     def __repr__(self):
         shape = "x".join(str(d) for d in self.dims)
         nz = sum(1 for e in self.entries if e)
         return f"Tensor({self.ring.name}, {shape}, {nz} nonzero)"
+
+
+@functools.cache
+def _strides(dims) -> tuple[int, ...]:
+    """Row-major strides of a dims-shaped tensor."""
+    strides = [1] * len(dims)
+    for a in range(len(dims) - 2, -1, -1):
+        strides[a] = strides[a + 1] * dims[a + 1]
+    return tuple(strides)
+
+
+@functools.cache
+def _axis_order(dims, perm) -> tuple[int, ...]:
+    """Flat indices of a dims-shaped tensor, listed in the row-major order of
+    its axes permuted by perm (perm[a] is the source axis placed at position
+    a, perm[0] outermost).  Gathering entries through it permutes the axes."""
+    strides = _strides(dims)
+    order = [0]
+    for a in perm:
+        s = strides[a]
+        order = [f + i * s for f in order for i in range(dims[a])]
+    return tuple(order)
 
 
 def unit_tensor(k: int, r: int, field: FieldSpec) -> Tensor:
@@ -187,20 +205,14 @@ def kronecker(t: Tensor, s: Tensor) -> Tensor:
         raise DimensionMismatchError("Kronecker product needs equal orders")
     if t.ring != s.ring:
         raise FieldMismatchError("Kronecker product needs a common field")
+    # The outer product has axes (t_0, ..., t_(k-1), s_0, ..., s_(k-1));
+    # ordering them (t_0, s_0, t_1, s_1, ...) and merging pairs gives the
+    # combined index i_j * m_j + i'_j.
+    k = t.order
+    outer = [et * es for et in t.entries for es in s.entries]
+    perm = tuple(a for j in range(k) for a in (j, k + j))
     dims = tuple(n * m for n, m in zip(t.dims, s.dims))
-    out = Tensor.zeros(t.ring, dims)
-    entries = list(out.entries)
-    for ft, et in enumerate(t.entries):
-        if not et:
-            continue
-        it = t.multi_index(ft)
-        for fs, es in enumerate(s.entries):
-            if not es:
-                continue
-            js = s.multi_index(fs)
-            combined = tuple(a * m + b for a, m, b in zip(it, s.dims, js))
-            entries[out.flat_index(combined)] = et * es
-    return Tensor(t.ring, dims, entries)
+    return Tensor(t.ring, dims, [outer[f] for f in _axis_order(t.dims + s.dims, perm)])
 
 
 def _check_axes(t: Tensor, axes) -> tuple[int, ...]:
@@ -222,23 +234,8 @@ def flatten(t: Tensor, axes) -> Matrix:
     nrows = 1
     for a in axes:
         nrows *= t.dims[a]
-    ncols = t.size // nrows
-    entries = [None] * (nrows * ncols)
-    row_ranges = [range(t.dims[a]) for a in axes]
-    col_ranges = [range(t.dims[a]) for a in co_axes]
-    r = 0
-    for ridx in itertools.product(*row_ranges):
-        c = 0
-        for cidx in itertools.product(*col_ranges):
-            idx = [0] * t.order
-            for a, i in zip(axes, ridx):
-                idx[a] = i
-            for a, i in zip(co_axes, cidx):
-                idx[a] = i
-            entries[r * ncols + c] = t.entries[t.flat_index(idx)]
-            c += 1
-        r += 1
-    return Matrix(t.ring, nrows, ncols, entries)
+    entries = [t.entries[f] for f in _axis_order(t.dims, axes + co_axes)]
+    return Matrix(t.ring, nrows, t.size // nrows, entries)
 
 
 def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
@@ -249,21 +246,25 @@ def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
         raise DimensionMismatchError(
             f"map is {m.rows}x{m.cols} but axis {axis} has dimension {t.dims[axis]}"
         )
-    new_dims = t.dims[:axis] + (m.rows,) + t.dims[axis + 1 :]
-    out = Tensor.zeros(t.ring, new_dims)
-    entries = list(out.entries)
-    for flat, e in enumerate(t.entries):
-        if not e:
+    # Work in axis-first order: the source is then an n x rest matrix and
+    # output row j is sum_i m[j, i] * (source row i).
+    perm = (axis,) + tuple(a for a in range(t.order) if a != axis)
+    rest = t.size // m.cols
+    src = [t.entries[f] for f in _axis_order(t.dims, perm)]
+    out = [t.ring.zero()] * (m.rows * rest)
+    for i in range(m.cols):
+        column = [(j * rest, c) for j, c in enumerate(m.column(i)) if c]
+        if not column:
             continue
-        idx = t.multi_index(flat)
-        i = idx[axis]
-        for j in range(m.rows):
-            c = m[j, i]
-            if not c:
+        for r, e in enumerate(src[i * rest : (i + 1) * rest]):
+            if not e:
                 continue
-            jdx = idx[:axis] + (j,) + idx[axis + 1 :]
-            f = out.flat_index(jdx)
-            entries[f] = entries[f] + c * e
+            for base, c in column:
+                out[base + r] = out[base + r] + c * e
+    new_dims = t.dims[:axis] + (m.rows,) + t.dims[axis + 1 :]
+    entries = [None] * len(out)
+    for f, e in zip(_axis_order(new_dims, perm), out):
+        entries[f] = e
     return Tensor(t.ring, new_dims, entries)
 
 
@@ -295,12 +296,12 @@ def pad(t: Tensor, dims) -> Tensor:
     dims = tuple(dims)
     if len(dims) != t.order or any(d < n for d, n in zip(dims, t.dims)):
         raise DimensionMismatchError(f"cannot pad {t.dims} into {dims}")
-    out = Tensor.zeros(t.ring, dims)
-    entries = list(out.entries)
-    for flat, e in enumerate(t.entries):
-        if e:
-            entries[out.flat_index(t.multi_index(flat))] = e
-    return Tensor(t.ring, dims, entries)
+    one, zero = t.ring.one(), t.ring.zero()
+    inclusions = [
+        Matrix(t.ring, d, n, [one if i == j else zero for i in range(d) for j in range(n)])
+        for d, n in zip(dims, t.dims)
+    ]
+    return restrict(t, inclusions)
 
 
 def lift_tensor(t: Tensor, ring) -> Tensor:

@@ -81,6 +81,20 @@ def test_verify_cert_command(tmp_path, capsys):
     assert "rejected" in capsys.readouterr().out
 
 
+def test_oversized_documents_are_errors_not_rejections(tmp_path, capsys):
+    doc = certificate_to_document(unit_to_w_certificate(3))
+    doc["source"]["dims"] = [1048576] * 3
+    huge = tmp_path / "huge-cert.json"
+    huge.write_text(json.dumps(doc))
+    assert main(["verify-cert", str(huge)]) == 2
+    assert "source.dims" in capsys.readouterr().err
+
+    huge_tensor = tmp_path / "huge.json"
+    huge_tensor.write_text(json.dumps(doc["source"]))
+    assert main(["ranks", str(huge_tensor)]) == 2
+    assert "dims" in capsys.readouterr().err
+
+
 def test_make_w_cert_command(tmp_path, capsys):
     src = tmp_path / "unit.json"
     save_tensor(unit_tensor(3, 2, QQ), src)

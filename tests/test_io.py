@@ -128,3 +128,19 @@ def test_certificate_document_errors():
     bad["kind"] = "tensor"
     with pytest.raises(DocumentFormatError, match="expected kind"):
         certificate_from_document(bad)
+
+
+def test_oversized_dims_refused_before_allocation():
+    # About 100 bytes asking for 2^60 entries, and dims in between that would
+    # still allocate gigabytes: both are refused at the dims, not allocated.
+    for dims in ([1048576] * 3, [2048] * 3):
+        doc = {"format": 1, "kind": "tensor", "field": "Q", "dims": dims, "entries": []}
+        with pytest.raises(DocumentFormatError, match="more than") as info:
+            tensor_from_document(doc)
+        assert info.value.location == "tensor.dims"
+
+    cert_doc = certificate_to_document(unit_to_w_certificate(3))
+    cert_doc["source"]["dims"] = [1048576] * 3
+    with pytest.raises(DocumentFormatError) as info:
+        certificate_from_document(cert_doc)
+    assert info.value.location == "certificate.source.dims"

@@ -284,6 +284,21 @@ def test_restricts_to_bruteforce_examples():
     assert restrict(w3, maps) == corner
 
 
+def test_restricts_to_bruteforce_first_witness_is_stable():
+    # The witness is the first match in code order; this one was recorded
+    # before the search loop was shared with subrank_bruteforce.
+    f3 = GF(3)
+    w3 = w_tensor(3, (2, 2, 2), f3)
+    s = Tensor.from_dict(f3, (2, 2, 1), {(0, 1, 0): 1, (1, 0, 0): 2})
+    maps = restricts_to_bruteforce(w3, s)
+    assert [[e.text() for e in m.entries] for m in maps] == [
+        ["1", "0", "0", "1"],
+        ["1", "0", "0", "2"],
+        ["2", "0"],
+    ]
+    assert restrict(w3, maps) == s
+
+
 def test_restriction_preserves_pr_gate():
     # monotonicity at the rank-one boundary: when a brute-force witness
     # T -> S exists and pr(S) >= 2, then pr(T) >= 2

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from tensorgap.errors import DimensionMismatchError, FieldMismatchError
 from tensorgap.fields import GF, QQ
 from tensorgap.linalg import Matrix, mat_rank
+from tensorgap.ratfunc import EpsField
 from tensorgap.tensors import (
     Tensor,
     as_matrix,
@@ -14,6 +17,7 @@ from tensorgap.tensors import (
     flatten,
     identity_maps,
     kronecker,
+    mode_apply,
     pad,
     restrict,
     unit_tensor,
@@ -172,3 +176,113 @@ def test_entry_validation():
     t = unit_tensor(3, 2, QQ)
     with pytest.raises(DimensionMismatchError):
         t[2, 0, 0]
+
+
+# -- the index calculus against its elementwise definitions -----------------
+
+
+def _indices(dims):
+    return itertools.product(*(range(d) for d in dims))
+
+
+def _row_major(idx, dims):
+    flat = 0
+    for i, d in zip(idx, dims):
+        flat = flat * d + i
+    return flat
+
+
+@st.composite
+def _tensors(draw, field=None, dims=None):
+    if field is None:
+        field = draw(st.sampled_from((QQ, GF(3))))
+    if dims is None:
+        dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    size = math.prod(dims)
+    values = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    return Tensor(field, dims, [field.from_int(v) for v in values])
+
+
+def _mode_product_reference(t, m, axis):
+    new_dims = t.dims[:axis] + (m.rows,) + t.dims[axis + 1 :]
+    items = {}
+    for jdx in _indices(new_dims):
+        acc = t.ring.zero()
+        for i in range(m.cols):
+            acc = acc + m[jdx[axis], i] * t[jdx[:axis] + (i,) + jdx[axis + 1 :]]
+        items[jdx] = acc
+    return Tensor.from_dict(t.ring, new_dims, items)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_index_calculus_matches_elementwise_definitions(data):
+    t = data.draw(_tensors())
+    field, dims, k = t.ring, t.dims, t.order
+
+    for size in range(1, k):
+        for axes in itertools.combinations(range(k), size):
+            co = tuple(a for a in range(k) if a not in axes)
+            row_dims, col_dims = [dims[a] for a in axes], [dims[a] for a in co]
+            m = flatten(t, axes)
+            assert (m.rows, m.cols) == (math.prod(row_dims), math.prod(col_dims))
+            for idx in _indices(dims):
+                r = _row_major([idx[a] for a in axes], row_dims)
+                c = _row_major([idx[a] for a in co], col_dims)
+                assert m[r, c] == t[idx]
+
+    if k >= 2:
+        for axis in range(k):
+            for i in range(dims[axis]):
+                s = t.slice_along(axis, i)
+                assert s.dims == dims[:axis] + dims[axis + 1 :]
+                for rest in _indices(s.dims):
+                    assert s[rest] == t[rest[:axis] + (i,) + rest[axis:]]
+
+    for perm in itertools.permutations(range(k)):
+        p = t.permute_axes(perm)
+        assert p.dims == tuple(dims[a] for a in perm)
+        for idx in _indices(dims):
+            assert p[tuple(idx[a] for a in perm)] == t[idx]
+
+    for axis in range(k):
+        rows = data.draw(st.sampled_from([n for n in range(1, 5) if n != dims[axis]]))
+        values = data.draw(
+            st.lists(st.integers(-2, 2), min_size=rows * dims[axis], max_size=rows * dims[axis])
+        )
+        m = Matrix(field, rows, dims[axis], [field.from_int(v) for v in values])
+        assert mode_apply(t, m, axis) == _mode_product_reference(t, m, axis)
+
+    other_dims = tuple(data.draw(st.lists(st.integers(1, 2), min_size=k, max_size=k)))
+    s = data.draw(_tensors(field, other_dims))
+    prod = kronecker(t, s)
+    assert prod.dims == tuple(n * m for n, m in zip(dims, other_dims))
+    for idx in _indices(dims):
+        for jdx in _indices(other_dims):
+            combined = tuple(i * m + j for i, m, j in zip(idx, other_dims, jdx))
+            assert prod[combined] == t[idx] * s[jdx]
+
+    big_dims = tuple(d + data.draw(st.integers(0, 2)) for d in dims)
+    big = pad(t, big_dims)
+    assert big.dims == big_dims
+    for idx in _indices(big_dims):
+        inside = all(i < d for i, d in zip(idx, dims))
+        assert big[idx] == (t[idx] if inside else field.zero())
+
+
+def test_mode_apply_over_k_eps():
+    eps_ring = EpsField(QQ)
+    e, one = eps_ring.eps(), eps_ring.one()
+    t = Tensor(eps_ring, (2, 3), [one, e, eps_ring.zero(), one / (one + e), e * e, one - e])
+    m = Matrix(eps_ring, 3, 2, [e, one, one / (one - e), eps_ring.zero(), one + e, e])
+    for axis, mm in ((0, m), (1, m.transpose())):
+        assert mode_apply(t, mm, axis) == _mode_product_reference(t, mm, axis)
+
+
+def test_slice_along_out_of_range():
+    t = w_tensor(3, (2, 2, 2), QQ)
+    for axis, index in ((0, 2), (2, -1), (0, -2), (1, 5)):
+        with pytest.raises(DimensionMismatchError):
+            t.slice_along(axis, index)
+    with pytest.raises(DimensionMismatchError):
+        t.slice_along(3, 0)
