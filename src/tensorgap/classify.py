@@ -191,7 +191,7 @@ def _rational_sqrt(q: Fraction):
     return None
 
 
-def _pencil_rank_one_points(t: Tensor):
+def _pencil_rank_one_points(a0: Matrix, a1: Matrix):
     """Distinct projective zeros (l : m) of det(l*A0 + m*A1) over the ground field.
 
     A0, A1 are the first-factor slices.  Returns a list of scalar pairs;
@@ -199,9 +199,7 @@ def _pencil_rank_one_points(t: Tensor):
     list has length 0 or 2 over the ground field.  Over a finite field every
     one of its q elements is tried as m/l.
     """
-    field = t.ring
-    a0 = Matrix(field, 2, 2, t.slice_along(0, 0).entries)
-    a1 = Matrix(field, 2, 2, t.slice_along(0, 1).entries)
+    field = a0.ring
     det0 = mat_det(a0)
     det1 = mat_det(a1)
     det_sum = mat_det(
@@ -256,12 +254,12 @@ def unit_restriction_witness(t: Tensor):
     field = t.ring
     if not cayley_hyperdet(t):
         raise ValueError("unit witness requires a nonvanishing hyperdeterminant")
-    points = _pencil_rank_one_points(t)
+    slices = flatten(t, [0])
+    a0, a1 = (Matrix(field, 2, 2, slices.row(i)) for i in (0, 1))
+    points = _pencil_rank_one_points(a0, a1)
     if len(points) < 2:
         return None
     (l0, m0), (l1, m1) = points[0], points[1]
-    a0 = Matrix(field, 2, 2, t.slice_along(0, 0).entries)
-    a1 = Matrix(field, 2, 2, t.slice_along(0, 1).entries)
     m_0 = a0.scale(l0)
     m_0 = Matrix(field, 2, 2, [x + y for x, y in zip(m_0.entries, a1.scale(m0).entries)])
     m_1 = a0.scale(l1)

@@ -23,8 +23,10 @@ W-tensor out of any tensor of partition rank at least two:
   plane of the W-tensor's last flattening.  The limit is the span of the
   leading coefficients a0, b0 of the valuation-reduced transported pair, so
   the test is the base-field rank test rank [a0; b0; W; corner] = 2;
-* recover the final factor by solving the flattening-image matching system
-  over K(eps).
+* read the final factor off the reduction: it maps the slices to the
+  coordinates of W and the corner tensor in the limit basis a0, b0, composed
+  with the triangular K(eps) matrix that carried the transported slices to
+  the reduced pair.
 
 Everything is exact; the only randomness is the compression seed, and the
 constructed certificate is re-verified before being returned.
@@ -50,6 +52,7 @@ from .ranks import DEFAULT_START_BOUND, generic_compress, has_rank_one_flattenin
 from .tensors import (
     Tensor,
     as_matrix,
+    flatten,
     lift_tensor,
     restrict,
     unit_tensor,
@@ -369,7 +372,7 @@ def _rows(*tensors) -> Matrix:
 
 def _dvr_reduce_pair(a: Tensor, b: Tensor):
     """Normalize a pair of K(eps) tensors until the leading coefficients are
-    independent; returns (a, b, a0, b0).
+    independent; returns (ra, rb, a0, b0, T).
 
     The pair must be independent over K(eps).  Each step keeps or rescales
     a ^ b by a power of eps: dividing a or b by eps^v divides the wedge by
@@ -381,45 +384,56 @@ def _dvr_reduce_pair(a: Tensor, b: Tensor):
     A dependent pair with a ratio that is no polynomial in eps would never
     stop, so callers check independence first (`_limit_plane`) or pass the
     images of independent tensors under invertible curves (`_certify_cube`).
+
+    T is the 2x2 matrix over K(eps) with (ra, rb) = T * (a, b): the steps
+    rescale a row by a power of eps or subtract lam times the first row from
+    the second, and none adds a multiple of b to a, so T is lower-triangular
+    with eps powers on its diagonal.
     """
     eps_ring = a.ring
     va = tensor_min_valuation(a)
     if va == math.inf:
         raise DegenerateSpanError("first transported vector vanishes")
+    t00 = eps_ring.eps(-va)
     if va != 0:
-        a = a.scale(eps_ring.eps(-va))
+        a = a.scale(t00)
     a0 = eps_coefficient_tensor(a, 0)
+    t10, t11 = eps_ring.zero(), eps_ring.one()
     while True:
         vb = tensor_min_valuation(b)
         if vb == math.inf:
             raise DegenerateSpanError("transported pair collapsed to one dimension")
         if vb != 0:
-            b = b.scale(eps_ring.eps(-vb))
+            shift = eps_ring.eps(-vb)
+            b = b.scale(shift)
+            t10, t11 = t10 * shift, t11 * shift
         b0 = eps_coefficient_tensor(b, 0)
         if mat_rank(_rows(a0, b0)) == 2:
-            return a, b, a0, b0
-        b = b - a.scale(eps_ring.lift(_proportionality(b0, a0)))
+            return a, b, a0, b0, Matrix(eps_ring, 2, 2, [t00, eps_ring.zero(), t10, t11])
+        lam = eps_ring.lift(_proportionality(b0, a0))
+        b = b - a.scale(lam)
+        t10 = t10 - lam * t00
 
 
 def _limit_plane(curves, t0: Tensor, t1: Tensor):
     """Transport t0, t1 along the curves and reduce the pair.
 
     Returns None when the transported pair is dependent over K(eps) (the
-    transported wedge vanishes identically), else the transported pair
-    followed by `_dvr_reduce_pair`'s (a, b, a0, b0); span(a0, b0) is the
-    Grassmannian limit of the transported plane.
+    transported wedge vanishes identically), else `_dvr_reduce_pair`'s
+    (ra, rb, a0, b0, T); span(a0, b0) is the Grassmannian limit of the
+    transported plane.
     """
     a = _expand(t0, curves)
     b = _expand(t1, curves)
     if mat_rank(_rows(a, b)) < 2:
         return None
-    return (a, b) + _dvr_reduce_pair(a, b)
+    return _dvr_reduce_pair(a, b)
 
 
 def _limit_is(limit, c0: Tensor, c1: Tensor) -> bool:
     """Whether a `_limit_plane` result has the limit plane span(c0, c1), for
     independent base-field tensors c0, c1."""
-    return limit is not None and mat_rank(_rows(limit[4], limit[5], c0, c1)) == 2
+    return limit is not None and mat_rank(_rows(limit[2], limit[3], c0, c1)) == 2
 
 
 def _solve_in_plane(a0: Tensor, b0: Tensor, target: Tensor):
@@ -434,13 +448,11 @@ def _solve_in_plane(a0: Tensor, b0: Tensor, target: Tensor):
     return mat_solve(m, list(target.entries))
 
 
-def _choose_slice_combo(t: Tensor):
-    """Small integer coefficients (alpha, beta) giving a last-axis slice
-    combination of partition rank >= 2, with the combination itself."""
-    field = t.ring
-    axis = t.order - 1
-    s0 = t.slice_along(axis, 0)
-    s1 = t.slice_along(axis, 1)
+def _choose_slice_combo(s0: Tensor, s1: Tensor):
+    """Small integer coefficients (alpha, beta) giving a combination of the
+    last-axis slices s0, s1 of partition rank >= 2, with the combination
+    itself."""
+    field = s0.ring
     for bound in range(1, SLICE_COMBO_BOUND + 1):
         for alpha, beta in itertools.product(range(-bound, bound + 1), repeat=2):
             if max(abs(alpha), abs(beta)) != bound:
@@ -493,10 +505,9 @@ def _certify_cube(t: Tensor):
         g = w2 * mat_inverse(m)
         return (lift_matrix(g, eps_ring), Matrix.identity(eps_ring, 2))
 
-    axis = k - 1
-    s0 = t.slice_along(axis, 0)
-    s1 = t.slice_along(axis, 1)
-    (alpha, _), s = _choose_slice_combo(t)
+    slices = flatten(t, [k - 1])
+    s0, s1 = (Tensor(field, t.dims[:-1], slices.row(i)) for i in (0, 1))
+    (alpha, _), s = _choose_slice_combo(s0, s1)
     rec = _certify_cube(s)
     w_prev = w_tensor(k - 1, (2,) * (k - 1), field)
     # Each level is verified once: the recursive result here (the order-2
@@ -529,8 +540,9 @@ def _certify_cube(t: Tensor):
         limit = _limit_plane(curve, s0, s1)
         if not _limit_is(limit, w_prev, corner_prev):
             continue
-        # Recover the last factor from the flattening-image matching system.
-        a_o, b_o, ra, rb, a0, b0 = limit
+        # The last factor maps the slices to W and the corner; with
+        # (ra, rb) = T * (curve s0, curve s1) its rows are [top; bottom] * T.
+        _, _, a0, b0, transform = limit
         top = _solve_in_plane(a0, b0, w_prev)
         bottom = _solve_in_plane(a0, b0, corner_prev)
         if top is None or bottom is None:
@@ -538,21 +550,7 @@ def _certify_cube(t: Tensor):
                 "Grassmannian limit accepted but the plane does not contain "
                 "the W-tensor and the corner tensor"
             )
-        f_top = ra.scale(eps_ring.lift(top[0])) + rb.scale(eps_ring.lift(top[1]))
-        f_bottom = ra.scale(eps_ring.lift(bottom[0])) + rb.scale(eps_ring.lift(bottom[1]))
-        rows = []
-        for f in (f_top, f_bottom):
-            system = Matrix(
-                eps_ring,
-                f.size,
-                2,
-                [v for pair in zip(a_o.entries, b_o.entries) for v in pair],
-            )
-            sol = mat_solve(system, list(f.entries))
-            if sol is None:
-                raise CertificateConstructionError("flattening-image matching is inconsistent")
-            rows.append(sol)
-        x = Matrix(eps_ring, 2, 2, rows[0] + rows[1])
+        x = lift_matrix(Matrix(field, 2, 2, top + bottom), eps_ring) * transform
         if not mat_det(x):
             raise CertificateConstructionError("recovered final factor is singular")
         return curve + (x,)

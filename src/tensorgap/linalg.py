@@ -5,19 +5,16 @@ or RatFuncs (over K(eps)), tagged with their ring.
 
 One kernel, `_echelon`, does Gaussian elimination with field division in any
 supported ring; it reduces the leading columns of a row list in place and
-returns the pivot columns and the parity of the row swaps.  Everything but
-the hot rank routes is built on it: `mat_solve` eliminates [A | b] and
-back-substitutes, `mat_det` is the swap sign times the product of the
-pivots, and `mat_inverse` eliminates [A | I] once and back-substitutes each
-column of I.  `mat_rank` uses it over F_{p^m} and K(eps); on raw values it
-keeps three faster routes: fraction-free Bareiss elimination over Q (Bareiss
-1968) to keep intermediate values small, modular elimination on int residues
-over F_p, and rows packed into bitmasks over F_2.  All results are exact.
+returns the pivot columns and the parity of the row swaps.  Everything is
+built on it: `mat_solve` eliminates [A | b] and back-substitutes, `mat_det`
+is the swap sign times the product of the pivots, `mat_inverse` eliminates
+[A | I] once and back-substitutes each column of I, and `mat_rank` counts
+its pivots.  The one other route is rank over F_2, the hot case of the
+order-4 partition-rank gates: there rows are packed into bitmasks and
+reduced by XOR.  All results are exact.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import FieldSpec
@@ -140,7 +137,7 @@ class Matrix:
         return f"Matrix({self.ring.name}, [{body}])"
 
 
-# -- fast integer kernels over F_p --------------------------------------------
+# -- elimination --------------------------------------------------------------
 
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -154,63 +151,6 @@ def _gf2_rank(rows: list[int]) -> int:
         if cur:
             rows[rank] = cur
             rank += 1
-    return rank
-
-
-def _fp_rank(rows: list[list[int]], p: int) -> int:
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if rows[r][col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        prow = rows[rank]
-        for r in range(rank + 1, nrows):
-            f = rows[r][col]
-            if f:
-                f = f * inv % p
-                rr = rows[r]
-                for c in range(col, ncols):
-                    rr[c] = (rr[c] - f * prow[c]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _bareiss_rank(rows: list[list[Fraction]]) -> int:
-    """Fraction-free elimination; divisions by the previous pivot are exact."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    prev = Fraction(1)
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        pv = prow[col]
-        for r in range(rank + 1, nrows):
-            rr = rows[r]
-            f = rr[col]
-            for c in range(col, ncols):
-                rr[c] = (rr[c] * pv - f * prow[c]) / prev
-        prev = pv
-        rank += 1
-        if rank == nrows:
-            break
     return rank
 
 
@@ -267,21 +207,17 @@ def _back_substitute(rows, pivots, ncols: int, rhs: int, zero):
 
 
 def mat_rank(m: Matrix) -> int:
-    """Exact rank over Q (Bareiss), F_p (modular), or F_{p^m} and K(eps) (`_echelon`)."""
-    if isinstance(m.ring, FieldSpec) and m.ring.m == 1:
-        p = m.ring.p
-        if p is None:
-            return _bareiss_rank([[e.value for e in m.row(i)] for i in range(m.rows)])
-        if p == 2:
-            rows = []
-            for i in range(m.rows):
-                bits = 0
-                for j, e in enumerate(m.row(i)):
-                    if e.value:
-                        bits |= 1 << j
-                rows.append(bits)
-            return _gf2_rank(rows)
-        return _fp_rank([[e.value for e in m.row(i)] for i in range(m.rows)], p)
+    """Exact rank: rows packed into bitmasks over F_2, `_echelon` elsewhere."""
+    ring = m.ring
+    if isinstance(ring, FieldSpec) and ring.p == 2 and ring.m == 1:
+        rows = []
+        for i in range(m.rows):
+            bits = 0
+            for j, e in enumerate(m.row(i)):
+                if e.value:
+                    bits |= 1 << j
+            rows.append(bits)
+        return _gf2_rank(rows)
     return len(_echelon(m.to_rows(), m.cols)[0])
 
 

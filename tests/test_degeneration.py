@@ -8,6 +8,7 @@ import pytest
 from tensorgap.degeneration import (
     DegenerationCertificate,
     WedgePoint,
+    _dvr_reduce_pair,
     apply_certificate,
     construct_w_degeneration,
     grassmann_degenerates,
@@ -15,6 +16,7 @@ from tensorgap.degeneration import (
     scaling_map_tuple,
     stab_scaling_curve,
     stab_shear,
+    tensor_min_valuation,
     unit_to_w_certificate,
     verify_certificate,
 )
@@ -280,6 +282,38 @@ def test_grassmann_rank_test_agrees_with_pluecker():
     assert not grassmann_degenerates(curves, (e00, e10), (e00, e10))
 
 
+def test_dvr_reduction_transform_is_exact():
+    # curves and pairs drawn as in the agreement test (its seed and
+    # distributions): (ra, rb) = T * (a, b) exactly, T lower-triangular.  Each
+    # transported pair is also reduced as (a, c*a + eps^j * b), whose leading
+    # coefficients are proportional, so the b -= lam * a step is exercised.
+    rng = random.Random(4321)
+    cases = subtracted = 0
+    for order, trials in ((2, 40), (3, 8)):
+        dims = (2,) * order
+        for _ in range(trials):
+            curves = tuple(
+                Matrix(EPS, 2, 2, [_random_eps_entry(rng) for _ in range(4)])
+                for _ in range(order)
+            )
+            a, b = (
+                restrict(lift_tensor(random_rational_tensor(dims, rng, bound=2), EPS), curves)
+                for _ in range(2)
+            )
+            if pluecker_wedge(a, b).is_zero():
+                continue
+            shift = max(1, tensor_min_valuation(a) - tensor_min_valuation(b) + 1)
+            c = EPS.from_int(rng.choice((-2, -1, 1, 2)))
+            cases += 1
+            for pair in ((a, b), (a, a.scale(c) + b.scale(EPS.eps(shift)))):
+                ra, rb, _, _, t = _dvr_reduce_pair(*pair)
+                assert not t[0, 1]
+                assert ra == pair[0].scale(t[0, 0])
+                assert rb == pair[0].scale(t[1, 0]) + pair[1].scale(t[1, 1])
+                subtracted += bool(t[1, 0])
+    assert cases >= 40 and subtracted >= cases
+
+
 def test_grassmann_on_stabilizer_transport():
     # the inner step of the builder, standalone: the scaling curve carries
     # the span <W2, P> (corner coefficient nonzero) to <W2, corner>.
@@ -400,6 +434,7 @@ UNIT_CERT_SHA256 = {
     4: "6825819dfbef3393b78baa4e393ae640db83cf6b00794d2d70e5ce3ff59ffae8",
     5: "069d1f58422133278b0723cc5746c6aae305572fb6af5180791fe981bd7ac038",
     6: "65d3658692bee78b3389ccf0dd0d7ed8ae5b5f7ad5cb513f8ade37cade53b8eb",
+    7: "032b2ec458192aba974e2f1626f2229176447eac820f924b7e4690088f5fae9c",
 }
 
 

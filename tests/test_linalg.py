@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -67,13 +68,22 @@ def _naive_rank(m):
     return rank
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 7]))
+@settings(max_examples=160, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, 2, 3, 7]))
 def test_fast_fp_rank_matches_naive(seed, p):
-    field = GF(p)
+    # both routes of mat_rank: packed bits over F_2, `_echelon` over Q and F_p
+    field = QQ if p is None else GF(p)
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-    m = Matrix(field, rows, cols, [field.from_int(rng.randrange(p)) for _ in range(rows * cols)])
+    if p is None:
+        entries = [QQ.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(rows * cols)]
+        if rows > 2 and rng.random() < 0.5:
+            # a dependent last row, so that deficient ranks occur over Q too
+            two = QQ.from_int(2)
+            entries[-cols:] = [x - two * y for x, y in zip(entries[:cols], entries[cols : 2 * cols])]
+    else:
+        entries = [field.from_int(rng.randrange(p)) for _ in range(rows * cols)]
+    m = Matrix(field, rows, cols, entries)
     assert mat_rank(m) == _naive_rank(m)
 
 
