@@ -7,6 +7,15 @@ polynomial has an empty tuple.  A :class:`RatFunc` is a normalized quotient
 num/den with gcd(num, den) = 1 and den monic, so equal values have equal
 representations.  :class:`EpsField` tags K(eps) the way FieldSpec tags K.
 
+Normalization is eps-adic.  eps is prime in K[eps], so
+gcd(num, den) = eps^min(vn, vd) * gcd(num_free, den_free), where vn, vd are
+the valuations and x_free is x with its power of eps divided out.  The eps
+power is cancelled by slicing coefficient tuples, and Euclid runs only on
+the eps-free parts, only when both are nonconstant.  Certificate curves
+mostly have monomial denominators, so most normalizations need no Euclid.
+The normal form is unique, so this reaches exactly the num/den that Euclid
+on the whole polynomials would.
+
 Curves of group elements appearing in degeneration certificates have rational
 function entries, so exact arithmetic here removes any need for truncation
 order bookkeeping.  Laurent data at eps = 0 is recovered on demand:
@@ -186,9 +195,15 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
+    """Monic gcd by the Euclidean algorithm.
+
+    Each remainder is made monic before the next division.  Scaling by a
+    unit does not change the ideal a remainder generates, so the monic gcd is
+    the one plain Euclid gives; over Q it keeps the `Fraction` coefficients
+    of the remainders from growing with every step.
+    """
     while b:
-        a, b = b, a % b
+        a, b = b, (a % b).monic()
     return a.monic()
 
 
@@ -261,7 +276,14 @@ class EpsField:
 
 
 class RatFunc:
-    """Normalized quotient of polynomials in eps: gcd(num, den) = 1, den monic."""
+    """Normalized quotient of polynomials in eps: gcd(num, den) = 1, den monic.
+
+    The constructor cancels the common power of eps by slicing, then divides
+    by the gcd of the eps-free parts when both are nonconstant (otherwise
+    that gcd is 1), then scales den monic.  Sums and differences of values
+    with equal denominators skip the cross products and normalize
+    (num +- num', den) directly.
+    """
 
     __slots__ = ("num", "den")
 
@@ -273,11 +295,20 @@ class RatFunc:
         if not num:
             den = Poly(num.field, [1])
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            p = num.field.p
+            field = num.field
+            vn, vd = num.valuation(), den.valuation()
+            shift = min(vn, vd)
+            if shift:
+                num = Poly(field, num.coeffs[shift:])
+                den = Poly(field, den.coeffs[shift:])
+                vn -= shift
+                vd -= shift
+            if num.degree > vn and den.degree > vd:
+                g = poly_gcd(Poly(field, num.coeffs[vn:]), Poly(field, den.coeffs[vd:]))
+                if g.degree > 0:
+                    num = num // g
+                    den = den // g
+            p = field.p
             lead = den.leading()
             if lead != 1:
                 inv = 1 / lead if p is None else pow(lead, -1, p)
@@ -310,6 +341,8 @@ class RatFunc:
         o = self._other(other)
         if o is None:
             return NotImplemented
+        if self.den == o.den:
+            return RatFunc(self.num + o.num, self.den)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -318,6 +351,8 @@ class RatFunc:
         o = self._other(other)
         if o is None:
             return NotImplemented
+        if self.den == o.den:
+            return RatFunc(self.num - o.num, self.den)
         return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):

@@ -26,7 +26,7 @@ from tensorgap.errors import (
     SingularCurveError,
 )
 from tensorgap.fields import GF, QQ
-from tensorgap.io import certificate_to_document, save_certificate
+from tensorgap.io import certificate_from_document, certificate_to_document, save_certificate
 from tensorgap.linalg import Matrix
 from tensorgap.ranks import has_rank_one_flattening, rank_signature
 from tensorgap.ratfunc import EpsField
@@ -112,6 +112,21 @@ def test_verify_rejects_wrong_constant_term():
     w3 = w_tensor(3, (2, 2, 2), QQ)
     cert = DegenerationCertificate(source=t, target=w3, curves=_identity_curves(t.dims))
     result = verify_certificate(cert)
+    assert not result.accepted
+    assert result.condition == "constant-term-mismatch"
+
+
+def test_verify_rejects_random_dense_curve_entries():
+    # Every curve entry of the unit k = 3 document replaced by dense degree-7
+    # numerator and denominator: Euclid over Fractions without monic
+    # remainders took about 10 s to reject this 1.8 KB document.
+    rnd = random.Random(0)
+    doc = certificate_to_document(unit_to_w_certificate(3))
+    for curve in doc["curves"]:
+        for entry in curve["entries"]:
+            entry["num-coeffs"] = [str(rnd.randint(1, 9)) for _ in range(8)]
+            entry["den-coeffs"] = [str(rnd.randint(1, 9)) for _ in range(8)]
+    result = verify_certificate(certificate_from_document(doc))
     assert not result.accepted
     assert result.condition == "constant-term-mismatch"
 
@@ -435,6 +450,7 @@ UNIT_CERT_SHA256 = {
     5: "069d1f58422133278b0723cc5746c6aae305572fb6af5180791fe981bd7ac038",
     6: "65d3658692bee78b3389ccf0dd0d7ed8ae5b5f7ad5cb513f8ade37cade53b8eb",
     7: "032b2ec458192aba974e2f1626f2229176447eac820f924b7e4690088f5fae9c",
+    8: "8721af7f8cd8c325d4783d92f7b42aa86039fad70b3b38ce2486998d3b733f13",
 }
 
 

@@ -164,3 +164,64 @@ def test_field_axioms(f, g, h):
     assert f * (g + h) == f * g + f * h
     if g:
         assert (f / g) * g == f
+
+
+# -- normal form against plain Euclid --------------------------------------------
+
+
+def _plain_gcd(a, b):
+    """A gcd by unmodified Euclid on the whole polynomials (not monic)."""
+    while b:
+        a, b = b, a % b
+    return a
+
+
+def _plain_normal_form(num, den):
+    """Coefficient tuples of num/den in lowest terms with den monic."""
+    if not num:
+        return (), (1,)
+    g = _plain_gcd(num, den)
+    num, den = num // g, den // g
+    p = den.field.p
+    inv = 1 / den.leading() if p is None else pow(den.leading(), -1, p)
+    return num.scale(inv).coeffs, den.scale(inv).coeffs
+
+
+def _factors(field):
+    """General, constant and monomial polynomials over `field` (possibly 0)."""
+    ints = st.integers(-4, 4)
+    return st.one_of(
+        st.lists(ints, min_size=1, max_size=4),
+        ints.map(lambda c: [c]),
+        st.tuples(st.integers(1, 3), ints).map(lambda ec: [0] * ec[0] + [ec[1]]),
+    ).map(lambda cs: Poly(field, cs))
+
+
+@st.composite
+def _normalization_cases(draw):
+    """(num, den, x) with num = eps^i A C, den = eps^j B C, i, j <= 4."""
+    factors = _factors(draw(st.sampled_from((QQ, GF(2), GF(3)))))
+    a, x = draw(factors), draw(factors)
+    b, c = draw(factors.filter(bool)), draw(factors.filter(bool))
+    i, j = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return (a * c).shift(i), (b * c).shift(j), x
+
+
+def _parts(r):
+    return r.num.coeffs, r.den.coeffs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_normalization_cases())
+def test_normal_form_matches_plain_euclid(case):
+    num, den, x = case
+    r = RatFunc(num, den)
+    assert _parts(r) == _plain_normal_form(num, den)
+    assert poly_gcd(num, den) == _plain_gcd(num, den).monic()
+    # t shares r's denominator, so r + t and r - u take the equal-denominator
+    # path; both equal x.
+    t = RatFunc(x * r.den - r.num, r.den)
+    u = RatFunc(r.num - x * r.den, r.den)
+    assert t.den == r.den == u.den
+    assert _parts(r + t) == _plain_normal_form(x * r.den, r.den)
+    assert _parts(r - u) == _plain_normal_form(x * r.den, r.den)
