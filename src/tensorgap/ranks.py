@@ -37,7 +37,14 @@ ground-field "yes" stands without the recheck.
 
 The brute-force oracles decide subrank and restriction over F_p by exhaustive
 search over map tuples, driven by a precomputed table of the multilinear form
-on all covector tuples.
+on all covector tuples.  Only the map tuples of the first k-1 factors are
+enumerated.  The table gives, for each covector code of the first k-1
+factors and each residue, the bitmask of last-factor covectors on which the
+form takes that residue, so each row of the last factor's map gets its
+candidates by ANDing masks, and a prefix that leaves some row without
+candidates is dropped unseen by the last factor.  The last factor's tuples
+are scanned in their own order, so the first match is the one the full
+product order gives: the same witness and the same verdict.
 """
 
 from __future__ import annotations
@@ -364,6 +371,18 @@ def _first_match(t: Tensor, conditions, row_counts, per_factor, what: str, ceili
     conditions lists the target's (index, residue) pairs and row_counts its
     dims.  per_factor is consumed only after the search space
     p^(sum m_j n_j) has passed the ceiling, so callers pass it lazily.
+
+    Only the first k-1 factors are enumerated.  With P = p^(n_last), the
+    covector table is cut into rows of P values, one row per flat code f of
+    the first k-1 factors, and masks[f][v] holds, as a bitmask over
+    last-factor codes c, those with table[f*P + c] == v.  For a prefix
+    assignment, the candidates for last-factor row l are the AND of
+    masks[f][target] over the conditions whose index ends in l; a zero mask
+    rules the prefix out.  Otherwise per_factor[-1] is scanned in its own
+    order for the first tuple whose codes all lie in their row's mask.
+    Prefixes come in product order and the last factor varies fastest in
+    itertools.product, so this is the same first match as testing every
+    full tuple.
     """
     p = t.ring.p
     size = 1
@@ -376,21 +395,37 @@ def _first_match(t: Tensor, conditions, row_counts, per_factor, what: str, ceili
             ceiling=ceiling,
         )
     table, shape = _covector_table(t)
-    strides = _strides(tuple(shape))
-
-    k = t.order
-    conditions = sorted(conditions, key=lambda c: -c[1])  # check the nonzero ones first
-    for assignment in itertools.product(*per_factor):
-        ok = True
-        for jdx, target in conditions:
-            flat = 0
-            for a in range(k):
-                flat += assignment[a][jdx[a]] * strides[a]
-            if table[flat] != target:
-                ok = False
+    *per_factor, last = per_factor
+    P = shape[-1]
+    masks = []
+    for base in range(0, len(table), P):
+        by_value = [0] * p
+        for c in range(P):
+            by_value[table[base + c]] |= 1 << c
+        masks.append(by_value)
+    strides = _strides(tuple(shape[:-1]))
+    rows = [[] for _ in range(row_counts[-1])]
+    for jdx, target in sorted(conditions, key=lambda c: -c[1]):  # nonzero ones first
+        rows[jdx[-1]].append((jdx[:-1], target))
+    full = (1 << P) - 1
+    for prefix in itertools.product(*per_factor):
+        row_masks = []
+        for row in rows:
+            mask = full
+            for idx, target in row:
+                flat = 0
+                for codes, i, s in zip(prefix, idx, strides):
+                    flat += codes[i] * s
+                mask &= masks[flat][target]
+                if not mask:
+                    break
+            if not mask:
                 break
-        if ok:
-            return assignment
+            row_masks.append(mask)
+        else:
+            for codes in last:
+                if all(mask >> c & 1 for mask, c in zip(row_masks, codes)):
+                    return (*prefix, codes)
     return None
 
 

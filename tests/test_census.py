@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,9 +11,10 @@ from tensorgap.census import (
     tensor_to_id,
     write_census,
 )
-from tensorgap.classify import Orbit222
+from tensorgap.classify import Orbit222, classify_222, unit_restriction_witness
 from tensorgap.errors import SearchSpaceTooLargeError
 from tensorgap.fields import GF
+from tensorgap.ranks import subrank_bruteforce
 from conftest import all_fp_tensors
 
 
@@ -89,6 +91,16 @@ def test_census_label_multiset_invariant_under_axis_permutation():
         for label in by_id.values():
             base[label] = base.get(label, 0) + 1
         assert counts == base
+
+
+def test_f3_subrank_two_exactly_on_split_unit_class_sample():
+    # a seeded sample of F_3 census ids: brute-force subrank 2 exactly when
+    # the tensor is unit class with a ground-field witness (twisted forms of
+    # the unit tensor have subrank 1)
+    for tensor_id in random.Random(3).sample(range(1, 3**8), 300):
+        t = tensor_from_id(tensor_id, 3)
+        split = classify_222(t) is Orbit222.UNIT_CLASS and unit_restriction_witness(t) is not None
+        assert subrank_bruteforce(t, 2) == split, tensor_id
 
 
 def test_census_deterministic_and_worker_independent(tmp_path):

@@ -1,9 +1,13 @@
+import itertools
+import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tensorgap import ranks
 from tensorgap.errors import (
     FieldMismatchError,
     SearchSpaceTooLargeError,
@@ -22,6 +26,7 @@ from tensorgap.ranks import (
 )
 from tensorgap.tensors import (
     Tensor,
+    _strides,
     identity_maps,
     kronecker,
     lift_tensor,
@@ -297,6 +302,186 @@ def test_restricts_to_bruteforce_first_witness_is_stable():
         ["2", "0"],
     ]
     assert restrict(w3, maps) == s
+
+
+# -- the brute-force search against the naive loop ------------------------------
+
+
+def _naive_first_match(t, conditions, row_counts, per_factor, what, ceiling):
+    """The search loop as it was before the last factor was picked by
+    bitmask: every full map tuple in product order, tested condition by
+    condition."""
+    p = t.ring.p
+    size = 1
+    for m, n in zip(row_counts, t.dims):
+        size *= p ** (m * n)
+    if size > ceiling:
+        raise SearchSpaceTooLargeError(
+            f"{what} search space {size} exceeds ceiling {ceiling}",
+            size=size,
+            ceiling=ceiling,
+        )
+    table, shape = ranks._covector_table(t)
+    strides = _strides(tuple(shape))
+
+    k = t.order
+    conditions = sorted(conditions, key=lambda c: -c[1])  # check the nonzero ones first
+    for assignment in itertools.product(*per_factor):
+        ok = True
+        for jdx, target in conditions:
+            flat = 0
+            for a in range(k):
+                flat += assignment[a][jdx[a]] * strides[a]
+            if table[flat] != target:
+                ok = False
+                break
+        if ok:
+            return assignment
+    return None
+
+
+class _Scans(list):
+    """Last-factor code tuples that count how often they are scanned."""
+
+    count = 0
+
+    def __iter__(self):
+        self.count += 1
+        return super().__iter__()
+
+
+def _candidate_prefixes(t, conditions, row_counts, per_factor, match):
+    """How many prefixes, up to the one of the match, leave every last-factor
+    row at least one covector meeting that row's conditions."""
+    table, shape = ranks._covector_table(t)
+    strides = _strides(tuple(shape))
+
+    def meets(prefix, row, c):
+        for jdx, target in conditions:
+            if jdx[-1] == row:
+                flat = c + sum(codes[j] * s for codes, j, s in zip(prefix, jdx, strides))
+                if table[flat] != target:
+                    return False
+        return True
+
+    count = 0
+    for prefix in itertools.product(*per_factor[:-1]):
+        if all(any(meets(prefix, row, c) for c in range(shape[-1])) for row in range(row_counts[-1])):
+            count += 1
+        if match is not None and match[:-1] == prefix:
+            break
+    return count
+
+
+def _naive_and_bitmask(fn, *args):
+    """fn(*args) with the naive loop and with ranks._first_match, which must
+    scan the last factor exactly once per candidate prefix."""
+    with mock.patch.object(ranks, "_first_match", _naive_first_match):
+        expected = fn(*args)
+    first_match = ranks._first_match
+    scans = []
+
+    def counted(t, conditions, row_counts, per_factor, what, ceiling):
+        per_factor = [list(codes) for codes in per_factor]
+        per_factor[-1] = _Scans(per_factor[-1])
+        match = first_match(t, conditions, row_counts, per_factor, what, ceiling)
+        scans.append((per_factor[-1].count, _candidate_prefixes(t, conditions, row_counts, per_factor, match)))
+        return match
+
+    with mock.patch.object(ranks, "_first_match", counted):
+        got = fn(*args)
+    for done, candidates in scans:
+        assert done == candidates
+    return expected, got
+
+
+# Naive-loop tuples a drawn case may cost; F_3 2x2x2 "no" rows (56^3) are
+# checked separately.
+_NAIVE_BUDGET = 4096
+
+
+@st.composite
+def _fp_tensors(draw):
+    p = draw(st.sampled_from([2, 3]))
+    dims = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=4)))
+    field = GF(p)
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=math.prod(dims), max_size=math.prod(dims)))
+    return Tensor(field, dims, [field.from_int(v) for v in entries])
+
+
+@st.composite
+def _restriction_cases(draw):
+    t = draw(_fp_tensors())
+    p = t.ring.p
+    m = [draw(st.integers(1, 2)) for _ in t.dims]
+    for j in range(t.order):  # shrink target rows until the naive loop is affordable
+        if p ** sum(mj * n for mj, n in zip(m, t.dims)) <= _NAIVE_BUDGET:
+            break
+        m[j] = 1
+    kind = draw(st.sampled_from(["random", "zero", "zero-last-row"]))
+    dims = tuple(m)
+    values = [draw(st.integers(0, p - 1)) for _ in range(math.prod(dims))]
+    s = Tensor(t.ring, dims, [t.ring.from_int(v) for v in values])
+    if kind == "zero":
+        s = Tensor.zeros(t.ring, dims)
+    elif kind == "zero-last-row":
+        row = draw(st.integers(0, dims[-1] - 1))
+        s = Tensor(
+            t.ring,
+            dims,
+            [t.ring.zero() if s.multi_index(f)[-1] == row else e for f, e in enumerate(s.entries)],
+        )
+    return t, s
+
+
+@st.composite
+def _subrank_cases(draw):
+    t = draw(_fp_tensors())
+    r = draw(st.integers(1, 3))
+    p = t.ring.p
+    while r > 1 and (
+        math.prod(math.perm(p**n - 1, r) for n in t.dims) > _NAIVE_BUDGET
+        or p ** (r * sum(t.dims)) > ranks.DEFAULT_BRUTE_CEILING
+    ):
+        r -= 1
+    return t, r
+
+
+@settings(max_examples=120, deadline=None)
+@given(_restriction_cases())
+def test_restricts_to_bruteforce_matches_naive_loop(case):
+    t, s = case
+    expected, got = _naive_and_bitmask(restricts_to_bruteforce, t, s)
+    assert got == expected
+    if got is not None:
+        assert restrict(t, got) == s
+
+
+@settings(max_examples=120, deadline=None)
+@given(_subrank_cases())
+@example((Tensor(GF(3), (1,), [GF(3).one()]), 2))
+@example((Tensor(GF(2), (2,), [GF(2).one(), GF(2).zero()]), 3))
+def test_subrank_bruteforce_matches_naive_loop(case):
+    t, r = case
+    expected, got = _naive_and_bitmask(subrank_bruteforce, t, r)
+    assert got is expected
+
+
+def test_subrank_bruteforce_matches_naive_loop_on_f3_no_rows():
+    # Exhausting F_3 2x2x2 costs the naive loop 56^3 tuples, so only two rows:
+    # W_3, and a unit-class tensor whose pencil det = x^2 + y^2 has no root.
+    f3 = GF(3)
+    twisted = Tensor.from_dict(
+        f3, (2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 2, (1, 1, 0): 1}
+    )
+    for t in (w_tensor(3, (2, 2, 2), f3), twisted):
+        assert _naive_and_bitmask(subrank_bruteforce, t, 2) == (False, False)
+
+
+def test_subrank_bruteforce_exhausts_f5():
+    f5 = GF(5)
+    assert not subrank_bruteforce(w_tensor(3, (2, 2, 2), f5), 2)
+    assert subrank_bruteforce(unit_tensor(3, 2, f5), 2)
 
 
 def test_restriction_preserves_pr_gate():
