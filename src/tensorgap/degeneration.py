@@ -296,7 +296,7 @@ def pluecker_wedge(s: Tensor, s_prime: Tensor) -> WedgePoint:
     """The wedge S ^ S' of two same-shape tensors, over K or K(eps)."""
     if s.dims != s_prime.dims:
         raise DimensionMismatchError("wedge needs tensors of equal dims")
-    if s.ring != s_prime.ring:
+    if s.ring is not s_prime.ring:
         raise FieldMismatchError("wedge needs tensors over a common ring")
     a = s.entries
     b = s_prime.entries

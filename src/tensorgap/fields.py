@@ -1,11 +1,14 @@
 """Exact coefficient fields: the rationals, prime fields F_p, and small F_{p^m}.
 
-A :class:`FieldSpec` names the field.  A :class:`Scalar` pairs a FieldSpec with
-a raw value: a `fractions.Fraction` (always in lowest terms, positive
-denominator) over the rationals, an int residue in [0, p) over F_p.  Scalars
-are immutable, support the usual arithmetic operators, and refuse to mix
-fields (FieldMismatchError).  Plain Python ints are coerced into any field,
-so ``x + 1`` works.
+A :class:`FieldSpec` is a field, and the only owner of the arithmetic of its
+raw values: ``add``, ``sub``, ``mul``, ``neg``, ``inv``, ``power`` and
+``text``.  Raw values are `fractions.Fraction` (always in lowest terms,
+positive denominator) over the rationals and int residues in [0, p) over
+F_p.  Fields are interned, one object per field, so field equality is
+identity.  A :class:`Scalar` pairs a field with a raw value and hands every
+operator to its field.  Scalars are immutable, support the usual arithmetic
+operators, and refuse to mix fields (FieldMismatchError).  Plain Python ints
+are coerced into any field, so ``x + 1`` works.
 
 The extension field F_q, q = p^m with m >= 2, is the FieldSpec variant
 :class:`ExtensionField`: F_p[x]/(f) for one fixed modulus f per (p, m), see
@@ -71,21 +74,21 @@ class FieldSpec:
 
     __slots__ = ("p", "m")
 
-    def __init__(self, p=None):
-        if p is not None:
-            if not isinstance(p, int) or not 2 <= p < MAX_PRIME:
-                raise ValueError(f"modulus must be an integer in [2, 2^63): {p!r}")
-            if not is_prime(p):
+    def __new__(cls, p=None):
+        if p is not None and (not isinstance(p, int) or not 2 <= p < MAX_PRIME):
+            raise ValueError(f"modulus must be an integer in [2, 2^63): {p!r}")
+        field = _FIELDS.get((p, 1))
+        if field is None:
+            if p is not None and not is_prime(p):
                 raise ValueError(f"modulus must be prime: {p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", 1)
+            field = _intern(cls, p, 1)
+        return field
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldSpec is immutable")
 
-    @property
-    def is_rational(self):
-        return self.p is None
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def is_prime_field(self):
@@ -101,22 +104,16 @@ class FieldSpec:
     def name(self):
         return "Q" if self.p is None else f"F{self.q}"
 
-    def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.p == other.p and self.m == other.m
-
-    def __hash__(self):
-        return hash(("FieldSpec", self.p))
-
     def __repr__(self):
         return f"FieldSpec({self.name})"
 
     # -- element construction ------------------------------------------------
 
     def zero(self) -> "Scalar":
-        return Scalar(self, Fraction(0) if self.p is None else 0)
+        return self.from_int(0)
 
     def one(self) -> "Scalar":
-        return Scalar(self, Fraction(1) if self.p is None else 1)
+        return self.from_int(1)
 
     def from_int(self, n: int) -> "Scalar":
         return Scalar(self, Fraction(n) if self.p is None else n % self.p)
@@ -134,29 +131,26 @@ class FieldSpec:
         """The element of a finite field with raw code in [0, q)."""
         if self.p is None or not 0 <= code < self.q:
             raise ValueError(f"no element with code {code!r} in {self.name}")
-        return self._wrap(code)
+        return Scalar(self, code)
 
     def elements(self):
         """Every element of a finite field, in code order (zero first)."""
         return [self.element(code) for code in range(self.q)]
 
-    def _wrap(self, value) -> "Scalar":
-        return Scalar(self, value)
-
     def lift(self, s: "Scalar") -> "Scalar":
         """The image of a scalar of this field's prime subfield."""
         if not isinstance(s, Scalar):
             raise TypeError(f"cannot lift {type(s).__name__} into {self.name}")
-        if s.field == self:
+        if s.field is self:
             return s
         if not (s.field.is_prime_field and s.field.p == self.p):
             raise FieldMismatchError(f"cannot lift {s.field.name} scalar into {self.name}")
-        return self._wrap(s.value)
+        return Scalar(self, s.value)
 
     def coerce(self, x) -> "Scalar":
         """Coerce an int, Fraction, or Scalar of this field into a Scalar."""
         if isinstance(x, Scalar):
-            if x.field != self:
+            if x.field is not self:
                 raise FieldMismatchError(f"cannot coerce {x.field.name} scalar into {self.name}")
             return x
         if isinstance(x, int):
@@ -175,6 +169,51 @@ class FieldSpec:
             return self.from_int(int(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad scalar literal {text!r} for {self.name}: {exc}") from None
+
+    # -- arithmetic on raw values ---------------------------------------------
+
+    def add(self, a, b):
+        p = self.p
+        return a + b if p is None else (a + b) % p
+
+    def sub(self, a, b):
+        p = self.p
+        return a - b if p is None else (a - b) % p
+
+    def neg(self, a):
+        p = self.p
+        return -a if p is None else -a % p
+
+    def mul(self, a, b):
+        p = self.p
+        return a * b if p is None else a * b % p
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError(f"inverse of zero in {self.name}")
+        p = self.p
+        return 1 / a if p is None else pow(a, -1, p)
+
+    def power(self, a, n: int):
+        p = self.p
+        return a**n if p is None else pow(a, n, p)
+
+    def text(self, a) -> str:
+        if self.p is not None:
+            return str(a)
+        return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+
+
+# The one object of each field, keyed by (p, m); only valid fields enter.
+_FIELDS: dict = {}
+
+
+def _intern(cls, p, m) -> FieldSpec:
+    field = object.__new__(cls)
+    object.__setattr__(field, "p", p)
+    object.__setattr__(field, "m", m)
+    _FIELDS[p, m] = field
+    return field
 
 
 QQ = FieldSpec()
@@ -241,38 +280,27 @@ def extension_modulus(p: int, m: int) -> tuple:
 
 
 class ExtensionField(FieldSpec):
-    """F_q = F_p[x]/(f), q = p^m with m >= 2 and f = extension_modulus(p, m)."""
+    """F_q = F_p[x]/(f), q = p^m with m >= 2 and f = extension_modulus(p, m).
+
+    Element construction is inherited: ints and fractions land in the prime
+    subfield, whose codes are its residues.
+    """
 
     __slots__ = ("_exp", "_log")
 
-    def __init__(self, p: int, m: int):
+    def __new__(cls, p: int, m: int):
         if not isinstance(m, int) or m < 2:
             raise ValueError(f"extension degree must be an integer >= 2: {m!r}")
-        FieldSpec.__init__(self, p)
-        if p**m > MAX_EXTENSION_ORDER:
-            raise ValueError(f"extension field F_{p}^{m} exceeds {MAX_EXTENSION_ORDER} elements")
-        _, exp, log = _extension_tables(p, m)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_exp", exp)
-        object.__setattr__(self, "_log", log)
-
-    def __hash__(self):
-        return hash(("FieldSpec", self.p, self.m))
-
-    def _wrap(self, value) -> "Scalar":
-        return ExtScalar(self, value)
-
-    def zero(self) -> "Scalar":
-        return ExtScalar(self, 0)
-
-    def one(self) -> "Scalar":
-        return ExtScalar(self, 1)
-
-    def from_int(self, n: int) -> "Scalar":
-        return ExtScalar(self, n % self.p)
-
-    def from_fraction(self, q) -> "Scalar":
-        return ExtScalar(self, FieldSpec.from_fraction(self, q).value)
+        FieldSpec(p)  # validates the characteristic
+        field = _FIELDS.get((p, m))
+        if field is None:
+            if p**m > MAX_EXTENSION_ORDER:
+                raise ValueError(f"extension field F_{p}^{m} exceeds {MAX_EXTENSION_ORDER} elements")
+            _, exp, log = _extension_tables(p, m)
+            field = _intern(cls, p, m)
+            object.__setattr__(field, "_exp", exp)
+            object.__setattr__(field, "_log", log)
+        return field
 
     # -- arithmetic on raw codes -------------------------------------------------
 
@@ -287,6 +315,9 @@ class ExtensionField(FieldSpec):
             b //= p
             place *= p
         return out
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         p = self.p
@@ -317,9 +348,19 @@ class ExtensionField(FieldSpec):
             return 0
         return self._exp[self._log[a] * n % (self.q - 1)]
 
+    def text(self, a: int) -> str:
+        """The residue as a polynomial in x, highest power first ("x^2+1")."""
+        terms = []
+        for i, c in reversed(list(enumerate(_code_digits(a, self.p, self.m)))):
+            if not c:
+                continue
+            mono = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+            terms.append(str(c) if not mono else mono if c == 1 else f"{c}{mono}")
+        return "+".join(terms) or "0"
+
 
 class Scalar:
-    """An element of Q or F_p, tagged with its field (ExtScalar over F_{p^m})."""
+    """An element of a field, tagged with the field that does its arithmetic."""
 
     __slots__ = ("field", "value")
 
@@ -331,23 +372,23 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     def _other(self, other):
+        """The raw value of a same-field operand; None for a foreign type."""
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise FieldMismatchError(
                     f"cannot combine {self.field.name} and {other.field.name} scalars"
                 )
-            return other
+            return other.value
         if isinstance(other, (int, Fraction)):
-            return self.field.coerce(other)
+            return self.field.coerce(other).value
         return None
 
     def __add__(self, other):
         o = self._other(other)
         if o is None:
             return NotImplemented
-        p = self.field.p
-        v = self.value + o.value
-        return Scalar(self.field, v if p is None else v % p)
+        f = self.field
+        return Scalar(f, f.add(self.value, o))
 
     __radd__ = __add__
 
@@ -355,23 +396,22 @@ class Scalar:
         o = self._other(other)
         if o is None:
             return NotImplemented
-        p = self.field.p
-        v = self.value - o.value
-        return Scalar(self.field, v if p is None else v % p)
+        f = self.field
+        return Scalar(f, f.sub(self.value, o))
 
     def __rsub__(self, other):
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return o - self
+        f = self.field
+        return Scalar(f, f.sub(o, self.value))
 
     def __mul__(self, other):
         o = self._other(other)
         if o is None:
             return NotImplemented
-        p = self.field.p
-        v = self.value * o.value
-        return Scalar(self.field, v if p is None else v % p)
+        f = self.field
+        return Scalar(f, f.mul(self.value, o))
 
     __rmul__ = __mul__
 
@@ -379,33 +419,26 @@ class Scalar:
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        f = self.field
+        return Scalar(f, f.mul(self.value, f.inv(o)))
 
     def __rtruediv__(self, other):
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        f = self.field
+        return Scalar(f, f.mul(o, f.inv(self.value)))
 
     def __neg__(self):
-        p = self.field.p
-        return Scalar(self.field, -self.value if p is None else (-self.value) % p)
+        return Scalar(self.field, self.field.neg(self.value))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a natural number")
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, self.value**n)
-        return Scalar(self.field, pow(self.value, n, p))
+        return Scalar(self.field, self.field.power(self.value, n))
 
     def inverse(self) -> "Scalar":
-        if not self:
-            raise ZeroDivisionError(f"inverse of zero in {self.field.name}")
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, 1 / self.value)
-        return Scalar(self.field, pow(self.value, -1, p))
+        return Scalar(self.field, self.field.inv(self.value))
 
     def __bool__(self):
         return self.value != 0
@@ -415,7 +448,7 @@ class Scalar:
             other = self.field.coerce(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        if other.field != self.field:
+        if other.field is not self.field:
             raise FieldMismatchError(
                 f"cannot compare {self.field.name} and {other.field.name} scalars"
             )
@@ -425,70 +458,10 @@ class Scalar:
         return hash((self.field, self.value))
 
     def text(self) -> str:
-        if self.field.p is not None:
-            return str(self.value)
-        v = self.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return self.field.text(self.value)
 
     def __str__(self):
         return self.text()
 
     def __repr__(self):
         return f"Scalar({self.field.name}, {self.text()})"
-
-
-class ExtScalar(Scalar):
-    """An element of an ExtensionField; arithmetic runs on the field's tables."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return ExtScalar(self.field, self.field.add(self.value, o.value))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        f = self.field
-        return ExtScalar(f, f.add(self.value, f.neg(o.value)))
-
-    def __rsub__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return ExtScalar(self.field, self.field.mul(self.value, o.value))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ExtScalar(self.field, self.field.neg(self.value))
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a natural number")
-        return ExtScalar(self.field, self.field.power(self.value, n))
-
-    def inverse(self) -> "Scalar":
-        return ExtScalar(self.field, self.field.inv(self.value))
-
-    def text(self) -> str:
-        """The residue as a polynomial in x, highest power first ("x^2+1")."""
-        f = self.field
-        terms = []
-        for i, c in reversed(list(enumerate(_code_digits(self.value, f.p, f.m)))):
-            if not c:
-                continue
-            mono = "" if i == 0 else "x" if i == 1 else f"x^{i}"
-            terms.append(str(c) if not mono else mono if c == 1 else f"{c}{mono}")
-        return "+".join(terms) or "0"

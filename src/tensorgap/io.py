@@ -15,7 +15,7 @@ import json
 
 from .degeneration import DegenerationCertificate
 from .errors import DocumentFormatError, FieldMismatchError
-from .fields import GF, QQ, FieldSpec, Scalar
+from .fields import GF, QQ, FieldSpec
 from .linalg import Matrix
 from .ratfunc import EpsField, Poly, RatFunc
 from .tensors import Tensor
@@ -168,7 +168,7 @@ def _scalar_matrix_from_document(doc, field, location) -> Matrix:
 def _poly_coeff_list(poly: Poly, field) -> list:
     if not poly.coeffs:
         return ["0"]
-    return [Scalar(field, c).text() for c in poly.coeffs]
+    return [field.text(c) for c in poly.coeffs]
 
 
 def _curve_matrix_to_document(m: Matrix) -> dict:
@@ -202,8 +202,8 @@ def _curve_matrix_from_document(doc, field, location) -> Matrix:
         if not isinstance(e, dict) or "num-coeffs" not in e or "den-coeffs" not in e:
             raise DocumentFormatError("curve entry needs num-coeffs and den-coeffs", where)
         try:
-            num = Poly(field, [field.parse(str(c)).value for c in e["num-coeffs"]])
-            den = Poly(field, [field.parse(str(c)).value for c in e["den-coeffs"]])
+            num = Poly(field, [field.parse(str(c)) for c in e["num-coeffs"]])
+            den = Poly(field, [field.parse(str(c)) for c in e["den-coeffs"]])
         except ValueError as exc:
             raise DocumentFormatError(str(exc), where) from None
         if not den:
@@ -237,7 +237,7 @@ def certificate_from_document(doc, location="certificate") -> DegenerationCertif
     field = _parse_field(doc.get("field"), f"{location}.field")
     source = tensor_from_document(doc.get("source"), f"{location}.source")
     target = tensor_from_document(doc.get("target"), f"{location}.target")
-    if source.ring != field or target.ring != field:
+    if source.ring is not field or target.ring is not field:
         raise DocumentFormatError("source/target field disagrees with certificate field", location)
     order = doc.get("order")
     if order != target.order:

@@ -17,7 +17,7 @@ reduced by XOR.  All results are exact.
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .fields import FieldSpec
+from .fields import GF
 from .ratfunc import EpsField, RatFunc
 
 
@@ -83,7 +83,7 @@ class Matrix:
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and (self.rows, self.cols) == (other.rows, other.cols)
             and self.entries == other.entries
         )
@@ -94,7 +94,7 @@ class Matrix:
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise FieldMismatchError("matrix product over different rings")
         if self.cols != other.rows:
             raise DimensionMismatchError(
@@ -138,6 +138,8 @@ class Matrix:
 
 
 # -- elimination --------------------------------------------------------------
+
+_F2 = GF(2)
 
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -208,8 +210,7 @@ def _back_substitute(rows, pivots, ncols: int, rhs: int, zero):
 
 def mat_rank(m: Matrix) -> int:
     """Exact rank: rows packed into bitmasks over F_2, `_echelon` elsewhere."""
-    ring = m.ring
-    if isinstance(ring, FieldSpec) and ring.p == 2 and ring.m == 1:
+    if m.ring is _F2:
         rows = []
         for i in range(m.rows):
             bits = 0
@@ -269,7 +270,7 @@ def mat_inverse(m: Matrix) -> Matrix:
 def lift_matrix(m: Matrix, ring: EpsField) -> Matrix:
     """Reinterpret a base-field matrix over K(eps)."""
     if isinstance(m.ring, EpsField):
-        if m.ring != ring:
+        if m.ring is not ring:
             raise FieldMismatchError("matrix already over a different K(eps)")
         return m
     return Matrix(ring, m.rows, m.cols, [ring.lift(e) for e in m.entries])

@@ -50,6 +50,7 @@ product order gives: the same witness and the same verdict.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from .errors import (
@@ -363,14 +364,25 @@ def _covector_rows(field: FieldSpec, n: int, codes) -> Matrix:
     return Matrix.from_rows(field, rows)
 
 
-def _first_match(t: Tensor, conditions, row_counts, per_factor, what: str, ceiling: int):
-    """The first assignment in itertools.product(*per_factor), one tuple of
-    covector codes per factor, under which T restricts to the target; None
-    if there is none.
+def _check_search_space(what: str, sizes, ceiling: int) -> None:
+    """Refuse a search over more than `ceiling` map tuples, sizes[j] per factor."""
+    size = math.prod(sizes)
+    if size > ceiling:
+        raise SearchSpaceTooLargeError(
+            f"{what} search space {size} exceeds ceiling {ceiling}",
+            size=size,
+            ceiling=ceiling,
+        )
+
+
+def _first_match(t: Tensor, conditions, row_counts, per_factor):
+    """The first assignment in itertools.product(*per_factor), one list of
+    covector-code tuples per factor, under which T restricts to the target;
+    None if there is none.
 
     conditions lists the target's (index, residue) pairs and row_counts its
-    dims.  per_factor is consumed only after the search space
-    p^(sum m_j n_j) has passed the ceiling, so callers pass it lazily.
+    dims.  Callers pass the search space through _check_search_space before
+    they build per_factor.
 
     Only the first k-1 factors are enumerated.  With P = p^(n_last), the
     covector table is cut into rows of P values, one row per flat code f of
@@ -385,15 +397,6 @@ def _first_match(t: Tensor, conditions, row_counts, per_factor, what: str, ceili
     full tuple.
     """
     p = t.ring.p
-    size = 1
-    for m, n in zip(row_counts, t.dims):
-        size *= p ** (m * n)
-    if size > ceiling:
-        raise SearchSpaceTooLargeError(
-            f"{what} search space {size} exceeds ceiling {ceiling}",
-            size=size,
-            ceiling=ceiling,
-        )
     table, shape = _covector_table(t)
     *per_factor, last = per_factor
     P = shape[-1]
@@ -437,7 +440,8 @@ def subrank_bruteforce(
     Only for F_p tensors.  The search enumerates, per factor, ordered r-tuples
     of distinct nonzero covectors (zero or repeated rows can never produce the
     unit pattern) and checks the r^k diagonal/off-diagonal conditions against
-    the precomputed covector table.
+    the precomputed covector table.  The ceiling bounds the number of such
+    map tuples, the product of perm(p^(n_j) - 1, r) over the factors.
     """
     field = t.ring
     if not isinstance(field, FieldSpec) or not field.is_prime_field:
@@ -449,12 +453,16 @@ def subrank_bruteforce(
     if r == 1:
         return True
     p = field.p
+    sizes = [math.perm(p**d - 1, r) for d in t.dims]
+    _check_search_space("subrank", sizes, ceiling)
+    if 0 in sizes:
+        return False  # some factor has fewer than r nonzero covectors
     unit = [
         (jdx, 1 if len(set(jdx)) == 1 else 0)
         for jdx in itertools.product(range(r), repeat=t.order)
     ]
-    per_factor = (list(itertools.permutations(range(1, p**d), r)) for d in t.dims)
-    return _first_match(t, unit, [r] * t.order, per_factor, "subrank", ceiling) is not None
+    per_factor = [list(itertools.permutations(range(1, p**d), r)) for d in t.dims]
+    return _first_match(t, unit, [r] * t.order, per_factor) is not None
 
 
 def restricts_to_bruteforce(
@@ -462,23 +470,23 @@ def restricts_to_bruteforce(
 ):
     """A witness map tuple with restrict(T, maps) = S, or None, by exhaustion.
 
-    Only for F_p tensors of equal order and field.
+    Only for F_p tensors of equal order and field.  The ceiling bounds the
+    number of map tuples, the product of p^(m_j n_j) over the factors.
     """
     field = t.ring
     if not isinstance(field, FieldSpec) or not field.is_prime_field:
         raise FieldMismatchError("brute-force restriction needs a prime field")
-    if s.ring != field:
+    if s.ring is not field:
         raise FieldMismatchError("source and target over different fields")
     if s.order != t.order:
         raise DimensionMismatchError("source and target of different orders")
     p = field.p
     if s.is_zero():
         return tuple(Matrix.zeros(field, m, n) for m, n in zip(s.dims, t.dims))
+    _check_search_space("restriction", [p ** (m * n) for m, n in zip(s.dims, t.dims)], ceiling)
     target = [(s.multi_index(flat), e.value) for flat, e in enumerate(s.entries)]
-    per_factor = (
-        list(itertools.product(range(p**n), repeat=m)) for m, n in zip(s.dims, t.dims)
-    )
-    assignment = _first_match(t, target, s.dims, per_factor, "restriction", ceiling)
+    per_factor = [list(itertools.product(range(p**n), repeat=m)) for m, n in zip(s.dims, t.dims)]
+    assignment = _first_match(t, target, s.dims, per_factor)
     if assignment is None:
         return None
     return tuple(_covector_rows(field, n, codes) for n, codes in zip(t.dims, assignment))

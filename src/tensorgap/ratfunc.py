@@ -3,9 +3,13 @@
 A :class:`Poly` is a dense univariate polynomial in eps with coefficients in
 K, stored as a raw coefficient tuple indexed by exponent from eps^0 upward
 (Fractions over Q, int residues over F_p), trailing zeros trimmed; the zero
-polynomial has an empty tuple.  A :class:`RatFunc` is a normalized quotient
-num/den with gcd(num, den) = 1 and den monic, so equal values have equal
-representations.  :class:`EpsField` tags K(eps) the way FieldSpec tags K.
+polynomial has an empty tuple.  Every sum, product, inverse, negation and
+coefficient text of raw coefficients is the field's own (``K.add``,
+``K.mul``, ``K.inv``, ...), so no rule of the arithmetic of K is written
+here.  A :class:`RatFunc` is a normalized quotient num/den with
+gcd(num, den) = 1 and den monic, so equal values have equal representations.
+:class:`EpsField` tags K(eps) the way FieldSpec tags K, and is interned the
+same way: one object per base field.
 
 Normalization is eps-adic.  eps is prime in K[eps], so
 gcd(num, den) = eps^min(vn, vd) * gcd(num_free, den_free), where vn, vd are
@@ -40,27 +44,19 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldSpec, coeffs=()):
+        """Coefficients are ints, Fractions or Scalars, coerced into field."""
         if field.m != 1:
             raise FieldMismatchError(f"eps-polynomials are over Q or F_p, not {field.name}")
-        raw = []
-        p = field.p
-        for c in coeffs:
-            if isinstance(c, Scalar):
-                if c.field != field:
-                    raise FieldMismatchError(
-                        f"{c.field.name} coefficient in {field.name}[eps] polynomial"
-                    )
-                raw.append(c.value)
-            elif isinstance(c, int):
-                raw.append(Fraction(c) if p is None else c % p)
-            elif isinstance(c, Fraction) and p is None:
-                raw.append(c)
-            else:
-                raise TypeError(f"bad polynomial coefficient {c!r}")
-        while raw and raw[-1] == 0:
-            raw.pop()
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(raw))
+        object.__setattr__(self, "coeffs", _trimmed([field.coerce(c).value for c in coeffs]))
+
+    @classmethod
+    def _from_raw(cls, field: FieldSpec, raw) -> "Poly":
+        """The polynomial with raw coefficients already reduced in field."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "field", field)
+        object.__setattr__(poly, "coeffs", _trimmed(raw))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -76,7 +72,7 @@ class Poly:
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
-            and self.field == other.field
+            and self.field is other.field
             and self.coeffs == other.coeffs
         )
 
@@ -102,52 +98,46 @@ class Poly:
     def __add__(self, other):
         self._check(other)
         a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        p = self.field.p
-        out = []
-        for i in range(n):
-            v = (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            out.append(v if p is None else v % p)
-        return Poly(self.field, out)
+        if len(a) < len(b):
+            a, b = b, a
+        add = self.field.add
+        return Poly._from_raw(self.field, [add(x, y) for x, y in zip(a, b)] + list(a[len(b) :]))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        p = self.field.p
-        return Poly(self.field, [-c if p is None else (-c) % p for c in self.coeffs])
+        neg = self.field.neg
+        return Poly._from_raw(self.field, [neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
         self._check(other)
         a, b = self.coeffs, other.coeffs
+        field = self.field
         if not a or not b:
-            return Poly(self.field)
-        p = self.field.p
-        out = [0] * (len(a) + len(b) - 1)
+            return Poly._from_raw(field, ())
+        add, mul = field.add, field.mul
+        out = [field.zero().value] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai == 0:
                 continue
             for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        if p is not None:
-            out = [c % p for c in out]
-        return Poly(self.field, out)
+                out[i + j] = add(out[i + j], mul(ai, bj))
+        return Poly._from_raw(field, out)
 
     def scale(self, raw):
-        p = self.field.p
-        if p is None:
-            return Poly(self.field, [c * raw for c in self.coeffs])
-        raw %= p
-        return Poly(self.field, [c * raw % p for c in self.coeffs])
+        """Multiply by the raw value of a field element."""
+        mul = self.field.mul
+        return Poly._from_raw(self.field, [mul(c, raw) for c in self.coeffs])
 
     def shift(self, n: int):
         """Multiply by eps^n (n >= 0)."""
         if not self.coeffs:
             return self
-        return Poly(self.field, (0,) * n + self.coeffs)
+        return Poly._from_raw(self.field, (self.field.zero().value,) * n + self.coeffs)
 
     def _check(self, other):
-        if not isinstance(other, Poly) or other.field != self.field:
+        if not isinstance(other, Poly) or other.field is not self.field:
             raise FieldMismatchError("polynomials over different fields")
 
     def divmod(self, other):
@@ -155,21 +145,21 @@ class Poly:
         self._check(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.field.p
-        inv_lead = 1 / other.leading() if p is None else pow(other.leading(), -1, p)
+        field = self.field
+        sub, mul = field.sub, field.mul
+        inv_lead = field.inv(other.leading())
         rem = list(self.coeffs)
         db = other.degree
-        quo = [0] * max(len(rem) - db, 0)
+        quo = [field.zero().value] * max(len(rem) - db, 0)
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            q = c * inv_lead if p is None else c * inv_lead % p
+            q = mul(c, inv_lead)
             quo[i - db] = q
             for j, bj in enumerate(other.coeffs):
-                v = rem[i - db + j] - q * bj
-                rem[i - db + j] = v if p is None else v % p
-        return Poly(self.field, quo), Poly(self.field, rem)
+                rem[i - db + j] = sub(rem[i - db + j], mul(q, bj))
+        return Poly._from_raw(field, quo), Poly._from_raw(field, rem)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -180,15 +170,13 @@ class Poly:
     def monic(self):
         if not self:
             return self
-        p = self.field.p
-        inv = 1 / self.leading() if p is None else pow(self.leading(), -1, p)
-        return self.scale(inv)
+        return self.scale(self.field.inv(self.leading()))
 
     def text(self) -> str:
         """Comma-separated coefficients from eps^0 ("0" for the zero polynomial)."""
         if not self.coeffs:
             return "0"
-        return ",".join(Scalar(self.field, c).text() for c in self.coeffs)
+        return ",".join(self.field.text(c) for c in self.coeffs)
 
     def __repr__(self):
         return f"Poly({self.field.name}, [{self.text()}])"
@@ -211,16 +199,23 @@ def poly_parse(field: FieldSpec, text: str) -> Poly:
     text = text.strip()
     if text in ("", "0"):
         return Poly(field)
-    return Poly(field, [field.parse(part).value for part in text.split(",")])
+    return Poly(field, [field.parse(part) for part in text.split(",")])
 
 
 class EpsField:
-    """The field K(eps) of rational functions over a base FieldSpec."""
+    """The field K(eps) of rational functions over a base FieldSpec; one
+    object per base field, so equality is identity."""
 
     __slots__ = ("base",)
 
-    def __init__(self, base: FieldSpec):
-        object.__setattr__(self, "base", base)
+    def __new__(cls, base: FieldSpec):
+        ring = _EPS_FIELDS.get(base)
+        if ring is None:
+            if base.m != 1:
+                raise FieldMismatchError(f"eps-polynomials are over Q or F_p, not {base.name}")
+            ring = _EPS_FIELDS[base] = object.__new__(cls)
+            object.__setattr__(ring, "base", base)
+        return ring
 
     def __setattr__(self, name, value):
         raise AttributeError("EpsField is immutable")
@@ -229,20 +224,14 @@ class EpsField:
     def name(self):
         return f"{self.base.name}(eps)"
 
-    def __eq__(self, other):
-        return isinstance(other, EpsField) and self.base == other.base
-
-    def __hash__(self):
-        return hash(("EpsField", self.base))
-
     def __repr__(self):
         return f"EpsField({self.base.name})"
 
     def zero(self) -> "RatFunc":
-        return RatFunc(Poly(self.base), Poly(self.base, [1]))
+        return self.lift(self.base.zero())
 
     def one(self) -> "RatFunc":
-        return RatFunc(Poly(self.base, [1]), Poly(self.base, [1]))
+        return self.lift(self.base.one())
 
     def eps(self, n: int = 1) -> "RatFunc":
         """The monomial eps^n, for any integer n."""
@@ -252,22 +241,23 @@ class EpsField:
         return RatFunc(one, one.shift(-n))
 
     def from_int(self, n: int) -> "RatFunc":
-        return RatFunc(Poly(self.base, [n]), Poly(self.base, [1]))
+        return self.lift(self.base.from_int(n))
 
     def lift(self, s: Scalar) -> "RatFunc":
-        if s.field != self.base:
+        if s.field is not self.base:
             raise FieldMismatchError(f"cannot lift {s.field.name} scalar into {self.name}")
-        return RatFunc(Poly(self.base, [s.value]), Poly(self.base, [1]))
+        base = self.base
+        return RatFunc(Poly._from_raw(base, (s.value,)), Poly._from_raw(base, (base.one().value,)))
 
     def coerce(self, x) -> "RatFunc":
         if isinstance(x, RatFunc):
-            if x.field != self.base:
+            if x.field is not self.base:
                 raise FieldMismatchError(f"cannot coerce {x.field.name}(eps) into {self.name}")
             return x
         if isinstance(x, Scalar):
             return self.lift(x)
         if isinstance(x, Poly):
-            if x.field != self.base:
+            if x.field is not self.base:
                 raise FieldMismatchError("polynomial over the wrong base field")
             return RatFunc(x, Poly(self.base, [1]))
         if isinstance(x, (int, Fraction)):
@@ -288,30 +278,31 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
-        if num.field != den.field:
+        field = num.field
+        if den.field is not field:
             raise FieldMismatchError("numerator and denominator over different fields")
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
-            den = Poly(num.field, [1])
+            den = Poly._from_raw(field, (field.one().value,))
         else:
-            field = num.field
             vn, vd = num.valuation(), den.valuation()
             shift = min(vn, vd)
             if shift:
-                num = Poly(field, num.coeffs[shift:])
-                den = Poly(field, den.coeffs[shift:])
+                num = Poly._from_raw(field, num.coeffs[shift:])
+                den = Poly._from_raw(field, den.coeffs[shift:])
                 vn -= shift
                 vd -= shift
             if num.degree > vn and den.degree > vd:
-                g = poly_gcd(Poly(field, num.coeffs[vn:]), Poly(field, den.coeffs[vd:]))
+                g = poly_gcd(
+                    Poly._from_raw(field, num.coeffs[vn:]), Poly._from_raw(field, den.coeffs[vd:])
+                )
                 if g.degree > 0:
                     num = num // g
                     den = den // g
-            p = field.p
             lead = den.leading()
             if lead != 1:
-                inv = 1 / lead if p is None else pow(lead, -1, p)
+                inv = field.inv(lead)
                 num = num.scale(inv)
                 den = den.scale(inv)
         object.__setattr__(self, "num", num)
@@ -330,7 +321,7 @@ class RatFunc:
 
     def _other(self, other):
         if isinstance(other, RatFunc):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise FieldMismatchError("rational functions over different base fields")
             return other
         if isinstance(other, (Scalar, int, Fraction, Poly)):
@@ -436,16 +427,17 @@ class RatFunc:
         n0 = self.num.coeffs[vn:]
         d0 = self.den.coeffs[vd:]
         count = upto - v + 1
-        p = self.field.p
-        inv0 = 1 / d0[0] if p is None else pow(d0[0], -1, p)
+        field = self.field
+        sub, mul = field.sub, field.mul
+        inv0 = field.inv(d0[0])
+        zero = field.zero().value
         out = []
         for j in range(count):
-            acc = n0[j] if j < len(n0) else (Fraction(0) if p is None else 0)
+            acc = n0[j] if j < len(n0) else zero
             for i in range(max(0, j - len(d0) + 1), j):
-                acc -= out[i] * d0[j - i]
-            c = acc * inv0
-            out.append(c if p is None else c % p)
-        return [Scalar(self.field, c) for c in out]
+                acc = sub(acc, mul(out[i], d0[j - i]))
+            out.append(mul(acc, inv0))
+        return [Scalar(field, c) for c in out]
 
     def coefficient(self, e: int) -> Scalar:
         """The exact Laurent coefficient at eps^e."""
@@ -485,10 +477,22 @@ class RatFunc:
 def _spread(poly: Poly, n: int) -> Poly:
     if not poly.coeffs:
         return poly
-    out = [0] * ((len(poly.coeffs) - 1) * n + 1)
+    out = [poly.field.zero().value] * ((len(poly.coeffs) - 1) * n + 1)
     for i, c in enumerate(poly.coeffs):
         out[i * n] = c
-    return Poly(poly.field, out)
+    return Poly._from_raw(poly.field, out)
+
+
+def _trimmed(raw) -> tuple:
+    """raw as a tuple without trailing zeros."""
+    n = len(raw)
+    while n and raw[n - 1] == 0:
+        n -= 1
+    return tuple(raw[:n])
+
+
+# The one EpsField of each base field.
+_EPS_FIELDS: dict = {}
 
 
 def ratfunc_parse(field: FieldSpec, text: str) -> RatFunc:

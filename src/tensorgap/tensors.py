@@ -103,7 +103,7 @@ class Tensor:
     def __eq__(self, other):
         return (
             isinstance(other, Tensor)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and self.dims == other.dims
             and self.entries == other.entries
         )
@@ -114,14 +114,14 @@ class Tensor:
     def __add__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        if self.ring != other.ring or self.dims != other.dims:
+        if self.ring is not other.ring or self.dims != other.dims:
             raise DimensionMismatchError("tensor sum needs equal rings and dims")
         return Tensor(self.ring, self.dims, [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        if self.ring != other.ring or self.dims != other.dims:
+        if self.ring is not other.ring or self.dims != other.dims:
             raise DimensionMismatchError("tensor difference needs equal rings and dims")
         return Tensor(self.ring, self.dims, [a - b for a, b in zip(self.entries, other.entries)])
 
@@ -203,7 +203,7 @@ def kronecker(t: Tensor, s: Tensor) -> Tensor:
     """Factor-wise Kronecker product; combined index i_j * m_j + i'_j."""
     if t.order != s.order:
         raise DimensionMismatchError("Kronecker product needs equal orders")
-    if t.ring != s.ring:
+    if t.ring is not s.ring:
         raise FieldMismatchError("Kronecker product needs a common field")
     # The outer product has axes (t_0, ..., t_(k-1), s_0, ..., s_(k-1));
     # ordering them (t_0, s_0, t_1, s_1, ...) and merging pairs gives the
@@ -240,7 +240,7 @@ def flatten(t: Tensor, axes) -> Matrix:
 
 def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
     """Apply one linear map along a single axis."""
-    if m.ring != t.ring:
+    if m.ring is not t.ring:
         raise FieldMismatchError("map and tensor over different rings")
     if m.cols != t.dims[axis]:
         raise DimensionMismatchError(
@@ -309,7 +309,7 @@ def lift_tensor(t: Tensor, ring) -> Tensor:
     K(eps) (ring an EpsField), or an F_p tensor over F_{p^m} (ring an
     ExtensionField of characteristic p)."""
     if isinstance(t.ring, EpsField):
-        if t.ring != ring:
+        if t.ring is not ring:
             raise FieldMismatchError("tensor already over a different K(eps)")
         return t
     return Tensor(ring, t.dims, [ring.lift(e) for e in t.entries])
@@ -320,7 +320,3 @@ def as_matrix(t: Tensor) -> Matrix:
     if t.order != 2:
         raise DimensionMismatchError("only order-2 tensors are matrices")
     return Matrix(t.ring, t.dims[0], t.dims[1], t.entries)
-
-
-def from_matrix(m: Matrix) -> Tensor:
-    return Tensor(m.ring, (m.rows, m.cols), m.entries)

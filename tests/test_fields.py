@@ -6,6 +6,7 @@ import pytest
 from tensorgap.census import tensor_to_id
 from tensorgap.degeneration import construct_w_degeneration
 from tensorgap.errors import FieldMismatchError
+from tensorgap import fields
 from tensorgap.fields import GF, QQ, FieldSpec, Scalar, extension_modulus, is_prime
 from tensorgap.io import tensor_to_document
 from tensorgap.linalg import Matrix, mat_det, mat_rank
@@ -169,6 +170,9 @@ def test_extension_prime_subfield(p, m):
     field, base = GF(p, m), GF(p)
     assert field != base and GF(p, 1) == base
     assert hash(field) == hash(GF(p, m))
+    assert field is GF(p, m) and FieldSpec(p) is GF(p) is base and FieldSpec() is QQ
+    assert EpsField(QQ) is EpsField(QQ) and EpsField(base) is not EpsField(QQ)
+    assert type(field.one()) is Scalar and type(field.element(p**m - 1)) is Scalar
     for n in range(-2 * p, 2 * p):
         assert field.from_int(n).value == n % p
         assert field.lift(base.from_int(n)) == field.from_int(n)
@@ -180,6 +184,35 @@ def test_extension_prime_subfield(p, m):
         field.lift(GF(5).one())
     with pytest.raises(ValueError):
         field.element(p**m)
+
+
+def test_fields_never_mix_and_invalid_fields_are_not_interned():
+    f3, f9 = GF(3), GF(3, 2)
+    with pytest.raises(FieldMismatchError):
+        f3.one() + f9.one()
+    with pytest.raises(FieldMismatchError):
+        f9.one() * f3.one()
+    with pytest.raises(FieldMismatchError):
+        f3.one() == f9.one()
+    with pytest.raises(FieldMismatchError):
+        f3.coerce(f9.one())
+    with pytest.raises(FieldMismatchError):
+        Matrix.from_rows(f3, [[f9.one()]])
+    q_eps, f3_eps = EpsField(QQ), EpsField(f3)
+    with pytest.raises(FieldMismatchError):
+        q_eps.one() + f3_eps.one()
+    with pytest.raises(FieldMismatchError):
+        q_eps.eps() == f3_eps.eps()
+    with pytest.raises(FieldMismatchError):
+        q_eps.lift(f3.one())
+    interned = dict(fields._FIELDS)
+    for _ in range(3):
+        for bad in ((4,), (4, 2), (2, 17), (2**63 + 9,), (3.0,)):
+            with pytest.raises(ValueError):
+                GF(*bad)
+        with pytest.raises(ValueError):
+            FieldSpec(1)
+    assert fields._FIELDS == interned
 
 
 def test_extension_rank_is_not_read_as_f2_bits():

@@ -260,8 +260,21 @@ def test_subrank_bruteforce_monotone_in_r():
 
 def test_subrank_search_space_guard():
     big = unit_tensor(3, 4, F2)
-    with pytest.raises(SearchSpaceTooLargeError):
+    with pytest.raises(SearchSpaceTooLargeError):  # 2730^3 ordered triples > 2^30
         subrank_bruteforce(big, 3)
+
+
+def test_subrank_ceiling_counts_searched_tuples():
+    # p^(sum m_j n_j) = 3^21 exceeds the ceiling, but the first factor has
+    # only two nonzero covectors, so no triple of them exists to search.
+    f3 = GF(3)
+    rng = random.Random(7)
+    for _ in range(5):
+        t = Tensor(f3, (1, 2, 2, 2), [f3.from_int(rng.randrange(3)) for _ in range(8)])
+        assert subrank_bruteforce(t, 3) is False
+    assert subrank_bruteforce(unit_tensor(3, 2, f3), 2, ceiling=56**3)
+    with pytest.raises(SearchSpaceTooLargeError):
+        subrank_bruteforce(unit_tensor(3, 2, f3), 2, ceiling=56**3 - 1)
 
 
 def test_subrank_supermultiplicative_spot_checks():
@@ -307,20 +320,10 @@ def test_restricts_to_bruteforce_first_witness_is_stable():
 # -- the brute-force search against the naive loop ------------------------------
 
 
-def _naive_first_match(t, conditions, row_counts, per_factor, what, ceiling):
+def _naive_first_match(t, conditions, row_counts, per_factor):
     """The search loop as it was before the last factor was picked by
     bitmask: every full map tuple in product order, tested condition by
-    condition."""
-    p = t.ring.p
-    size = 1
-    for m, n in zip(row_counts, t.dims):
-        size *= p ** (m * n)
-    if size > ceiling:
-        raise SearchSpaceTooLargeError(
-            f"{what} search space {size} exceeds ceiling {ceiling}",
-            size=size,
-            ceiling=ceiling,
-        )
+    condition.  The callers check the search space before either loop."""
     table, shape = ranks._covector_table(t)
     strides = _strides(tuple(shape))
 
@@ -381,10 +384,10 @@ def _naive_and_bitmask(fn, *args):
     first_match = ranks._first_match
     scans = []
 
-    def counted(t, conditions, row_counts, per_factor, what, ceiling):
+    def counted(t, conditions, row_counts, per_factor):
         per_factor = [list(codes) for codes in per_factor]
         per_factor[-1] = _Scans(per_factor[-1])
-        match = first_match(t, conditions, row_counts, per_factor, what, ceiling)
+        match = first_match(t, conditions, row_counts, per_factor)
         scans.append((per_factor[-1].count, _candidate_prefixes(t, conditions, row_counts, per_factor, match)))
         return match
 
@@ -439,10 +442,7 @@ def _subrank_cases(draw):
     t = draw(_fp_tensors())
     r = draw(st.integers(1, 3))
     p = t.ring.p
-    while r > 1 and (
-        math.prod(math.perm(p**n - 1, r) for n in t.dims) > _NAIVE_BUDGET
-        or p ** (r * sum(t.dims)) > ranks.DEFAULT_BRUTE_CEILING
-    ):
+    while r > 1 and math.prod(math.perm(p**n - 1, r) for n in t.dims) > _NAIVE_BUDGET:
         r -= 1
     return t, r
 

@@ -1,0 +1,60 @@
+"""The benchmark's tracer (bench/tracing.py) patches package attributes by
+name.  Installing it here makes a rename or removal of a patched attribute
+fail the test suite, not only the traced benchmark run."""
+
+import pathlib
+import sys
+import types
+
+import tensorgap
+from tensorgap.fields import GF, QQ, FieldSpec, Scalar
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    """bench/tracing.py as a fresh module, without writing bytecode beside it."""
+    module = types.ModuleType("bench_tracing")
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def _package_state(tracing):
+    """Every attribute the tracer may patch: module namespaces and class dicts."""
+    state = {}
+    for name, module in sys.modules.items():
+        if name == "tensorgap" or name.startswith("tensorgap."):
+            state[name] = dict(vars(module))
+    for short, cls_name, _ in tracing.METHODS:
+        cls = getattr(sys.modules[f"tensorgap.{short}"], cls_name)
+        state[cls_name] = dict(vars(cls))
+    for cls in (Scalar, FieldSpec):
+        state[cls.__name__] = dict(vars(cls))
+    return state
+
+
+def test_tracer_counts_scalar_ops_and_uninstalls():
+    tracing = _load_tracing()
+    before = _package_state(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert vars(Scalar)["__add__"] is not before["Scalar"]["__add__"]
+        tracer.on = True
+        QQ.one() + QQ.one()
+        assert tracer.counts["fields.scalar_ops"] == 1
+        f4 = GF(2, 2)
+        f4.one() + f4.one()  # extension-field scalars are the same class
+        assert tracer.counts["fields.scalar_ops"] == 2
+        assert tensorgap.fields.QQ.from_int(2) - 1 == QQ.one()
+        assert tracer.counts["fields.scalar_ops"] == 3
+        assert tracer.counts["fields.coerce"] >= 1
+        assert tracer.counts["fields.spec_eq"] == 0
+    finally:
+        tracer.uninstall()
+    after = _package_state(tracing)
+    assert after.keys() == before.keys()
+    for key, attrs in before.items():
+        assert after[key].keys() == attrs.keys(), key
+        for attr, value in attrs.items():
+            assert after[key][attr] is value, f"{key}.{attr} not restored"
