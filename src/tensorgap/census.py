@@ -57,24 +57,15 @@ class CensusRow:
 def tensor_from_id(tensor_id: int, p: int) -> Tensor:
     """Decode a canonical id: base-p digits over the row-major flat index."""
     field = GF(p)
-    digits = []
-    n = tensor_id
-    for _ in range(8):
-        digits.append(n % p)
-        n //= p
-    if n:
+    if not 0 <= tensor_id < p**8:
         raise ValueError(f"id {tensor_id} out of range for p={p}")
-    return Tensor(field, (2, 2, 2), [field.from_int(d) for d in digits])
+    return Tensor._from_raw(field, (2, 2, 2), [tensor_id // p**i % p for i in range(8)])
 
 
 def tensor_to_id(t: Tensor) -> int:
     if not t.ring.is_prime_field:
         raise FieldMismatchError(f"census ids are defined over prime fields, not {t.ring.name}")
-    p = t.ring.p
-    out = 0
-    for flat in range(t.size - 1, -1, -1):
-        out = out * p + t.entries[flat].value
-    return out
+    return sum(e * t.ring.p**i for i, e in enumerate(t.entries))
 
 
 def _census_row(tensor_id: int, p: int) -> CensusRow:

@@ -32,7 +32,7 @@ from .errors import (
     ZeroTensorError,
 )
 from .fields import FieldSpec, Scalar
-from .linalg import Matrix, mat_det, mat_inverse, mat_rank
+from .linalg import Matrix, mat_inverse, mat_rank
 from .ranks import (
     DEFAULT_START_BOUND,
     RankSignature,
@@ -131,16 +131,18 @@ def cayley_hyperdet(t: Tensor) -> Scalar:
     field = t.ring
     if not isinstance(field, FieldSpec):
         raise DimensionMismatchError("hyperdeterminant is evaluated over Q or F_p")
-    total = field.zero()
+    add, mul = field.add, field.mul
+    entries = t.entries
+    total = field._raw(0)
     for coeff, idxs in _CAYLEY_TERMS:
-        prod = field.from_int(coeff)
-        for idx in idxs:
-            prod = prod * t[idx]
+        prod = field._raw(coeff)
+        for i, j, k in idxs:
+            prod = mul(prod, entries[4 * i + 2 * j + k])
             if not prod:
                 break
         if prod:
-            total = total + prod
-    return total
+            total = add(total, prod)
+    return field._box(total)
 
 
 _ORBIT_BY_RANKS = {
@@ -191,53 +193,49 @@ def _rational_sqrt(q: Fraction):
     return None
 
 
-def _pencil_rank_one_points(a0: Matrix, a1: Matrix):
+def _det2(field, e):
+    """The determinant of the 2x2 matrix with raw row-major entries e."""
+    return field.sub(field.mul(e[0], e[3]), field.mul(e[1], e[2]))
+
+
+def _pencil_rank_one_points(field, a0, a1):
     """Distinct projective zeros (l : m) of det(l*A0 + m*A1) over the ground field.
 
-    A0, A1 are the first-factor slices.  Returns a list of scalar pairs;
-    when the hyperdeterminant is nonzero the quadratic is squarefree, so the
-    list has length 0 or 2 over the ground field.  Over a finite field every
-    one of its q elements is tried as m/l.
+    A0, A1 are the first-factor slices, as raw row-major entries.  Returns a
+    list of raw pairs; when the hyperdeterminant is nonzero the quadratic is
+    squarefree, so the list has length 0 or 2 over the ground field.  Over a
+    finite field every one of its q elements is tried as m/l.
     """
-    field = a0.ring
-    det0 = mat_det(a0)
-    det1 = mat_det(a1)
-    det_sum = mat_det(
-        Matrix(field, 2, 2, [x + y for x, y in zip(a0.entries, a1.entries)])
-    )
-    mixed = det_sum - det0 - det1  # the l*m coefficient
-    if field.p is not None:
-        points = []
-        candidates = [(field.one(), u) for u in field.elements()]
-        candidates.append((field.zero(), field.one()))
-        for lam, mu in candidates:
-            if det0 * lam * lam + mixed * lam * mu + det1 * mu * mu == field.zero():
-                points.append((lam, mu))
-        return points
-    # Rational case: solve det0*x^2 + mixed*x + det1 = 0 projectively.
+    add, mul = field.add, field.mul
+    det0 = _det2(field, a0)
+    det1 = _det2(field, a1)
+    det_sum = _det2(field, [add(x, y) for x, y in zip(a0, a1)])
+    mixed = field.sub(field.sub(det_sum, det0), det1)  # the l*m coefficient
+    one, zero = field._raw(1), field._raw(0)
+    if field.p is not None:  # the points (1 : u) in code order, then (0 : 1)
+        quadratic = [add(add(det0, mul(mixed, u)), mul(det1, mul(u, u))) for u in range(field.q)]
+        points = [(one, u) for u, value in enumerate(quadratic) if not value]
+        return points if det1 else points + [(zero, one)]
+    # Rational case (raw Fractions): solve det0*x^2 + mixed*x + det1 = 0 projectively.
     if not det0:
-        points = [(field.one(), field.zero())]
+        points = [(one, zero)]
         if mixed:
-            points.append((field.coerce(-det1.value / mixed.value), field.one()))
+            points.append((-det1 / mixed, one))
         return points
-    disc = mixed * mixed - field.from_int(4) * det0 * det1
-    root = _rational_sqrt(disc.value)
+    root = _rational_sqrt(mixed * mixed - 4 * det0 * det1)
     if root is None or root == 0:
         return []
-    two_a = 2 * det0.value
-    x1 = (-mixed.value + root) / two_a
-    x2 = (-mixed.value - root) / two_a
-    return [(field.coerce(x1), field.one()), (field.coerce(x2), field.one())]
+    two_a = 2 * det0
+    return [((-mixed + root) / two_a, one), ((-mixed - root) / two_a, one)]
 
 
-def _rank_one_factors(m: Matrix):
-    """Write a rank-one 2x2 matrix as u v^T."""
-    field = m.ring
-    col = 0 if (m[0, 0] or m[1, 0]) else 1
-    u = [m[0, col], m[1, col]]
+def _rank_one_factors(field, e):
+    """Write a rank-one 2x2 matrix, given by raw row-major entries e, as u v^T."""
+    col = 0 if (e[0] or e[2]) else 1
+    u = [e[col], e[2 + col]]
     pivot_row = 0 if u[0] else 1
-    inv = u[pivot_row].inverse()
-    v = [m[pivot_row, 0] * inv, m[pivot_row, 1] * inv]
+    inv = field.inv(u[pivot_row])
+    v = [field.mul(e[2 * pivot_row], inv), field.mul(e[2 * pivot_row + 1], inv)]
     return u, v
 
 
@@ -255,25 +253,21 @@ def unit_restriction_witness(t: Tensor):
     if not cayley_hyperdet(t):
         raise ValueError("unit witness requires a nonvanishing hyperdeterminant")
     slices = flatten(t, [0])
-    a0, a1 = (Matrix(field, 2, 2, slices.row(i)) for i in (0, 1))
-    points = _pencil_rank_one_points(a0, a1)
+    a0, a1 = slices.row(0), slices.row(1)
+    points = _pencil_rank_one_points(field, a0, a1)
     if len(points) < 2:
         return None
+    add, mul = field.add, field.mul
+    (u0, v0), (u1, v1) = (
+        _rank_one_factors(field, [add(mul(lam, x), mul(mu, y)) for x, y in zip(a0, a1)])
+        for lam, mu in points[:2]
+    )
+    # First-factor basis: the columns of the inverse of the root matrix, so
+    # the first map is the root matrix itself.
     (l0, m0), (l1, m1) = points[0], points[1]
-    m_0 = a0.scale(l0)
-    m_0 = Matrix(field, 2, 2, [x + y for x, y in zip(m_0.entries, a1.scale(m0).entries)])
-    m_1 = a0.scale(l1)
-    m_1 = Matrix(field, 2, 2, [x + y for x, y in zip(m_1.entries, a1.scale(m1).entries)])
-    u0, v0 = _rank_one_factors(m_0)
-    u1, v1 = _rank_one_factors(m_1)
-    # First-factor basis: columns of the inverse of the root matrix.
-    r = Matrix.from_rows(field, [[l0, m0], [l1, m1]])
-    r_inv = mat_inverse(r)
-    f0 = r_inv.column(0)
-    f1 = r_inv.column(1)
-    g1 = mat_inverse(Matrix.from_rows(field, [[f0[0], f1[0]], [f0[1], f1[1]]]))
-    g2 = mat_inverse(Matrix.from_rows(field, [[u0[0], u1[0]], [u0[1], u1[1]]]))
-    g3 = mat_inverse(Matrix.from_rows(field, [[v0[0], v1[0]], [v0[1], v1[1]]]))
+    g1 = Matrix._from_raw(field, 2, 2, [l0, m0, l1, m1])
+    g2 = mat_inverse(Matrix._from_raw(field, 2, 2, [u0[0], u1[0], u0[1], u1[1]]))
+    g3 = mat_inverse(Matrix._from_raw(field, 2, 2, [v0[0], v1[0], v0[1], v1[1]]))
     maps = (g1, g2, g3)
     if restrict(t, maps) != unit_tensor(3, 2, field):
         raise ClassificationInconsistencyError("pencil diagonalization failed to verify")

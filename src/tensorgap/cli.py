@@ -17,7 +17,7 @@ from .census import census_222, census_summary, write_census
 from .classify import DEFAULT_TRIALS, TrichotomyClass, gap_constant, trichotomy
 from .degeneration import construct_w_degeneration, verify_certificate
 from .errors import TensorGapError
-from .io import load_certificate, load_tensor, save_certificate
+from .io import _scalar_matrix_to_document, load_certificate, load_tensor, save_certificate
 from .ranks import (
     DEFAULT_BRUTE_CEILING,
     DEFAULT_START_BOUND,
@@ -53,10 +53,7 @@ def _report_json(report) -> dict:
     if report.rank_one_witness is not None:
         doc["rank-one-witness"] = sorted(a + 1 for a in report.rank_one_witness)
     if report.unit_witness is not None:
-        doc["unit-witness"] = [
-            {"rows": m.rows, "cols": m.cols, "entries": [e.text() for e in m.entries]}
-            for m in report.unit_witness
-        ]
+        doc["unit-witness"] = [_scalar_matrix_to_document(m) for m in report.unit_witness]
     if report.unit_witness_note:
         doc["unit-witness-note"] = report.unit_witness_note
     return doc

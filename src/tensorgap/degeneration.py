@@ -34,6 +34,7 @@ constructed certificate is re-verified before being returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from .errors import (
     SingularCurveError,
 )
 from .fields import QQ, FieldSpec, Scalar
-from .linalg import Matrix, lift_matrix, mat_det, mat_inverse, mat_rank, mat_solve, substitute_matrix
+from .linalg import Matrix, _solve, lift_matrix, mat_det, mat_inverse, mat_rank, substitute_matrix
 from .ratfunc import EpsField
 from .ranks import DEFAULT_START_BOUND, generic_compress, has_rank_one_flattening
 from .tensors import (
@@ -123,11 +124,7 @@ class VerificationResult:
 
 def tensor_min_valuation(t: Tensor):
     """Minimum entry valuation of a K(eps) tensor (+inf when zero)."""
-    v = math.inf
-    for e in t.entries:
-        if e:
-            v = min(v, e.valuation())
-    return v
+    return min((e.valuation() for e in t.entries if e), default=math.inf)
 
 
 def eps_coefficient_tensor(t: Tensor, exponent: int) -> Tensor:
@@ -135,7 +132,7 @@ def eps_coefficient_tensor(t: Tensor, exponent: int) -> Tensor:
     ring = t.ring
     if not isinstance(ring, EpsField):
         raise FieldMismatchError("coefficient extraction needs a K(eps) tensor")
-    return Tensor(ring.base, t.dims, [e.coefficient(exponent) for e in t.entries])
+    return Tensor._from_raw(ring.base, t.dims, [e._coefficient(exponent) for e in t.entries])
 
 
 def _expand(base_tensor: Tensor, curves) -> Tensor:
@@ -173,17 +170,17 @@ def apply_certificate(cert: DegenerationCertificate) -> ExpansionRecord:
     finite = [v for v in valuations if v != math.inf]
     m = max(0, -min(finite)) if finite else 0
     base = expanded.ring.base
-    coeff_rows = []
+    zero = base._raw(0)
+    raw_rows = []
     for e, v in zip(expanded.entries, valuations):
-        head = e.series(0) if v <= 0 else []
-        coeff_rows.append((base.zero(),) * (m + 1 - len(head)) + tuple(head))
-    constant = Tensor(base, expanded.dims, [row[-1] for row in coeff_rows])
+        head = e._series(0) if v <= 0 else []
+        raw_rows.append([zero] * (m + 1 - len(head)) + head)
     return ExpansionRecord(
         dims=expanded.dims,
         valuations=valuations,
         order_m=m,
-        coefficients=tuple(coeff_rows),
-        constant_term=constant,
+        coefficients=tuple(tuple(base._box(c) for c in row) for row in raw_rows),
+        constant_term=Tensor._from_raw(base, expanded.dims, [row[-1] for row in raw_rows]),
     )
 
 
@@ -203,16 +200,17 @@ def verify_certificate(cert: DegenerationCertificate) -> VerificationResult:
                 f"entry {idx} has a pole of order {-e.valuation()} at eps = 0",
             )
     constant = eps_coefficient_tensor(expanded, 0)
-    if constant != cert.target:
-        for flat in range(constant.size):
-            if constant.entries[flat] != cert.target.entries[flat]:
-                idx = constant.multi_index(flat)
-                return VerificationResult(
-                    False,
-                    "constant-term-mismatch",
-                    f"entry {idx}: eps^0 coefficient {constant.entries[flat]} "
-                    f"!= target {cert.target.entries[flat]}",
-                )
+    if cert.target.ring is not constant.ring:
+        raise FieldMismatchError("target and curves over different base fields")
+    text = constant.ring.text
+    for flat, (c, want) in enumerate(zip(constant.entries, cert.target.entries)):
+        if c != want:
+            return VerificationResult(
+                False,
+                "constant-term-mismatch",
+                f"entry {constant.multi_index(flat)}: eps^0 coefficient {text(c)} "
+                f"!= target {text(want)}",
+            )
     return VerificationResult(True)
 
 
@@ -229,7 +227,7 @@ def stab_scaling_curve(k: int, field: FieldSpec):
     if k < 2:
         raise ValueError("scaling curve needs k >= 2")
     ring = EpsField(field)
-    h = Matrix(ring, 2, 2, [ring.eps(-1), ring.zero(), ring.zero(), ring.eps(k - 1)])
+    h = Matrix._from_raw(ring, 2, 2, [ring.eps(-1), ring.zero(), ring.zero(), ring.eps(k - 1)])
     return h, ring.eps(k)
 
 
@@ -250,14 +248,12 @@ def stab_shear(scalars, field: FieldSpec | None = None):
         if not scalars or not isinstance(scalars[0], Scalar):
             raise ValueError("pass a field or a nonempty list of Scalars")
         field = scalars[0].field
-    values = [field.coerce(s) for s in scalars]
-    total = field.zero()
-    for v in values:
-        total = total + v
+    values = [field._raw(s) for s in scalars]
+    total = functools.reduce(field.add, values, field._raw(0))
     if total:
-        raise ValueError(f"shear parameters must sum to zero, got {total}")
-    one, zero = field.one(), field.zero()
-    return tuple(Matrix(field, 2, 2, [one, v, zero, one]) for v in values)
+        raise ValueError(f"shear parameters must sum to zero, got {field.text(total)}")
+    one, zero = field._raw(1), field._raw(0)
+    return tuple(Matrix._from_raw(field, 2, 2, [one, v, zero, one]) for v in values)
 
 
 # -- Pluecker coordinates and Grassmannian transport ------------------------------
@@ -298,14 +294,16 @@ def pluecker_wedge(s: Tensor, s_prime: Tensor) -> WedgePoint:
         raise DimensionMismatchError("wedge needs tensors of equal dims")
     if s.ring is not s_prime.ring:
         raise FieldMismatchError("wedge needs tensors over a common ring")
+    ring = s.ring
+    sub, mul = ring.sub, ring.mul
     a = s.entries
     b = s_prime.entries
     n = len(a)
     coords = []
     for i in range(n):
         for j in range(i + 1, n):
-            coords.append(a[i] * b[j] - a[j] * b[i])
-    return WedgePoint(s.ring, n, tuple(coords))
+            coords.append(ring._box(sub(mul(a[i], b[j]), mul(a[j], b[i]))))
+    return WedgePoint(ring, n, tuple(coords))
 
 
 def grassmann_degenerates(curves, e_t, e_s) -> bool:
@@ -346,8 +344,8 @@ def unit_to_w_certificate(k: int, field: FieldSpec = QQ) -> DegenerationCertific
     zero = ring.zero()
     eps = ring.eps()
     inv_eps = ring.eps(-1)
-    first = Matrix(ring, 2, 2, [-inv_eps, inv_eps, zero, one])
-    rest = Matrix(ring, 2, 2, [one, one, zero, eps])
+    first = Matrix._from_raw(ring, 2, 2, [-inv_eps, inv_eps, zero, one])
+    rest = Matrix._from_raw(ring, 2, 2, [one, one, zero, eps])
     return DegenerationCertificate(
         source=unit_tensor(k, 2, field),
         target=w_tensor(k, (2,) * k, field),
@@ -359,15 +357,17 @@ def unit_to_w_certificate(k: int, field: FieldSpec = QQ) -> DegenerationCertific
 
 
 def _proportionality(t: Tensor, w: Tensor):
-    """The scalar lam with t = lam * w, or None when independent (w != 0)."""
+    """The raw scalar lam with t = lam * w, or None when independent (w != 0)."""
+    field = w.ring
     pivot = next(i for i, e in enumerate(w.entries) if e)
-    lam = t.entries[pivot] / w.entries[pivot]
-    return lam if t == w.scale(lam) else None
+    lam = field.mul(t.entries[pivot], field.inv(w.entries[pivot]))
+    return lam if t.entries == tuple(field.mul(lam, e) for e in w.entries) else None
 
 
 def _rows(*tensors) -> Matrix:
     """The matrix whose rows are the entry vectors of same-shape tensors."""
-    return Matrix.from_rows(tensors[0].ring, [t.entries for t in tensors])
+    ring, size = tensors[0].ring, tensors[0].size
+    return Matrix._from_raw(ring, len(tensors), size, [e for t in tensors for e in t.entries])
 
 
 def _dvr_reduce_pair(a: Tensor, b: Tensor):
@@ -409,8 +409,8 @@ def _dvr_reduce_pair(a: Tensor, b: Tensor):
             t10, t11 = t10 * shift, t11 * shift
         b0 = eps_coefficient_tensor(b, 0)
         if mat_rank(_rows(a0, b0)) == 2:
-            return a, b, a0, b0, Matrix(eps_ring, 2, 2, [t00, eps_ring.zero(), t10, t11])
-        lam = eps_ring.lift(_proportionality(b0, a0))
+            return a, b, a0, b0, Matrix._from_raw(eps_ring, 2, 2, [t00, eps_ring.zero(), t10, t11])
+        lam = eps_ring._constant(_proportionality(b0, a0))
         b = b - a.scale(lam)
         t10 = t10 - lam * t00
 
@@ -437,15 +437,9 @@ def _limit_is(limit, c0: Tensor, c1: Tensor) -> bool:
 
 
 def _solve_in_plane(a0: Tensor, b0: Tensor, target: Tensor):
-    """Coefficients (x, y) with x*a0 + y*b0 = target, or None."""
-    field = a0.ring
-    m = Matrix(
-        field,
-        a0.size,
-        2,
-        [v for pair in zip(a0.entries, b0.entries) for v in pair],
-    )
-    return mat_solve(m, list(target.entries))
+    """Raw coefficients (x, y) with x*a0 + y*b0 = target, or None."""
+    rows = [list(row) for row in zip(a0.entries, b0.entries, target.entries)]
+    return _solve(a0.ring, rows, 2)
 
 
 def _choose_slice_combo(s0: Tensor, s1: Tensor):
@@ -457,7 +451,7 @@ def _choose_slice_combo(s0: Tensor, s1: Tensor):
         for alpha, beta in itertools.product(range(-bound, bound + 1), repeat=2):
             if max(abs(alpha), abs(beta)) != bound:
                 continue
-            s = s0.scale(field.from_int(alpha)) + s1.scale(field.from_int(beta))
+            s = s0.scale(alpha) + s1.scale(beta)
             if s.is_zero():
                 continue
             if has_rank_one_flattening(s) is None:
@@ -473,8 +467,7 @@ def _find_shear(p: Tensor):
     coefficient of shear * p a nonzero value; identity when already nonzero."""
     field = p.ring
     k = p.order
-    corner = (0,) * k
-    if p[corner]:
+    if p.entries[0]:  # the corner (0, ..., 0)
         return None
     for bound in range(1, SHEAR_BOX_BOUND + 1):
         for head in itertools.product(range(-bound, bound + 1), repeat=k - 1):
@@ -484,8 +477,8 @@ def _find_shear(p: Tensor):
             s = head + (last,)
             if all(x == 0 for x in s):
                 continue
-            shear = stab_shear([field.from_int(x) for x in s])
-            if restrict(p, shear)[corner]:
+            shear = stab_shear(s, field)
+            if restrict(p, shear).entries[0]:
                 return shear
     raise CertificateConstructionError(
         "no shear with zero parameter sum exposes the corner coefficient; "
@@ -501,12 +494,13 @@ def _certify_cube(t: Tensor):
     k = t.order
     if k == 2:
         m = as_matrix(t)
-        w2 = Matrix(field, 2, 2, [field.zero(), field.one(), field.one(), field.zero()])
+        zero, one = field._raw(0), field._raw(1)
+        w2 = Matrix._from_raw(field, 2, 2, [zero, one, one, zero])
         g = w2 * mat_inverse(m)
         return (lift_matrix(g, eps_ring), Matrix.identity(eps_ring, 2))
 
     slices = flatten(t, [k - 1])
-    s0, s1 = (Tensor(field, t.dims[:-1], slices.row(i)) for i in (0, 1))
+    s0, s1 = (Tensor._from_raw(field, t.dims[:-1], slices.row(i)) for i in (0, 1))
     (alpha, _), s = _choose_slice_combo(s0, s1)
     rec = _certify_cube(s)
     w_prev = w_tensor(k - 1, (2,) * (k - 1), field)
@@ -518,7 +512,7 @@ def _certify_cube(t: Tensor):
             "assembled curves failed exact verification despite an accepted "
             "Grassmannian limit"
         )
-    corner_prev = Tensor.from_dict(field, (2,) * (k - 1), {(0,) * (k - 1): field.one()})
+    corner_prev = Tensor.from_dict(field, (2,) * (k - 1), {(0,) * (k - 1): 1})
 
     # Complete s to a basis of the slice span and transport both vectors;
     # a = W + O(eps) exactly, so the reduction only rescales and reduces b.
@@ -550,7 +544,7 @@ def _certify_cube(t: Tensor):
                 "Grassmannian limit accepted but the plane does not contain "
                 "the W-tensor and the corner tensor"
             )
-        x = lift_matrix(Matrix(field, 2, 2, top + bottom), eps_ring) * transform
+        x = lift_matrix(Matrix._from_raw(field, 2, 2, top + bottom), eps_ring) * transform
         if not mat_det(x):
             raise CertificateConstructionError("recovered final factor is singular")
         return curve + (x,)

@@ -5,7 +5,9 @@ raw values: ``add``, ``sub``, ``mul``, ``neg``, ``inv``, ``power`` and
 ``text``.  Raw values are `fractions.Fraction` (always in lowest terms,
 positive denominator) over the rationals and int residues in [0, p) over
 F_p.  Fields are interned, one object per field, so field equality is
-identity.  A :class:`Scalar` pairs a field with a raw value and hands every
+identity.  Tensors, matrices and eps-polynomials hold raw values.  A
+:class:`Scalar` pairs a field with a raw value: it is the element at the API
+boundary (indexed reads, results, element parameters) and hands every
 operator to its field.  Scalars are immutable, support the usual arithmetic
 operators, and refuse to mix fields (FieldMismatchError).  Plain Python ints
 are coerced into any field, so ``x + 1`` works.
@@ -116,16 +118,10 @@ class FieldSpec:
         return self.from_int(1)
 
     def from_int(self, n: int) -> "Scalar":
-        return Scalar(self, Fraction(n) if self.p is None else n % self.p)
+        return Scalar(self, self._raw(n))
 
     def from_fraction(self, q) -> "Scalar":
-        q = Fraction(q)
-        if self.p is None:
-            return Scalar(self, q)
-        den = q.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError(f"denominator of {q} vanishes in F_{self.p}")
-        return Scalar(self, q.numerator * pow(den, -1, self.p) % self.p)
+        return Scalar(self, self._raw(Fraction(q)))
 
     def element(self, code: int) -> "Scalar":
         """The element of a finite field with raw code in [0, q)."""
@@ -141,32 +137,49 @@ class FieldSpec:
         """The image of a scalar of this field's prime subfield."""
         if not isinstance(s, Scalar):
             raise TypeError(f"cannot lift {type(s).__name__} into {self.name}")
-        if s.field is self:
-            return s
-        if not (s.field.is_prime_field and s.field.p == self.p):
-            raise FieldMismatchError(f"cannot lift {s.field.name} scalar into {self.name}")
-        return Scalar(self, s.value)
+        return Scalar(self, self._embedding(s.field)(s.value))
+
+    def _embedding(self, field):
+        """The raw-value map of `field` (itself or the prime subfield) into this field."""
+        if field is not self and not (field.is_prime_field and field.p == self.p):
+            raise FieldMismatchError(f"cannot lift {field.name} scalar into {self.name}")
+        return _same
 
     def coerce(self, x) -> "Scalar":
         """Coerce an int, Fraction, or Scalar of this field into a Scalar."""
+        return Scalar(self, self._raw(x))
+
+    def _raw(self, x):
+        """The raw value of an int (an integer, never a code), Fraction or Scalar."""
         if isinstance(x, Scalar):
             if x.field is not self:
                 raise FieldMismatchError(f"cannot coerce {x.field.name} scalar into {self.name}")
-            return x
-        if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, Fraction):
-            return self.from_fraction(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} into {self.name}")
+            return x.value
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cannot coerce {type(x).__name__} into {self.name}")
+        p = self.p
+        if p is None:
+            return Fraction(x)
+        den = x.denominator % p
+        if den == 0:
+            raise ZeroDivisionError(f"denominator of {x} vanishes in F_{p}")
+        return x.numerator * pow(den, -1, p) % p
+
+    def _box(self, a) -> "Scalar":
+        return Scalar(self, a)
 
     def parse(self, text: str) -> "Scalar":
         """Parse the textual scalar form: "a" or "a/b"."""
+        return Scalar(self, self._parse(text))
+
+    def _parse(self, text: str):
+        """The raw value of the textual scalar form."""
         text = text.strip()
         try:
             if "/" in text:
                 a, b = text.split("/")
-                return self.from_fraction(Fraction(int(a), int(b)))
-            return self.from_int(int(text))
+                return self._raw(Fraction(int(a), int(b)))
+            return self._raw(int(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad scalar literal {text!r} for {self.name}: {exc}") from None
 
@@ -206,6 +219,10 @@ class FieldSpec:
 
 # The one object of each field, keyed by (p, m); only valid fields enter.
 _FIELDS: dict = {}
+
+
+def _same(a):
+    return a
 
 
 def _intern(cls, p, m) -> FieldSpec:

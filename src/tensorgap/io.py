@@ -18,16 +18,12 @@ from .errors import DocumentFormatError, FieldMismatchError
 from .fields import GF, QQ, FieldSpec
 from .linalg import Matrix
 from .ratfunc import EpsField, Poly, RatFunc
-from .tensors import Tensor
+from .tensors import Tensor, _strides
 
 FORMAT_VERSION = 1
 # Dense tensors are allocated from a document's dims before any entry is
 # read, so dims that ask for more entries than this are refused.
 _MAX_TENSOR_ENTRIES = 2**20
-
-
-def _field_name(field: FieldSpec) -> str:
-    return field.name
 
 
 def _parse_field(name, location) -> FieldSpec:
@@ -69,11 +65,11 @@ def tensor_to_document(t: Tensor) -> dict:
     entries = []
     for flat, e in enumerate(t.entries):
         if e:
-            entries.append([list(t.multi_index(flat)), e.text()])
+            entries.append([list(t.multi_index(flat)), t.ring.text(e)])
     return {
         "format": FORMAT_VERSION,
         "kind": "tensor",
-        "field": _field_name(t.ring),
+        "field": t.ring.name,
         "dims": list(t.dims),
         "entries": entries,
     }
@@ -101,7 +97,9 @@ def tensor_from_document(doc, location="tensor") -> Tensor:
     raw = doc.get("entries")
     if not isinstance(raw, list):
         raise DocumentFormatError("entries must be a list", f"{location}.entries")
-    items = {}
+    strides = _strides(dims)
+    entries = [field._raw(0)] * size
+    seen = set()
     for n, pair in enumerate(raw):
         where = f"{location}.entries[{n}]"
         if not (isinstance(pair, list) and len(pair) == 2):
@@ -112,13 +110,14 @@ def tensor_from_document(doc, location="tensor") -> Tensor:
         if not all(isinstance(i, int) and 0 <= i < d for i, d in zip(idx, dims)):
             raise DocumentFormatError(f"index {idx!r} out of range for dims {list(dims)}", where)
         key = tuple(idx)
-        if key in items:
+        if key in seen:
             raise DocumentFormatError(f"duplicate index {idx!r}", where)
+        seen.add(key)
         try:
-            items[key] = field.parse(str(text))
+            entries[sum(i * s for i, s in zip(key, strides))] = field._parse(str(text))
         except ValueError as exc:
             raise DocumentFormatError(str(exc), where) from None
-    return Tensor.from_dict(field, dims, items)
+    return Tensor._from_raw(field, dims, entries)
 
 
 def save_tensor(t: Tensor, path) -> None:
@@ -140,11 +139,7 @@ def load_tensor(path) -> Tensor:
 
 
 def _scalar_matrix_to_document(m: Matrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [e.text() for e in m.entries],
-    }
+    return {"rows": m.rows, "cols": m.cols, "entries": [m.ring.text(e) for e in m.entries]}
 
 
 def _scalar_matrix_from_document(doc, field, location) -> Matrix:
@@ -159,10 +154,10 @@ def _scalar_matrix_from_document(doc, field, location) -> Matrix:
             f"{rows}x{cols} matrix with {len(entries)} entries", location
         )
     try:
-        parsed = [field.parse(str(e)) for e in entries]
+        parsed = [field._parse(str(e)) for e in entries]
     except ValueError as exc:
         raise DocumentFormatError(str(exc), location) from None
-    return Matrix(field, rows, cols, parsed)
+    return Matrix._from_raw(field, rows, cols, parsed)
 
 
 def _poly_coeff_list(poly: Poly, field) -> list:
@@ -173,14 +168,10 @@ def _poly_coeff_list(poly: Poly, field) -> list:
 
 def _curve_matrix_to_document(m: Matrix) -> dict:
     base = m.ring.base
-    entries = []
-    for e in m.entries:
-        entries.append(
-            {
-                "num-coeffs": _poly_coeff_list(e.num, base),
-                "den-coeffs": _poly_coeff_list(e.den, base),
-            }
-        )
+    entries = [
+        {"num-coeffs": _poly_coeff_list(e.num, base), "den-coeffs": _poly_coeff_list(e.den, base)}
+        for e in m.entries
+    ]
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
@@ -202,14 +193,14 @@ def _curve_matrix_from_document(doc, field, location) -> Matrix:
         if not isinstance(e, dict) or "num-coeffs" not in e or "den-coeffs" not in e:
             raise DocumentFormatError("curve entry needs num-coeffs and den-coeffs", where)
         try:
-            num = Poly(field, [field.parse(str(c)) for c in e["num-coeffs"]])
-            den = Poly(field, [field.parse(str(c)) for c in e["den-coeffs"]])
+            num = Poly._from_raw(field, [field._parse(str(c)) for c in e["num-coeffs"]])
+            den = Poly._from_raw(field, [field._parse(str(c)) for c in e["den-coeffs"]])
         except ValueError as exc:
             raise DocumentFormatError(str(exc), where) from None
         if not den:
             raise DocumentFormatError("curve entry has zero denominator", where)
         parsed.append(RatFunc(num, den))
-    return Matrix(ring, rows, cols, parsed)
+    return Matrix._from_raw(ring, rows, cols, parsed)
 
 
 # -- certificates ----------------------------------------------------------------
@@ -220,7 +211,7 @@ def certificate_to_document(cert: DegenerationCertificate) -> dict:
     doc = {
         "format": FORMAT_VERSION,
         "kind": "certificate",
-        "field": _field_name(field),
+        "field": field.name,
         "order": cert.order,
         "source": tensor_to_document(cert.source),
         "target": tensor_to_document(cert.target),

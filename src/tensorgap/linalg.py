@@ -1,7 +1,10 @@
 """Exact matrix algebra over Q, F_p, F_{p^m} and K(eps).
 
-Matrices are immutable row-major arrays of Scalars (over Q, F_p or F_{p^m})
-or RatFuncs (over K(eps)), tagged with their ring.
+Matrices are immutable row-major arrays of the raw values of their ring
+(Fractions over Q, ints over F_p and F_{p^m}, RatFuncs over K(eps)): `entries`,
+`row`, `column` and `to_rows` are raw, while ``m[i, j]`` and public results
+are boxed.  Constructors coerce ints, Fractions and Scalars; inside the
+package matrices are built from raw values by `Matrix._from_raw`.
 
 One kernel, `_echelon`, does Gaussian elimination with field division in any
 supported ring; it reduces the leading columns of a row list in place and
@@ -26,16 +29,23 @@ class Matrix:
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
-    def __init__(self, ring, rows: int, cols: int, entries):
-        entries = tuple(ring.coerce(e) for e in entries)
+    def __new__(cls, ring, rows: int, cols: int, entries):
+        entries = tuple(map(ring._raw, entries))
         if len(entries) != rows * cols:
             raise DimensionMismatchError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        return cls._from_raw(ring, rows, cols, entries)
+
+    @classmethod
+    def _from_raw(cls, ring, rows: int, cols: int, entries) -> "Matrix":
+        """The matrix with raw entries already reduced in ring (unchecked)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "ring", ring)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", tuple(entries))
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -51,17 +61,17 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n: int):
-        one, zero = ring.one(), ring.zero()
-        return cls(ring, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+        one, zero = ring._raw(1), ring._raw(0)
+        entries = [one if i == j else zero for i in range(n) for j in range(n)]
+        return cls._from_raw(ring, n, n, entries)
 
     @classmethod
     def zeros(cls, ring, rows: int, cols: int):
-        zero = ring.zero()
-        return cls(ring, rows, cols, [zero] * (rows * cols))
+        return cls._from_raw(ring, rows, cols, [ring._raw(0)] * (rows * cols))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return self.ring._box(self.entries[i * self.cols + j])
 
     def row(self, i: int):
         return self.entries[i * self.cols : (i + 1) * self.cols]
@@ -73,12 +83,8 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.ring,
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        entries = [e for j in range(self.cols) for e in self.column(j)]
+        return Matrix._from_raw(self.ring, self.cols, self.rows, entries)
 
     def __eq__(self, other):
         return (
@@ -100,40 +106,33 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        ring = self.ring
+        add, mul, zero = ring.add, ring.mul, ring._raw(0)
+        b, width = other.entries, other.cols
         out = []
         for i in range(self.rows):
             ri = self.row(i)
-            for j in range(other.cols):
-                acc = self.ring.zero()
-                for t in range(self.cols):
-                    a = ri[t]
+            for j in range(width):
+                acc = zero
+                for t, a in enumerate(ri):
                     if a:
-                        acc = acc + a * other.entries[t * other.cols + j]
+                        acc = add(acc, mul(a, b[t * width + j]))
                 out.append(acc)
-        return Matrix(self.ring, self.rows, other.cols, out)
+        return Matrix._from_raw(ring, self.rows, width, out)
 
     def scale(self, c) -> "Matrix":
-        c = self.ring.coerce(c)
-        return Matrix(self.ring, self.rows, self.cols, [c * e for e in self.entries])
+        c, mul = self.ring._raw(c), self.ring.mul
+        return Matrix._from_raw(self.ring, self.rows, self.cols, [mul(c, e) for e in self.entries])
 
     def apply(self, vector):
         """Matrix-vector product; vector is a sequence of ring elements."""
-        vector = [self.ring.coerce(v) for v in vector]
-        if len(vector) != self.cols:
+        column = Matrix(self.ring, len(vector), 1, vector)
+        if column.rows != self.cols:
             raise DimensionMismatchError("vector length does not match column count")
-        out = []
-        for i in range(self.rows):
-            acc = self.ring.zero()
-            for a, v in zip(self.row(i), vector):
-                if a and v:
-                    acc = acc + a * v
-            out.append(acc)
-        return out
+        return [self.ring._box(e) for e in (self * column).entries]
 
     def __repr__(self):
-        body = "; ".join(
-            ", ".join(str(e) for e in self.row(i)) for i in range(self.rows)
-        )
+        body = "; ".join(", ".join(map(self.ring.text, self.row(i))) for i in range(self.rows))
         return f"Matrix({self.ring.name}, [{body}])"
 
 
@@ -156,13 +155,14 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def _echelon(rows, ncols: int):
-    """Row-reduce the first ncols columns of rows in place by field division.
+def _echelon(ring, rows, ncols: int):
+    """Row-reduce the first ncols columns of rows (raw values) in place by field division.
 
     Rows may be wider than ncols; the extra (augmented) columns take part in
     every row operation but never supply a pivot.  Returns the pivot column of
     each leading row and the parity of the row swaps made.
     """
+    sub, mul = ring.sub, ring.mul
     nrows = len(rows)
     width = len(rows[0]) if rows else 0
     pivots = []
@@ -182,30 +182,41 @@ def _echelon(rows, ncols: int):
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
             parity ^= 1
         prow = rows[rank]
-        inv = prow[col].inverse()
+        inv = ring.inv(prow[col])
         for r in range(rank + 1, nrows):
             f = rows[r][col]
             if f:
-                f = f * inv
+                f = mul(f, inv)
                 rr = rows[r]
                 for c in range(col, width):
-                    rr[c] = rr[c] - f * prow[c]
+                    if prow[c]:
+                        rr[c] = sub(rr[c], mul(f, prow[c]))
         pivots.append(col)
     return pivots, parity
 
 
-def _back_substitute(rows, pivots, ncols: int, rhs: int, zero):
+def _back_substitute(ring, rows, pivots, ncols: int, rhs: int):
     """The solution, free variables zero, whose right-hand side is column
     `rhs` of an echelon form from `_echelon`."""
-    x = [zero] * ncols
+    sub, mul = ring.sub, ring.mul
+    x = [ring._raw(0)] * ncols
     for r in range(len(pivots) - 1, -1, -1):
         col = pivots[r]
         acc = rows[r][rhs]
         for c in range(col + 1, ncols):
             if rows[r][c] and x[c]:
-                acc = acc - rows[r][c] * x[c]
-        x[col] = acc / rows[r][col]
+                acc = sub(acc, mul(rows[r][c], x[c]))
+        x[col] = mul(acc, ring.inv(rows[r][col]))
     return x
+
+
+def _solve(ring, rows, ncols: int):
+    """The solution, free variables zero, of the augmented rows (raw values,
+    reduced in place) with right-hand side column ncols; None if inconsistent."""
+    pivots, _ = _echelon(ring, rows, ncols)
+    if any(row[ncols] for row in rows[len(pivots) :]):
+        return None
+    return _back_substitute(ring, rows, pivots, ncols, ncols)
 
 
 def mat_rank(m: Matrix) -> int:
@@ -215,11 +226,11 @@ def mat_rank(m: Matrix) -> int:
         for i in range(m.rows):
             bits = 0
             for j, e in enumerate(m.row(i)):
-                if e.value:
+                if e:
                     bits |= 1 << j
             rows.append(bits)
         return _gf2_rank(rows)
-    return len(_echelon(m.to_rows(), m.cols)[0])
+    return len(_echelon(m.ring, m.to_rows(), m.cols)[0])
 
 
 def mat_solve(a: Matrix, b):
@@ -228,14 +239,12 @@ def mat_solve(a: Matrix, b):
     b is a sequence of ring elements of length a.rows; free variables are set
     to zero.  Works over Q, F_p, F_{p^m} and K(eps).
     """
-    b = [a.ring.coerce(v) for v in b]
+    ring = a.ring
+    b = list(map(ring._raw, b))
     if len(b) != a.rows:
         raise DimensionMismatchError(f"matrix has {a.rows} rows but b has {len(b)}")
-    rows = [list(a.row(i)) + [b[i]] for i in range(a.rows)]
-    pivots, _ = _echelon(rows, a.cols)
-    if any(rows[r][a.cols] for r in range(len(pivots), a.rows)):
-        return None
-    return _back_substitute(rows, pivots, a.cols, a.cols, a.ring.zero())
+    x = _solve(ring, [list(a.row(i)) + [b[i]] for i in range(a.rows)], a.cols)
+    return None if x is None else [ring._box(v) for v in x]
 
 
 def mat_det(m: Matrix):
@@ -243,14 +252,15 @@ def mat_det(m: Matrix):
     sign times the product of the pivots of `_echelon`."""
     if m.rows != m.cols:
         raise DimensionMismatchError("determinant of a non-square matrix")
+    ring = m.ring
     rows = m.to_rows()
-    pivots, parity = _echelon(rows, m.cols)
+    pivots, parity = _echelon(ring, rows, m.cols)
     if len(pivots) < m.rows:
-        return m.ring.zero()
-    det = -m.ring.one() if parity else m.ring.one()
+        return ring.zero()
+    det = ring._raw(-1 if parity else 1)
     for i in range(m.rows):
-        det = det * rows[i][i]
-    return det
+        det = ring.mul(det, rows[i][i])
+    return ring._box(det)
 
 
 def mat_inverse(m: Matrix) -> Matrix:
@@ -258,13 +268,14 @@ def mat_inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatchError("inverse of a non-square matrix")
     n = m.rows
-    one, zero = m.ring.one(), m.ring.zero()
-    rows = [list(m.row(i)) + [one if i == j else zero for j in range(n)] for i in range(n)]
-    pivots, _ = _echelon(rows, n)
+    ring = m.ring
+    identity = Matrix.identity(ring, n)
+    rows = [list(m.row(i)) + list(identity.row(i)) for i in range(n)]
+    pivots, _ = _echelon(ring, rows, n)
     if len(pivots) < n:
         raise ZeroDivisionError("matrix is singular")
-    cols = [_back_substitute(rows, pivots, n, n + j, zero) for j in range(n)]
-    return Matrix(m.ring, n, n, [cols[j][i] for i in range(n) for j in range(n)])
+    cols = [_back_substitute(ring, rows, pivots, n, n + j) for j in range(n)]
+    return Matrix._from_raw(ring, n, n, [cols[j][i] for i in range(n) for j in range(n)])
 
 
 def lift_matrix(m: Matrix, ring: EpsField) -> Matrix:
@@ -273,11 +284,11 @@ def lift_matrix(m: Matrix, ring: EpsField) -> Matrix:
         if m.ring is not ring:
             raise FieldMismatchError("matrix already over a different K(eps)")
         return m
-    return Matrix(ring, m.rows, m.cols, [ring.lift(e) for e in m.entries])
+    return Matrix._from_raw(ring, m.rows, m.cols, map(ring._embedding(m.ring), m.entries))
 
 
 def substitute_matrix(m: Matrix, n: int) -> Matrix:
     """Entrywise eps -> eps^n substitution for a K(eps) matrix."""
     if not isinstance(m.ring, EpsField):
         raise FieldMismatchError("power substitution needs a K(eps) matrix")
-    return Matrix(m.ring, m.rows, m.cols, [e.substitute_power(n) for e in m.entries])
+    return Matrix._from_raw(m.ring, m.rows, m.cols, [e.substitute_power(n) for e in m.entries])

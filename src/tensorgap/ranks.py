@@ -62,7 +62,7 @@ from .errors import (
     ZeroTensorError,
 )
 from .fields import GF, FieldSpec
-from .linalg import Matrix, mat_rank
+from .linalg import Matrix, _echelon, mat_rank
 from .tensors import Tensor, _strides, as_matrix, flatten, identity_maps, lift_tensor, restrict
 
 DEFAULT_BRUTE_CEILING = 2**30
@@ -162,25 +162,18 @@ def has_rank_one_flattening(t: Tensor):
 # -- the recursive partition-rank gate ----------------------------------------
 
 
-def _independent_slices(m: Matrix):
-    """Rows of m, taken greedily, that form a basis of its row space."""
-    basis = []
-    for i in range(m.rows):
-        candidate = basis + [m.row(i)]
-        if mat_rank(Matrix.from_rows(m.ring, candidate)) == len(candidate):
-            basis = candidate
-    return basis
+def _independent_slices(m: Matrix) -> Matrix:
+    """The rows of m, taken greedily, that form a basis of its row space: the
+    pivot columns of the transpose."""
+    pivots, _ = _echelon(m.ring, m.transpose().to_rows(), m.rows)
+    return Matrix._from_raw(m.ring, len(pivots), m.cols, [e for i in pivots for e in m.row(i)])
 
 
-def _combine_slices(slices, coeffs):
-    """sum c_i S_i, skipping zero terms and unit scalings."""
-    out = None
-    for s, c in zip(slices, coeffs):
-        if not c:
-            continue
-        term = s if c.value == 1 else s.scale(c)
-        out = term if out is None else out + term
-    return slices[0].scale(coeffs[0]) if out is None else out
+def _combine_slices(basis: Matrix, coeffs, dims) -> Tensor:
+    """The dims-shaped tensor sum c_i S_i over the rows S_i of basis, for raw
+    coefficients c_i."""
+    row = Matrix._from_raw(basis.ring, 1, basis.rows, coeffs)
+    return Tensor._from_raw(basis.ring, dims, (row * basis).entries)
 
 
 def _projective_points(q: int, dim: int):
@@ -254,18 +247,17 @@ def _pr_recurse(t: Tensor, rng: random.Random, axis, budget: int) -> bool:
     if t.order == 2:
         return mat_rank(as_matrix(t)) >= 2
     p_axis = t.order - 1 if axis is None else axis
-    m = flatten(t, [p_axis])
-    if mat_rank(m) < 2:
+    basis = _independent_slices(flatten(t, [p_axis]))
+    dim = basis.rows
+    if dim < 2:
         return False
     slice_dims = t.dims[:p_axis] + t.dims[p_axis + 1 :]
-    slices = [Tensor(t.ring, slice_dims, row) for row in _independent_slices(m)]
-    dim = len(slices)
     field = t.ring
 
     if field.p is not None and dim <= PROJECTIVE_ENUM_DIM:
         # Tiny field: enumerate every point of the projectivized image.
         for coeffs in _projective_points(field.q, dim):
-            s = _combine_slices(slices, [field.element(c) for c in coeffs])
+            s = _combine_slices(basis, coeffs, slice_dims)
             if _pr_recurse(s, rng, None, budget):
                 return True
         return False
@@ -274,12 +266,12 @@ def _pr_recurse(t: Tensor, rng: random.Random, axis, budget: int) -> bool:
     bound = DEFAULT_START_BOUND
     for attempt in range(budget):
         if field.p is None:
-            coeffs = [field.from_int(rng.randint(-bound, bound)) for _ in range(dim)]
+            coeffs = [field._raw(rng.randint(-bound, bound)) for _ in range(dim)]
         else:
-            coeffs = [field.element(rng.randrange(field.q)) for _ in range(dim)]
+            coeffs = [rng.randrange(field.q) for _ in range(dim)]
         if not any(coeffs):
             continue
-        s = _combine_slices(slices, coeffs)
+        s = _combine_slices(basis, coeffs, slice_dims)
         if not s.is_zero() and _pr_recurse(s, rng, None, budget):
             return True
         if (attempt + 1) % 6 == 0:
@@ -321,10 +313,10 @@ def generic_compress(
         maps = []
         for d in t.dims:
             if field.p is None:
-                entries = [field.from_int(rng.randint(-bound, bound)) for _ in range(2 * d)]
+                entries = [field._raw(rng.randint(-bound, bound)) for _ in range(2 * d)]
             else:
-                entries = [field.element(rng.randrange(field.q)) for _ in range(2 * d)]
-            maps.append(Matrix(field, 2, d, entries))
+                entries = [rng.randrange(field.q) for _ in range(2 * d)]
+            maps.append(Matrix._from_raw(field, 2, d, entries))
         compressed = restrict(t, maps)
         if not compressed.is_zero() and has_rank_one_flattening(compressed) is None:
             return tuple(maps), compressed
@@ -354,14 +346,14 @@ def _covector_table(t: Tensor):
         raise FieldMismatchError(f"covector codes are base-p digits over F_p, not {field.name}")
     maps = [_covector_rows(field, n, range(field.p**n)) for n in t.dims]
     table = restrict(t, maps)
-    return [e.value for e in table.entries], list(table.dims)
+    return table.entries, list(table.dims)
 
 
 def _covector_rows(field: FieldSpec, n: int, codes) -> Matrix:
     """The matrix whose rows are the covectors with the given codes."""
     p = field.p
-    rows = [[field.from_int((c // p**i) % p) for i in range(n)] for c in codes]
-    return Matrix.from_rows(field, rows)
+    rows = [(c // p**i) % p for c in codes for i in range(n)]
+    return Matrix._from_raw(field, len(codes), n, rows)
 
 
 def _check_search_space(what: str, sizes, ceiling: int) -> None:
@@ -484,7 +476,7 @@ def restricts_to_bruteforce(
     if s.is_zero():
         return tuple(Matrix.zeros(field, m, n) for m, n in zip(s.dims, t.dims))
     _check_search_space("restriction", [p ** (m * n) for m, n in zip(s.dims, t.dims)], ceiling)
-    target = [(s.multi_index(flat), e.value) for flat, e in enumerate(s.entries)]
+    target = [(s.multi_index(flat), e) for flat, e in enumerate(s.entries)]
     per_factor = [list(itertools.product(range(p**n), repeat=m)) for m, n in zip(s.dims, t.dims)]
     assignment = _first_match(t, target, s.dims, per_factor)
     if assignment is None:

@@ -9,7 +9,9 @@ coefficient text of raw coefficients is the field's own (``K.add``,
 here.  A :class:`RatFunc` is a normalized quotient num/den with
 gcd(num, den) = 1 and den monic, so equal values have equal representations.
 :class:`EpsField` tags K(eps) the way FieldSpec tags K, and is interned the
-same way: one object per base field.
+same way: one object per base field.  A RatFunc is both the raw value of
+K(eps) containers and the element at the API boundary; EpsField's raw
+arithmetic (``add``, ``mul``, ...) is the RatFunc operators.
 
 Normalization is eps-adic.  eps is prime in K[eps], so
 gcd(num, den) = eps^min(vn, vd) * gcd(num_free, den_free), where vn, vd are
@@ -30,6 +32,7 @@ at 0) and ``RatFunc.series`` expands exactly up to a requested exponent.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import FieldMismatchError
@@ -48,7 +51,7 @@ class Poly:
         if field.m != 1:
             raise FieldMismatchError(f"eps-polynomials are over Q or F_p, not {field.name}")
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", _trimmed([field.coerce(c).value for c in coeffs]))
+        object.__setattr__(self, "coeffs", _trimmed([field._raw(c) for c in coeffs]))
 
     @classmethod
     def _from_raw(cls, field: FieldSpec, raw) -> "Poly":
@@ -117,7 +120,7 @@ class Poly:
         if not a or not b:
             return Poly._from_raw(field, ())
         add, mul = field.add, field.mul
-        out = [field.zero().value] * (len(a) + len(b) - 1)
+        out = [field._raw(0)] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai == 0:
                 continue
@@ -134,7 +137,7 @@ class Poly:
         """Multiply by eps^n (n >= 0)."""
         if not self.coeffs:
             return self
-        return Poly._from_raw(self.field, (self.field.zero().value,) * n + self.coeffs)
+        return Poly._from_raw(self.field, (self.field._raw(0),) * n + self.coeffs)
 
     def _check(self, other):
         if not isinstance(other, Poly) or other.field is not self.field:
@@ -150,7 +153,7 @@ class Poly:
         inv_lead = field.inv(other.leading())
         rem = list(self.coeffs)
         db = other.degree
-        quo = [field.zero().value] * max(len(rem) - db, 0)
+        quo = [field._raw(0)] * max(len(rem) - db, 0)
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c == 0:
@@ -199,7 +202,7 @@ def poly_parse(field: FieldSpec, text: str) -> Poly:
     text = text.strip()
     if text in ("", "0"):
         return Poly(field)
-    return Poly(field, [field.parse(part) for part in text.split(",")])
+    return Poly._from_raw(field, [field._parse(part) for part in text.split(",")])
 
 
 class EpsField:
@@ -228,41 +231,53 @@ class EpsField:
         return f"EpsField({self.base.name})"
 
     def zero(self) -> "RatFunc":
-        return self.lift(self.base.zero())
+        return self._constant(self.base._raw(0))
 
     def one(self) -> "RatFunc":
-        return self.lift(self.base.one())
+        return self._constant(self.base._raw(1))
 
     def eps(self, n: int = 1) -> "RatFunc":
         """The monomial eps^n, for any integer n."""
-        one = Poly(self.base, [1])
+        one = self.one().num
         if n >= 0:
             return RatFunc(one.shift(n), one)
         return RatFunc(one, one.shift(-n))
 
     def from_int(self, n: int) -> "RatFunc":
-        return self.lift(self.base.from_int(n))
+        return self._constant(self.base._raw(n))
 
     def lift(self, s: Scalar) -> "RatFunc":
-        if s.field is not self.base:
-            raise FieldMismatchError(f"cannot lift {s.field.name} scalar into {self.name}")
+        return self._embedding(s.field)(s.value)
+
+    def _embedding(self, field):
+        """The map of raw values of the base field into K(eps)."""
+        if field is not self.base:
+            raise FieldMismatchError(f"cannot lift {field.name} scalar into {self.name}")
+        return self._constant
+
+    def _constant(self, c) -> "RatFunc":
+        """The constant function with raw base value c."""
         base = self.base
-        return RatFunc(Poly._from_raw(base, (s.value,)), Poly._from_raw(base, (base.one().value,)))
+        return RatFunc(Poly._from_raw(base, (c,)), Poly._from_raw(base, (base._raw(1),)))
 
     def coerce(self, x) -> "RatFunc":
+        """Coerce a RatFunc, Poly, Scalar, int or Fraction into K(eps)."""
         if isinstance(x, RatFunc):
             if x.field is not self.base:
                 raise FieldMismatchError(f"cannot coerce {x.field.name}(eps) into {self.name}")
             return x
-        if isinstance(x, Scalar):
-            return self.lift(x)
         if isinstance(x, Poly):
             if x.field is not self.base:
                 raise FieldMismatchError("polynomial over the wrong base field")
-            return RatFunc(x, Poly(self.base, [1]))
-        if isinstance(x, (int, Fraction)):
-            return self.lift(self.base.coerce(x))
+            return RatFunc(x, self.one().num)
+        if isinstance(x, (Scalar, int, Fraction)):
+            return self._constant(self.base._raw(x))
         raise TypeError(f"cannot coerce {type(x).__name__} into {self.name}")
+
+    # A RatFunc is its own raw value and its own boxed element.
+    _raw = _box = coerce
+    add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
+    inv, text = operator.methodcaller("inverse"), operator.methodcaller("text")
 
 
 class RatFunc:
@@ -284,7 +299,7 @@ class RatFunc:
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
-            den = Poly._from_raw(field, (field.one().value,))
+            den = Poly._from_raw(field, (field._raw(1),))
         else:
             vn, vd = num.valuation(), den.valuation()
             shift = min(vn, vd)
@@ -417,6 +432,10 @@ class RatFunc:
 
         Empty for the zero function; otherwise requires upto >= valuation.
         """
+        return [Scalar(self.field, c) for c in self._series(upto)]
+
+    def _series(self, upto: int) -> list:
+        """`series` as raw coefficients."""
         if not self:
             return []
         v = self.valuation()
@@ -430,39 +449,29 @@ class RatFunc:
         field = self.field
         sub, mul = field.sub, field.mul
         inv0 = field.inv(d0[0])
-        zero = field.zero().value
+        zero = field._raw(0)
         out = []
         for j in range(count):
             acc = n0[j] if j < len(n0) else zero
             for i in range(max(0, j - len(d0) + 1), j):
                 acc = sub(acc, mul(out[i], d0[j - i]))
             out.append(mul(acc, inv0))
-        return [Scalar(field, c) for c in out]
+        return out
 
     def coefficient(self, e: int) -> Scalar:
         """The exact Laurent coefficient at eps^e."""
-        if not self:
-            return self.field.zero()
-        v = self.valuation()
-        if e < v:
-            return self.field.zero()
-        return self.series(e)[e - v]
+        return Scalar(self.field, self._coefficient(e))
+
+    def _coefficient(self, e: int):
+        """`coefficient` as a raw value."""
+        v = self.valuation()  # +inf for the zero function
+        return self._series(e)[e - v] if e >= v else self.field._raw(0)
 
     def substitute_power(self, n: int) -> "RatFunc":
         """The rational function f(eps^n), n >= 1."""
         if n < 1:
             raise ValueError("power substitution needs n >= 1")
         return RatFunc(_spread(self.num, n), _spread(self.den, n))
-
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree <= 0
-
-    def constant_value(self) -> Scalar:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        if not self:
-            return self.field.zero()
-        return Scalar(self.field, self.num.coeffs[0])
 
     def text(self) -> str:
         return f"{self.num.text()} ; {self.den.text()}"
@@ -477,7 +486,7 @@ class RatFunc:
 def _spread(poly: Poly, n: int) -> Poly:
     if not poly.coeffs:
         return poly
-    out = [poly.field.zero().value] * ((len(poly.coeffs) - 1) * n + 1)
+    out = [poly.field._raw(0)] * ((len(poly.coeffs) - 1) * n + 1)
     for i, c in enumerate(poly.coeffs):
         out[i * n] = c
     return Poly._from_raw(poly.field, out)

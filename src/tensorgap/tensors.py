@@ -2,7 +2,9 @@
 
 A :class:`Tensor` is an immutable dense array over Q, F_p, F_{p^m} or K(eps), with
 row-major flat storage and 0-based indices throughout (the customary basis
-vectors e_1, e_2 are indices 0, 1 here).  Alongside the standard tensors
+vectors e_1, e_2 are indices 0, 1 here).  Like a Matrix it holds raw values
+of its ring (`entries`), boxes what ``t[idx]`` reads, and is built from raw
+values by `Tensor._from_raw` inside the package.  Alongside the standard tensors
 (unit tensor, W-tensor) this module provides the Kronecker product, the
 I-vs-complement flattenings, and restriction by a tuple of linear maps, one
 per factor.
@@ -20,6 +22,7 @@ Kronecker index convention: the combined index on factor j is
 from __future__ import annotations
 
 import functools
+import math
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import FieldSpec
@@ -32,30 +35,32 @@ class Tensor:
 
     __slots__ = ("ring", "dims", "entries", "_strides")
 
-    def __init__(self, ring, dims, entries):
-        dims = tuple(int(d) for d in dims)
-        if not dims or any(d < 1 for d in dims):
-            raise DimensionMismatchError(f"bad tensor dimensions {dims}")
-        entries = tuple(ring.coerce(e) for e in entries)
-        size = 1
-        for d in dims:
-            size *= d
-        if len(entries) != size:
-            raise DimensionMismatchError(f"dims {dims} need {size} entries, got {len(entries)}")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_strides", _strides(dims))
+    def __new__(cls, ring, dims, entries):
+        t = cls.zeros(ring, dims)  # validates dims
+        entries = tuple(map(ring._raw, entries))
+        if len(entries) != t.size:
+            raise DimensionMismatchError(f"dims {t.dims} need {t.size} entries, got {len(entries)}")
+        return cls._from_raw(ring, t.dims, entries)
+
+    @classmethod
+    def _from_raw(cls, ring, dims, entries) -> "Tensor":
+        """The tensor with raw entries already reduced in ring (unchecked)."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "ring", ring)
+        object.__setattr__(t, "dims", dims)
+        object.__setattr__(t, "entries", tuple(entries))
+        object.__setattr__(t, "_strides", _strides(dims))
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
     @classmethod
     def zeros(cls, ring, dims):
-        size = 1
-        for d in dims:
-            size *= d
-        return cls(ring, dims, [ring.zero()] * size)
+        dims = tuple(int(d) for d in dims)
+        if not dims or any(d < 1 for d in dims):
+            raise DimensionMismatchError(f"bad tensor dimensions {dims}")
+        return cls._from_raw(ring, dims, [ring._raw(0)] * math.prod(dims))
 
     @classmethod
     def from_dict(cls, ring, dims, items):
@@ -63,8 +68,8 @@ class Tensor:
         t = cls.zeros(ring, dims)
         entries = list(t.entries)
         for idx, value in items.items():
-            entries[t.flat_index(idx)] = ring.coerce(value)
-        return cls(ring, dims, entries)
+            entries[t.flat_index(idx)] = ring._raw(value)
+        return cls._from_raw(ring, t.dims, entries)
 
     @property
     def order(self) -> int:
@@ -95,7 +100,7 @@ class Tensor:
     def __getitem__(self, idx):
         if isinstance(idx, int):
             idx = (idx,)
-        return self.entries[self.flat_index(idx)]
+        return self.ring._box(self.entries[self.flat_index(idx)])
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -111,43 +116,33 @@ class Tensor:
     def __hash__(self):
         return hash((self.ring, self.dims, self.entries))
 
-    def __add__(self, other):
+    def _entrywise(self, op, other, what):
         if not isinstance(other, Tensor):
             return NotImplemented
         if self.ring is not other.ring or self.dims != other.dims:
-            raise DimensionMismatchError("tensor sum needs equal rings and dims")
-        return Tensor(self.ring, self.dims, [a + b for a, b in zip(self.entries, other.entries)])
+            raise DimensionMismatchError(f"tensor {what} needs equal rings and dims")
+        return Tensor._from_raw(self.ring, self.dims, map(op, self.entries, other.entries))
+
+    def __add__(self, other):
+        return self._entrywise(self.ring.add, other, "sum")
 
     def __sub__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        if self.ring is not other.ring or self.dims != other.dims:
-            raise DimensionMismatchError("tensor difference needs equal rings and dims")
-        return Tensor(self.ring, self.dims, [a - b for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(self.ring.sub, other, "difference")
 
     def __neg__(self):
-        return Tensor(self.ring, self.dims, [-e for e in self.entries])
+        return Tensor._from_raw(self.ring, self.dims, map(self.ring.neg, self.entries))
 
     def scale(self, c) -> "Tensor":
-        c = self.ring.coerce(c)
-        return Tensor(self.ring, self.dims, [c * e for e in self.entries])
-
-    def slice_along(self, axis: int, index: int) -> "Tensor":
-        """The order-(k-1) slice at a fixed index of one axis (k >= 2)."""
-        if self.order < 2:
-            raise DimensionMismatchError("cannot slice an order-1 tensor")
-        m = flatten(self, [axis])
-        if not 0 <= index < m.rows:
-            raise DimensionMismatchError(f"slice {index} out of range for dims {self.dims}")
-        return Tensor(self.ring, self.dims[:axis] + self.dims[axis + 1 :], m.row(index))
+        c, mul = self.ring._raw(c), self.ring.mul
+        return Tensor._from_raw(self.ring, self.dims, [mul(c, e) for e in self.entries])
 
     def permute_axes(self, perm) -> "Tensor":
         """Reorder factors; perm[a] is the source axis placed at position a."""
         perm = tuple(perm)
         if sorted(perm) != list(range(self.order)):
             raise DimensionMismatchError(f"bad axis permutation {perm}")
-        new_dims = tuple(self.dims[a] for a in perm)
-        return Tensor(self.ring, new_dims, [self.entries[f] for f in _axis_order(self.dims, perm)])
+        entries = [self.entries[f] for f in _axis_order(self.dims, perm)]
+        return Tensor._from_raw(self.ring, tuple(self.dims[a] for a in perm), entries)
 
     def __repr__(self):
         shape = "x".join(str(d) for d in self.dims)
@@ -181,7 +176,7 @@ def unit_tensor(k: int, r: int, field: FieldSpec) -> Tensor:
     """The diagonal tensor of order k and rank r: ones at (i, ..., i)."""
     if k < 2 or r < 1:
         raise ValueError("unit tensor needs k >= 2 and r >= 1")
-    return Tensor.from_dict(field, (r,) * k, {(i,) * k: field.one() for i in range(r)})
+    return Tensor.from_dict(field, (r,) * k, {(i,) * k: 1 for i in range(r)})
 
 
 def w_tensor(k: int, dims, field: FieldSpec) -> Tensor:
@@ -195,7 +190,7 @@ def w_tensor(k: int, dims, field: FieldSpec) -> Tensor:
     for t in range(k):
         idx = [0] * k
         idx[t] = 1
-        items[tuple(idx)] = field.one()
+        items[tuple(idx)] = 1
     return Tensor.from_dict(field, dims, items)
 
 
@@ -209,10 +204,11 @@ def kronecker(t: Tensor, s: Tensor) -> Tensor:
     # ordering them (t_0, s_0, t_1, s_1, ...) and merging pairs gives the
     # combined index i_j * m_j + i'_j.
     k = t.order
-    outer = [et * es for et in t.entries for es in s.entries]
+    mul = t.ring.mul
+    outer = [mul(et, es) for et in t.entries for es in s.entries]
     perm = tuple(a for j in range(k) for a in (j, k + j))
     dims = tuple(n * m for n, m in zip(t.dims, s.dims))
-    return Tensor(t.ring, dims, [outer[f] for f in _axis_order(t.dims + s.dims, perm)])
+    return Tensor._from_raw(t.ring, dims, [outer[f] for f in _axis_order(t.dims + s.dims, perm)])
 
 
 def _check_axes(t: Tensor, axes) -> tuple[int, ...]:
@@ -235,7 +231,7 @@ def flatten(t: Tensor, axes) -> Matrix:
     for a in axes:
         nrows *= t.dims[a]
     entries = [t.entries[f] for f in _axis_order(t.dims, axes + co_axes)]
-    return Matrix(t.ring, nrows, t.size // nrows, entries)
+    return Matrix._from_raw(t.ring, nrows, t.size // nrows, entries)
 
 
 def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
@@ -248,10 +244,12 @@ def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
         )
     # Work in axis-first order: the source is then an n x rest matrix and
     # output row j is sum_i m[j, i] * (source row i).
+    ring = t.ring
+    add, mul = ring.add, ring.mul
     perm = (axis,) + tuple(a for a in range(t.order) if a != axis)
     rest = t.size // m.cols
     src = [t.entries[f] for f in _axis_order(t.dims, perm)]
-    out = [t.ring.zero()] * (m.rows * rest)
+    out = [ring._raw(0)] * (m.rows * rest)
     for i in range(m.cols):
         column = [(j * rest, c) for j, c in enumerate(m.column(i)) if c]
         if not column:
@@ -260,12 +258,12 @@ def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
             if not e:
                 continue
             for base, c in column:
-                out[base + r] = out[base + r] + c * e
+                out[base + r] = add(out[base + r], mul(c, e))
     new_dims = t.dims[:axis] + (m.rows,) + t.dims[axis + 1 :]
     entries = [None] * len(out)
     for f, e in zip(_axis_order(new_dims, perm), out):
         entries[f] = e
-    return Tensor(t.ring, new_dims, entries)
+    return Tensor._from_raw(ring, new_dims, entries)
 
 
 def restrict(t: Tensor, maps) -> Tensor:
@@ -296,9 +294,10 @@ def pad(t: Tensor, dims) -> Tensor:
     dims = tuple(dims)
     if len(dims) != t.order or any(d < n for d, n in zip(dims, t.dims)):
         raise DimensionMismatchError(f"cannot pad {t.dims} into {dims}")
-    one, zero = t.ring.one(), t.ring.zero()
+    ring = t.ring
+    one, zero = ring._raw(1), ring._raw(0)
     inclusions = [
-        Matrix(t.ring, d, n, [one if i == j else zero for i in range(d) for j in range(n)])
+        Matrix._from_raw(ring, d, n, [one if i == j else zero for i in range(d) for j in range(n)])
         for d, n in zip(dims, t.dims)
     ]
     return restrict(t, inclusions)
@@ -312,11 +311,11 @@ def lift_tensor(t: Tensor, ring) -> Tensor:
         if t.ring is not ring:
             raise FieldMismatchError("tensor already over a different K(eps)")
         return t
-    return Tensor(ring, t.dims, [ring.lift(e) for e in t.entries])
+    return Tensor._from_raw(ring, t.dims, map(ring._embedding(t.ring), t.entries))
 
 
 def as_matrix(t: Tensor) -> Matrix:
     """View an order-2 tensor as a matrix."""
     if t.order != 2:
         raise DimensionMismatchError("only order-2 tensors are matrices")
-    return Matrix(t.ring, t.dims[0], t.dims[1], t.entries)
+    return Matrix._from_raw(t.ring, t.dims[0], t.dims[1], t.entries)

@@ -17,7 +17,7 @@ from tensorgap.classify import (
 from tensorgap.errors import DimensionMismatchError, ZeroTensorError
 from tensorgap.fields import GF, QQ
 from tensorgap.linalg import Matrix, mat_det, mat_rank
-from tensorgap.tensors import Tensor, lift_tensor, pad, restrict, unit_tensor, w_tensor
+from tensorgap.tensors import Tensor, flatten, lift_tensor, pad, restrict, unit_tensor, w_tensor
 from conftest import all_fp_tensors, random_rational_tensor
 
 F2 = GF(2)
@@ -47,8 +47,8 @@ def test_cayley_equals_pencil_discriminant():
     rng = random.Random(4242)
     for _ in range(200):
         t = random_rational_tensor((2, 2, 2), rng, bound=7)
-        x0 = Matrix(QQ, 2, 2, t.slice_along(0, 0).entries)
-        x1 = Matrix(QQ, 2, 2, t.slice_along(0, 1).entries)
+        slices = flatten(t, [0])
+        x0, x1 = (Matrix(QQ, 2, 2, slices.row(i)) for i in (0, 1))
         d0, d1 = mat_det(x0), mat_det(x1)
         ds = mat_det(Matrix(QQ, 2, 2, [a + b for a, b in zip(x0.entries, x1.entries)]))
         mixed = ds - d0 - d1
@@ -130,7 +130,7 @@ def test_unit_restriction_witness_with_singular_first_slice():
     g = Matrix.from_rows(QQ, [[0, 1], [1, 1]])
     ident = Matrix.identity(QQ, 2)
     t = restrict(unit_tensor(3, 2, QQ), (g, ident, ident))
-    assert not mat_det(Matrix(QQ, 2, 2, t.slice_along(0, 0).entries))
+    assert not mat_det(Matrix(QQ, 2, 2, flatten(t, [0]).row(0)))
     maps = unit_restriction_witness(t)
     assert maps is not None
     assert restrict(t, maps) == unit_tensor(3, 2, QQ)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -144,3 +145,27 @@ def test_seed_env_override(tmp_path, monkeypatch, capsys):
     assert _default_seed() == 123
     monkeypatch.setenv("TENSORGAP_SEED", "junk")
     assert _default_seed() == 0
+
+
+# sha256 of command outputs, recorded before tensors and matrices switched to
+# raw entries; every text path (tensor documents, witness maps, the census
+# hyperdeterminant column) runs through them.
+CENSUS_F2_SHA256 = "1887ea3067c804600d7901c7f3e0dfd8a0a6f9bbb6fa0b7c76d23719b2ca083f"
+CLASSIFY_REPORT_SHA256 = "5921ccd89efee65327e4b141905dac7e5cd55da973c9c0297b59500619d805a9"
+
+
+def test_census_output_is_pinned(tmp_path, capsys):
+    out = tmp_path / "census.tsv"
+    assert main(["census", "--p", "2", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS_F2_SHA256
+
+
+def test_classify_report_is_pinned(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    entries = [[[0, 0, 0], "1"], [[1, 1, 1], "2"], [[0, 2, 1], "-3/2"], [[1, 0, 0], "5"]]
+    doc = {"format": 1, "kind": "tensor", "field": "Q", "dims": [2, 3, 2], "entries": entries}
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["classify", str(path), "--seed", "1", "--out", str(out)]) == 0
+    assert "unit-witness" in json.loads(out.read_text())
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLASSIFY_REPORT_SHA256

@@ -30,7 +30,7 @@ from tensorgap.io import certificate_from_document, certificate_to_document, sav
 from tensorgap.linalg import Matrix
 from tensorgap.ranks import has_rank_one_flattening, rank_signature
 from tensorgap.ratfunc import EpsField
-from tensorgap.tensors import Tensor, lift_tensor, pad, restrict, unit_tensor, w_tensor
+from tensorgap.tensors import Tensor, flatten, lift_tensor, pad, restrict, unit_tensor, w_tensor
 from conftest import random_rational_tensor
 
 EPS = EpsField(QQ)
@@ -105,6 +105,16 @@ def test_unit_to_w_certificates_accept():
 def test_unit_to_w_certificate_over_f2():
     cert = unit_to_w_certificate(3, GF(2))
     assert verify_certificate(cert).accepted
+
+
+def test_verify_refuses_target_over_another_field():
+    # entries are raw values, so a target over another field must be refused
+    # before any comparison: F_3 residues would compare equal to rationals
+    t = unit_tensor(3, 2, QQ)
+    cert = unit_to_w_certificate(3)
+    odd = DegenerationCertificate(source=t, target=w_tensor(3, (2, 2, 2), GF(3)), curves=cert.curves)
+    with pytest.raises(FieldMismatchError):
+        verify_certificate(odd)
 
 
 def test_verify_rejects_wrong_constant_term():
@@ -182,7 +192,7 @@ def test_pluecker_wedge_basics():
     assert len(nz) == 1 and abs(nz[0].value) == 1
     # two slices of W3 along the last factor are independent
     w3 = w_tensor(3, (2, 2, 2), QQ)
-    s0, s1 = w3.slice_along(2, 0), w3.slice_along(2, 1)
+    s0, s1 = (Tensor(QQ, (2, 2), flatten(w3, [2]).row(i)) for i in (0, 1))
     assert not pluecker_wedge(s0, s1).is_zero()
 
 
@@ -345,7 +355,7 @@ def test_construct_on_unit_tensor():
     assert cert.target == w_tensor(3, (2, 2, 2), QQ)
     # the inductive step's Grassmannian acceptance, re-verified standalone
     cube = cert.compressed_source()
-    s0, s1 = cube.slice_along(2, 0), cube.slice_along(2, 1)
+    s0, s1 = (Tensor(QQ, (2, 2), flatten(cube, [2]).row(i)) for i in (0, 1))
     w2 = w_tensor(2, (2, 2), QQ)
     corner = Tensor.from_dict(QQ, (2, 2), {(0, 0): 1})
     assert grassmann_degenerates(cert.curves[:2], (s0, s1), (w2, corner))
@@ -436,7 +446,7 @@ def test_construct_k4_with_eps_recursion():
         assert verify_certificate(cert).accepted
         # Grassmannian/tensor-level consistency of the top inductive step
         cube = cert.compressed_source()
-        s0, s1 = cube.slice_along(3, 0), cube.slice_along(3, 1)
+        s0, s1 = (Tensor(QQ, (2, 2, 2), flatten(cube, [3]).row(i)) for i in (0, 1))
         w3 = w_tensor(3, (2, 2, 2), QQ)
         corner = Tensor.from_dict(QQ, (2, 2, 2), {(0, 0, 0): 1})
         assert grassmann_degenerates(cert.curves[:3], (s0, s1), (w3, corner))

@@ -53,7 +53,7 @@ def test_rank_equals_rank_of_transpose(rows, cols, seed, p):
 
 def _naive_rank(m):
     """Independent oracle: elimination with Scalar arithmetic only."""
-    rows = m.to_rows()
+    rows = [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
     rank = 0
     for col in range(m.cols):
         pivot = next((r for r in range(rank, m.rows) if rows[r][col]), None)

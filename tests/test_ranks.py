@@ -309,7 +309,7 @@ def test_restricts_to_bruteforce_first_witness_is_stable():
     w3 = w_tensor(3, (2, 2, 2), f3)
     s = Tensor.from_dict(f3, (2, 2, 1), {(0, 1, 0): 1, (1, 0, 0): 2})
     maps = restricts_to_bruteforce(w3, s)
-    assert [[e.text() for e in m.entries] for m in maps] == [
+    assert [[f3.text(e) for e in m.entries] for m in maps] == [
         ["1", "0", "0", "1"],
         ["1", "0", "0", "2"],
         ["2", "0"],

@@ -1,15 +1,16 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorgap.errors import DimensionMismatchError, FieldMismatchError
-from tensorgap.fields import GF, QQ
-from tensorgap.linalg import Matrix, mat_rank
-from tensorgap.ratfunc import EpsField
+from tensorgap.fields import GF, QQ, Scalar
+from tensorgap.linalg import Matrix, mat_det, mat_rank, mat_solve
+from tensorgap.ratfunc import EpsField, RatFunc
 from tensorgap.tensors import (
     Tensor,
     as_matrix,
@@ -17,6 +18,7 @@ from tensorgap.tensors import (
     flatten,
     identity_maps,
     kronecker,
+    lift_tensor,
     mode_apply,
     pad,
     restrict,
@@ -92,6 +94,8 @@ def test_flatten_examples():
         flatten(i32, [])
     with pytest.raises(DimensionMismatchError):
         flatten(i32, [0, 1, 2])
+    with pytest.raises(DimensionMismatchError):
+        flatten(i32, [3])
 
 
 def test_flatten_layout_row_major():
@@ -159,8 +163,8 @@ def test_pad_and_slice():
     big = pad(w3, (4, 3, 2))
     assert big.dims == (4, 3, 2)
     assert big[1, 0, 0].value == 1 and big[3, 2, 1].value == 0
-    s0 = big.slice_along(2, 0)
-    assert s0.dims == (4, 3) and s0[1, 0].value == 1
+    s0 = Tensor(QQ, (4, 3), flatten(big, [2]).row(0))
+    assert s0[1, 0].value == 1 and s0[3, 2].value == 0
 
 
 def test_permute_axes():
@@ -233,11 +237,14 @@ def test_index_calculus_matches_elementwise_definitions(data):
 
     if k >= 2:
         for axis in range(k):
+            slices = flatten(t, [axis])
+            rest_dims = dims[:axis] + dims[axis + 1 :]
             for i in range(dims[axis]):
-                s = t.slice_along(axis, i)
-                assert s.dims == dims[:axis] + dims[axis + 1 :]
-                for rest in _indices(s.dims):
-                    assert s[rest] == t[rest[:axis] + (i,) + rest[axis:]]
+                row = slices.row(i)
+                assert len(row) == math.prod(rest_dims)
+                for rest in _indices(rest_dims):
+                    full = rest[:axis] + (i,) + rest[axis:]
+                    assert row[_row_major(rest, rest_dims)] == t.entries[t.flat_index(full)]
 
     for perm in itertools.permutations(range(k)):
         p = t.permute_axes(perm)
@@ -279,10 +286,64 @@ def test_mode_apply_over_k_eps():
         assert mode_apply(t, mm, axis) == _mode_product_reference(t, mm, axis)
 
 
-def test_slice_along_out_of_range():
-    t = w_tensor(3, (2, 2, 2), QQ)
-    for axis, index in ((0, 2), (2, -1), (0, -2), (1, 5)):
-        with pytest.raises(DimensionMismatchError):
-            t.slice_along(axis, index)
-    with pytest.raises(DimensionMismatchError):
-        t.slice_along(3, 0)
+# -- the element representation ---------------------------------------------------
+
+
+def test_containers_hold_raw_values():
+    f4 = GF(2, 2)
+    q = Tensor(QQ, (2, 3, 2), [Fraction(n, 3) for n in range(-6, 6)])
+    f3 = Tensor(GF(3), (2, 3, 2), list(range(12)))
+    cases = [
+        (q, Fraction),
+        (f3, int),
+        (Tensor(f4, (2, 3, 2), [f4.element(n % 4) for n in range(12)]), int),
+        (lift_tensor(q, EpsField(QQ)), RatFunc),
+        (lift_tensor(f3, GF(3, 2)), int),
+        (lift_tensor(Tensor(GF(2), (2, 3, 2), [n % 3 for n in range(12)]), f4), int),
+    ]
+    for t, raw_type in cases:
+        maps = tuple(Matrix(t.ring, 2, d, [i % 3 + 1 for i in range(2 * d)]) for d in t.dims)
+        for entries in (
+            t.entries,
+            flatten(t, [1]).entries,
+            restrict(t, maps).entries,
+            kronecker(t, t).entries,
+            (t - t.scale(2)).entries,
+        ):
+            assert all(type(e) is raw_type for e in entries), t.ring
+
+
+def test_ints_are_integers_and_scalars_keep_their_code():
+    f4 = GF(2, 2)
+    assert Tensor(f4, (2,), [3, f4.element(3)]).entries == (1, 3)
+    assert Matrix(f4, 1, 2, [3, f4.element(3)]).entries == (1, 3)
+    assert Tensor.from_dict(f4, (2,), {(1,): f4.element(2)}).entries == (0, 2)
+
+
+def test_foreign_scalars_are_refused():
+    x = GF(3).from_int(1)
+    for ring in (GF(3, 2), QQ):
+        with pytest.raises(FieldMismatchError):
+            Tensor(ring, (1,), [x])
+        with pytest.raises(FieldMismatchError):
+            Matrix(ring, 1, 1, [x])
+        with pytest.raises(FieldMismatchError):
+            Tensor.from_dict(ring, (1,), {(0,): x})
+        with pytest.raises(FieldMismatchError):
+            Tensor(ring, (1,), [1]).scale(x)
+        with pytest.raises(FieldMismatchError):
+            mat_solve(Matrix.identity(ring, 1), [x])
+
+
+def test_reads_and_results_are_boxed_over_f4():
+    f4 = GF(2, 2)
+    x = f4.element(2)
+    t = Tensor(f4, (2, 2), [x, 1, 0, x])
+    assert isinstance(t[0, 0], Scalar) and t[0, 0] == x
+    m = as_matrix(t)
+    assert isinstance(m[1, 1], Scalar) and m[1, 1] == x
+    det = mat_det(m)
+    assert isinstance(det, Scalar) and det == f4.element(3)  # x^2 = x + 1
+    solution = mat_solve(m, [x, 0])
+    assert all(isinstance(v, Scalar) for v in solution)
+    assert m.apply(solution) == [x, f4.zero()]
