@@ -7,7 +7,6 @@ from .errors import (
     DimensionMismatchError,
     DocumentFormatError,
     FieldMismatchError,
-    InconclusiveGenericityError,
     SearchBudgetError,
     SearchSpaceTooLargeError,
     SingularCurveError,

@@ -17,10 +17,6 @@ class ZeroTensorError(TensorGapError):
     """An operation that presupposes a nonzero tensor received the zero tensor."""
 
 
-class InconclusiveGenericityError(TensorGapError):
-    """The randomized search budget ran out and no deterministic fallback applies."""
-
-
 class SearchBudgetError(TensorGapError):
     """A retrying randomized search exhausted its attempt budget."""
 

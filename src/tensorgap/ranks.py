@@ -1,39 +1,34 @@
 """Flattening-rank signatures, partition-rank gates, and brute-force oracles.
 
-Two routes decide whether a tensor has partition rank at least two.  The
-direct route inspects the rank signature: partition rank one means exactly
-that some flattening has rank one, so pR >= 2 holds iff the tensor is
-nonzero and no flattening rank drops to one.  The recursive route fixes the
-last factor p, requires rk(T_p) >= 2, and searches the image of T_p for an
-order-(k-1) element that again has partition rank at least two.  Both must
-agree; the test suite checks this exhaustively over F_2 and on randomized
-rational instances.  The routes are independent only where the recursive
-route enumerates: over a finite field, a slice image of dimension above
-PROJECTIVE_ENUM_DIM is sampled, and when the samples find no witness the
-answer comes from the direct route (has_rank_one_flattening), as it does
-over Q.  The exhaustive checks (2x2x2 and 2x2x2x2 over F_2) never reach
-that branch.
+Two independent routes decide whether a tensor has partition rank at least
+two.  The direct route inspects the rank signature: partition rank one means
+exactly that some flattening has rank one, so pR >= 2 holds iff the tensor
+is nonzero and no flattening rank drops to one.  The recursive route fixes
+the last factor p, requires rk(T_p) >= 2, and searches the image of T_p for
+an order-(k-1) element that again has partition rank at least two.  It never
+consults the direct route; the test suite checks that the two agree,
+exhaustively over F_2 and F_3 and on seeded instances over Q and F_p.
 
-Genericity policy: over Q the image is sampled with integer coefficients in
-[-B, B], B doubling as attempts accumulate; a failed budget falls back to the
-deterministic signature gate, and an error is raised only in the (practically
-impossible) case where the fallback contradicts the sampling.  Over a finite
-field the projectivized image is enumerated outright whenever it is small,
-because tiny fields break "generic implies random works".
+The recursive route enumerates one fixed grid of image points, exactly over
+every field.  An order-(k-1) image element has partition rank one exactly
+when, for one of its S = 2^(k-2) - 1 canonical splits, every 2x2 minor of
+that flattening vanishes; each minor is a quadratic form in the image
+coordinates x_1 .. x_d.  If pR(T) >= 2 then, for every split, some minor is
+not identically zero (otherwise, over the closure, a linear space of
+rank-<=1 flattenings shares a factor and T itself has a rank-one
+flattening), so the product of one such minor per split is a nonzero form F
+of degree D = 2S.  Its dehomogenization F(1, y) is a nonzero polynomial of
+degree at most D, so by the Combinatorial Nullstellensatz it does not vanish
+on all of G^(d-1) for any set G of D + 1 field elements.  The gate therefore
+walks the points of P^(d-1) whose first nonzero coordinate is 1 and whose
+other coordinates lie in G, chart (1, G^(d-1)) first: G is 0 .. D over Q and
+the first min(D + 1, q) codes over F_q.
 
-Enumeration is exact once the field is large enough.  An order-(k-1) image
-element has partition rank one exactly when, for one of its S = 2^(k-2) - 1
-canonical splits, every 2x2 minor of that flattening vanishes; each minor is
-a quadratic form in the image coordinates.  If pR(T) >= 2 then, for every
-split, some minor is not identically zero (otherwise, over the closure, a
-linear space of rank-<=1 flattenings shares a factor and T itself has a
-rank-one flattening), so the product of one such minor per split is a
-nonzero form of degree 2S, and by the Schwartz-Zippel bound it has a
-nonzero point over F_q whenever q > 2S.  Inner levels need smaller fields.
-A "no" from a prime field F_p, p <= 2S, is therefore rechecked once over
-the smallest F_{p^m} with p^m > 2S: F_4 at order 3 and F_8 at order 4 over
-F_2, F_9 at order 4 over F_3.  A "yes" is sound over any field, so every
-ground-field "yes" stands without the recheck.
+When q <= D the grid is all of P^(d-1)(F_q), which can lack a witness, so a
+"no" from a prime field F_p, p <= D, is rechecked once over the smallest
+F_{p^m} with p^m > D: F_4 at order 3 and F_8 at order 4 over F_2, F_9 at
+order 4 over F_3.  A "yes" is sound over any field, so every ground-field
+"yes" stands without the recheck.
 
 The brute-force oracles decide subrank and restriction over F_p by exhaustive
 search over map tuples, driven by a precomputed table of the multilinear form
@@ -52,11 +47,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
-    InconclusiveGenericityError,
     SearchBudgetError,
     SearchSpaceTooLargeError,
     ZeroTensorError,
@@ -66,10 +61,8 @@ from .linalg import Matrix, _echelon, mat_rank
 from .tensors import Tensor, _strides, as_matrix, flatten, identity_maps, lift_tensor, restrict
 
 DEFAULT_BRUTE_CEILING = 2**30
-DEFAULT_SAMPLE_BUDGET = 24
 DEFAULT_START_BOUND = 8
 DEFAULT_COMPRESS_BUDGET = 64
-PROJECTIVE_ENUM_DIM = 3
 
 
 class RankSignature:
@@ -176,20 +169,28 @@ def _combine_slices(basis: Matrix, coeffs, dims) -> Tensor:
     return Tensor._from_raw(basis.ring, dims, (row * basis).entries)
 
 
-def _projective_points(q: int, dim: int):
-    """Coefficient codes for the points of P^(dim-1)(F_q): first nonzero is 1."""
+def _projective_points(n: int, dim: int):
+    """Coefficient codes for the points of P^(dim-1) whose first nonzero
+    coordinate is 1 and whose later coordinates are codes below n; the chart
+    (1, range(n)^(dim-1)) comes first."""
     for lead in range(dim):
-        for tail in itertools.product(range(q), repeat=dim - lead - 1):
+        for tail in itertools.product(range(n), repeat=dim - lead - 1):
             yield (0,) * lead + (1,) + tail
+
+
+def _witness_degree(order: int) -> int:
+    """D = 2 * (2^(k-2) - 1): the degree of the product of one 2x2 minor per
+    split of an order-(k-1) image element."""
+    return 2 * (2 ** (order - 2) - 1)
 
 
 def _witness_field(field: FieldSpec, order: int):
     """The smallest F_{p^m} over which enumerating the image of an order-k
-    tensor is exact, p^m > 2 * (2^(k-2) - 1), or None when the field itself
+    tensor is exact, p^m > _witness_degree(k), or None when the field itself
     is large enough (or infinite)."""
     if field.p is None or order < 3:
         return None
-    bound = 2 * (2 ** (order - 2) - 1)
+    bound = _witness_degree(order)
     if field.q > bound:
         return None
     if not field.is_prime_field:
@@ -203,30 +204,25 @@ def _witness_field(field: FieldSpec, order: int):
     return GF(field.p, m)
 
 
-def pr_at_least_two(
-    t: Tensor,
-    seed: int = 0,
-    axis: int | None = None,
-    budget: int = DEFAULT_SAMPLE_BUDGET,
-) -> bool:
+def pr_at_least_two(t: Tensor, seed: int = 0, axis: int | None = None) -> bool:
     """Whether the partition rank is at least two.
 
     Recursive gate: for k = 2 this is matrix rank >= 2; for k >= 3 the last
     flattening must have rank >= 2 and its image must contain an element of
-    partition rank >= 2, found by projective enumeration over a finite field
-    and by seeded integer sampling over Q.  `axis` overrides the flattening
-    choice (the default is the last factor); the result must not depend on it.
+    partition rank >= 2.  The image is searched on a fixed grid of
+    projective points, the chart (1, G^(d-1)) first, with |G| = D + 1 for
+    D = 2(2^(k-2) - 1); that is exact over Q and over F_q with q > D (see
+    the module docstring).  `axis` overrides the flattening choice (the
+    default is the last factor); the result does not depend on it.  The
+    search is deterministic, so `seed` has no effect; it is kept for
+    callers that pass one.
 
-    Over a prime field F_p with p <= 2(2^(k-2) - 1) the ground field can
-    lack a witness (at order 4 over F_2, 648 tensors with no rank-one
-    flattening have none), so a "no" there is rechecked over the smallest
-    F_{p^m} past that bound, where a witness exists whenever pR >= 2
-    (Schwartz-Zippel; see the module docstring).  For images of dimension
-    at most PROJECTIVE_ENUM_DIM both passes enumerate, and the answer never
-    consults the signature oracle.  For a larger image the passes sample,
-    and a sampled "no" is the answer of has_rank_one_flattening, so there
-    the gate is not independent of the signature oracle.  Over a too-small
-    F_{p^m} ground field a "no" raises FieldMismatchError instead.
+    Over a prime field F_p with p <= D the grid is the whole projective
+    space, which can lack a witness (at order 4 over F_2, 648 tensors with
+    no rank-one flattening have none), so a "no" there is rechecked over the
+    smallest F_{p^m} past D.  Over a too-small F_{p^m} ground field a "no"
+    raises FieldMismatchError instead.  The gate never consults the
+    signature oracle.
     """
     if not isinstance(t.ring, FieldSpec):
         raise FieldMismatchError("partition-rank gate works over Q or a finite field")
@@ -234,16 +230,15 @@ def pr_at_least_two(
         raise DimensionMismatchError("partition rank needs order >= 2")
     if t.is_zero():
         return False
-    rng = random.Random(seed)
-    if _pr_recurse(t, rng, axis, budget):
+    if _pr_recurse(t, axis):
         return True
     big = _witness_field(t.ring, t.order)
     if big is None:
         return False
-    return _pr_recurse(lift_tensor(t, big), rng, axis, budget)
+    return _pr_recurse(lift_tensor(t, big), axis)
 
 
-def _pr_recurse(t: Tensor, rng: random.Random, axis, budget: int) -> bool:
+def _pr_recurse(t: Tensor, axis) -> bool:
     if t.order == 2:
         return mat_rank(as_matrix(t)) >= 2
     p_axis = t.order - 1 if axis is None else axis
@@ -253,37 +248,15 @@ def _pr_recurse(t: Tensor, rng: random.Random, axis, budget: int) -> bool:
         return False
     slice_dims = t.dims[:p_axis] + t.dims[p_axis + 1 :]
     field = t.ring
-
-    if field.p is not None and dim <= PROJECTIVE_ENUM_DIM:
-        # Tiny field: enumerate every point of the projectivized image.
-        for coeffs in _projective_points(field.q, dim):
-            s = _combine_slices(basis, coeffs, slice_dims)
-            if _pr_recurse(s, rng, None, budget):
-                return True
-        return False
-
-    # Sampling route (Q, or an implausibly large finite-field image).
-    bound = DEFAULT_START_BOUND
-    for attempt in range(budget):
+    n = _witness_degree(t.order) + 1
+    if field.p is not None:
+        n = min(n, field.q)
+    for coeffs in _projective_points(n, dim):
         if field.p is None:
-            coeffs = [field._raw(rng.randint(-bound, bound)) for _ in range(dim)]
-        else:
-            coeffs = [rng.randrange(field.q) for _ in range(dim)]
-        if not any(coeffs):
-            continue
-        s = _combine_slices(basis, coeffs, slice_dims)
-        if not s.is_zero() and _pr_recurse(s, rng, None, budget):
+            coeffs = [Fraction(c) for c in coeffs]
+        if _pr_recurse(_combine_slices(basis, coeffs, slice_dims), None):
             return True
-        if (attempt + 1) % 6 == 0:
-            bound *= 2
-    # Deterministic fallback: the signature gate decides soundly when some
-    # flattening has rank one; otherwise the sampling failure was freakish.
-    if has_rank_one_flattening(t) is not None:
-        return False
-    raise InconclusiveGenericityError(
-        f"no partition-rank witness found in {budget} samples although no "
-        f"flattening of rank one exists; retry with another seed"
-    )
+    return False
 
 
 def generic_compress(

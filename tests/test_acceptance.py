@@ -343,12 +343,13 @@ def test_criterion_6_partition_rank_gate_equivalence():
             mismatches_4.append(code)
     assert not mismatches_4, (
         f"{len(mismatches_4)} order-4 mismatches (first ids {mismatches_4[:8]}).  "
-        f"The recursive characterization of partition rank >= 2 is exact over "
-        f"any field with more than 2 * (2^(k-2) - 1) elements (Schwartz-Zippel "
-        f"on one nonvanishing 2x2 minor per split of an image element), and "
+        f"The recursive characterization of partition rank >= 2 is exact on a "
+        f"grid of more than D = 2 * (2^(k-2) - 1) values per coordinate "
+        f"(Combinatorial Nullstellensatz on the product of one nonvanishing "
+        f"2x2 minor per split of an image element, a form of degree D), and "
         f"the gate rechecks every F_2 \"no\" over F_8 for k = 4.  A mismatch "
         f"is therefore a defect in the gate: a wrong rank over the extension, "
-        f"an enumeration that skips field elements, or a missing recheck."
+        f"a grid that skips values, or a missing recheck."
     )
     print("CRITERION 6 PASS: partition-rank gate equivalence")
 

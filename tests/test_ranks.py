@@ -118,6 +118,50 @@ def test_pr_gate_exhaustive_f2_order3():
         assert pr_at_least_two(t, seed=1) == (has_rank_one_flattening(t) is None)
 
 
+def test_pr_gate_exhaustive_f3_order3():
+    # q = 3 > D = 2: the grid is the whole field and no "no" is lifted
+    for _, t in all_fp_tensors((2, 2, 2), 3):
+        if t.is_zero():
+            continue
+        assert pr_at_least_two(t) == (has_rank_one_flattening(t) is None)
+
+
+def _planted_rank_one_flattening(field, dims, rng):
+    """u (x) v across a random split of the axes: some flattening has rank <= 1."""
+    order = len(dims)
+    axes = rng.sample(range(order), rng.randrange(1, order))
+    u = {idx: rng.randrange(field.p) for idx in itertools.product(*(range(dims[a]) for a in axes))}
+    rest = [a for a in range(order) if a not in axes]
+    v = {idx: rng.randrange(field.p) for idx in itertools.product(*(range(dims[a]) for a in rest))}
+    entries = {}
+    for idx in itertools.product(*(range(d) for d in dims)):
+        value = u[tuple(idx[a] for a in axes)] * v[tuple(idx[a] for a in rest)] % field.p
+        if value:
+            entries[idx] = value
+    return Tensor.from_dict(field, dims, entries)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("dims", [(3, 3, 3), (4, 4, 4), (2, 2, 2, 2)])
+def test_pr_gate_matches_signature_gate_seeded_fp(monkeypatch, p, dims):
+    # F_5 lifts an order-4 "no" to F_25; F_7 > D = 6 decides it on the ground
+    field = GF(p)
+    rng = random.Random(p * 100 + len(dims) * 10 + dims[0])
+    size = math.prod(dims)
+    cases = []
+    for _ in range(4):
+        cases.append(Tensor(field, dims, [field.from_int(rng.randrange(p)) for _ in range(size)]))
+        no = _planted_rank_one_flattening(field, dims, rng)
+        cases.append(no)
+        cases.append(no + _planted_rank_one_flattening(field, dims, rng))
+    cases = [t for t in cases if not t.is_zero()]
+    expected = [has_rank_one_flattening(t) is None for t in cases]
+    assert True in expected and False in expected
+    lifts = _gate_without_oracle(monkeypatch)
+    assert [pr_at_least_two(t) for t in cases] == expected
+    assert bool(lifts) == (p == 5 and len(dims) == 4)
+
+
 def _order4_f2(entries):
     return Tensor.from_dict(F2, (2, 2, 2, 2), {idx: 1 for idx in entries})
 
@@ -142,6 +186,24 @@ def _gate_without_oracle(monkeypatch):
     return lifts
 
 
+def _count_combines(monkeypatch, limit=None):
+    """Record the field of each image point the gate builds; past `limit`
+    points, fail."""
+    import tensorgap.ranks as ranks
+
+    fields = []
+    real_combine = ranks._combine_slices
+
+    def counting_combine(basis, coeffs, dims):
+        fields.append(basis.ring)
+        if limit is not None and len(fields) > limit:
+            raise AssertionError(f"the partition-rank gate built more than {limit} image points")
+        return real_combine(basis, coeffs, dims)
+
+    monkeypatch.setattr(ranks, "_combine_slices", counting_combine)
+    return fields
+
+
 def test_pr_gate_true_no_reaches_f8_lift_and_stays_no(monkeypatch):
     # e_0 (x) W_3: the axis-0 flattening has rank one, so pR = 1, but the last
     # flattening has rank 2, so the F_2 pass enumerates and the "no" is
@@ -149,8 +211,13 @@ def test_pr_gate_true_no_reaches_f8_lift_and_stays_no(monkeypatch):
     t = _order4_f2([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     assert has_rank_one_flattening(t) == frozenset([0])
     lifts = _gate_without_oracle(monkeypatch)
+    combines = _count_combines(monkeypatch)
     assert pr_at_least_two(t, seed=0) is False
     assert lifts == [GF(2, 3)]
+    # F_8 pass: 7 chart points (1, g) and the point (0, 1) at order 4, then the
+    # 4 points (1, g), (0, 1), g < 3, below each of the 7 chart points (the
+    # slice at (0, 1) has a rank-one last flattening and stops there).
+    assert combines.count(GF(2, 3)) == 8 + 7 * 4
 
 
 def test_pr_gate_finds_f8_witness_for_criterion_6_tensor(monkeypatch):
@@ -168,6 +235,45 @@ def test_pr_gate_yes_over_ground_field_needs_no_lift(monkeypatch):
     lifts = _gate_without_oracle(monkeypatch)
     assert pr_at_least_two(w_tensor(4, (2, 2, 2, 2), F2), seed=1)
     assert pr_at_least_two(unit_tensor(3, 2, GF(3)), seed=1)
+    assert lifts == []
+
+
+def test_pr_gate_no_over_large_prime_has_bounded_cost(monkeypatch):
+    # e_0 (x) I_3 over F_1009: the axis-0 flattening has rank one, the last
+    # has rank 3.  The grid is 0, 1, 2 per coordinate whatever q is, so the
+    # "no" costs 9 + 3 + 1 points of P^2, not all of P^2(F_1009).
+    f = GF(1009)
+    t = Tensor.from_dict(f, (3, 3, 3), {(0, i, i): 1 for i in range(3)})
+    assert has_rank_one_flattening(t) == frozenset([0])
+    assert rank_signature(t).rank([2]) == 3
+    combines = _count_combines(monkeypatch, limit=100)
+    assert pr_at_least_two(t) is False
+    assert len(combines) <= 13
+
+
+@pytest.mark.parametrize(
+    "no, yes",
+    [
+        # over Q, where the image used to be sampled
+        (
+            Tensor.from_dict(QQ, (2, 2, 2), {(0, 0, 0): 1, (1, 0, 1): 1}),
+            w_tensor(3, (2, 2, 2), QQ),
+        ),
+        # over F_5 with a slice image of dimension 4
+        (
+            Tensor.from_dict(GF(5), (2, 4, 4), {(0, i, i): i + 1 for i in range(4)}),
+            unit_tensor(3, 4, GF(5)),
+        ),
+    ],
+    ids=["Q", "F5-dim4"],
+)
+def test_pr_gate_never_consults_oracle(monkeypatch, no, yes):
+    assert has_rank_one_flattening(no) is not None
+    assert has_rank_one_flattening(yes) is None
+    assert rank_signature(no).rank([2]) == rank_signature(yes).rank([2])
+    lifts = _gate_without_oracle(monkeypatch)
+    assert pr_at_least_two(no) is False
+    assert pr_at_least_two(yes) is True
     assert lifts == []
 
 
@@ -228,15 +334,6 @@ def test_generic_compress_budget_error_reports_attempts():
     with pytest.raises(SearchBudgetError) as info:
         generic_compress(t, seed=1, budget=0)
     assert info.value.attempts == 0
-
-
-def test_pr_gate_inconclusive_when_budget_and_fallback_disagree():
-    from tensorgap.errors import InconclusiveGenericityError
-
-    # zero budget kills the sampling; the deterministic fallback then sees no
-    # rank-one flattening and must refuse rather than answer False
-    with pytest.raises(InconclusiveGenericityError):
-        pr_at_least_two(w_tensor(3, (2, 2, 2), QQ), seed=1, budget=0)
 
 
 def test_subrank_bruteforce_examples():
