@@ -53,9 +53,7 @@ from .classify import (
 )
 from .degeneration import (
     DegenerationCertificate,
-    ExpansionRecord,
     WedgePoint,
-    apply_certificate,
     construct_w_degeneration,
     grassmann_degenerates,
     pluecker_wedge,

@@ -1,23 +1,23 @@
 """Finite-field census of all 2x2x2 tensors: orbit labels against oracles.
 
 Every tensor in F_p^(2x2x2) is enumerated by a canonical integer id (base-p
-digits over the row-major flat index), classified by rank signature and
-hyperdeterminant, and cross-checked against the brute-force subrank oracle.
-The enumeration space can be partitioned across worker processes; rows are
-merged in id order, so the output bytes do not depend on the worker count.
+digits over the row-major flat index) and classified by its flattening ranks
+and hyperdeterminant.  Subrank is invariant under GL_2(F_p)^3, so the
+brute-force subrank oracle runs once per orbit, on the orbit's smallest id;
+every other row takes that subrank after its label is checked against the
+leader's.  Rows come out in id order from one process.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .classify import Orbit222, _orbit_label, cayley_hyperdet
-from .errors import FieldMismatchError, SearchSpaceTooLargeError
+from .errors import ClassificationInconsistencyError, FieldMismatchError, SearchSpaceTooLargeError
 from .fields import GF
-from .linalg import mat_rank
+from .linalg import Matrix, mat_rank
 from .ranks import subrank_bruteforce
-from .tensors import Tensor, flatten
+from .tensors import Tensor, flatten, mode_apply
 
 CENSUS_MAX_PRIME = 3
 
@@ -68,33 +68,40 @@ def tensor_to_id(t: Tensor) -> int:
     return sum(e * t.ring.p**i for i, e in enumerate(t.entries))
 
 
-def _census_row(tensor_id: int, p: int) -> CensusRow:
-    t = tensor_from_id(tensor_id, p)
-    ranks = tuple(mat_rank(flatten(t, [a])) for a in range(3))
-    cay = cayley_hyperdet(t)
-    label = _orbit_label(ranks, cay)
-    if t.is_zero():
-        subrank = 0
-    else:
-        subrank = 2 if subrank_bruteforce(t, 2) else 1
-    return CensusRow(
-        tensor_id=tensor_id,
-        label=label,
-        ranks=ranks,
-        cayley=cay.text(),
-        subrank=subrank,
-        gap_class=_GAP_BY_LABEL[label],
-    )
+def _orbit_leaders(p: int) -> list:
+    """The smallest id of each id's GL_2(F_p)^3 orbit, indexed by id.
+
+    Orbits are walked in id order under generators of GL_2(F_p) applied to
+    one axis at a time: [[1, 1], [0, 1]], the swap and diag(a, 1) for
+    a = 2..p-1.  Axis permutations are not used: they do not preserve the
+    1x2 / 2x1 pencil labels.
+    """
+    field = GF(p)
+    gens = [Matrix._from_raw(field, 2, 2, e) for e in ([1, 1, 0, 1], [0, 1, 1, 0])]
+    gens += [Matrix._from_raw(field, 2, 2, [a, 0, 0, 1]) for a in range(2, p)]
+    leaders = [None] * p**8
+    for leader in range(p**8):
+        if leaders[leader] is not None:
+            continue
+        leaders[leader] = leader
+        stack = [leader]
+        while stack:
+            t = tensor_from_id(stack.pop(), p)
+            for axis in range(3):
+                for g in gens:
+                    image = tensor_to_id(mode_apply(t, g, axis))
+                    if leaders[image] is None:
+                        leaders[image] = leader
+                        stack.append(image)
+    return leaders
 
 
-def _census_chunk(args) -> list:
-    start, stop, p = args
-    return [_census_row(i, p) for i in range(start, stop)]
-
-
-def census_222(p: int, workers: int = 1, max_prime: int = CENSUS_MAX_PRIME) -> list:
+def census_222(p: int, max_prime: int = CENSUS_MAX_PRIME) -> list:
     """One row per tensor in F_p^(2x2x2), in canonical id order.
 
+    Ranks, hyperdeterminant and label are computed per row; the brute-force
+    subrank only for each orbit's leader.  Raises
+    ClassificationInconsistencyError if a label is not constant on an orbit.
     Guarded: p^8 rows are enumerated, so by default only p <= 3 is allowed.
     """
     if p > max_prime:
@@ -102,17 +109,21 @@ def census_222(p: int, workers: int = 1, max_prime: int = CENSUS_MAX_PRIME) -> l
             f"census over F_{p} has {p**8} rows, above the p <= {max_prime} guard",
             size=p**8,
         )
-    GF(p)  # validates primality
-    total = p**8
-    if workers <= 1:
-        return [_census_row(i, p) for i in range(total)]
-    chunk = (total + workers - 1) // workers
-    spans = [(lo, min(lo + chunk, total), p) for lo in range(0, total, chunk)]
     rows: list = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_census_chunk, spans):
-            rows.extend(part)
-    rows.sort(key=lambda r: r.tensor_id)
+    for tensor_id, leader in enumerate(_orbit_leaders(p)):
+        t = tensor_from_id(tensor_id, p)
+        ranks = tuple(mat_rank(flatten(t, [a])) for a in range(3))
+        cay = cayley_hyperdet(t)
+        label = _orbit_label(ranks, cay)
+        if leader == tensor_id:
+            subrank = 0 if t.is_zero() else 2 if subrank_bruteforce(t, 2) else 1
+        elif rows[leader].label is label:
+            subrank = rows[leader].subrank
+        else:
+            raise ClassificationInconsistencyError(
+                f"id {tensor_id} is {label.value} but its orbit leader {leader} is not"
+            )
+        rows.append(CensusRow(tensor_id, label, ranks, cay.text(), subrank, _GAP_BY_LABEL[label]))
     return rows
 
 

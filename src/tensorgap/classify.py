@@ -198,23 +198,51 @@ def _det2(field, e):
     return field.sub(field.mul(e[0], e[3]), field.mul(e[1], e[2]))
 
 
+def _fq_sqrt(field, a):
+    """A square root of a in F_q, q odd, or None: Tonelli-Shanks with the
+    non-residue of smallest code."""
+    power, mul, half = field.power, field.mul, (field.q - 1) // 2
+    if not a or power(a, half) != 1:
+        return None if a else a
+    s = ((field.q - 1) & (1 - field.q)).bit_length() - 1  # 2-adic order of q - 1
+    odd = (field.q - 1) >> s
+    z = next(c for c in range(2, field.q) if power(c, half) != 1)
+    c, t, root = power(z, odd), power(a, odd), power(a, (odd + 1) // 2)
+    while t != 1:
+        i = next(i for i in range(1, s) if power(t, 2**i) == 1)
+        b = power(c, 2 ** (s - i - 1))
+        s, c, t, root = i, mul(b, b), mul(t, mul(b, b)), mul(root, b)
+    return root
+
+
 def _pencil_rank_one_points(field, a0, a1):
     """Distinct projective zeros (l : m) of det(l*A0 + m*A1) over the ground field.
 
-    A0, A1 are the first-factor slices, as raw row-major entries.  Returns a
-    list of raw pairs; when the hyperdeterminant is nonzero the quadratic is
-    squarefree, so the list has length 0 or 2 over the ground field.  Over a
-    finite field every one of its q elements is tried as m/l.
+    A0, A1 are the first-factor slices, as raw row-major entries, and the
+    determinant must not vanish identically.  Returns a list of raw pairs;
+    when the hyperdeterminant is nonzero the quadratic is squarefree, so the
+    list has length 0 or 2 over the ground field.  Over F_q the points are
+    (1 : u) by ascending code u, then (0 : 1): from one square root of the
+    discriminant for odd q, by trying every u for q = 2^m <= 2^16.
     """
-    add, mul = field.add, field.mul
-    det0 = _det2(field, a0)
-    det1 = _det2(field, a1)
+    add, sub, mul = field.add, field.sub, field.mul
+    det0, det1 = _det2(field, a0), _det2(field, a1)
     det_sum = _det2(field, [add(x, y) for x, y in zip(a0, a1)])
-    mixed = field.sub(field.sub(det_sum, det0), det1)  # the l*m coefficient
+    mixed = sub(sub(det_sum, det0), det1)  # the l*m coefficient
+    if not (det0 or mixed or det1):
+        raise ValueError("the determinant pencil vanishes identically")
     one, zero = field._raw(1), field._raw(0)
-    if field.p is not None:  # the points (1 : u) in code order, then (0 : 1)
-        quadratic = [add(add(det0, mul(mixed, u)), mul(det1, mul(u, u))) for u in range(field.q)]
-        points = [(one, u) for u, value in enumerate(quadratic) if not value]
+    if field.p is not None:  # the zeros (1 : u) of det0 + mixed*u + det1*u^2, then (0 : 1)
+        if field.p == 2:
+            roots = [u for u in range(field.q) if not add(det0, mul(u, add(mixed, mul(det1, u))))]
+        elif not det1:
+            roots = [mul(field.neg(det0), field.inv(mixed))] if mixed else []
+        else:
+            root = _fq_sqrt(field, sub(mul(mixed, mixed), mul(field._raw(4), mul(det0, det1))))
+            inv = field.inv(add(det1, det1))
+            pair = () if root is None else (root, field.neg(root))
+            roots = sorted({mul(sub(r, mixed), inv) for r in pair})
+        points = [(one, u) for u in roots]
         return points if det1 else points + [(zero, one)]
     # Rational case (raw Fractions): solve det0*x^2 + mixed*x + det1 = 0 projectively.
     if not det0:
@@ -304,12 +332,10 @@ def trichotomy(
         (axes for axes in canonical_subsets(3) if signature.ranks[axes] <= 1), None
     )
     if witness_axes is not None:
-        return ClassificationReport(
-            trichotomy=TrichotomyClass.FLATTENING_RANK_ONE,
+        return _report(
+            TrichotomyClass.FLATTENING_RANK_ONE,
             rank_signature=signature,
             cayley_samples=(),
-            asymptotic_class=AsymptoticClass.ONE,
-            constant=GapValue("1", 1.0),
             confidence=Confidence.deterministic(),
             rank_one_witness=witness_axes,
         )
@@ -336,12 +362,10 @@ def trichotomy(
                 witness = compose_maps(cube_maps, maps)
                 if restrict(t, witness) != unit_tensor(3, 2, t.ring):
                     raise ClassificationInconsistencyError("composed unit witness failed")
-            return ClassificationReport(
-                trichotomy=TrichotomyClass.RESTRICTS_TO_UNIT2,
+            return _report(
+                TrichotomyClass.RESTRICTS_TO_UNIT2,
                 rank_signature=signature,
                 cayley_samples=tuple(samples),
-                asymptotic_class=AsymptoticClass.AT_LEAST_TWO,
-                constant=GapValue("2", 2.0, lower_bound_only=True),
                 confidence=Confidence.deterministic(),
                 unit_witness=witness,
                 unit_witness_note=note,
@@ -353,26 +377,24 @@ def trichotomy(
             "hyperdeterminant vanished on all samples but some multilinear rank "
             "exceeds 2; the seed produced degenerate compressions, retry"
         )
-    c3 = gap_constant(3)
-    return ClassificationReport(
-        trichotomy=TrichotomyClass.W_ISOMORPHIC,
+    return _report(
+        TrichotomyClass.W_ISOMORPHIC,
         rank_signature=signature,
         cayley_samples=tuple(samples),
-        asymptotic_class=AsymptoticClass.C3,
-        constant=GapValue(c3[0], c3[1]),
         confidence=Confidence.randomized(trials),
+    )
+
+
+def _report(label: TrichotomyClass, **fields) -> ClassificationReport:
+    asymptotic_class, constant = _GAP_BY_CLASS[label]
+    return ClassificationReport(
+        trichotomy=label, asymptotic_class=asymptotic_class, constant=constant, **fields
     )
 
 
 def gap_class(report: ClassificationReport):
     """Asymptotic-subrank class and constant from a classification report."""
-    label = report.trichotomy
-    if label is TrichotomyClass.FLATTENING_RANK_ONE:
-        return AsymptoticClass.ONE, GapValue("1", 1.0)
-    if label is TrichotomyClass.W_ISOMORPHIC:
-        desc, dec = gap_constant(3)
-        return AsymptoticClass.C3, GapValue(desc, dec)
-    return AsymptoticClass.AT_LEAST_TWO, GapValue("2", 2.0, lower_bound_only=True)
+    return _GAP_BY_CLASS[report.trichotomy]
 
 
 def gap_constant(k: int):
@@ -392,3 +414,14 @@ def gap_constant(k: int):
             f"gap constant formulas disagree at k={k}: {direct!r} vs {via_entropy!r}"
         )
     return f"{k}/{k - 1}^({k - 1}/{k})", direct
+
+
+# The asymptotic-subrank class and constant of each trichotomy class.
+_GAP_BY_CLASS = {
+    TrichotomyClass.FLATTENING_RANK_ONE: (AsymptoticClass.ONE, GapValue("1", 1.0)),
+    TrichotomyClass.W_ISOMORPHIC: (AsymptoticClass.C3, GapValue(*gap_constant(3))),
+    TrichotomyClass.RESTRICTS_TO_UNIT2: (
+        AsymptoticClass.AT_LEAST_TWO,
+        GapValue("2", 2.0, lower_bound_only=True),
+    ),
+}

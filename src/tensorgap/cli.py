@@ -119,7 +119,7 @@ def _cmd_make_w_cert(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    rows = census_222(args.p, workers=args.workers)
+    rows = census_222(args.p)
     summary = census_summary(rows)
     write_census(rows, summary, args.out, args.p)
     print(json.dumps(summary, sort_keys=True, indent=2))
@@ -174,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="classify all of F_p^(2x2x2)")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("constant", help="the order-k gap constant")

@@ -91,25 +91,6 @@ class DegenerationCertificate:
 
 
 @dataclass(frozen=True)
-class ExpansionRecord:
-    """Exact Laurent data of curve * source, entry by entry.
-
-    `order_m` is the most negative valuation found (clamped at 0); per entry
-    the record stores the valuation and the coefficients at eps^-m .. eps^0.
-    """
-
-    dims: tuple
-    valuations: tuple
-    order_m: int
-    coefficients: tuple  # per entry: tuple of Scalars at exponents -m..0
-    constant_term: Tensor
-
-    @property
-    def min_valuation(self):
-        return min(self.valuations)
-
-
-@dataclass(frozen=True)
 class VerificationResult:
     accepted: bool
     condition: str | None = None  # singular-curve | negative-valuation | constant-term-mismatch
@@ -158,30 +139,6 @@ def _expand_certificate(cert: DegenerationCertificate) -> Tensor:
         if not mat_det(curve):
             raise SingularCurveError(f"curve {j} has determinant identically zero")
     return _expand(compressed, cert.curves)
-
-
-def apply_certificate(cert: DegenerationCertificate) -> ExpansionRecord:
-    """Expand curve * (compressed) source exactly at eps = 0.
-
-    Raises SingularCurveError when a curve matrix has determinant zero.
-    """
-    expanded = _expand_certificate(cert)
-    valuations = tuple(e.valuation() if e else math.inf for e in expanded.entries)
-    finite = [v for v in valuations if v != math.inf]
-    m = max(0, -min(finite)) if finite else 0
-    base = expanded.ring.base
-    zero = base._raw(0)
-    raw_rows = []
-    for e, v in zip(expanded.entries, valuations):
-        head = e._series(0) if v <= 0 else []
-        raw_rows.append([zero] * (m + 1 - len(head)) + head)
-    return ExpansionRecord(
-        dims=expanded.dims,
-        valuations=valuations,
-        order_m=m,
-        coefficients=tuple(tuple(base._box(c) for c in row) for row in raw_rows),
-        constant_term=Tensor._from_raw(base, expanded.dims, [row[-1] for row in raw_rows]),
-    )
 
 
 def verify_certificate(cert: DegenerationCertificate) -> VerificationResult:

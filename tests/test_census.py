@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from tensorgap.census import (
     CensusRow,
+    _orbit_leaders,
     census_222,
     census_summary,
     tensor_from_id,
@@ -14,7 +16,9 @@ from tensorgap.census import (
 from tensorgap.classify import Orbit222, classify_222, unit_restriction_witness
 from tensorgap.errors import SearchSpaceTooLargeError
 from tensorgap.fields import GF
+from tensorgap.linalg import Matrix
 from tensorgap.ranks import subrank_bruteforce
+from tensorgap.tensors import restrict
 from conftest import all_fp_tensors
 
 
@@ -103,14 +107,53 @@ def test_f3_subrank_two_exactly_on_split_unit_class_sample():
         assert subrank_bruteforce(t, 2) == split, tensor_id
 
 
-def test_census_deterministic_and_worker_independent(tmp_path):
-    rows1 = census_222(2)
-    rows2 = census_222(2, workers=2)
-    assert rows1 == rows2
-    p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
-    write_census(rows1, census_summary(rows1), p1, 2)
-    write_census(rows2, census_summary(rows2), p2, 2)
-    assert p1.read_bytes() == p2.read_bytes()
+CENSUS_F3_SHA256 = "f6a4e4f7a5b3297baf64abb1c3153d23f346374bf24d20230a5851b835bf92c5"
+
+
+def test_census_f3_output_is_pinned(tmp_path):
+    rows = census_222(3)
+    out = tmp_path / "census-f3.tsv"
+    write_census(rows, census_summary(rows), out, 3)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS_F3_SHA256
+
+
+def test_census_f2_subrank_matches_per_row_bruteforce():
+    # the per-row oracle the orbit shortcut must reproduce
+    for row in census_222(2):
+        t = tensor_from_id(row.tensor_id, 2)
+        expected = 0 if t.is_zero() else 2 if subrank_bruteforce(t, 2) else 1
+        assert row.subrank == expected, row.tensor_id
+
+
+ORBIT_SIZES = {
+    2: [1, 12, 18, 18, 18, 27, 54, 108],
+    3: [1, 128, 192, 192, 192, 864, 1536, 3456],
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_orbit_leaders(p):
+    leaders = _orbit_leaders(p)
+    orbits = {}
+    for tensor_id, leader in enumerate(leaders):
+        orbits.setdefault(leader, []).append(tensor_id)
+    assert all(min(ids) == leader for leader, ids in orbits.items())
+    sizes = sorted(len(ids) for ids in orbits.values())
+    assert sizes == ORBIT_SIZES[p]
+    gl_order = (p**2 - 1) * (p**2 - p)
+    assert all(gl_order**3 % size == 0 for size in sizes)
+    # closed under GL_2(F_p)^3, checked with seeded maps outside the generator set
+    field = GF(p)
+    gl2 = [
+        Matrix._from_raw(field, 2, 2, e)
+        for e in itertools.product(range(p), repeat=4)
+        if (e[0] * e[3] - e[1] * e[2]) % p
+    ]
+    rng = random.Random(p)
+    for tensor_id, leader in enumerate(leaders):
+        maps = [rng.choice(gl2) for _ in range(3)]
+        image = tensor_to_id(restrict(tensor_from_id(tensor_id, p), maps))
+        assert leaders[image] == leader, tensor_id
 
 
 def test_census_guard():

@@ -1,9 +1,12 @@
 import random
+import time
 
 import pytest
 
 from tensorgap.classify import (
     AsymptoticClass,
+    _det2,
+    _pencil_rank_one_points,
     Orbit222,
     TrichotomyClass,
     cayley_hyperdet,
@@ -182,6 +185,44 @@ def test_unit_restriction_witness_twisted_form_over_f4():
     assert maps is not None
     assert all(mat_det(g) for g in maps)
     assert restrict(lifted, maps) == unit_tensor(3, 2, f4)
+
+
+def _enumerated_pencil_points(field, a0, a1):
+    """Reference: every element u of F_q tried as (1 : u) in code order, then (0 : 1)."""
+    add, mul = field.add, field.mul
+    det0, det1 = _det2(field, a0), _det2(field, a1)
+    mixed = field.sub(field.sub(_det2(field, [add(x, y) for x, y in zip(a0, a1)]), det0), det1)
+    points = [
+        (1, u) for u in range(field.q) if not add(add(det0, mul(mixed, u)), mul(det1, mul(u, u)))
+    ]
+    return points if det1 else points + [(0, 1)]
+
+
+def test_pencil_points_match_enumeration():
+    rng = random.Random(29)
+    for field in (GF(3), GF(5), GF(7), GF(3, 2), GF(5, 2)):
+        for _ in range(500):
+            a0 = [rng.randrange(field.q) for _ in range(4)]
+            a1 = [rng.randrange(field.q) for _ in range(4)]
+            expected = _enumerated_pencil_points(field, a0, a1)
+            if len(expected) == field.q + 1:  # the determinant vanishes identically
+                with pytest.raises(ValueError):
+                    _pencil_rank_one_points(field, a0, a1)
+            else:
+                assert _pencil_rank_one_points(field, a0, a1) == expected, (field.name, a0, a1)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 998244353])
+def test_unit_restriction_witness_over_large_primes(p):
+    # square roots, not enumeration: 998244353 - 1 has 2-adic order 23
+    field = GF(p)
+    g = Matrix.from_rows(field, [[1, 2], [3, 5]])
+    t = restrict(unit_tensor(3, 2, field), (g, g, g))
+    start = time.perf_counter()
+    maps = unit_restriction_witness(t)
+    assert time.perf_counter() - start < 1.0
+    assert maps is not None
+    assert restrict(t, maps) == unit_tensor(3, 2, field)
 
 
 def test_trichotomy_examples():
