@@ -9,6 +9,7 @@ from tensorgap.degeneration import (
     WedgePoint,
     _dvr_reduce_pair,
     construct_w_degeneration,
+    eps_coefficient_tensor,
     grassmann_degenerates,
     pluecker_wedge,
     scaling_map_tuple,
@@ -50,6 +51,26 @@ def test_scaling_curves_weight_exponents():
             basis = Tensor.from_dict(QQ, (2,) * k, {idx: 1})
             expanded = restrict(lift_tensor(basis, EPS), curves)
             assert [e.valuation() for e in expanded.entries if e] == [k * sum(idx)]
+
+
+def test_apply_certificate_unit_to_w_expansion():
+    # the expansion itself, read through the public helpers: no pole, and
+    # the eps^0 coefficient tensor is W_3
+    cert = unit_to_w_certificate(3)
+    expanded = restrict(lift_tensor(cert.compressed_source(), EPS), cert.curves)
+    assert tensor_min_valuation(expanded) == 0
+    assert eps_coefficient_tensor(expanded, 0) == w_tensor(3, (2, 2, 2), QQ)
+    assert eps_coefficient_tensor(expanded, -1) == Tensor.zeros(QQ, (2, 2, 2))
+
+
+def test_apply_certificate_rejects_singular_curve():
+    # determinant eps^2 - eps^2: singular over K(eps) though no entry is constant
+    t = unit_tensor(2, 2, QQ)
+    bad = Matrix(EPS, 2, 2, [EPS.eps(1), EPS.one(), EPS.eps(2), EPS.eps(1)])
+    cert = DegenerationCertificate(source=t, target=t, curves=(Matrix.identity(EPS, 2), bad))
+    result = verify_certificate(cert)
+    assert not result.accepted and result.condition == "singular-curve"
+    assert "curve 1" in result.detail
 
 
 def test_stab_scaling_curve_shape():
