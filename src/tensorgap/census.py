@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .classify import Orbit222, _orbit_label, cayley_hyperdet
 from .errors import ClassificationInconsistencyError, FieldMismatchError, SearchSpaceTooLargeError
 from .fields import GF
-from .linalg import Matrix, mat_rank
+from .linalg import mat_rank
 from .ranks import subrank_bruteforce
-from .tensors import Tensor, flatten, mode_apply
+from .tensors import Tensor, flatten
 
 CENSUS_MAX_PRIME = 3
 
@@ -74,11 +74,12 @@ def _orbit_leaders(p: int) -> list:
     Orbits are walked in id order under generators of GL_2(F_p) applied to
     one axis at a time: [[1, 1], [0, 1]], the swap and diag(a, 1) for
     a = 2..p-1.  Axis permutations are not used: they do not preserve the
-    1x2 / 2x1 pencil labels.
+    1x2 / 2x1 pencil labels.  A generator acts on an id's 8 residues in
+    pairs (i, i + s), s the stride of its axis.
     """
-    field = GF(p)
-    gens = [Matrix._from_raw(field, 2, 2, e) for e in ([1, 1, 0, 1], [0, 1, 1, 0])]
-    gens += [Matrix._from_raw(field, 2, 2, [a, 0, 0, 1]) for a in range(2, p)]
+    gens = [(1, 1, 0, 1), (0, 1, 1, 0)] + [(a, 0, 0, 1) for a in range(2, p)]
+    axes = [[(i, i + s) for i in range(8) if not i & s] for s in (4, 2, 1)]
+    places = [p**i for i in range(8)]
     leaders = [None] * p**8
     for leader in range(p**8):
         if leaders[leader] is not None:
@@ -86,10 +87,15 @@ def _orbit_leaders(p: int) -> list:
         leaders[leader] = leader
         stack = [leader]
         while stack:
-            t = tensor_from_id(stack.pop(), p)
-            for axis in range(3):
-                for g in gens:
-                    image = tensor_to_id(mode_apply(t, g, axis))
+            x = stack.pop()
+            e = [x // q % p for q in places]
+            for pairs in axes:
+                for g00, g01, g10, g11 in gens:
+                    f = e[:]
+                    for i, j in pairs:
+                        f[i] = (g00 * e[i] + g01 * e[j]) % p
+                        f[j] = (g10 * e[i] + g11 * e[j]) % p
+                    image = sum(c * q for c, q in zip(f, places))
                     if leaders[image] is None:
                         leaders[image] = leader
                         stack.append(image)

@@ -6,27 +6,27 @@ K, stored as a raw coefficient tuple indexed by exponent from eps^0 upward
 polynomial has an empty tuple.  Every sum, product, inverse, negation and
 coefficient text of raw coefficients is the field's own (``K.add``,
 ``K.mul``, ``K.inv``, ...), so no rule of the arithmetic of K is written
-here.  A :class:`RatFunc` is a normalized quotient num/den with
-gcd(num, den) = 1 and den monic, so equal values have equal representations.
-:class:`EpsField` tags K(eps) the way FieldSpec tags K, and is interned the
-same way: one object per base field.  A RatFunc is both the raw value of
-K(eps) containers and the element at the API boundary; EpsField's raw
-arithmetic (``add``, ``mul``, ...) is the RatFunc operators.
+here.  :class:`EpsField` tags K(eps) the way FieldSpec tags K, and is
+interned the same way: one object per base field.  A RatFunc is both the
+raw value of K(eps) containers and the element at the API boundary;
+EpsField's raw arithmetic (``add``, ``mul``, ...) is the RatFunc operators.
 
-Normalization is eps-adic.  eps is prime in K[eps], so
-gcd(num, den) = eps^min(vn, vd) * gcd(num_free, den_free), where vn, vd are
-the valuations and x_free is x with its power of eps divided out.  The eps
-power is cancelled by slicing coefficient tuples, and Euclid runs only on
-the eps-free parts, only when both are nonconstant.  Certificate curves
-mostly have monomial denominators, so most normalizations need no Euclid.
-The normal form is unique, so this reaches exactly the num/den that Euclid
-on the whole polynomials would.
+A :class:`RatFunc` is held eps-adically, as eps^v * u/w with u, w raw
+coefficient tuples, u(0) != 0, w(0) != 0, gcd(u, w) = 1 and w monic (zero
+is u = (), w = (1,), v = +inf), so equal values have equal representations.
+This is the old dense normal form, num/den in lowest terms with den monic,
+split at eps: eps is prime in K[eps] and divides neither u nor w, so
+num = eps^max(v, 0) u and den = eps^max(-v, 0) w are coprime with den
+monic, and ``num``/``den`` rebuild them.  Nearly every value of a
+certificate construction is a monomial c*eps^n; in this form its valuation
+is a field read and a product of two is one multiplication in K.  Euclid
+runs only when both eps-free parts of a result are nonconstant.
 
 Curves of group elements appearing in degeneration certificates have rational
 function entries, so exact arithmetic here removes any need for truncation
 order bookkeeping.  Laurent data at eps = 0 is recovered on demand:
 ``RatFunc.valuation`` gives the order of vanishing (negative at a pole, +inf
-at 0) and ``RatFunc.series`` expands exactly up to a requested exponent.
+at 0) and ``RatFunc.series`` expands u/w exactly up to a requested exponent.
 """
 
 from __future__ import annotations
@@ -125,7 +125,8 @@ class Poly:
             if ai == 0:
                 continue
             for j, bj in enumerate(b):
-                out[i + j] = add(out[i + j], mul(ai, bj))
+                if bj != 0:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
         return Poly._from_raw(field, out)
 
     def scale(self, raw):
@@ -209,7 +210,7 @@ class EpsField:
     """The field K(eps) of rational functions over a base FieldSpec; one
     object per base field, so equality is identity."""
 
-    __slots__ = ("base",)
+    __slots__ = ("base", "_zero", "_one")
 
     def __new__(cls, base: FieldSpec):
         ring = _EPS_FIELDS.get(base)
@@ -217,7 +218,10 @@ class EpsField:
             if base.m != 1:
                 raise FieldMismatchError(f"eps-polynomials are over Q or F_p, not {base.name}")
             ring = _EPS_FIELDS[base] = object.__new__(cls)
+            one = (base._raw(1),)
             object.__setattr__(ring, "base", base)
+            object.__setattr__(ring, "_zero", _rf(base, INFINITE_VALUATION, (), one))
+            object.__setattr__(ring, "_one", _rf(base, 0, one, one))
         return ring
 
     def __setattr__(self, name, value):
@@ -231,17 +235,14 @@ class EpsField:
         return f"EpsField({self.base.name})"
 
     def zero(self) -> "RatFunc":
-        return self._constant(self.base._raw(0))
+        return self._zero
 
     def one(self) -> "RatFunc":
-        return self._constant(self.base._raw(1))
+        return self._one
 
     def eps(self, n: int = 1) -> "RatFunc":
         """The monomial eps^n, for any integer n."""
-        one = self.one().num
-        if n >= 0:
-            return RatFunc(one.shift(n), one)
-        return RatFunc(one, one.shift(-n))
+        return _rf(self.base, n, self._one._u, self._one._w)
 
     def from_int(self, n: int) -> "RatFunc":
         return self._constant(self.base._raw(n))
@@ -257,8 +258,9 @@ class EpsField:
 
     def _constant(self, c) -> "RatFunc":
         """The constant function with raw base value c."""
-        base = self.base
-        return RatFunc(Poly._from_raw(base, (c,)), Poly._from_raw(base, (base._raw(1),)))
+        if c == 0:
+            return self._zero
+        return _rf(self.base, 0, (c,), self._one._w)
 
     def coerce(self, x) -> "RatFunc":
         """Coerce a RatFunc, Poly, Scalar, int or Fraction into K(eps)."""
@@ -269,7 +271,7 @@ class EpsField:
         if isinstance(x, Poly):
             if x.field is not self.base:
                 raise FieldMismatchError("polynomial over the wrong base field")
-            return RatFunc(x, self.one().num)
+            return RatFunc(x, self._one.den)
         if isinstance(x, (Scalar, int, Fraction)):
             return self._constant(self.base._raw(x))
         raise TypeError(f"cannot coerce {type(x).__name__} into {self.name}")
@@ -281,16 +283,13 @@ class EpsField:
 
 
 class RatFunc:
-    """Normalized quotient of polynomials in eps: gcd(num, den) = 1, den monic.
+    """An element eps^v * u/w of K(eps) in the normal form of the module docstring.
 
-    The constructor cancels the common power of eps by slicing, then divides
-    by the gcd of the eps-free parts when both are nonconstant (otherwise
-    that gcd is 1), then scales den monic.  Sums and differences of values
-    with equal denominators skip the cross products and normalize
-    (num +- num', den) directly.
-    """
+    RatFunc(num, den) takes any quotient of polynomials: it moves the powers
+    of eps into v by slicing, divides the eps-free parts by their gcd when
+    both are nonconstant (otherwise that gcd is 1) and scales w monic."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("field", "_v", "_u", "_w")
 
     def __init__(self, num: Poly, den: Poly):
         field = num.field
@@ -299,40 +298,32 @@ class RatFunc:
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
-            den = Poly._from_raw(field, (field._raw(1),))
+            v, u, w = INFINITE_VALUATION, (), (field._raw(1),)
         else:
             vn, vd = num.valuation(), den.valuation()
-            shift = min(vn, vd)
-            if shift:
-                num = Poly._from_raw(field, num.coeffs[shift:])
-                den = Poly._from_raw(field, den.coeffs[shift:])
-                vn -= shift
-                vd -= shift
-            if num.degree > vn and den.degree > vd:
-                g = poly_gcd(
-                    Poly._from_raw(field, num.coeffs[vn:]), Poly._from_raw(field, den.coeffs[vd:])
-                )
-                if g.degree > 0:
-                    num = num // g
-                    den = den // g
-            lead = den.leading()
-            if lead != 1:
-                inv = field.inv(lead)
-                num = num.scale(inv)
-                den = den.scale(inv)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            v = vn - vd
+            u, w = _lowest_terms(field, num.coeffs[vn:], den.coeffs[vd:])
+            if w[-1] != 1:
+                inv = field.inv(w[-1])
+                u, w = _scaled(field, u, inv), _scaled(field, w, inv)
+        _rf(field, v, u, w, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
     @property
-    def field(self) -> FieldSpec:
-        return self.num.field
+    def ring(self) -> EpsField:
+        return EpsField(self.field)
 
     @property
-    def ring(self) -> EpsField:
-        return EpsField(self.num.field)
+    def num(self) -> Poly:
+        """The numerator eps^max(v, 0) * u of the dense quotient in lowest terms."""
+        return _dense(self.field, self._u, self._v)
+
+    @property
+    def den(self) -> Poly:
+        """The monic denominator eps^max(-v, 0) * w."""
+        return _dense(self.field, self._w, -self._v)
 
     def _other(self, other):
         if isinstance(other, RatFunc):
@@ -343,23 +334,42 @@ class RatFunc:
             return self.ring.coerce(other)
         return None
 
-    def __add__(self, other):
+    def _sum(self, other, subtract: bool) -> "RatFunc":
+        """self + other, or self - other when subtract.  Equal denominators
+        skip the cross products; leading zeros of a cancellation move into v."""
         o = self._other(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            return RatFunc(self.num + o.num, self.den)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        if not o._u:
+            return self
+        if not self._u:
+            return -o if subtract else o
+        field = self.field
+        a, b, w1, w2 = self._u, o._u, self._w, o._w
+        if len(w1) == 1 == len(w2) or w1 == w2:
+            w = w1
+        else:
+            a, b, w = _times(field, a, w2), _times(field, b, w1), _times(field, w1, w2)
+        v = min(self._v, o._v)
+        op, zero = (field.sub if subtract else field.add), field._raw(0)
+        n = [zero] * (self._v - v) + list(a)
+        n += [zero] * (o._v - v + len(b) - len(n))
+        for i, c in enumerate(b, o._v - v):
+            n[i] = op(n[i], c)
+        n = _trimmed(n)
+        if not n:
+            return self.ring.zero()
+        k = next(i for i, c in enumerate(n) if c != 0)
+        u, w = _lowest_terms(field, n[k:], w)
+        return _rf(field, v + k, u, w)
+
+    def __add__(self, other):
+        return self._sum(other, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        if self.den == o.den:
-            return RatFunc(self.num - o.num, self.den)
-        return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self._sum(other, True)
 
     def __rsub__(self, other):
         o = self._other(other)
@@ -368,10 +378,18 @@ class RatFunc:
         return o - self
 
     def __mul__(self, other):
+        """Valuations add and the eps-free parts multiply; a product of
+        monomials is one multiplication in K."""
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        if not (self._u and o._u):
+            return self.ring.zero()
+        field = self.field
+        w1, w2 = self._w, o._w
+        w = w2 if len(w1) == 1 else w1 if len(w2) == 1 else _times(field, w1, w2)
+        u, w = _lowest_terms(field, _times(field, self._u, o._u), w)
+        return _rf(field, self._v + o._v, u, w)
 
     __rmul__ = __mul__
 
@@ -379,9 +397,7 @@ class RatFunc:
         o = self._other(other)
         if o is None:
             return NotImplemented
-        if not o:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._other(other)
@@ -390,7 +406,7 @@ class RatFunc:
         return o / self
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _rf(self.field, self._v, tuple(map(self.field.neg, self._u)), self._w)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -405,27 +421,28 @@ class RatFunc:
         return out
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._u)
 
     def __eq__(self, other):
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self._v == o._v and self._u == o._u and self._w == o._w
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._v, self._u, self._w))
 
     def inverse(self) -> "RatFunc":
-        if not self:
+        """Swap u and w, negate v and scale the new w monic."""
+        if not self._u:
             raise ZeroDivisionError("inverse of the zero rational function")
-        return RatFunc(self.den, self.num)
+        field = self.field
+        inv = field.inv(self._u[-1])
+        return _rf(field, -self._v, _scaled(field, self._w, inv), _scaled(field, self._u, inv))
 
     def valuation(self):
         """Order of vanishing at eps = 0; negative at a pole, +inf for 0."""
-        if not self:
-            return INFINITE_VALUATION
-        return self.num.valuation() - self.den.valuation()
+        return self._v
 
     def series(self, upto: int) -> list[Scalar]:
         """Exact Laurent coefficients from the valuation up to exponent `upto`.
@@ -435,23 +452,19 @@ class RatFunc:
         return [Scalar(self.field, c) for c in self._series(upto)]
 
     def _series(self, upto: int) -> list:
-        """`series` as raw coefficients."""
-        if not self:
+        """`series` as raw coefficients: u/w expanded to order upto - v."""
+        if not self._u:
             return []
-        v = self.valuation()
+        v = self._v
         if upto < v:
             raise ValueError(f"expansion order {upto} below valuation {v}")
-        vn = self.num.valuation()
-        vd = self.den.valuation()
-        n0 = self.num.coeffs[vn:]
-        d0 = self.den.coeffs[vd:]
-        count = upto - v + 1
+        n0, d0 = self._u, self._w
         field = self.field
         sub, mul = field.sub, field.mul
         inv0 = field.inv(d0[0])
         zero = field._raw(0)
         out = []
-        for j in range(count):
+        for j in range(upto - v + 1):
             acc = n0[j] if j < len(n0) else zero
             for i in range(max(0, j - len(d0) + 1), j):
                 acc = sub(acc, mul(out[i], d0[j - i]))
@@ -463,15 +476,21 @@ class RatFunc:
         return Scalar(self.field, self._coefficient(e))
 
     def _coefficient(self, e: int):
-        """`coefficient` as a raw value."""
-        v = self.valuation()  # +inf for the zero function
-        return self._series(e)[e - v] if e >= v else self.field._raw(0)
+        """`coefficient` as a raw value: read off u when w = 1."""
+        i = e - self._v  # -inf for the zero function
+        if i < 0:
+            return self.field._raw(0)
+        if len(self._w) == 1:
+            return self._u[i] if i < len(self._u) else self.field._raw(0)
+        return self._series(e)[i]
 
     def substitute_power(self, n: int) -> "RatFunc":
-        """The rational function f(eps^n), n >= 1."""
+        """The rational function f(eps^n), n >= 1; eps -> eps^n keeps the
+        normal form's conditions on u and w, so they need no normalization."""
         if n < 1:
             raise ValueError("power substitution needs n >= 1")
-        return RatFunc(_spread(self.num, n), _spread(self.den, n))
+        field = self.field
+        return _rf(field, n * self._v, _spread(field, self._u, n), _spread(field, self._w, n))
 
     def text(self) -> str:
         return f"{self.num.text()} ; {self.den.text()}"
@@ -483,13 +502,49 @@ class RatFunc:
         return f"RatFunc({self.text()!r})"
 
 
-def _spread(poly: Poly, n: int) -> Poly:
-    if not poly.coeffs:
-        return poly
-    out = [poly.field._raw(0)] * ((len(poly.coeffs) - 1) * n + 1)
-    for i, c in enumerate(poly.coeffs):
-        out[i * n] = c
-    return Poly._from_raw(poly.field, out)
+def _rf(field, v, u, w, r=None) -> RatFunc:
+    """The RatFunc eps^v * u/w (filled into r if given) of parts in normal form."""
+    r = object.__new__(RatFunc) if r is None else r
+    object.__setattr__(r, "field", field)
+    object.__setattr__(r, "_v", v)
+    object.__setattr__(r, "_u", u)
+    object.__setattr__(r, "_w", w)
+    return r
+
+
+def _lowest_terms(field, u: tuple, w: tuple):
+    """u and w divided by their monic gcd; a no-op unless both are nonconstant."""
+    if len(u) > 1 and len(w) > 1:
+        a, b = Poly._from_raw(field, u), Poly._from_raw(field, w)
+        g = poly_gcd(a, b)
+        if g.degree > 0:
+            return (a // g).coeffs, (b // g).coeffs
+    return u, w
+
+
+def _times(field, a: tuple, b: tuple) -> tuple:
+    """The product of raw coefficient tuples with nonzero end coefficients."""
+    if len(a) == 1 == len(b):
+        return (field.mul(a[0], b[0]),)
+    return (Poly._from_raw(field, a) * Poly._from_raw(field, b)).coeffs
+
+
+def _scaled(field, a: tuple, c) -> tuple:
+    return tuple([field.mul(x, c) for x in a])
+
+
+def _dense(field, part: tuple, shift) -> Poly:
+    """eps^shift * part as a Poly when shift > 0, else part."""
+    return Poly._from_raw(field, (field._raw(0),) * shift + part if shift > 0 and part else part)
+
+
+def _spread(field, raw: tuple, n: int) -> tuple:
+    """raw(eps^n) as raw coefficients."""
+    if n == 1 or len(raw) == 1:
+        return raw
+    out = [field._raw(0)] * ((len(raw) - 1) * n + 1)
+    out[::n] = raw
+    return tuple(out)
 
 
 def _trimmed(raw) -> tuple:
@@ -511,4 +566,3 @@ def ratfunc_parse(field: FieldSpec, text: str) -> RatFunc:
     else:
         num_text, den_text = text, "1"
     return RatFunc(poly_parse(field, num_text), poly_parse(field, den_text))
-

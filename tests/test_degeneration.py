@@ -457,6 +457,8 @@ UNIT_CERT_SHA256 = {
     6: "65d3658692bee78b3389ccf0dd0d7ed8ae5b5f7ad5cb513f8ade37cade53b8eb",
     7: "032b2ec458192aba974e2f1626f2229176447eac820f924b7e4690088f5fae9c",
     8: "8721af7f8cd8c325d4783d92f7b42aa86039fad70b3b38ce2486998d3b733f13",
+    9: "da9eeff44e6f58debcd45ae1711c75ff0edc1a3ad34f9f215c323803b72185c7",
+    10: "d7d93cf5f747effd197f03fbd613c6541584c2b427481fc2d843ee1c62d74228",
 }
 
 

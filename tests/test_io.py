@@ -2,8 +2,14 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tensorgap.degeneration import construct_w_degeneration, unit_to_w_certificate
+from tensorgap.degeneration import (
+    construct_w_degeneration,
+    unit_to_w_certificate,
+    verify_certificate,
+)
 from tensorgap.errors import DocumentFormatError
 from tensorgap.fields import QQ
 from tensorgap.io import (
@@ -16,6 +22,7 @@ from tensorgap.io import (
     tensor_from_document,
     tensor_to_document,
 )
+from tensorgap.ranks import has_rank_one_flattening
 from tensorgap.tensors import Tensor, pad, unit_tensor, w_tensor
 from conftest import random_fp_tensor, random_rational_tensor
 
@@ -103,6 +110,22 @@ def test_certificate_round_trip_with_compression(tmp_path):
     assert loaded == cert
     # serialization is stable: print(parse(print(x))) == print(x)
     assert certificate_to_document(loaded) == certificate_to_document(cert)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 2, 2, 2)]),
+    st.integers(0, 2**32),
+)
+def test_certificate_save_load_save_is_byte_identical(tmp_path_factory, dims, seed):
+    t = random_rational_tensor(dims, random.Random(seed), bound=3)
+    assume(not t.is_zero() and has_rank_one_flattening(t) is None)  # partition rank >= 2
+    first, second = (tmp_path_factory.mktemp("cert") / "cert.json" for _ in range(2))
+    save_certificate(construct_w_degeneration(t, seed=seed), first)
+    loaded = load_certificate(first)
+    save_certificate(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert verify_certificate(loaded).accepted
 
 
 def test_certificate_document_errors():

@@ -176,15 +176,21 @@ def _plain_gcd(a, b):
     return a
 
 
-def _plain_normal_form(num, den):
-    """Coefficient tuples of num/den in lowest terms with den monic."""
+def _plain_reduce(num, den):
+    """num/den in lowest terms with den monic, by unmodified Euclid."""
+    field = den.field
     if not num:
-        return (), (1,)
+        return num, Poly(field, [1])
     g = _plain_gcd(num, den)
     num, den = num // g, den // g
-    p = den.field.p
-    inv = 1 / den.leading() if p is None else pow(den.leading(), -1, p)
-    return num.scale(inv).coeffs, den.scale(inv).coeffs
+    inv = field.inv(den.leading())
+    return num.scale(inv), den.scale(inv)
+
+
+def _plain_normal_form(num, den):
+    """Coefficient tuples of num/den in lowest terms with den monic."""
+    num, den = _plain_reduce(num, den)
+    return num.coeffs, den.coeffs
 
 
 def _factors(field):
@@ -225,3 +231,122 @@ def test_normal_form_matches_plain_euclid(case):
     assert t.den == r.den == u.den
     assert _parts(r + t) == _plain_normal_form(x * r.den, r.den)
     assert _parts(r - u) == _plain_normal_form(x * r.den, r.den)
+
+
+# -- the eps-adic form against a dense reference -----------------------------------
+
+
+class _Dense:
+    """A reference element of K(eps): dense num/den reduced by plain Euclid."""
+
+    def __init__(self, num, den):
+        self.num, self.den = _plain_reduce(num, den)
+
+    def __add__(self, o):
+        return _Dense(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    def __sub__(self, o):
+        return _Dense(self.num * o.den - o.num * self.den, self.den * o.den)
+
+    def __mul__(self, o):
+        return _Dense(self.num * o.num, self.den * o.den)
+
+    def __truediv__(self, o):
+        return _Dense(self.num * o.den, self.den * o.num)
+
+    def inverse(self):
+        return _Dense(self.den, self.num)
+
+    def substitute_power(self, n):
+        return _Dense(_dense_spread(self.num, n), _dense_spread(self.den, n))
+
+    def valuation(self):
+        return self.num.valuation() - self.den.valuation() if self.num else math.inf
+
+    def coefficient(self, e):
+        """Laurent coefficient at eps^e: num/den = eps^-vd * num/den0 with
+        den0 = den / eps^vd, expanded as a power series by the recurrence
+        sum_i a_i den0_(j-i) = num_j."""
+        field, vd = self.den.field, self.den.valuation()
+        den0 = self.den.coeffs[vd:]
+        a = []
+        for j in range(e + vd + 1):
+            acc = self.num.coeffs[j] if j < len(self.num.coeffs) else field._raw(0)
+            for i in range(j):
+                if j - i < len(den0):
+                    acc = field.sub(acc, field.mul(a[i], den0[j - i]))
+            a.append(field.mul(acc, field.inv(den0[0])))
+        return a[-1] if a else field._raw(0)
+
+
+def _dense_spread(poly, n):
+    """poly(eps^n), coefficient by coefficient."""
+    out = [0] * (n * len(poly.coeffs))
+    for i, c in enumerate(poly.coeffs):
+        out[i * n] = c
+    return Poly(poly.field, out)
+
+
+@st.composite
+def _eps_adic_cases(draw):
+    """(f, g) as dense (num, den) pairs over Q, F_2 or F_3.
+
+    g is drawn free, or as f plus a Laurent polynomial (so f and g share
+    their eps-free denominator w), or as h - f with h = f * eps^m * q (so
+    f + g cancels the lowest terms of f), or as eps^m h - f for a free h.
+    Numerators include zero and monomials; denominators carry eps powers, so
+    valuations go negative.
+    """
+    field = draw(st.sampled_from((QQ, GF(2), GF(3))))
+    polys = _factors(field)
+    nonzero = polys.filter(bool)
+
+    def shifted(p):
+        return p.shift(draw(st.integers(0, 3)))
+
+    f = shifted(draw(polys)), shifted(draw(nonzero))
+    kind = draw(st.sampled_from(("free", "same-w", "cancel", "cancel-free")))
+    m = draw(st.integers(1, 3))
+    if kind == "free":
+        g = shifted(draw(polys)), shifted(draw(nonzero))
+    elif kind == "same-w":
+        x, k = draw(polys), draw(st.integers(-3, 3))
+        if k >= 0:
+            g = f[0] + x.shift(k) * f[1], f[1]
+        else:
+            g = f[0].shift(-k) + x * f[1], f[1].shift(-k)
+    elif kind == "cancel":
+        g = f[0] * (draw(nonzero).shift(m) - Poly(field, [1])), f[1]
+    else:
+        h = draw(polys), draw(nonzero)
+        g = h[0].shift(m) * f[1] - f[0] * h[1], f[1] * h[1]
+    return f, g
+
+
+def _agrees(r, ref):
+    assert (r.num.coeffs, r.den.coeffs) == (ref.num.coeffs, ref.den.coeffs)
+    v = r.valuation()
+    assert v == ref.valuation()
+    if r:
+        offsets = (v - 1, v, v + 1, v + 3, 0, 2)
+        assert [r._coefficient(e) for e in offsets] == [ref.coefficient(e) for e in offsets]
+        assert [c.value for c in r.series(v + 3)] == [ref.coefficient(e) for e in range(v, v + 4)]
+    else:
+        assert all(r._coefficient(e) == 0 for e in (-2, 0, 3))
+        assert r.series(3) == []
+
+
+@settings(max_examples=500, deadline=None)
+@given(_eps_adic_cases())
+def test_eps_adic_form_matches_dense_reference(case):
+    (fn, fd), (gn, gd) = case
+    f, g = RatFunc(fn, fd), RatFunc(gn, gd)
+    rf, rg = _Dense(fn, fd), _Dense(gn, gd)
+    for r, ref in ((f, rf), (g, rg), (f + g, rf + rg), (f - g, rf - rg), (g - f, rg - rf),
+                   (f * g, rf * rg), (-f, _Dense(-fn, fd))):
+        _agrees(r, ref)
+    for n in (1, 2, 3):
+        _agrees(f.substitute_power(n), rf.substitute_power(n))
+    if g:
+        _agrees(f / g, rf / rg)
+        _agrees(g.inverse(), rg.inverse())
