@@ -192,6 +192,9 @@ def _curve_matrix_from_document(doc, field, location) -> Matrix:
         where = f"{location}.entries[{n}]"
         if not isinstance(e, dict) or "num-coeffs" not in e or "den-coeffs" not in e:
             raise DocumentFormatError("curve entry needs num-coeffs and den-coeffs", where)
+        for key in ("num-coeffs", "den-coeffs"):
+            if not isinstance(e[key], list):
+                raise DocumentFormatError(f"{key} must be a list", f"{where}.{key}")
         try:
             num = Poly._from_raw(field, [field._parse(str(c)) for c in e["num-coeffs"]])
             den = Poly._from_raw(field, [field._parse(str(c)) for c in e["den-coeffs"]])

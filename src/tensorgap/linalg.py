@@ -12,15 +12,19 @@ returns the pivot columns and the parity of the row swaps.  Everything is
 built on it: `mat_solve` eliminates [A | b] and back-substitutes, `mat_det`
 is the swap sign times the product of the pivots, `mat_inverse` eliminates
 [A | I] once and back-substitutes each column of I, and `mat_rank` counts
-its pivots.  The one other route is rank over F_2, the hot case of the
-order-4 partition-rank gates: there rows are packed into bitmasks and
-reduced by XOR.  All results are exact.
+its pivots over F_p, F_{p^m} and K(eps).  Rank has two other routes.  Over
+F_2, the hot case of the order-4 partition-rank gates, rows are packed into
+bitmasks and reduced by XOR.  Over Q each row is scaled to integers (its
+nonzero entries only) and the sparse integer rows are reduced fraction-free,
+each updated row divided by its content.  All results are exact.
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import DimensionMismatchError, FieldMismatchError
-from .fields import GF
+from .fields import GF, QQ
 from .ratfunc import EpsField, RatFunc
 
 
@@ -219,8 +223,63 @@ def _solve(ring, rows, ncols: int):
     return _back_substitute(ring, rows, pivots, ncols, ncols)
 
 
+def _integer_row(values) -> tuple[int, dict]:
+    """A row of Fractions scaled to integers: (d, {column: d * value}) over
+    its nonzero entries, d the lcm of their denominators."""
+    row = [(j, e) for j, e in enumerate(values) if e]
+    d = math.lcm(*(e.denominator for _, e in row))
+    return d, {j: e.numerator * (d // e.denominator) for j, e in row}
+
+
+def _q_rank(rows, ncols: int) -> int:
+    """Rank over Q of rows given as {column: nonzero int} dicts, read until
+    ncols of them are independent.
+
+    Fraction-free elimination: each row is reduced against the pivot rows
+    found so far, cur <- a * cur - b * pivot_row with a/b the ratio of the two
+    entries in the pivot column in lowest terms, so only the pivot row's
+    columns are touched when a = 1.  Every updated row is divided by its
+    content.  A row left nonzero becomes a pivot row at its entry of least
+    absolute value, made positive (so that a = 1 as often as possible); it
+    has zeros in the pivot columns of all earlier pivot rows.
+    """
+    pivots = []
+    for cur in rows:
+        for col, lead, prow in pivots:
+            f = cur.get(col)
+            if f is None:
+                continue
+            g = math.gcd(lead, f)
+            a, b = lead // g, f // g
+            if a != 1:
+                for c in cur:
+                    cur[c] *= a
+            for c, v in prow.items():
+                w = cur.get(c, 0) - b * v
+                if w:
+                    cur[c] = w
+                else:
+                    del cur[c]
+            if not cur:
+                break
+            g = math.gcd(*cur.values())
+            if g != 1:
+                for c in cur:
+                    cur[c] //= g
+        if cur:
+            col = min(cur, key=lambda c: abs(cur[c]))
+            if cur[col] < 0:
+                for c in cur:
+                    cur[c] = -cur[c]
+            pivots.append((col, cur[col], cur))
+            if len(pivots) == ncols:
+                break
+    return len(pivots)
+
+
 def mat_rank(m: Matrix) -> int:
-    """Exact rank: rows packed into bitmasks over F_2, `_echelon` elsewhere."""
+    """Exact rank: rows packed into bitmasks over F_2, rows scaled to
+    integers over Q, `_echelon` elsewhere."""
     if m.ring is _F2:
         rows = []
         for i in range(m.rows):
@@ -230,6 +289,8 @@ def mat_rank(m: Matrix) -> int:
                     bits |= 1 << j
             rows.append(bits)
         return _gf2_rank(rows)
+    if m.ring is QQ:
+        return _q_rank((_integer_row(m.row(i))[1] for i in range(m.rows)), m.cols)
     return len(_echelon(m.ring, m.to_rows(), m.cols)[0])
 
 

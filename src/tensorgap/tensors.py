@@ -13,7 +13,10 @@ Every reshuffle of entries (flattenings, slices, axis permutations, the
 Kronecker product) is a gather through one cached axis-order map,
 ``_axis_order(dims, perm)``.  ``mode_apply`` is the only contraction:
 restriction, padding and the covector tables of the brute-force oracles are
-mode products.
+mode products.  Over Q it works on integer numerators: each map row is
+scaled by the lcm of its denominators and each source fiber along the
+contracted axis by the lcm of its own, and one Fraction is built per nonzero
+output entry.  The other rings use their own add and mul.
 
 Kronecker index convention: the combined index on factor j is
 ``i_j * m_j + i'_j`` (left factor major); tests depend on it bit-exactly.
@@ -23,10 +26,11 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .fields import FieldSpec
-from .linalg import Matrix
+from .fields import QQ, FieldSpec
+from .linalg import Matrix, _integer_row
 from .ratfunc import EpsField
 
 
@@ -245,25 +249,69 @@ def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
     # Work in axis-first order: the source is then an n x rest matrix and
     # output row j is sum_i m[j, i] * (source row i).
     ring = t.ring
-    add, mul = ring.add, ring.mul
     perm = (axis,) + tuple(a for a in range(t.order) if a != axis)
     rest = t.size // m.cols
     src = [t.entries[f] for f in _axis_order(t.dims, perm)]
-    out = [ring._raw(0)] * (m.rows * rest)
-    for i in range(m.cols):
-        column = [(j * rest, c) for j, c in enumerate(m.column(i)) if c]
-        if not column:
-            continue
-        for r, e in enumerate(src[i * rest : (i + 1) * rest]):
-            if not e:
+    if ring is QQ:
+        out = _q_mode_product(src, m, rest)
+    else:
+        add, mul = ring.add, ring.mul
+        out = [ring._raw(0)] * (m.rows * rest)
+        for i in range(m.cols):
+            column = [(j * rest, c) for j, c in enumerate(m.column(i)) if c]
+            if not column:
                 continue
-            for base, c in column:
-                out[base + r] = add(out[base + r], mul(c, e))
+            for r, e in enumerate(src[i * rest : (i + 1) * rest]):
+                if not e:
+                    continue
+                for base, c in column:
+                    out[base + r] = add(out[base + r], mul(c, e))
     new_dims = t.dims[:axis] + (m.rows,) + t.dims[axis + 1 :]
     entries = [None] * len(out)
     for f, e in zip(_axis_order(new_dims, perm), out):
         entries[f] = e
     return Tensor._from_raw(ring, new_dims, entries)
+
+
+def _q_mode_product(src, m: Matrix, rest: int) -> list:
+    """`mode_apply`'s axis-first product over Q, computed on integer numerators.
+
+    Source fiber r (src[r::rest]) is scaled by the lcm of its denominators
+    and map row j by the lcm of its own, so each output entry is an integer
+    sum over the product of the two scales: one Fraction is built per nonzero
+    output entry.  Zero fibers and zero map rows cost nothing past the scan
+    for nonzero source entries.
+    """
+    nonzero = [(f, e) for f, e in enumerate(src) if e]
+    fiber_den = {}  # the nonzero fibers and their scales
+    for f, e in nonzero:
+        r = f % rest
+        fiber_den[r] = math.lcm(fiber_den.get(r, 1), e.denominator)
+    src_rows = [[] for _ in range(m.cols)]
+    for f, e in nonzero:
+        i, r = divmod(f, rest)
+        src_rows[i].append((r, e.numerator * (fiber_den[r] // e.denominator)))
+    map_rows = [_integer_row(m.row(j)) for j in range(m.rows)]
+    acc = [0] * (m.rows * rest)
+    for i, row in enumerate(src_rows):
+        if not row:
+            continue
+        for j, (_, mrow) in enumerate(map_rows):
+            c = mrow.get(i)
+            if c:
+                base = j * rest
+                for r, a in row:
+                    acc[base + r] += c * a
+    out = [QQ._raw(0)] * len(acc)
+    for j, (d, mrow) in enumerate(map_rows):
+        if not mrow:
+            continue
+        base = j * rest
+        for r, fd in fiber_den.items():
+            a = acc[base + r]
+            if a:
+                out[base + r] = Fraction(a, d * fd)
+    return out
 
 
 def restrict(t: Tensor, maps) -> Tensor:

@@ -96,6 +96,17 @@ def test_oversized_documents_are_errors_not_rejections(tmp_path, capsys):
     assert "dims" in capsys.readouterr().err
 
 
+def test_curve_coefficients_must_be_lists(tmp_path, capsys):
+    # a coefficient list given as an int or a string is a format error (exit 2)
+    for key, value in (("den-coeffs", 1), ("num-coeffs", "10")):
+        doc = certificate_to_document(unit_to_w_certificate(3))
+        doc["curves"][0]["entries"][0][key] = value
+        path = tmp_path / "bad-coeffs.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify-cert", str(path)]) == 2
+        assert f"bad-coeffs.json.curves[0].entries[0].{key}: {key} must be a list" in capsys.readouterr().err
+
+
 def test_make_w_cert_command(tmp_path, capsys):
     src = tmp_path / "unit.json"
     save_tensor(unit_tensor(3, 2, QQ), src)

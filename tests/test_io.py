@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -10,7 +11,7 @@ from tensorgap.degeneration import (
     unit_to_w_certificate,
     verify_certificate,
 )
-from tensorgap.errors import DocumentFormatError
+from tensorgap.errors import DocumentFormatError, TensorGapError
 from tensorgap.fields import QQ
 from tensorgap.io import (
     certificate_from_document,
@@ -126,6 +127,52 @@ def test_certificate_save_load_save_is_byte_identical(tmp_path_factory, dims, se
     save_certificate(loaded, second)
     assert second.read_bytes() == first.read_bytes()
     assert verify_certificate(loaded).accepted
+
+
+@functools.cache
+def _fuzz_documents():
+    """A unit k = 3 certificate and one of a random Q 3x3x3 tensor, as saved JSON."""
+    t = random_rational_tensor((3, 3, 3), random.Random(7), bound=3)
+    assert has_rank_one_flattening(t) is None
+    certs = (construct_w_degeneration(unit_tensor(3, 2, QQ), seed=0), construct_w_degeneration(t, seed=0))
+    return tuple(json.dumps(certificate_to_document(c)) for c in certs)
+
+
+def _node_paths(node, path=()):
+    """The key path of every value below the root: leaves, lists and objects."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+_LEAF_VALUES = st.one_of(
+    st.sampled_from([0, -1, 10**6, 2**64, True, False, None, "1/0", "", "0", "-1", "1/2", "x"]),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=10), st.integers(-2, 2), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_certificate_documents_raise_only_tensorgap_errors(data):
+    # Replacing any one value of a saved document (a leaf, or a whole list or
+    # object) by a drawn leaf: parse and verify either return (accept or
+    # reject) or raise a TensorGapError, never anything else.
+    doc = json.loads(data.draw(st.sampled_from(_fuzz_documents())))
+    path = data.draw(st.sampled_from(sorted(_node_paths(doc), key=repr)))
+    value = data.draw(_LEAF_VALUES)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        verify_certificate(certificate_from_document(doc))
+    except TensorGapError:
+        pass
 
 
 def test_certificate_document_errors():

@@ -71,15 +71,27 @@ def _naive_rank(m):
 @settings(max_examples=160, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 2, 3, 7]))
 def test_fast_fp_rank_matches_naive(seed, p):
-    # both routes of mat_rank: packed bits over F_2, `_echelon` over Q and F_p
+    # every route of mat_rank: packed bits over F_2, integer rows over Q,
+    # `_echelon` over F_p
     field = QQ if p is None else GF(p)
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 5), rng.randint(1, 5)
     if p is None:
-        entries = [QQ.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(rows * cols)]
+        # up to 8x16, mostly zero, denominators up to 10^6, some zero rows
+        rows, cols = rng.randint(1, 8), rng.randint(1, 16)
+        density = rng.choice((0.1, 0.3, 1.0))
+        max_den = rng.choice((3, 10**6))
+        entries = [
+            QQ.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, max_den)))
+            if rng.random() < density
+            else QQ.zero()
+            for _ in range(rows * cols)
+        ]
+        for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
+            entries[i * cols : (i + 1) * cols] = [QQ.zero()] * cols
         if rows > 2 and rng.random() < 0.5:
             # a dependent last row, so that deficient ranks occur over Q too
-            two = QQ.from_int(2)
+            two = QQ.coerce(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
             entries[-cols:] = [x - two * y for x, y in zip(entries[:cols], entries[cols : 2 * cols])]
     else:
         entries = [field.from_int(rng.randrange(p)) for _ in range(rows * cols)]

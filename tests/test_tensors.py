@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,17 @@ def _row_major(idx, dims):
     return flat
 
 
+def _values(field):
+    """Small integers; over Q also zeros and Fractions with denominators up to 10^4."""
+    if field is QQ:
+        return st.one_of(
+            st.integers(-3, 3),
+            st.just(0),
+            st.fractions(-50, 50, max_denominator=10**4),
+        )
+    return st.integers(-3, 3)
+
+
 @st.composite
 def _tensors(draw, field=None, dims=None):
     if field is None:
@@ -203,8 +215,8 @@ def _tensors(draw, field=None, dims=None):
     if dims is None:
         dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
     size = math.prod(dims)
-    values = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
-    return Tensor(field, dims, [field.from_int(v) for v in values])
+    values = draw(st.lists(_values(field), min_size=size, max_size=size))
+    return Tensor(field, dims, values)
 
 
 def _mode_product_reference(t, m, axis):
@@ -253,12 +265,21 @@ def test_index_calculus_matches_elementwise_definitions(data):
             assert p[tuple(idx[a] for a in perm)] == t[idx]
 
     for axis in range(k):
-        rows = data.draw(st.sampled_from([n for n in range(1, 5) if n != dims[axis]]))
-        values = data.draw(
-            st.lists(st.integers(-2, 2), min_size=rows * dims[axis], max_size=rows * dims[axis])
+        n = dims[axis]
+        rows = data.draw(st.sampled_from([r for r in range(1, 5) if r != n]))
+        values = data.draw(st.lists(_values(field), min_size=rows * n, max_size=rows * n))
+        zero_rows = data.draw(st.sets(st.integers(0, rows - 1)))
+        m = Matrix(field, rows, n, [0 if f // n in zero_rows else v for f, v in enumerate(values)])
+        # zero some fibers along the axis (the entries sharing all other indices)
+        fibers = list(_indices(dims[:axis] + dims[axis + 1 :]))
+        zero_fibers = data.draw(st.sets(st.sampled_from(fibers)))
+        holed = Tensor.from_dict(
+            field,
+            dims,
+            {idx: t[idx] for idx in _indices(dims) if idx[:axis] + idx[axis + 1 :] not in zero_fibers},
         )
-        m = Matrix(field, rows, dims[axis], [field.from_int(v) for v in values])
         assert mode_apply(t, m, axis) == _mode_product_reference(t, m, axis)
+        assert mode_apply(holed, m, axis) == _mode_product_reference(holed, m, axis)
 
     other_dims = tuple(data.draw(st.lists(st.integers(1, 2), min_size=k, max_size=k)))
     s = data.draw(_tensors(field, other_dims))
@@ -284,6 +305,34 @@ def test_mode_apply_over_k_eps():
     m = Matrix(eps_ring, 3, 2, [e, one, one / (one - e), eps_ring.zero(), one + e, e])
     for axis, mm in ((0, m), (1, m.transpose())):
         assert mode_apply(t, mm, axis) == _mode_product_reference(t, mm, axis)
+
+
+def test_q_restriction_memory_stays_per_fiber():
+    # 4096 entries with pairwise distinct prime denominators: one common
+    # denominator for the whole tensor would be a product of 4096 primes in
+    # every entry (tens of MB); per-fiber scaling keeps the peak small.
+    sieve = bytearray([1]) * 40000
+    primes = []
+    for n in range(2, len(sieve)):
+        if sieve[n]:
+            primes.append(n)
+            sieve[n * n :: n] = bytearray(len(sieve[n * n :: n]))
+    primes = [p for p in primes if p > 10][:4096]
+    assert len(primes) == 4096
+    rng = random.Random(16)
+    t = Tensor(QQ, (16, 16, 16), [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), p) for p in primes])
+    maps = [Matrix(QQ, 2, 16, [rng.randint(-3, 3) for _ in range(32)]) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        out = restrict(t, maps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    expected = t
+    for axis, m in enumerate(maps):
+        expected = _mode_product_reference(expected, m, axis)
+    assert out == expected
 
 
 # -- the element representation ---------------------------------------------------

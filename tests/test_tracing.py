@@ -6,8 +6,12 @@ import pathlib
 import sys
 import types
 
+import pytest
+
 import tensorgap
+from tensorgap.errors import SearchBudgetError
 from tensorgap.fields import GF, QQ, FieldSpec, Scalar
+from tensorgap.tensors import Tensor, pad, unit_tensor
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -58,3 +62,31 @@ def test_tracer_counts_scalar_ops_and_uninstalls():
         assert after[key].keys() == attrs.keys(), key
         for attr, value in attrs.items():
             assert after[key][attr] is value, f"{key}.{attr} not restored"
+
+
+def test_traced_q_compression_keeps_its_spans():
+    # The per-layer metrics ranks.compress.attempts_per_call (restrict spans
+    # under ranks.compress) and linalg.rank.q.* count the Q work of
+    # generic_compress: one restriction per attempt, one mode product per
+    # axis, and Q-tagged rank spans under the flattening gate.
+    unit = pad(unit_tensor(3, 2, QQ), (3, 3, 3))
+    rank_one = Tensor.from_dict(QQ, (3, 3, 3), {(0, i, j): i + j for i in range(3) for j in range(3)})
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.on = True
+        tensorgap.ranks.generic_compress(unit, seed=0)
+        with pytest.raises(SearchBudgetError) as info:
+            tensorgap.ranks.generic_compress(rank_one, seed=0, budget=5)
+    finally:
+        tracer.uninstall()
+    calls, _ = tracer.span_totals()
+    assert calls["ranks.compress"] == 2
+    restricts = tracer.child_calls("ranks.compress", "tensors.restrict")
+    gates = tracer.child_calls("ranks.compress", "ranks.rank_one_gate")
+    # every attempt restricts once and (its result being nonzero here) gates it
+    assert restricts == calls["tensors.restrict"] == gates >= 1 + info.value.attempts
+    assert tracer.child_calls("tensors.restrict", "tensors.mode_apply") == 3 * restricts
+    assert calls["linalg.rank.q"] == tracer.child_calls("ranks.rank_one_gate", "linalg.rank.q") > 0
+    assert not [name for name in calls if name.startswith("linalg.rank.") and name != "linalg.rank.q"]
