@@ -14,7 +14,7 @@ from .errors import (
     ZeroTensorError,
 )
 from .fields import GF, QQ, FieldSpec, Scalar, is_prime
-from .ratfunc import EpsField, Poly, RatFunc
+from .ratfunc import EpsField, RatFunc
 from .linalg import Matrix, mat_det, mat_inverse, mat_rank, mat_solve
 from .tensors import (
     Tensor,

@@ -102,17 +102,17 @@ def _orbit_leaders(p: int) -> list:
     return leaders
 
 
-def census_222(p: int, max_prime: int = CENSUS_MAX_PRIME) -> list:
+def census_222(p: int) -> list:
     """One row per tensor in F_p^(2x2x2), in canonical id order.
 
     Ranks, hyperdeterminant and label are computed per row; the brute-force
     subrank only for each orbit's leader.  Raises
     ClassificationInconsistencyError if a label is not constant on an orbit.
-    Guarded: p^8 rows are enumerated, so by default only p <= 3 is allowed.
+    Guarded: p^8 rows are enumerated, so only p <= CENSUS_MAX_PRIME is allowed.
     """
-    if p > max_prime:
+    if p > CENSUS_MAX_PRIME:
         raise SearchSpaceTooLargeError(
-            f"census over F_{p} has {p**8} rows, above the p <= {max_prime} guard",
+            f"census over F_{p} has {p**8} rows, above the p <= {CENSUS_MAX_PRIME} guard",
             size=p**8,
         )
     rows: list = []

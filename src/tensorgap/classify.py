@@ -34,7 +34,6 @@ from .errors import (
 from .fields import FieldSpec, Scalar
 from .linalg import Matrix, mat_inverse, mat_rank
 from .ranks import (
-    DEFAULT_START_BOUND,
     RankSignature,
     canonical_subsets,
     generic_compress,
@@ -308,9 +307,7 @@ def unit_restriction_witness(t: Tensor):
 DEFAULT_TRIALS = 8
 
 
-def trichotomy(
-    t: Tensor, seed: int = 0, trials: int = DEFAULT_TRIALS, start_bound: int = DEFAULT_START_BOUND
-) -> ClassificationReport:
+def trichotomy(t: Tensor, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ClassificationReport:
     """Classify a nonzero order-3 tensor into the three-class hierarchy.
 
     Deterministic gate first: a flattening of rank one settles the first
@@ -344,7 +341,7 @@ def trichotomy(
     rng = random.Random(seed)
     for trial in range(trials):
         trial_seed = rng.randrange(2**63)
-        maps, compressed = generic_compress(t, trial_seed, start_bound=start_bound)
+        maps, compressed = generic_compress(t, trial_seed)
         cay = cayley_hyperdet(compressed)
         samples.append((trial_seed, cay))
         if cay:

@@ -20,7 +20,6 @@ from .errors import TensorGapError
 from .io import _scalar_matrix_to_document, load_certificate, load_tensor, save_certificate
 from .ranks import (
     DEFAULT_BRUTE_CEILING,
-    DEFAULT_START_BOUND,
     rank_signature,
     subrank_bruteforce,
 )
@@ -61,7 +60,7 @@ def _report_json(report) -> dict:
 
 def _cmd_classify(args) -> int:
     t = load_tensor(args.file)
-    report = trichotomy(t, seed=args.seed, trials=args.trials, start_bound=args.bound)
+    report = trichotomy(t, seed=args.seed, trials=args.trials)
     print(f"trichotomy class : {report.trichotomy.value}")
     print(f"asymptotic class : {report.asymptotic_class.value}")
     bound = ">= " if report.constant.lower_bound_only else ""
@@ -109,7 +108,7 @@ def _cmd_verify_cert(args) -> int:
 def _cmd_make_w_cert(args) -> int:
     t = load_tensor(args.file)
     try:
-        cert = construct_w_degeneration(t, seed=args.seed, start_bound=args.bound)
+        cert = construct_w_degeneration(t, seed=args.seed)
     except ValueError as exc:
         print(f"cannot construct certificate: {exc}")
         return 1
@@ -144,8 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--bound", type=int, default=DEFAULT_START_BOUND,
-                   help="starting integer range for generic sampling")
     p.add_argument("--out", default=None, help="write the structured report here")
     p.set_defaults(func=_cmd_classify)
 
@@ -166,8 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-w-cert", help="construct a W-tensor degeneration certificate")
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--bound", type=int, default=DEFAULT_START_BOUND,
-                   help="starting integer range for generic sampling")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_make_w_cert)
 

@@ -49,7 +49,7 @@ from .errors import (
 from .fields import QQ, FieldSpec, Scalar
 from .linalg import Matrix, _solve, lift_matrix, mat_det, mat_inverse, mat_rank, substitute_matrix
 from .ratfunc import EpsField
-from .ranks import DEFAULT_START_BOUND, generic_compress, has_rank_one_flattening
+from .ranks import generic_compress, has_rank_one_flattening
 from .tensors import (
     Tensor,
     as_matrix,
@@ -511,9 +511,7 @@ def _certify_cube(t: Tensor):
     )
 
 
-def construct_w_degeneration(
-    t: Tensor, seed: int = 0, start_bound: int = DEFAULT_START_BOUND
-) -> DegenerationCertificate:
+def construct_w_degeneration(t: Tensor, seed: int = 0) -> DegenerationCertificate:
     """A verified certificate that the W-tensor lies in the orbit closure of t.
 
     Requires partition rank >= 2 and a rational ground field: the genericity
@@ -533,7 +531,7 @@ def construct_w_degeneration(
         raise DimensionMismatchError("construction needs order >= 2")
     if t.is_zero() or has_rank_one_flattening(t) is not None:
         raise ValueError("precondition violated: tensor must have partition rank >= 2")
-    maps, cube = generic_compress(t, seed, start_bound=start_bound)
+    maps, cube = generic_compress(t, seed)
     curves = _certify_cube(cube)
     cert = DegenerationCertificate(
         source=t,

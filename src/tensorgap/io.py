@@ -17,13 +17,23 @@ from .degeneration import DegenerationCertificate
 from .errors import DocumentFormatError, FieldMismatchError
 from .fields import GF, QQ, FieldSpec
 from .linalg import Matrix
-from .ratfunc import EpsField, Poly, RatFunc
+from .ratfunc import EpsField, RatFunc, coeff_parse, coeff_text
 from .tensors import Tensor, _strides
 
 FORMAT_VERSION = 1
 # Dense tensors are allocated from a document's dims before any entry is
 # read, so dims that ask for more entries than this are refused.
 _MAX_TENSOR_ENTRIES = 2**20
+# Normalizing a dense curve entry takes time about cubic in its length, so
+# coefficient lists longer than this are refused before they are parsed.  The
+# builder's longest list for the unit tensor of order k has (k - 1)^2
+# coefficients: 121 at k = 12.
+MAX_EPS_COEFFS = 128
+
+
+def _is_int(x) -> bool:
+    """True for a JSON integer; JSON true and false load as bools, not ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_field(name, location) -> FieldSpec:
@@ -47,7 +57,7 @@ def _check_format(doc, kind, location):
     if not isinstance(doc, dict):
         raise DocumentFormatError("document must be a JSON object", location)
     version = doc.get("format")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise DocumentFormatError(f"unsupported format version {version!r}", location)
     if doc.get("kind") != kind:
         raise DocumentFormatError(f"expected kind {kind!r}, got {doc.get('kind')!r}", location)
@@ -82,7 +92,7 @@ def tensor_from_document(doc, location="tensor") -> Tensor:
     if (
         not isinstance(dims, list)
         or not dims
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(_is_int(d) and d >= 1 for d in dims)
     ):
         raise DocumentFormatError(f"bad dims {dims!r}", f"{location}.dims")
     size = 1
@@ -107,7 +117,7 @@ def tensor_from_document(doc, location="tensor") -> Tensor:
         idx, text = pair
         if not (isinstance(idx, list) and len(idx) == len(dims)):
             raise DocumentFormatError(f"index {idx!r} has wrong length", where)
-        if not all(isinstance(i, int) and 0 <= i < d for i, d in zip(idx, dims)):
+        if not all(_is_int(i) and 0 <= i < d for i, d in zip(idx, dims)):
             raise DocumentFormatError(f"index {idx!r} out of range for dims {list(dims)}", where)
         key = tuple(idx)
         if key in seen:
@@ -147,7 +157,7 @@ def _scalar_matrix_from_document(doc, field, location) -> Matrix:
         raise DocumentFormatError("matrix must be an object", location)
     rows, cols = doc.get("rows"), doc.get("cols")
     entries = doc.get("entries")
-    if not (isinstance(rows, int) and isinstance(cols, int) and isinstance(entries, list)):
+    if not (_is_int(rows) and _is_int(cols) and isinstance(entries, list)):
         raise DocumentFormatError("matrix needs rows, cols, entries", location)
     if len(entries) != rows * cols:
         raise DocumentFormatError(
@@ -160,16 +170,10 @@ def _scalar_matrix_from_document(doc, field, location) -> Matrix:
     return Matrix._from_raw(field, rows, cols, parsed)
 
 
-def _poly_coeff_list(poly: Poly, field) -> list:
-    if not poly.coeffs:
-        return ["0"]
-    return [field.text(c) for c in poly.coeffs]
-
-
 def _curve_matrix_to_document(m: Matrix) -> dict:
     base = m.ring.base
     entries = [
-        {"num-coeffs": _poly_coeff_list(e.num, base), "den-coeffs": _poly_coeff_list(e.den, base)}
+        {"num-coeffs": coeff_text(base, e.num), "den-coeffs": coeff_text(base, e.den)}
         for e in m.entries
     ]
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
@@ -180,7 +184,7 @@ def _curve_matrix_from_document(doc, field, location) -> Matrix:
         raise DocumentFormatError("curve matrix must be an object", location)
     rows, cols = doc.get("rows"), doc.get("cols")
     entries = doc.get("entries")
-    if not (isinstance(rows, int) and isinstance(cols, int) and isinstance(entries, list)):
+    if not (_is_int(rows) and _is_int(cols) and isinstance(entries, list)):
         raise DocumentFormatError("curve matrix needs rows, cols, entries", location)
     if len(entries) != rows * cols:
         raise DocumentFormatError(
@@ -195,14 +199,20 @@ def _curve_matrix_from_document(doc, field, location) -> Matrix:
         for key in ("num-coeffs", "den-coeffs"):
             if not isinstance(e[key], list):
                 raise DocumentFormatError(f"{key} must be a list", f"{where}.{key}")
+            if len(e[key]) > MAX_EPS_COEFFS:
+                raise DocumentFormatError(
+                    f"{key} has {len(e[key])} coefficients, more than {MAX_EPS_COEFFS}",
+                    f"{where}.{key}",
+                )
         try:
-            num = Poly._from_raw(field, [field._parse(str(c)) for c in e["num-coeffs"]])
-            den = Poly._from_raw(field, [field._parse(str(c)) for c in e["den-coeffs"]])
+            num = coeff_parse(field, e["num-coeffs"])
+            den = coeff_parse(field, e["den-coeffs"])
         except ValueError as exc:
             raise DocumentFormatError(str(exc), where) from None
-        if not den:
-            raise DocumentFormatError("curve entry has zero denominator", where)
-        parsed.append(RatFunc(num, den))
+        try:
+            parsed.append(RatFunc(field, num, den))
+        except ZeroDivisionError:
+            raise DocumentFormatError("curve entry has zero denominator", where) from None
     return Matrix._from_raw(ring, rows, cols, parsed)
 
 
@@ -234,7 +244,7 @@ def certificate_from_document(doc, location="certificate") -> DegenerationCertif
     if source.ring is not field or target.ring is not field:
         raise DocumentFormatError("source/target field disagrees with certificate field", location)
     order = doc.get("order")
-    if order != target.order:
+    if not _is_int(order) or order != target.order:
         raise DocumentFormatError(f"order {order!r} does not match target", location)
     compression = doc.get("compression")
     maps = None

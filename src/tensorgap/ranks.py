@@ -263,7 +263,6 @@ def generic_compress(
     t: Tensor,
     seed: int = 0,
     budget: int = DEFAULT_COMPRESS_BUDGET,
-    start_bound: int = DEFAULT_START_BOUND,
 ):
     """Compress a tensor of partition rank >= 2 to shape (2, ..., 2).
 
@@ -281,7 +280,7 @@ def generic_compress(
             return identity_maps(t), t
         raise ValueError("tensor does not have partition rank >= 2")
     rng = random.Random(seed)
-    bound = start_bound
+    bound = DEFAULT_START_BOUND
     for attempt in range(budget):
         maps = []
         for d in t.dims:

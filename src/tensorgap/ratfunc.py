@@ -1,15 +1,18 @@
 """The rational function field K(eps) over an exact coefficient field K.
 
-A :class:`Poly` is a dense univariate polynomial in eps with coefficients in
-K, stored as a raw coefficient tuple indexed by exponent from eps^0 upward
-(Fractions over Q, int residues over F_p), trailing zeros trimmed; the zero
-polynomial has an empty tuple.  Every sum, product, inverse, negation and
-coefficient text of raw coefficients is the field's own (``K.add``,
-``K.mul``, ``K.inv``, ...), so no rule of the arithmetic of K is written
-here.  :class:`EpsField` tags K(eps) the way FieldSpec tags K, and is
-interned the same way: one object per base field.  A RatFunc is both the
-raw value of K(eps) containers and the element at the API boundary;
-EpsField's raw arithmetic (``add``, ``mul``, ...) is the RatFunc operators.
+A polynomial in K[eps] is a raw coefficient tuple indexed by exponent from
+eps^0 upward (Fractions over Q, int residues over F_p), trailing zeros
+trimmed; the zero polynomial is the empty tuple.  Three private kernels work
+on such tuples: ``_times``, ``_divmod`` and the monic-remainder Euclid
+``_gcd``.  Every sum, product, inverse, negation and coefficient text of raw
+coefficients is the field's own (``K.add``, ``K.mul``, ``K.inv``, ...), so no
+rule of the arithmetic of K is written here, and ``coeff_text`` and
+``coeff_parse`` are the one text form of a polynomial, for ``RatFunc.text``
+and for documents alike.  :class:`EpsField` tags K(eps) the way FieldSpec
+tags K, and is interned the same way: one object per base field.  A RatFunc
+is both the raw value of K(eps) containers and the element at the API
+boundary; EpsField's raw arithmetic (``add``, ``mul``, ...) is the RatFunc
+operators.
 
 A :class:`RatFunc` is held eps-adically, as eps^v * u/w with u, w raw
 coefficient tuples, u(0) != 0, w(0) != 0, gcd(u, w) = 1 and w monic (zero
@@ -39,171 +42,6 @@ from .errors import FieldMismatchError
 from .fields import FieldSpec, Scalar
 
 INFINITE_VALUATION = math.inf
-
-
-class Poly:
-    """Polynomial in eps over Q or F_p; raw dense coefficients from eps^0."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldSpec, coeffs=()):
-        """Coefficients are ints, Fractions or Scalars, coerced into field."""
-        if field.m != 1:
-            raise FieldMismatchError(f"eps-polynomials are over Q or F_p, not {field.name}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", _trimmed([field._raw(c) for c in coeffs]))
-
-    @classmethod
-    def _from_raw(cls, field: FieldSpec, raw) -> "Poly":
-        """The polynomial with raw coefficients already reduced in field."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "field", field)
-        object.__setattr__(poly, "coeffs", _trimmed(raw))
-        return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def coefficient(self, e: int) -> Scalar:
-        raw = self.coeffs[e] if 0 <= e < len(self.coeffs) else None
-        return Scalar(self.field, raw) if raw is not None else self.field.zero()
-
-    def valuation(self):
-        """Index of the lowest nonzero coefficient; +inf for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return INFINITE_VALUATION
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other):
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        add = self.field.add
-        return Poly._from_raw(self.field, [add(x, y) for x, y in zip(a, b)] + list(a[len(b) :]))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        neg = self.field.neg
-        return Poly._from_raw(self.field, [neg(c) for c in self.coeffs])
-
-    def __mul__(self, other):
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        field = self.field
-        if not a or not b:
-            return Poly._from_raw(field, ())
-        add, mul = field.add, field.mul
-        out = [field._raw(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj != 0:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-        return Poly._from_raw(field, out)
-
-    def scale(self, raw):
-        """Multiply by the raw value of a field element."""
-        mul = self.field.mul
-        return Poly._from_raw(self.field, [mul(c, raw) for c in self.coeffs])
-
-    def shift(self, n: int):
-        """Multiply by eps^n (n >= 0)."""
-        if not self.coeffs:
-            return self
-        return Poly._from_raw(self.field, (self.field._raw(0),) * n + self.coeffs)
-
-    def _check(self, other):
-        if not isinstance(other, Poly) or other.field is not self.field:
-            raise FieldMismatchError("polynomials over different fields")
-
-    def divmod(self, other):
-        """Exact Euclidean division by a nonzero polynomial."""
-        self._check(other)
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        sub, mul = field.sub, field.mul
-        inv_lead = field.inv(other.leading())
-        rem = list(self.coeffs)
-        db = other.degree
-        quo = [field._raw(0)] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = mul(c, inv_lead)
-            quo[i - db] = q
-            for j, bj in enumerate(other.coeffs):
-                rem[i - db + j] = sub(rem[i - db + j], mul(q, bj))
-        return Poly._from_raw(field, quo), Poly._from_raw(field, rem)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def monic(self):
-        if not self:
-            return self
-        return self.scale(self.field.inv(self.leading()))
-
-    def text(self) -> str:
-        """Comma-separated coefficients from eps^0 ("0" for the zero polynomial)."""
-        if not self.coeffs:
-            return "0"
-        return ",".join(self.field.text(c) for c in self.coeffs)
-
-    def __repr__(self):
-        return f"Poly({self.field.name}, [{self.text()}])"
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm.
-
-    Each remainder is made monic before the next division.  Scaling by a
-    unit does not change the ideal a remainder generates, so the monic gcd is
-    the one plain Euclid gives; over Q it keeps the `Fraction` coefficients
-    of the remainders from growing with every step.
-    """
-    while b:
-        a, b = b, (a % b).monic()
-    return a.monic()
-
-
-def poly_parse(field: FieldSpec, text: str) -> Poly:
-    text = text.strip()
-    if text in ("", "0"):
-        return Poly(field)
-    return Poly._from_raw(field, [field._parse(part) for part in text.split(",")])
 
 
 class EpsField:
@@ -263,15 +101,11 @@ class EpsField:
         return _rf(self.base, 0, (c,), self._one._w)
 
     def coerce(self, x) -> "RatFunc":
-        """Coerce a RatFunc, Poly, Scalar, int or Fraction into K(eps)."""
+        """Coerce a RatFunc, Scalar, int or Fraction into K(eps)."""
         if isinstance(x, RatFunc):
             if x.field is not self.base:
                 raise FieldMismatchError(f"cannot coerce {x.field.name}(eps) into {self.name}")
             return x
-        if isinstance(x, Poly):
-            if x.field is not self.base:
-                raise FieldMismatchError("polynomial over the wrong base field")
-            return RatFunc(x, self._one.den)
         if isinstance(x, (Scalar, int, Fraction)):
             return self._constant(self.base._raw(x))
         raise TypeError(f"cannot coerce {type(x).__name__} into {self.name}")
@@ -285,24 +119,26 @@ class EpsField:
 class RatFunc:
     """An element eps^v * u/w of K(eps) in the normal form of the module docstring.
 
-    RatFunc(num, den) takes any quotient of polynomials: it moves the powers
-    of eps into v by slicing, divides the eps-free parts by their gcd when
-    both are nonconstant (otherwise that gcd is 1) and scales w monic."""
+    RatFunc(field, num, den) takes any quotient of polynomials, given as
+    coefficient sequences from eps^0 whose entries field coerces (ints,
+    Fractions, Scalars or raw values): it moves the powers of eps into v by
+    slicing, divides the eps-free parts by their gcd when both are
+    nonconstant (otherwise that gcd is 1) and scales w monic."""
 
     __slots__ = ("field", "_v", "_u", "_w")
 
-    def __init__(self, num: Poly, den: Poly):
-        field = num.field
-        if den.field is not field:
-            raise FieldMismatchError("numerator and denominator over different fields")
+    def __init__(self, field: FieldSpec, num, den=(1,)):
+        EpsField(field)  # refuses a base field other than Q or F_p
+        num = _trimmed([field._raw(c) for c in num])
+        den = _trimmed([field._raw(c) for c in den])
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
             v, u, w = INFINITE_VALUATION, (), (field._raw(1),)
         else:
-            vn, vd = num.valuation(), den.valuation()
+            vn, vd = _low(num), _low(den)
             v = vn - vd
-            u, w = _lowest_terms(field, num.coeffs[vn:], den.coeffs[vd:])
+            u, w = _lowest_terms(field, num[vn:], den[vd:])
             if w[-1] != 1:
                 inv = field.inv(w[-1])
                 u, w = _scaled(field, u, inv), _scaled(field, w, inv)
@@ -316,13 +152,14 @@ class RatFunc:
         return EpsField(self.field)
 
     @property
-    def num(self) -> Poly:
-        """The numerator eps^max(v, 0) * u of the dense quotient in lowest terms."""
+    def num(self) -> tuple:
+        """The raw coefficients of the numerator eps^max(v, 0) * u of the
+        dense quotient in lowest terms."""
         return _dense(self.field, self._u, self._v)
 
     @property
-    def den(self) -> Poly:
-        """The monic denominator eps^max(-v, 0) * w."""
+    def den(self) -> tuple:
+        """The raw coefficients of the monic denominator eps^max(-v, 0) * w."""
         return _dense(self.field, self._w, -self._v)
 
     def _other(self, other):
@@ -330,7 +167,7 @@ class RatFunc:
             if other.field is not self.field:
                 raise FieldMismatchError("rational functions over different base fields")
             return other
-        if isinstance(other, (Scalar, int, Fraction, Poly)):
+        if isinstance(other, (Scalar, int, Fraction)):
             return self.ring.coerce(other)
         return None
 
@@ -359,7 +196,7 @@ class RatFunc:
         n = _trimmed(n)
         if not n:
             return self.ring.zero()
-        k = next(i for i, c in enumerate(n) if c != 0)
+        k = _low(n)
         u, w = _lowest_terms(field, n[k:], w)
         return _rf(field, v + k, u, w)
 
@@ -493,7 +330,8 @@ class RatFunc:
         return _rf(field, n * self._v, _spread(field, self._u, n), _spread(field, self._w, n))
 
     def text(self) -> str:
-        return f"{self.num.text()} ; {self.den.text()}"
+        num, den = (",".join(coeff_text(self.field, p)) for p in (self.num, self.den))
+        return f"{num} ; {den}"
 
     def __str__(self):
         return self.text()
@@ -515,27 +353,71 @@ def _rf(field, v, u, w, r=None) -> RatFunc:
 def _lowest_terms(field, u: tuple, w: tuple):
     """u and w divided by their monic gcd; a no-op unless both are nonconstant."""
     if len(u) > 1 and len(w) > 1:
-        a, b = Poly._from_raw(field, u), Poly._from_raw(field, w)
-        g = poly_gcd(a, b)
-        if g.degree > 0:
-            return (a // g).coeffs, (b // g).coeffs
+        g = _gcd(field, u, w)
+        if len(g) > 1:
+            return _divmod(field, u, g)[0], _divmod(field, w, g)[0]
     return u, w
 
 
 def _times(field, a: tuple, b: tuple) -> tuple:
-    """The product of raw coefficient tuples with nonzero end coefficients."""
+    """The product of raw coefficient tuples."""
     if len(a) == 1 == len(b):
         return (field.mul(a[0], b[0]),)
-    return (Poly._from_raw(field, a) * Poly._from_raw(field, b)).coeffs
+    add, mul = field.add, field.mul
+    out = [field._raw(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            if bj != 0:
+                out[i + j] = add(out[i + j], mul(ai, bj))
+    return _trimmed(out)
+
+
+def _divmod(field, a: tuple, b: tuple):
+    """Quotient and remainder of Euclidean division of a by a nonzero b."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    sub, mul = field.sub, field.mul
+    inv_lead = field.inv(b[-1])
+    rem = list(a)
+    db = len(b) - 1
+    quo = [field._raw(0)] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        q = mul(c, inv_lead)
+        quo[i - db] = q
+        for j, bj in enumerate(b):
+            rem[i - db + j] = sub(rem[i - db + j], mul(q, bj))
+    return _trimmed(quo), _trimmed(rem)
+
+
+def _gcd(field, a: tuple, b: tuple) -> tuple:
+    """Monic gcd by the Euclidean algorithm.
+
+    Each remainder is made monic before the next division.  Scaling by a
+    unit does not change the ideal a remainder generates, so the monic gcd is
+    the one plain Euclid gives; over Q it keeps the `Fraction` coefficients
+    of the remainders from growing with every step.
+    """
+    while b:
+        a, b = b, _monic(field, _divmod(field, a, b)[1])
+    return _monic(field, a)
+
+
+def _monic(field, a: tuple) -> tuple:
+    return _scaled(field, a, field.inv(a[-1])) if a else a
 
 
 def _scaled(field, a: tuple, c) -> tuple:
     return tuple([field.mul(x, c) for x in a])
 
 
-def _dense(field, part: tuple, shift) -> Poly:
-    """eps^shift * part as a Poly when shift > 0, else part."""
-    return Poly._from_raw(field, (field._raw(0),) * shift + part if shift > 0 and part else part)
+def _dense(field, part: tuple, shift) -> tuple:
+    """eps^shift * part when shift > 0, else part."""
+    return (field._raw(0),) * shift + part if shift > 0 and part else part
 
 
 def _spread(field, raw: tuple, n: int) -> tuple:
@@ -545,6 +427,11 @@ def _spread(field, raw: tuple, n: int) -> tuple:
     out = [field._raw(0)] * ((len(raw) - 1) * n + 1)
     out[::n] = raw
     return tuple(out)
+
+
+def _low(raw) -> int:
+    """The exponent of the lowest nonzero coefficient of a nonzero polynomial."""
+    return next(i for i, c in enumerate(raw) if c != 0)
 
 
 def _trimmed(raw) -> tuple:
@@ -559,10 +446,17 @@ def _trimmed(raw) -> tuple:
 _EPS_FIELDS: dict = {}
 
 
+def coeff_text(field: FieldSpec, raw: tuple) -> list:
+    """The texts of raw coefficients from eps^0; ["0"] for the zero polynomial."""
+    return [field.text(c) for c in raw] or ["0"]
+
+
+def coeff_parse(field: FieldSpec, texts) -> list:
+    """Raw coefficients from their texts: the inverse of `coeff_text`."""
+    return [field._parse(str(t)) for t in texts]
+
+
 def ratfunc_parse(field: FieldSpec, text: str) -> RatFunc:
-    """Parse the "num ; den" textual form (den defaults to 1)."""
-    if ";" in text:
-        num_text, den_text = text.split(";")
-    else:
-        num_text, den_text = text, "1"
-    return RatFunc(poly_parse(field, num_text), poly_parse(field, den_text))
+    """Parse the "num ; den" form of `RatFunc.text` (den defaults to 1)."""
+    num, den = text.split(";") if ";" in text else (text, "1")
+    return RatFunc(field, coeff_parse(field, num.split(",")), coeff_parse(field, den.split(",")))

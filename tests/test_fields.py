@@ -11,7 +11,7 @@ from tensorgap.fields import GF, QQ, FieldSpec, Scalar, extension_modulus, is_pr
 from tensorgap.io import tensor_to_document
 from tensorgap.linalg import Matrix, mat_det, mat_rank
 from tensorgap.ranks import _covector_table, restricts_to_bruteforce, subrank_bruteforce
-from tensorgap.ratfunc import EpsField, Poly
+from tensorgap.ratfunc import EpsField, RatFunc
 from tensorgap.tensors import lift_tensor, unit_tensor
 
 
@@ -239,7 +239,7 @@ def test_extension_fields_refused_by_fp_only_routines():
     with pytest.raises(FieldMismatchError):
         tensor_to_document(t)
     with pytest.raises(FieldMismatchError):
-        Poly(f4, [1])
+        RatFunc(f4, [1])
     with pytest.raises(FieldMismatchError):
         EpsField(f4).one()
     with pytest.raises(FieldMismatchError):

@@ -14,6 +14,7 @@ from tensorgap.degeneration import (
 from tensorgap.errors import DocumentFormatError, TensorGapError
 from tensorgap.fields import QQ
 from tensorgap.io import (
+    MAX_EPS_COEFFS,
     certificate_from_document,
     certificate_to_document,
     load_certificate,
@@ -214,3 +215,62 @@ def test_oversized_dims_refused_before_allocation():
     with pytest.raises(DocumentFormatError) as info:
         certificate_from_document(cert_doc)
     assert info.value.location == "certificate.source.dims"
+
+
+def test_json_booleans_are_not_integers():
+    # JSON true loads as a bool, which Python counts as the int 1.  Each
+    # integer field refuses it, even where a 1 would fit the rest of the
+    # document.
+    w3 = tensor_to_document(w_tensor(3, (2, 2, 2), QQ))
+    cert = json.loads(_fuzz_documents()[0])
+
+    def changed(doc, edit):
+        doc = json.loads(json.dumps(doc))
+        edit(doc)
+        return doc
+
+    def first_row_only(key):
+        def edit(doc):
+            node = doc
+            for part in key[:-1]:
+                node = node[part]
+            node["entries"] = node["entries"][: node["cols"] if key[-1] == "rows" else node["rows"]]
+            node[key[-1]] = True
+        return edit
+
+    tensors = (
+        changed(w3, lambda d: d.update(format=True)),
+        changed(w3, lambda d: d.update(dims=[True, 2, 2], entries=[[[0, 0, 1], "1"]])),
+        changed(w3, lambda d: d.update(entries=[[[0, True, 1], "3"]])),
+    )
+    for doc in tensors:
+        with pytest.raises(DocumentFormatError):
+            tensor_from_document(doc)
+    certificates = (
+        changed(cert, lambda d: d.update(format=True)),
+        changed(cert, first_row_only(("compression", 0, "rows"))),
+        changed(cert, first_row_only(("compression", 0, "cols"))),
+        changed(cert, first_row_only(("curves", 0, "rows"))),
+        changed(cert, first_row_only(("curves", 0, "cols"))),
+        changed(cert, lambda d: d.update(order=True)),
+    )
+    for doc in certificates:
+        with pytest.raises(DocumentFormatError):
+            certificate_from_document(doc)
+
+
+def test_curve_coefficient_lists_are_capped():
+    # A unit k = 12 certificate has lists of up to 121 coefficients; a list
+    # longer than MAX_EPS_COEFFS is refused before any coefficient is parsed.
+    rng = random.Random(3)
+    doc = certificate_to_document(unit_to_w_certificate(3))
+    entry = doc["curves"][0]["entries"][0]
+    entry["num-coeffs"] = [str(rng.randint(-9, 9)) for _ in range(120)] + ["1"]
+    loaded = certificate_from_document(doc)
+    assert loaded.curves[0].entries[0].num == tuple(QQ._parse(c) for c in entry["num-coeffs"])
+    for key in ("num-coeffs", "den-coeffs"):
+        bad = json.loads(json.dumps(doc))
+        bad["curves"][0]["entries"][0][key] = ["x"] * (MAX_EPS_COEFFS + 1)
+        with pytest.raises(DocumentFormatError, match="more than 128") as info:
+            certificate_from_document(bad)
+        assert info.value.location == f"certificate.curves[0].entries[0].{key}"
