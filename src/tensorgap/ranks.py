@@ -22,7 +22,11 @@ degree at most D, so by the Combinatorial Nullstellensatz it does not vanish
 on all of G^(d-1) for any set G of D + 1 field elements.  The gate therefore
 walks the points of P^(d-1) whose first nonzero coordinate is 1 and whose
 other coordinates lie in G, chart (1, G^(d-1)) first: G is 0 .. D over Q and
-the first min(D + 1, q) codes over F_q.
+the first min(D + 1, q) codes over F_q.  The walk runs on raw entry rows: the
+last-axis slices are the strided rows entries[j::n], the basis is read off
+the pivot columns of their transpose (the runs of n entries), and each point
+sum c_i S_i is a raw list the recursion descends into.  Only an order-2 leaf
+becomes a Matrix, ranked by `mat_rank`.
 
 When q <= D the grid is all of P^(d-1)(F_q), which can lack a witness, so a
 "no" from a prime field F_p, p <= D, is rechecked once over the smallest
@@ -44,6 +48,7 @@ product order gives: the same witness and the same verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -58,7 +63,7 @@ from .errors import (
 )
 from .fields import GF, FieldSpec
 from .linalg import Matrix, _echelon, mat_rank
-from .tensors import Tensor, _strides, as_matrix, flatten, identity_maps, lift_tensor, restrict
+from .tensors import Tensor, _strides, flatten, identity_maps, lift_tensor, restrict
 
 DEFAULT_BRUTE_CEILING = 2**30
 DEFAULT_START_BOUND = 8
@@ -119,7 +124,8 @@ class RankSignature:
         return f"RankSignature({body})"
 
 
-def canonical_subsets(order: int):
+@functools.cache
+def canonical_subsets(order: int) -> tuple:
     """Canonical flattening subsets for a given order, in a stable order."""
     out = []
     for size in range(1, order // 2 + 1):
@@ -127,7 +133,7 @@ def canonical_subsets(order: int):
             axes = frozenset(axes)
             if RankSignature.canonical(axes, order) == axes:
                 out.append(axes)
-    return out
+    return tuple(out)
 
 
 def rank_signature(t: Tensor) -> RankSignature:
@@ -155,18 +161,16 @@ def has_rank_one_flattening(t: Tensor):
 # -- the recursive partition-rank gate ----------------------------------------
 
 
-def _independent_slices(m: Matrix) -> Matrix:
-    """The rows of m, taken greedily, that form a basis of its row space: the
-    pivot columns of the transpose."""
-    pivots, _ = _echelon(m.ring, m.transpose().to_rows(), m.rows)
-    return Matrix._from_raw(m.ring, len(pivots), m.cols, [e for i in pivots for e in m.row(i)])
-
-
-def _combine_slices(basis: Matrix, coeffs, dims) -> Tensor:
-    """The dims-shaped tensor sum c_i S_i over the rows S_i of basis, for raw
+def _combine_slices(ring, basis, coeffs) -> list:
+    """The raw entries of sum c_i S_i over the basis rows S_i, for raw
     coefficients c_i."""
-    row = Matrix._from_raw(basis.ring, 1, basis.rows, coeffs)
-    return Tensor._from_raw(basis.ring, dims, (row * basis).entries)
+    add, mul = ring.add, ring.mul
+    out = None
+    for c, row in zip(coeffs, basis):
+        if c:
+            term = row if c == 1 else [mul(c, e) for e in row]
+            out = term if out is None else list(map(add, out, term))
+    return out
 
 
 def _projective_points(n: int, dim: int):
@@ -212,10 +216,11 @@ def pr_at_least_two(t: Tensor, seed: int = 0, axis: int | None = None) -> bool:
     partition rank >= 2.  The image is searched on a fixed grid of
     projective points, the chart (1, G^(d-1)) first, with |G| = D + 1 for
     D = 2(2^(k-2) - 1); that is exact over Q and over F_q with q > D (see
-    the module docstring).  `axis` overrides the flattening choice (the
-    default is the last factor); the result does not depend on it.  The
-    search is deterministic, so `seed` has no effect; it is kept for
-    callers that pass one.
+    the module docstring), walking raw entry rows.  `axis`, moved last
+    before the walk, overrides the flattening choice (the default is the
+    last factor); the result does not depend on it.  The search is
+    deterministic, so `seed` has no effect; it is kept for callers that
+    pass one.
 
     Over a prime field F_p with p <= D the grid is the whole projective
     space, which can lack a witness (at order 4 over F_2, 648 tensors with
@@ -228,33 +233,35 @@ def pr_at_least_two(t: Tensor, seed: int = 0, axis: int | None = None) -> bool:
         raise FieldMismatchError("partition-rank gate works over Q or a finite field")
     if t.order < 2:
         raise DimensionMismatchError("partition rank needs order >= 2")
+    if axis is not None:
+        t = t.permute_axes([a for a in range(t.order) if a != axis] + [axis])
     if t.is_zero():
         return False
-    if _pr_recurse(t, axis):
+    if _pr_recurse(t.ring, t.dims, t.entries):
         return True
     big = _witness_field(t.ring, t.order)
     if big is None:
         return False
-    return _pr_recurse(lift_tensor(t, big), axis)
+    return _pr_recurse(big, t.dims, lift_tensor(t, big).entries)
 
 
-def _pr_recurse(t: Tensor, axis) -> bool:
-    if t.order == 2:
-        return mat_rank(as_matrix(t)) >= 2
-    p_axis = t.order - 1 if axis is None else axis
-    basis = _independent_slices(flatten(t, [p_axis]))
-    dim = basis.rows
-    if dim < 2:
+def _pr_recurse(ring, dims, entries) -> bool:
+    """The gate on the dims-shaped tensor with raw row-major entries: its
+    last-axis slices are entries[j::n], and each image point is a raw list."""
+    if len(dims) == 2:
+        return mat_rank(Matrix._from_raw(ring, dims[0], dims[1], entries)) >= 2
+    n = dims[-1]
+    rows = [list(entries[i : i + n]) for i in range(0, len(entries), n)]
+    basis = [entries[j::n] for j in _echelon(ring, rows, n)[0]]
+    if len(basis) < 2:
         return False
-    slice_dims = t.dims[:p_axis] + t.dims[p_axis + 1 :]
-    field = t.ring
-    n = _witness_degree(t.order) + 1
-    if field.p is not None:
-        n = min(n, field.q)
-    for coeffs in _projective_points(n, dim):
-        if field.p is None:
+    grid = _witness_degree(len(dims)) + 1
+    if ring.p is not None:
+        grid = min(grid, ring.q)
+    for coeffs in _projective_points(grid, len(basis)):
+        if ring.p is None:
             coeffs = [Fraction(c) for c in coeffs]
-        if _pr_recurse(_combine_slices(basis, coeffs, slice_dims), None):
+        if _pr_recurse(ring, dims[:-1], _combine_slices(ring, basis, coeffs)):
             return True
     return False
 

@@ -11,7 +11,8 @@ per factor.
 
 Every reshuffle of entries (flattenings, slices, axis permutations, the
 Kronecker product) is a gather through one cached axis-order map,
-``_axis_order(dims, perm)``.  ``mode_apply`` is the only contraction:
+``_axis_order(dims, perm)``; `flatten` reads it, with its row count and its
+axis checks, from one cached plan per (dims, axes).  ``mode_apply`` is the only contraction:
 restriction, padding and the covector tables of the brute-force oracles are
 mode products.  Over Q it works on integer numerators: each map row is
 scaled by the lcm of its denominators and each source fiber along the
@@ -215,13 +216,18 @@ def kronecker(t: Tensor, s: Tensor) -> Tensor:
     return Tensor._from_raw(t.ring, dims, [outer[f] for f in _axis_order(t.dims + s.dims, perm)])
 
 
-def _check_axes(t: Tensor, axes) -> tuple[int, ...]:
-    axes = tuple(sorted(set(axes)))
-    if not axes or len(axes) == t.order:
+@functools.cache
+def _flatten_plan(dims, axes: frozenset) -> tuple[int, tuple[int, ...]]:
+    """The row count of the axes-flattening of a dims-shaped tensor and the
+    flat indices that gather its entries; axes must be a nonempty proper
+    subset of range(len(dims))."""
+    if not axes or len(axes) >= len(dims):
         raise DimensionMismatchError("flattening needs a nonempty proper subset of axes")
-    if any(a < 0 or a >= t.order for a in axes):
-        raise DimensionMismatchError(f"axes {axes} out of range for order {t.order}")
-    return axes
+    if not axes <= frozenset(range(len(dims))):
+        raise DimensionMismatchError(f"axes {sorted(axes)} out of range for order {len(dims)}")
+    rows = tuple(sorted(axes))
+    co_axes = tuple(a for a in range(len(dims)) if a not in axes)
+    return math.prod(dims[a] for a in rows), _axis_order(dims, rows + co_axes)
 
 
 def flatten(t: Tensor, axes) -> Matrix:
@@ -229,13 +235,9 @@ def flatten(t: Tensor, axes) -> Matrix:
 
     Both sides are enumerated row-major in ascending axis order.
     """
-    axes = _check_axes(t, axes)
-    co_axes = tuple(a for a in range(t.order) if a not in axes)
-    nrows = 1
-    for a in axes:
-        nrows *= t.dims[a]
-    entries = [t.entries[f] for f in _axis_order(t.dims, axes + co_axes)]
-    return Matrix._from_raw(t.ring, nrows, t.size // nrows, entries)
+    nrows, order = _flatten_plan(t.dims, frozenset(axes))
+    entries = t.entries
+    return Matrix._from_raw(t.ring, nrows, t.size // nrows, [entries[f] for f in order])
 
 
 def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:

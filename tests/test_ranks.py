@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 from tensorgap import ranks
 from tensorgap.errors import (
+    DimensionMismatchError,
     FieldMismatchError,
     SearchSpaceTooLargeError,
     ZeroTensorError,
 )
 from tensorgap.fields import GF, QQ
-from tensorgap.linalg import Matrix
+from tensorgap.linalg import Matrix, _echelon, mat_rank
 from tensorgap.ranks import (
     canonical_subsets,
     generic_compress,
@@ -27,6 +29,8 @@ from tensorgap.ranks import (
 from tensorgap.tensors import (
     Tensor,
     _strides,
+    as_matrix,
+    flatten,
     identity_maps,
     kronecker,
     lift_tensor,
@@ -194,11 +198,11 @@ def _count_combines(monkeypatch, limit=None):
     fields = []
     real_combine = ranks._combine_slices
 
-    def counting_combine(basis, coeffs, dims):
-        fields.append(basis.ring)
+    def counting_combine(ring, basis, coeffs):
+        fields.append(ring)
         if limit is not None and len(fields) > limit:
             raise AssertionError(f"the partition-rank gate built more than {limit} image points")
-        return real_combine(basis, coeffs, dims)
+        return real_combine(ring, basis, coeffs)
 
     monkeypatch.setattr(ranks, "_combine_slices", counting_combine)
     return fields
@@ -294,6 +298,99 @@ def test_pr_gate_witness_field_sizes():
     e1_w3 = _order4_f2([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     with pytest.raises(FieldMismatchError):
         pr_at_least_two(lift_tensor(e1_w3, f4), seed=1)
+
+
+# -- reference: the gate as a recursion over Tensor and Matrix objects ---------
+
+
+def _reference_gate(t, axis, visits):
+    """pr_at_least_two as a recursion that flattens each image point and
+    multiplies slice matrices, appending (field, coefficients) per point."""
+    if t.is_zero():
+        return False
+    if _reference_recurse(t, axis, visits):
+        return True
+    big = ranks._witness_field(t.ring, t.order)
+    return big is not None and _reference_recurse(lift_tensor(t, big), axis, visits)
+
+
+def _reference_recurse(t, axis, visits):
+    if t.order == 2:
+        return mat_rank(as_matrix(t)) >= 2
+    p_axis = t.order - 1 if axis is None else axis
+    m = flatten(t, [p_axis])
+    pivots, _ = _echelon(t.ring, m.transpose().to_rows(), m.rows)
+    basis = Matrix._from_raw(t.ring, len(pivots), m.cols, [e for i in pivots for e in m.row(i)])
+    if basis.rows < 2:
+        return False
+    slice_dims = t.dims[:p_axis] + t.dims[p_axis + 1 :]
+    n = ranks._witness_degree(t.order) + 1
+    if t.ring.p is not None:
+        n = min(n, t.ring.q)
+    for coeffs in ranks._projective_points(n, basis.rows):
+        if t.ring.p is None:
+            coeffs = [Fraction(c) for c in coeffs]
+        visits.append((t.ring, tuple(coeffs)))
+        row = Matrix._from_raw(t.ring, 1, basis.rows, coeffs)
+        image = Tensor._from_raw(t.ring, slice_dims, (row * basis).entries)
+        if _reference_recurse(image, None, visits):
+            return True
+    return False
+
+
+def _oracle_inputs():
+    """Nonzero F_3 2x2x2 tensors, F_2 order-4 tensors (F_8 rechecks among
+    them), and seeded Q and F_5 tensors, with and without a planted rank-one
+    flattening."""
+    cases = [t for _, t in all_fp_tensors((2, 2, 2), 3) if not t.is_zero()]
+    cases += [
+        _order4_f2([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+        _order4_f2([(0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 0)]),
+        w_tensor(4, (2, 2, 2, 2), F2),
+    ]
+    rng = random.Random(16)
+    for code in rng.sample(range(1, 2**16), 48):
+        cases.append(Tensor(F2, (2, 2, 2, 2), [code >> i & 1 for i in range(16)]))
+    f5 = GF(5)
+    for dims in [(2, 3, 2), (3, 2, 2, 2), (2, 4, 4)]:
+        for _ in range(3):
+            cases.append(random_rational_tensor(dims, rng, bound=3))
+            cases.append(Tensor(f5, dims, [rng.randrange(5) for _ in range(math.prod(dims))]))
+            planted = _planted_rank_one_flattening(f5, dims, rng)
+            cases.append(planted)
+            cases.append(planted + _planted_rank_one_flattening(f5, dims, rng))
+            cases.append(Tensor(QQ, dims, planted.entries))
+    return [t for t in cases if not t.is_zero()]
+
+
+def test_pr_gate_matches_tensor_matrix_reference(monkeypatch):
+    visits = []
+    real_combine = ranks._combine_slices
+
+    def recording_combine(ring, basis, coeffs):
+        visits.append((ring, tuple(coeffs)))
+        return real_combine(ring, basis, coeffs)
+
+    monkeypatch.setattr(ranks, "_combine_slices", recording_combine)
+    answers = set()
+    lifted = 0
+    for t in _oracle_inputs():
+        for axis in (None, *range(t.order)):
+            visits.clear()
+            answer = pr_at_least_two(t, axis=axis)
+            expected = []
+            assert answer == _reference_gate(t, axis, expected), (t, axis)
+            assert visits == expected, (t, axis)
+            answers.add(answer)
+            lifted += any(ring is not t.ring for ring, _ in visits)
+    assert answers == {True, False} and lifted > 0
+
+
+def test_pr_gate_refuses_out_of_range_axis():
+    t = w_tensor(3, (2, 2, 2), QQ)
+    for axis in (3, -1):
+        with pytest.raises(DimensionMismatchError):
+            pr_at_least_two(t, axis=axis)
 
 
 def test_generic_compress_w3_padded():

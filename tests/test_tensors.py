@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensorgap import tensors
 from tensorgap.errors import DimensionMismatchError, FieldMismatchError
 from tensorgap.fields import GF, QQ, Scalar
 from tensorgap.linalg import Matrix, mat_det, mat_rank, mat_solve
@@ -104,6 +105,24 @@ def test_flatten_layout_row_major():
     m = flatten(t, [0, 2])  # rows over (i0, i2), cols over i1
     assert m.rows == 4 and m.cols == 3
     assert m[1 * 2 + 0, 2].value == 7
+
+
+def test_flatten_plan_normalizes_axes():
+    t = Tensor(QQ, (2, 3, 2, 2), range(24))
+    for axes in ([2, 0], (0, 2, 0), {2, 0}, iter([0, 2, 2])):
+        assert flatten(t, axes) == flatten(t, [0, 2])
+    assert flatten(t, [3, 1, 1]) == flatten(t, (1, 3))
+    hits = tensors._flatten_plan.cache_info().hits
+    flatten(t, [0, 2])
+    assert tensors._flatten_plan.cache_info().hits == hits + 1
+
+
+def test_flatten_refuses_bad_axes_on_every_call():
+    t = unit_tensor(3, 2, QQ)
+    for axes in ([], [0, 1, 2], [2, 1, 0, 0], [3], [0, 3], [-1], [-1, 0]):
+        for _ in range(2):
+            with pytest.raises(DimensionMismatchError):
+                flatten(t, axes)
 
 
 def test_restrict_examples():

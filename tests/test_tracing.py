@@ -90,3 +90,27 @@ def test_traced_q_compression_keeps_its_spans():
     assert tracer.child_calls("tensors.restrict", "tensors.mode_apply") == 3 * restricts
     assert calls["linalg.rank.q"] == tracer.child_calls("ranks.rank_one_gate", "linalg.rank.q") > 0
     assert not [name for name in calls if name.startswith("linalg.rank.") and name != "linalg.rank.q"]
+
+
+def test_traced_f2_gates_keep_their_rank_spans():
+    # The per-layer metrics linalg.rank.fp.* count the F_2 work of the
+    # order-4 gates: the partition-rank gate reaches mat_rank at each order-2
+    # leaf (over F_2 and, for this tensor's recheck, F_8), and the signature
+    # ranks its 7 canonical flattenings.
+    support = [(0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 0)]
+    t = Tensor.from_dict(GF(2), (2, 2, 2, 2), {idx: 1 for idx in support})
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.on = True
+        assert tensorgap.ranks.pr_at_least_two(t) is True
+        tensorgap.ranks.rank_signature(t)
+    finally:
+        tracer.uninstall()
+    calls, _ = tracer.span_totals()
+    assert calls["ranks.pr_gate"] == calls["ranks.signature"] == 1
+    gate_ranks = tracer.child_calls("ranks.pr_gate", "linalg.rank.fp")
+    assert gate_ranks > 0
+    assert tracer.child_calls("ranks.signature", "linalg.rank.fp") == 7
+    assert calls["linalg.rank.fp"] == gate_ranks + 7
