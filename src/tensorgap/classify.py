@@ -316,8 +316,11 @@ def trichotomy(t: Tensor, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Classi
     sampled hyperdeterminant value is a polynomial certificate, and a
     ground-field witness map is attached when the pencil splits), while an
     all-W outcome is accepted only together with the deterministic
-    multilinear-rank gate and is reported with randomized confidence.
+    multilinear-rank gate and is reported with randomized confidence, so
+    `trials` must be at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"trichotomy needs at least one trial, got {trials}")
     if t.order != 3:
         raise DimensionMismatchError("trichotomy classifies order-3 tensors")
     if t.is_zero():

@@ -4,11 +4,16 @@ Exit codes: 0 on success, 1 on a negative classification/verification result
 (certificate rejected, subrank threshold not met), 2 on usage or document
 errors.  All randomness is seed-controlled; TENSORGAP_SEED overrides the
 default seed.
+
+`main(argv)` may be called any number of times in one process: it parses with
+one parser built on the first call and kept, and reads TENSORGAP_SEED afresh
+on every call that does not pass --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,6 +35,11 @@ def _default_seed() -> int:
         return int(os.environ.get("TENSORGAP_SEED", "0"))
     except ValueError:
         return 0
+
+
+def _seed(args) -> int:
+    """The --seed given, else TENSORGAP_SEED as it is now."""
+    return _default_seed() if args.seed is None else args.seed
 
 
 def _report_json(report) -> dict:
@@ -60,7 +70,7 @@ def _report_json(report) -> dict:
 
 def _cmd_classify(args) -> int:
     t = load_tensor(args.file)
-    report = trichotomy(t, seed=args.seed, trials=args.trials)
+    report = trichotomy(t, seed=_seed(args), trials=args.trials)
     print(f"trichotomy class : {report.trichotomy.value}")
     print(f"asymptotic class : {report.asymptotic_class.value}")
     bound = ">= " if report.constant.lower_bound_only else ""
@@ -108,7 +118,7 @@ def _cmd_verify_cert(args) -> int:
 def _cmd_make_w_cert(args) -> int:
     t = load_tensor(args.file)
     try:
-        cert = construct_w_degeneration(t, seed=args.seed)
+        cert = construct_w_degeneration(t, seed=_seed(args))
     except ValueError as exc:
         print(f"cannot construct certificate: {exc}")
         return 1
@@ -133,6 +143,7 @@ def _cmd_constant(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the command line; `main` keeps one from its first call."""
     parser = argparse.ArgumentParser(
         prog="tensorgap",
         description="Exact subrank-gap classification and degeneration certificates.",
@@ -142,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="order-3 trichotomy classification")
     p.add_argument("file")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="write the structured report here")
     p.set_defaults(func=_cmd_classify)
 
@@ -162,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-w-cert", help="construct a W-tensor degeneration certificate")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_make_w_cert)
 
@@ -178,9 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except TensorGapError as exc:

@@ -151,13 +151,15 @@ class FieldSpec:
 
     def _raw(self, x):
         """The raw value of an int (an integer, never a code), Fraction or Scalar."""
+        p = self.p
+        if p is None and type(x) is Fraction:
+            return x  # already a raw value: constructed Fractions are in lowest terms
         if isinstance(x, Scalar):
             if x.field is not self:
                 raise FieldMismatchError(f"cannot coerce {x.field.name} scalar into {self.name}")
             return x.value
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"cannot coerce {type(x).__name__} into {self.name}")
-        p = self.p
         if p is None:
             return Fraction(x)
         den = x.denominator % p

@@ -278,3 +278,10 @@ def test_gap_constant_monotone_decreasing():
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(v > 1 for v in values)
     assert values[1] < 2  # c_3 sits strictly inside the (1, 2) gap
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_trichotomy_refuses_fewer_than_one_trial(trials):
+    # with no samples the all-W branch would rest on the multilinear-rank gate alone
+    with pytest.raises(ValueError, match="at least one trial"):
+        trichotomy(unit_tensor(3, 2, QQ), trials=trials)

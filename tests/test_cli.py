@@ -1,9 +1,10 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from tensorgap.cli import main
+from tensorgap.cli import build_parser, main
 from tensorgap.degeneration import unit_to_w_certificate
 from tensorgap.fields import GF, QQ
 from tensorgap.io import (
@@ -180,3 +181,79 @@ def test_classify_report_is_pinned(tmp_path, capsys):
     assert main(["classify", str(path), "--seed", "1", "--out", str(out)]) == 0
     assert "unit-witness" in json.loads(out.read_text())
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CLASSIFY_REPORT_SHA256
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_classify_refuses_fewer_than_one_trial(w3_file, trials, capsys):
+    assert main(["classify", str(w3_file), "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "at least one trial" in captured.err
+    assert "randomized" not in captured.out
+
+
+@pytest.fixture
+def padded_unit_file(tmp_path):
+    # make-w-cert output depends on the seed for this input
+    path = tmp_path / "unit332.json"
+    save_tensor(pad(unit_tensor(3, 2, QQ), (3, 3, 2)), path)
+    return path
+
+
+def test_env_seed_is_read_on_every_call(padded_unit_file, w3_file, tmp_path, monkeypatch, capsys):
+    def run(*argv):
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        data = out.read_bytes()
+        out.unlink()
+        return data
+
+    make = ("make-w-cert", str(padded_unit_file))
+    classify = ("classify", str(w3_file))
+    monkeypatch.delenv("TENSORGAP_SEED", raising=False)
+    at_zero = run(*make), run(*classify)
+    monkeypatch.setenv("TENSORGAP_SEED", "123")
+    at_env = run(*make), run(*classify)
+    at_flag = run(*make, "--seed", "123"), run(*classify, "--seed", "123")
+    assert at_env == at_flag
+    assert at_env[0] != at_zero[0] and at_env[1] != at_zero[1]
+    # an explicit --seed wins over the environment
+    assert (run(*make, "--seed", "0"), run(*classify, "--seed", "0")) == at_zero
+
+
+def test_parser_survives_usage_errors_and_keeps_no_options(w3_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify"])
+    assert exc.value.code == 2
+    assert main(["ranks", str(w3_file)]) == 0
+
+    report = tmp_path / "report.json"
+    assert main(["classify", str(w3_file), "--seed", "4", "--trials", "3", "--out", str(report)]) == 0
+    first = json.loads(report.read_text())
+    assert len(first["cayley-samples"]) == 3
+    report.unlink()
+    assert main(["constant", "--k", "3"]) == 0
+    assert main(["classify", str(w3_file)]) == 0
+    assert not report.exists()  # --out did not carry over
+    assert main(["classify", str(w3_file), "--out", str(report)]) == 0
+    second = json.loads(report.read_text())
+    assert len(second["cayley-samples"]) == 8  # nor did --trials
+    with pytest.raises(SystemExit):
+        main(["ranks", str(w3_file), "--seed", "4"])  # nor does --seed exist for ranks
+
+
+def test_main_builds_its_parser_once(w3_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["constant", "--k", "3"]) == 0
+    after_first = len(built)
+    assert main(["ranks", str(w3_file)]) == 0
+    assert main(["constant", "--k", "4"]) == 0
+    assert len(built) == after_first
+    # build_parser itself still hands out a new parser each time
+    assert build_parser() is not build_parser()

@@ -1,7 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorgap.census import tensor_to_id
 from tensorgap.degeneration import construct_w_degeneration
@@ -244,3 +247,35 @@ def test_extension_fields_refused_by_fp_only_routines():
         EpsField(f4).one()
     with pytest.raises(FieldMismatchError):
         construct_w_degeneration(lift_tensor(unit_tensor(3, 2, GF(3)), GF(3, 2)))
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**12), 10**12), st.integers(1, 10**12))
+def test_raw_coercion_keeps_its_meaning(num, den):
+    f3 = GF(3)
+    exact = Fraction(num, den)
+    for x in (exact, _FractionSubclass(num, den), num, num > 0):
+        raw = QQ._raw(x)
+        assert type(raw) is Fraction and raw == Fraction(x)
+        assert raw.denominator > 0 and math.gcd(raw.numerator, raw.denominator) == 1
+        if Fraction(x).denominator % 3:
+            assert f3._raw(x) == Fraction(x).numerator * pow(Fraction(x).denominator, -1, 3) % 3
+        else:
+            with pytest.raises(ZeroDivisionError):
+                f3._raw(x)
+
+
+def test_raw_coercion_edge_cases():
+    assert GF(3)._raw(Fraction(1, 2)) == 2
+    assert QQ._raw(True) == 1 and type(QQ._raw(True)) is Fraction
+    assert QQ._raw(QQ.from_fraction(Fraction(2, 6))) == Fraction(1, 3)
+    with pytest.raises(FieldMismatchError):
+        QQ._raw(GF(3).one())
+    with pytest.raises(FieldMismatchError):
+        GF(3)._raw(QQ.one())
+    with pytest.raises(TypeError):
+        QQ._raw(0.5)
