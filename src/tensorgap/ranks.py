@@ -44,6 +44,17 @@ candidates by ANDing masks, and a prefix that leaves some row without
 candidates is dropped unseen by the last factor.  The last factor's tuples
 are scanned in their own order, so the first match is the one the full
 product order gives: the same witness and the same verdict.
+
+The subrank oracle returns only a verdict, so it searches one map tuple per
+orbit of the stabilizer of the unit tensor <r>: simultaneous row
+permutations P, and invertible diagonals D_0 .. D_{k-1} whose product is I.
+If (A_j) restricts T to <r>, so does (D_j P A_j), and the rows of each A_j
+are pairwise non-proportional, since every flattening of <r> has rank r.
+For order k >= 2, factor 0 therefore takes increasing tuples of monic codes
+(lowest nonzero base-p digit 1), factors 1 .. k-2 ordered tuples of monic
+codes, and the last factor, which absorbs the scaling, every ordered tuple
+of distinct nonzero codes.  An order-1 tensor's factor 0 is also its last,
+so it keeps the full list.
 """
 
 from __future__ import annotations
@@ -408,11 +419,17 @@ def subrank_bruteforce(
 ) -> bool:
     """Whether T restricts to the order-k unit tensor of rank r, by exhaustion.
 
-    Only for F_p tensors.  The search enumerates, per factor, ordered r-tuples
-    of distinct nonzero covectors (zero or repeated rows can never produce the
-    unit pattern) and checks the r^k diagonal/off-diagonal conditions against
-    the precomputed covector table.  The ceiling bounds the number of such
-    map tuples, the product of perm(p^(n_j) - 1, r) over the factors.
+    Only for F_p tensors.  The search checks the r^k diagonal/off-diagonal
+    conditions against the precomputed covector table, one map tuple per
+    orbit of the stabilizer of <r> (row permutations P, diagonals D_j of
+    product I; (D_j P A_j) is a witness whenever (A_j) is).  The rows of a
+    witness factor are pairwise non-proportional, so for order k >= 2
+    factor 0 takes increasing r-tuples of monic codes, factors 1 .. k-2
+    ordered r-tuples of monic codes, and the last factor every ordered
+    r-tuple of distinct nonzero codes.  An order-1 tensor has no factor
+    before its last, so its one factor keeps the full list.  The ceiling
+    still bounds the unreduced count, the product of perm(p^(n_j) - 1, r)
+    over the factors, so a search refused before is refused now.
     """
     field = t.ring
     if not isinstance(field, FieldSpec) or not field.is_prime_field:
@@ -432,8 +449,24 @@ def subrank_bruteforce(
         (jdx, 1 if len(set(jdx)) == 1 else 0)
         for jdx in itertools.product(range(r), repeat=t.order)
     ]
-    per_factor = [list(itertools.permutations(range(1, p**d), r)) for d in t.dims]
+    nonzero = [range(1, p**d) for d in t.dims]
+    if t.order == 1:  # factor 0 is also the last
+        per_factor = [list(itertools.permutations(nonzero[0], r))]
+    else:
+        monic = [[c for c in codes if _is_monic(c, p)] for codes in nonzero[:-1]]
+        per_factor = [
+            list(itertools.combinations(monic[0], r)),
+            *(list(itertools.permutations(codes, r)) for codes in monic[1:]),
+            list(itertools.permutations(nonzero[-1], r)),
+        ]
     return _first_match(t, unit, [r] * t.order, per_factor) is not None
+
+
+def _is_monic(code: int, p: int) -> bool:
+    """Whether the lowest nonzero base-p digit of a nonzero code is 1."""
+    while code % p == 0:
+        code //= p
+    return code % p == 1
 
 
 def restricts_to_bruteforce(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tensorgap import ranks
+from tensorgap import census, ranks
 from tensorgap.errors import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -672,10 +672,89 @@ def test_subrank_bruteforce_matches_naive_loop_on_f3_no_rows():
         assert _naive_and_bitmask(subrank_bruteforce, t, 2) == (False, False)
 
 
+# -- the search up to the symmetries of <r> against the full search -------------
+
+
+def _full_search_subrank(t, r):
+    """subrank_bruteforce over the unreduced lists: every ordered r-tuple of
+    distinct nonzero codes on every factor, as before the search was cut
+    down to one map tuple per orbit of the stabilizer of <r>."""
+    first_match = ranks._first_match
+
+    def full(t, conditions, row_counts, per_factor):
+        p = t.ring.p
+        per_factor = [list(itertools.permutations(range(1, p**n), r)) for n in t.dims]
+        return first_match(t, conditions, row_counts, per_factor)
+
+    with mock.patch.object(ranks, "_first_match", full):
+        return subrank_bruteforce(t, r)
+
+
+def _searched_list_sizes(t, r):
+    """The length of each factor's list that subrank_bruteforce searches."""
+    first_match = ranks._first_match
+    sizes = []
+
+    def counted(t, conditions, row_counts, per_factor):
+        sizes.append(tuple(len(codes) for codes in per_factor))
+        return first_match(t, conditions, row_counts, per_factor)
+
+    with mock.patch.object(ranks, "_first_match", counted):
+        subrank_bruteforce(t, r)
+    return sizes
+
+
+def test_reduced_subrank_search_matches_full_search_f2_exhaustive():
+    for code, t in all_fp_tensors((2, 2, 2), 2):
+        assert subrank_bruteforce(t, 2) is _full_search_subrank(t, 2), code
+
+
+def test_reduced_subrank_search_matches_full_search_f3():
+    leaders = sorted(set(census._orbit_leaders(3)))
+    assert len(leaders) == 8
+    sample = random.Random(5).sample(range(3**8), 200)
+    for tensor_id in leaders + sample:
+        t = census.tensor_from_id(tensor_id, 3)
+        assert subrank_bruteforce(t, 2) is _full_search_subrank(t, 2), tensor_id
+
+
 def test_subrank_bruteforce_exhausts_f5():
     f5 = GF(5)
-    assert not subrank_bruteforce(w_tensor(3, (2, 2, 2), f5), 2)
-    assert subrank_bruteforce(unit_tensor(3, 2, f5), 2)
+    for t, expected in ((w_tensor(3, (2, 2, 2), f5), False), (unit_tensor(3, 2, f5), True)):
+        assert subrank_bruteforce(t, 2) is expected
+        assert _full_search_subrank(t, 2) is expected
+
+
+# Prefixes the full search may walk in one drawn case.
+_FULL_PREFIX_BUDGET = 56**2
+
+
+@st.composite
+def _full_search_cases(draw):
+    t = draw(_fp_tensors())
+    r = draw(st.integers(1, 3))
+    p = t.ring.p
+    while r > 1 and math.prod(math.perm(p**n - 1, r) for n in t.dims[:-1]) > _FULL_PREFIX_BUDGET:
+        r -= 1
+    return t, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(_full_search_cases())
+def test_reduced_subrank_search_matches_full_search_drawn(case):
+    t, r = case
+    assert subrank_bruteforce(t, r) is _full_search_subrank(t, r)
+
+
+def test_subrank_search_lists_are_cut_by_the_unit_stabilizer():
+    # factor 0: increasing monic codes; middle factors: ordered monic codes;
+    # last factor: every ordered tuple of distinct nonzero codes
+    for p, sizes in ((2, (3, 6, 6)), (3, (6, 12, 56)), (5, (15, 30, 552))):
+        assert _searched_list_sizes(unit_tensor(3, 2, GF(p)), 2) == [sizes]
+    # an order-1 tensor's only factor is also its last: the full list
+    f3 = GF(3)
+    vector = Tensor(f3, (2,), [f3.one(), f3.zero()])
+    assert _searched_list_sizes(vector, 2) == [(56,)]
 
 
 def test_restriction_preserves_pr_gate():
