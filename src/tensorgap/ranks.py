@@ -48,13 +48,16 @@ product order gives: the same witness and the same verdict.
 The subrank oracle returns only a verdict, so it searches one map tuple per
 orbit of the stabilizer of the unit tensor <r>: simultaneous row
 permutations P, and invertible diagonals D_0 .. D_{k-1} whose product is I.
-If (A_j) restricts T to <r>, so does (D_j P A_j), and the rows of each A_j
-are pairwise non-proportional, since every flattening of <r> has rank r.
-For order k >= 2, factor 0 therefore takes increasing tuples of monic codes
-(lowest nonzero base-p digit 1), factors 1 .. k-2 ordered tuples of monic
-codes, and the last factor, which absorbs the scaling, every ordered tuple
-of distinct nonzero codes.  An order-1 tensor's factor 0 is also its last,
-so it keeps the full list.
+If (A_j) restricts T to <r>, so does (D_j P A_j).  For order k >= 2 the
+rows of each A_j are pairwise non-proportional, since every flattening of
+<r> has rank r, so the diagonals can make every row of the first k-1
+factors monic (lowest nonzero base-p digit 1), the last factor absorbing
+the scaling, and P can sort factor 0's rows.  So factor 0 takes increasing
+r-tuples and every later factor ordered r-tuples, of monic codes on the
+first k-1 factors and of every nonzero code on the last.  The rule needs no
+exception at order 1: factor 0 is then the last, and row permutations alone
+fix the all-ones vector <r>, so it takes increasing r-tuples of nonzero
+codes.
 """
 
 from __future__ import annotations
@@ -422,14 +425,14 @@ def subrank_bruteforce(
     Only for F_p tensors.  The search checks the r^k diagonal/off-diagonal
     conditions against the precomputed covector table, one map tuple per
     orbit of the stabilizer of <r> (row permutations P, diagonals D_j of
-    product I; (D_j P A_j) is a witness whenever (A_j) is).  The rows of a
-    witness factor are pairwise non-proportional, so for order k >= 2
-    factor 0 takes increasing r-tuples of monic codes, factors 1 .. k-2
-    ordered r-tuples of monic codes, and the last factor every ordered
-    r-tuple of distinct nonzero codes.  An order-1 tensor has no factor
-    before its last, so its one factor keeps the full list.  The ceiling
-    still bounds the unreduced count, the product of perm(p^(n_j) - 1, r)
-    over the factors, so a search refused before is refused now.
+    product I; (D_j P A_j) is a witness whenever (A_j) is).  At order
+    k >= 2 the rows of a witness factor are pairwise non-proportional, so
+    the first k-1 factors take only monic codes and the last every nonzero
+    code; factor 0 takes increasing r-tuples and the others ordered ones.
+    At order 1 the one factor is the last, so it takes increasing r-tuples
+    of nonzero codes.  The ceiling still bounds the unreduced count, the
+    product of perm(p^(n_j) - 1, r) over the factors, so a search refused
+    before is refused now.
     """
     field = t.ring
     if not isinstance(field, FieldSpec) or not field.is_prime_field:
@@ -441,24 +444,19 @@ def subrank_bruteforce(
     if r == 1:
         return True
     p = field.p
-    sizes = [math.perm(p**d - 1, r) for d in t.dims]
-    _check_search_space("subrank", sizes, ceiling)
-    if 0 in sizes:
-        return False  # some factor has fewer than r nonzero covectors
+    _check_search_space("subrank", [math.perm(p**d - 1, r) for d in t.dims], ceiling)
+    codes = [[c for c in range(1, p**d) if _is_monic(c, p)] for d in t.dims[:-1]]
+    codes.append(range(1, p ** t.dims[-1]))
+    per_factor = [
+        list(itertools.combinations(codes[0], r)),
+        *(list(itertools.permutations(c, r)) for c in codes[1:]),
+    ]
+    if not all(per_factor):
+        return False  # some factor cannot supply r admissible rows
     unit = [
         (jdx, 1 if len(set(jdx)) == 1 else 0)
         for jdx in itertools.product(range(r), repeat=t.order)
     ]
-    nonzero = [range(1, p**d) for d in t.dims]
-    if t.order == 1:  # factor 0 is also the last
-        per_factor = [list(itertools.permutations(nonzero[0], r))]
-    else:
-        monic = [[c for c in codes if _is_monic(c, p)] for codes in nonzero[:-1]]
-        per_factor = [
-            list(itertools.combinations(monic[0], r)),
-            *(list(itertools.permutations(codes, r)) for codes in monic[1:]),
-            list(itertools.permutations(nonzero[-1], r)),
-        ]
     return _first_match(t, unit, [r] * t.order, per_factor) is not None
 
 

@@ -632,11 +632,15 @@ def _restriction_cases(draw):
 
 
 @st.composite
-def _subrank_cases(draw):
+def _subrank_cases(draw, budget=_NAIVE_BUDGET, prefixes_only=False):
+    """A tensor and a threshold r, lowered until the ordered tuples of distinct
+    nonzero codes fit the budget: over every factor, or over all but the last
+    when only the prefixes the search walks are counted."""
     t = draw(_fp_tensors())
     r = draw(st.integers(1, 3))
     p = t.ring.p
-    while r > 1 and math.prod(math.perm(p**n - 1, r) for n in t.dims) > _NAIVE_BUDGET:
+    counted = t.dims[:-1] if prefixes_only else t.dims
+    while r > 1 and math.prod(math.perm(p**n - 1, r) for n in counted) > budget:
         r -= 1
     return t, r
 
@@ -725,22 +729,8 @@ def test_subrank_bruteforce_exhausts_f5():
         assert _full_search_subrank(t, 2) is expected
 
 
-# Prefixes the full search may walk in one drawn case.
-_FULL_PREFIX_BUDGET = 56**2
-
-
-@st.composite
-def _full_search_cases(draw):
-    t = draw(_fp_tensors())
-    r = draw(st.integers(1, 3))
-    p = t.ring.p
-    while r > 1 and math.prod(math.perm(p**n - 1, r) for n in t.dims[:-1]) > _FULL_PREFIX_BUDGET:
-        r -= 1
-    return t, r
-
-
 @settings(max_examples=150, deadline=None)
-@given(_full_search_cases())
+@given(_subrank_cases(budget=56**2, prefixes_only=True))
 def test_reduced_subrank_search_matches_full_search_drawn(case):
     t, r = case
     assert subrank_bruteforce(t, r) is _full_search_subrank(t, r)
@@ -751,10 +741,19 @@ def test_subrank_search_lists_are_cut_by_the_unit_stabilizer():
     # last factor: every ordered tuple of distinct nonzero codes
     for p, sizes in ((2, (3, 6, 6)), (3, (6, 12, 56)), (5, (15, 30, 552))):
         assert _searched_list_sizes(unit_tensor(3, 2, GF(p)), 2) == [sizes]
-    # an order-1 tensor's only factor is also its last: the full list
+    # an order-1 tensor's only factor is also its last: increasing nonzero codes
     f3 = GF(3)
     vector = Tensor(f3, (2,), [f3.one(), f3.zero()])
-    assert _searched_list_sizes(vector, 2) == [(56,)]
+    assert _searched_list_sizes(vector, 2) == [(28,)]
+
+
+def test_subrank_without_r_non_proportional_rows_skips_the_table():
+    # 2 nonzero covectors on the dimension-1 factor, but no 2 non-proportional
+    t = Tensor.from_dict(GF(3), (1, 3, 3), {(0, 0, 0): 1, (0, 1, 1): 1})
+    with mock.patch.object(ranks, "_covector_table", wraps=ranks._covector_table) as table:
+        assert not subrank_bruteforce(t, 2)
+    table.assert_not_called()
+    assert not _full_search_subrank(t, 2)
 
 
 def test_restriction_preserves_pr_gate():
