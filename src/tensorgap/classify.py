@@ -11,11 +11,18 @@ whenever those points are rational, and its absence is flagged in the report
 unaffected).  Over F_p a twisted form gets its witness after lifting to
 F_{p^2} (``lift_tensor(t, GF(p, 2))``), where the pencil splits.
 
-The trichotomy classifier for arbitrary order-3 shapes combines one exact
-deterministic gate (a rank-one flattening) with repeated random compressions
-to 2x2x2; a nonvanishing hyperdeterminant sample is a deterministic
-certificate for the unit class, while an all-vanishing outcome is accepted
-only together with the multilinear-rank gate.
+The trichotomy classifier for arbitrary order-3 shapes is exact for the
+first two classes.  A rank-one flattening settles the first.  When every
+multilinear rank is 2, two coordinates per axis with independent rows of
+that flattening cut out a 2x2x2 core isomorphic to the tensor, and a
+vanishing hyperdeterminant of the core settles the W class: any compression
+to 2x2x2 that keeps partition rank >= 2 restricts to invertible maps on the
+fibre spans, so its hyperdeterminant is prod det(g_j)^2 times the core's,
+and the seeded samples the report lists are provably 0.  Its `Confidence`
+stays "randomized" with the trial count, so reports keep their format.
+Otherwise seeded random compressions to 2x2x2 are tried; a nonvanishing
+hyperdeterminant sample is a deterministic certificate for the unit class,
+and its ground-field witness is built from the compression maps.
 """
 
 from __future__ import annotations
@@ -178,6 +185,37 @@ def multilinear_rank_le_2(t: Tensor) -> bool:
     return all(mat_rank(flatten(t, [a])) <= 2 for a in range(3))
 
 
+def _independent_rows(field, m: Matrix) -> tuple:
+    """The first nonzero row of m and the first row not proportional to it."""
+    rows = [m.row(i) for i in range(m.rows)]
+    first = next(i for i, row in enumerate(rows) if any(row))
+    base = rows[first]
+    k = next(c for c, x in enumerate(base) if x)
+    mul, lead = field.mul, base[k]
+    second = next(
+        i
+        for i in range(first + 1, m.rows)
+        if any(mul(lead, x) != mul(rows[i][k], y) for x, y in zip(rows[i], base))
+    )
+    return first, second
+
+
+def _coordinate_core(t: Tensor):
+    """Two coordinates per axis and the 2x2x2 subtensor of t on them.
+
+    For a nonzero order-3 tensor whose flattenings all have rank 2, the
+    coordinates of axis a index independent rows of flatten(t, [a]), so
+    selecting them is injective on the span of the axis-a fibres and the
+    core is isomorphic to t.
+    """
+    coords = tuple(_independent_rows(t.ring, flatten(t, [a])) for a in range(3))
+    (i0, i1), (j0, j1), (k0, k1) = coords
+    n1, n2 = t.dims[1], t.dims[2]
+    e = t.entries
+    core = [e[(i * n1 + j) * n2 + k] for i in (i0, i1) for j in (j0, j1) for k in (k0, k1)]
+    return coords, Tensor._from_raw(t.ring, (2, 2, 2), core)
+
+
 # -- ground-field witness for the unit class -----------------------------------
 
 
@@ -311,13 +349,18 @@ def trichotomy(t: Tensor, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Classi
     """Classify a nonzero order-3 tensor into the three-class hierarchy.
 
     Deterministic gate first: a flattening of rank one settles the first
-    class.  Otherwise `trials` independent random compressions to 2x2x2 are
+    class.  With every multilinear rank equal to 2, the hyperdeterminant of
+    the coordinate core decides the W class exactly (module docstring): the
+    W report lists the `trials` seeds drawn from `random.Random(seed)`, each
+    with the sample value 0 its compression provably has, computes no
+    compression, and keeps "randomized" confidence for report compatibility.
+    Otherwise `trials` independent random compressions to 2x2x2 are
     classified; any unit-class hit is a deterministic certificate (the
     sampled hyperdeterminant value is a polynomial certificate, and a
-    ground-field witness map is attached when the pencil splits), while an
-    all-W outcome is accepted only together with the deterministic
-    multilinear-rank gate and is reported with randomized confidence, so
-    `trials` must be at least 1.
+    ground-field witness map is attached when the pencil splits).  If every
+    sample vanishes, some multilinear rank exceeds 2 and the seed gave
+    degenerate compressions: ClassificationInconsistencyError.  `trials`
+    must be at least 1.
     """
     if trials < 1:
         raise ValueError(f"trichotomy needs at least one trial, got {trials}")
@@ -340,8 +383,22 @@ def trichotomy(t: Tensor, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Classi
             rank_one_witness=witness_axes,
         )
 
-    samples = []
     rng = random.Random(seed)
+    if all(r <= 2 for r in signature.ranks.values()):
+        _, core = _coordinate_core(t)
+        if not cayley_hyperdet(core):
+            # Every compression generic_compress accepts has Cayley value
+            # prod det(g_j)^2 * Cay(core) = 0, so the samples are recorded
+            # without being computed.
+            zero = t.ring.zero()
+            return _report(
+                TrichotomyClass.W_ISOMORPHIC,
+                rank_signature=signature,
+                cayley_samples=tuple((rng.randrange(2**63), zero) for _ in range(trials)),
+                confidence=Confidence.randomized(trials),
+            )
+
+    samples = []
     for trial in range(trials):
         trial_seed = rng.randrange(2**63)
         maps, compressed = generic_compress(t, trial_seed)
@@ -371,17 +428,11 @@ def trichotomy(t: Tensor, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Classi
                 unit_witness_note=note,
             )
 
-    # Every sample was in the W class; require the deterministic subspace gate.
-    if any(r > 2 for r in signature.ranks.values()):
-        raise ClassificationInconsistencyError(
-            "hyperdeterminant vanished on all samples but some multilinear rank "
-            "exceeds 2; the seed produced degenerate compressions, retry"
-        )
-    return _report(
-        TrichotomyClass.W_ISOMORPHIC,
-        rank_signature=signature,
-        cayley_samples=tuple(samples),
-        confidence=Confidence.randomized(trials),
+    # With multilinear ranks <= 2 a nonzero Cay(core) makes every sample
+    # nonzero, so an all-zero outcome means some multilinear rank exceeds 2.
+    raise ClassificationInconsistencyError(
+        "hyperdeterminant vanished on all samples but some multilinear rank "
+        "exceeds 2; the seed produced degenerate compressions, retry"
     )
 
 

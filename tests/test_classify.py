@@ -1,12 +1,19 @@
+import json
 import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from tensorgap import classify
 from tensorgap.classify import (
     AsymptoticClass,
+    Confidence,
+    _coordinate_core,
     _det2,
     _pencil_rank_one_points,
+    _report,
     Orbit222,
     TrichotomyClass,
     cayley_hyperdet,
@@ -17,10 +24,27 @@ from tensorgap.classify import (
     trichotomy,
     unit_restriction_witness,
 )
-from tensorgap.errors import DimensionMismatchError, ZeroTensorError
+from tensorgap.cli import _report_json
+from tensorgap.errors import (
+    ClassificationInconsistencyError,
+    DimensionMismatchError,
+    SearchBudgetError,
+    TensorGapError,
+    ZeroTensorError,
+)
 from tensorgap.fields import GF, QQ
 from tensorgap.linalg import Matrix, mat_det, mat_rank
-from tensorgap.tensors import Tensor, flatten, lift_tensor, pad, restrict, unit_tensor, w_tensor
+from tensorgap.ranks import canonical_subsets, generic_compress, rank_signature
+from tensorgap.tensors import (
+    Tensor,
+    compose_maps,
+    flatten,
+    lift_tensor,
+    pad,
+    restrict,
+    unit_tensor,
+    w_tensor,
+)
 from conftest import all_fp_tensors, random_rational_tensor
 
 F2 = GF(2)
@@ -33,6 +57,17 @@ def _random_invertible(field, n, rng, bound=4):
         else:
             m = Matrix(field, n, n, [field.from_int(rng.randrange(field.p)) for _ in range(n * n)])
         if mat_det(m):
+            return m
+
+
+def _random_injection(field, n, rng, bound=4):
+    """A random n x 2 matrix of rank 2."""
+    while True:
+        if field.p is None:
+            m = Matrix(field, n, 2, [field.from_int(rng.randint(-bound, bound)) for _ in range(2 * n)])
+        else:
+            m = Matrix(field, n, 2, [field.from_int(rng.randrange(field.p)) for _ in range(2 * n)])
+        if mat_rank(m) == 2:
             return m
 
 
@@ -285,3 +320,147 @@ def test_trichotomy_refuses_fewer_than_one_trial(trials):
     # with no samples the all-W branch would rest on the multilinear-rank gate alone
     with pytest.raises(ValueError, match="at least one trial"):
         trichotomy(unit_tensor(3, 2, QQ), trials=trials)
+
+
+# -- the W verdict from the coordinate core ------------------------------------
+
+_TWISTED_NOTE = (
+    "determinant pencil has no rational rank-one points over the ground field; "
+    "unit restriction exists over the closure only"
+)
+
+
+def _reference_trichotomy(t, seed, trials):
+    """Every verdict past the rank-one gate from `trials` seeded compressions
+    to 2x2x2, the W verdict when all their hyperdeterminants vanish."""
+    signature = rank_signature(t)
+    axes = next((a for a in canonical_subsets(3) if signature.ranks[a] <= 1), None)
+    if axes is not None:
+        return _report(
+            TrichotomyClass.FLATTENING_RANK_ONE,
+            rank_signature=signature,
+            cayley_samples=(),
+            confidence=Confidence.deterministic(),
+            rank_one_witness=axes,
+        )
+    samples = []
+    rng = random.Random(seed)
+    for _ in range(trials):
+        trial_seed = rng.randrange(2**63)
+        maps, compressed = generic_compress(t, trial_seed)
+        cay = cayley_hyperdet(compressed)
+        samples.append((trial_seed, cay))
+        if cay:
+            cube_maps = unit_restriction_witness(compressed)
+            return _report(
+                TrichotomyClass.RESTRICTS_TO_UNIT2,
+                rank_signature=signature,
+                cayley_samples=tuple(samples),
+                confidence=Confidence.deterministic(),
+                unit_witness=None if cube_maps is None else compose_maps(cube_maps, maps),
+                unit_witness_note=_TWISTED_NOTE if cube_maps is None else None,
+            )
+    if not multilinear_rank_le_2(t):
+        raise ClassificationInconsistencyError("all samples vanished at multilinear rank 3")
+    return _report(
+        TrichotomyClass.W_ISOMORPHIC,
+        rank_signature=signature,
+        cayley_samples=tuple(samples),
+        confidence=Confidence.randomized(trials),
+    )
+
+
+def _planted_order3_cases():
+    """W_3 and I_{3,2} over Q, F_3 and F_5 embedded by random injections into
+    dims 2..4, each also with a random rank-one term added (multilinear rank 3
+    on every axis of dimension above 2, generically)."""
+    rng = random.Random(1919)
+    for field in (QQ, GF(3), GF(5)):
+        draw = (lambda: rng.randint(-3, 3)) if field.p is None else (lambda: rng.randrange(field.p))
+        for base in (w_tensor(3, (2, 2, 2), field), unit_tensor(3, 2, field)):
+            for _ in range(6):
+                dims = tuple(rng.randint(2, 4) for _ in range(3))
+                t = restrict(base, tuple(_random_injection(field, d, rng) for d in dims))
+                u, v, w = ([draw() for _ in range(d)] for d in dims)
+                term = Tensor(field, dims, [field.from_int(a * b * c) for a in u for b in v for c in w])
+                yield t
+                if not (t + term).is_zero():
+                    yield t + term
+
+
+def test_trichotomy_matches_reference_trial_loop():
+    seen = {}
+    rng = random.Random(77)
+    for t in _planted_order3_cases():
+        for trials in (1, 3, 8):
+            for seed in (0, rng.randrange(2**31)):
+                try:
+                    expected = _reference_trichotomy(t, seed, trials)
+                except TensorGapError:
+                    continue
+                got = trichotomy(t, seed=seed, trials=trials)
+                assert json.dumps(_report_json(got)) == json.dumps(_report_json(expected)), (
+                    t.ring.name, t.dims, seed, trials,
+                )
+                le2 = multilinear_rank_le_2(t)
+                seen[got.trichotomy, le2] = seen.get((got.trichotomy, le2), 0) + 1
+    assert seen[TrichotomyClass.W_ISOMORPHIC, True] >= 50
+    assert seen[TrichotomyClass.RESTRICTS_TO_UNIT2, True] >= 50
+    assert seen[TrichotomyClass.RESTRICTS_TO_UNIT2, False] >= 50
+
+
+def test_w_verdict_computes_no_compression(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generic_compress was called")
+
+    monkeypatch.setattr(classify, "generic_compress", refuse)
+    rng = random.Random(5)
+    w3 = w_tensor(3, (2, 2, 2), QQ)
+    planted = restrict(w3, tuple(_random_injection(QQ, d, rng) for d in (4, 3, 4)))
+    for t, seed, trials in ((pad(w3, (5, 4, 3)), 3, 8), (planted, 11, 5)):
+        report = trichotomy(t, seed=seed, trials=trials)
+        assert report.trichotomy is TrichotomyClass.W_ISOMORPHIC
+        assert report.confidence == Confidence.randomized(trials)
+        draws = random.Random(seed)
+        assert report.cayley_samples == tuple(
+            (draws.randrange(2**63), QQ.zero()) for _ in range(trials)
+        )
+
+
+@pytest.mark.parametrize("tensor_id", [1044, 1758, 8226])
+def test_w_verdict_where_f2_compression_runs_out(tensor_id):
+    # F_2 2x3x3, flat entry i = bit i of the id: at seed 0 a compression
+    # exhausts its attempts, so the trial loop raised before a W verdict.
+    t = Tensor(F2, (2, 3, 3), [F2.from_int((tensor_id >> i) & 1) for i in range(18)])
+    with pytest.raises(SearchBudgetError):
+        _reference_trichotomy(t, 0, 8)
+    assert multilinear_rank_le_2(t)
+    assert classify_222(_coordinate_core(t)[1]) is Orbit222.W_CLASS
+    assert trichotomy(t, seed=0).trichotomy is TrichotomyClass.W_ISOMORPHIC
+
+
+@st.composite
+def _rank_two_tensors(draw):
+    """A 2x2x2 tensor of flattening ranks (2, 2, 2) over Q or F_3, embedded
+    by random injections into dims 2..4, and a compression seed."""
+    field = draw(st.sampled_from([QQ, GF(3)]))
+    values = st.integers(-3, 3) if field.p is None else st.integers(0, 2)
+    core = Tensor(field, (2, 2, 2), [field.from_int(draw(values)) for _ in range(8)])
+    assume(all(r == 2 for r in rank_signature(core).ranks.values()))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dims = [draw(st.integers(2, 4)) for _ in range(3)]
+    maps = tuple(_random_injection(field, d, rng) for d in dims)
+    return restrict(core, maps), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rank_two_tensors())
+def test_coordinate_core_is_isomorphic(case):
+    t, seed = case
+    coords, core = _coordinate_core(t)
+    for a, (i, j) in enumerate(coords):
+        m = flatten(t, [a])
+        assert mat_rank(Matrix._from_raw(t.ring, 2, m.cols, m.row(i) + m.row(j))) == 2
+    assert all(r == 2 for r in rank_signature(core).ranks.values())
+    _, compressed = generic_compress(t, seed)
+    assert bool(cayley_hyperdet(core)) == bool(cayley_hyperdet(compressed))
