@@ -13,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import Orbit222, _orbit_label, cayley_hyperdet
-from .errors import ClassificationInconsistencyError, FieldMismatchError, SearchSpaceTooLargeError
+from .errors import (
+    ClassificationInconsistencyError,
+    DimensionMismatchError,
+    FieldMismatchError,
+    SearchSpaceTooLargeError,
+)
 from .fields import GF
 from .linalg import mat_rank
 from .ranks import subrank_bruteforce
@@ -63,8 +68,11 @@ def tensor_from_id(tensor_id: int, p: int) -> Tensor:
 
 
 def tensor_to_id(t: Tensor) -> int:
+    """The canonical id of a 2x2x2 tensor over a prime field (inverse of tensor_from_id)."""
     if not t.ring.is_prime_field:
         raise FieldMismatchError(f"census ids are defined over prime fields, not {t.ring.name}")
+    if t.dims != (2, 2, 2):
+        raise DimensionMismatchError(f"census ids are defined for dims (2,2,2), got {t.dims}")
     return sum(e * t.ring.p**i for i, e in enumerate(t.entries))
 
 

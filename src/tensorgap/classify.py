@@ -2,12 +2,14 @@
 
 Every 2x2x2 tensor falls into exactly one of seven orbit classes over the
 algebraic closure, and the class is decided by the three flattening ranks
-together with the degree-4 Cayley hyperdeterminant.  Over a non-closed ground
-field the full-rank / nonvanishing-hyperdeterminant class is reported at the
-level of the closure; a ground-field witness of a restriction onto the unit
-tensor is constructed from the rank-one points of the determinant pencil
-whenever those points are rational, and its absence is flagged in the report
-(the asymptotic class is extension-invariant, so the gap output is
+together with the degree-4 Cayley hyperdeterminant, computed as the
+discriminant of the determinant pencil det(l*A0 + m*A1) on the first-factor
+slices; the same pencil's rank-one points diagonalize a unit-class tensor.
+Over a non-closed ground field the full-rank / nonvanishing-hyperdeterminant
+class is reported at the level of the closure; a ground-field witness of a
+restriction onto the unit tensor is constructed from the rank-one points of
+the pencil whenever those points are rational, and its absence is flagged in
+the report (the asymptotic class is extension-invariant, so the gap output is
 unaffected).  Over F_p a twisted form gets its witness after lifting to
 F_{p^2} (``lift_tensor(t, GF(p, 2))``), where the pencil splits.
 
@@ -111,44 +113,43 @@ class ClassificationReport:
     unit_witness_note: str | None = None
 
 
-# -- Cayley hyperdeterminant ---------------------------------------------------
+# -- the determinant pencil and the Cayley hyperdeterminant ----------------------
 
-# Monomials of the degree-4 invariant of 2x2x2 tensors: (coefficient, indices).
-_CAYLEY_TERMS = (
-    (1, ((0, 1, 1), (0, 1, 1), (1, 0, 0), (1, 0, 0))),
-    (-2, ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))),
-    (1, ((0, 1, 0), (0, 1, 0), (1, 0, 1), (1, 0, 1))),
-    (-2, ((0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0))),
-    (-2, ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0))),
-    (4, ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))),
-    (1, ((0, 0, 1), (0, 0, 1), (1, 1, 0), (1, 1, 0))),
-    (4, ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))),
-    (-2, ((0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1))),
-    (-2, ((0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1))),
-    (-2, ((0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1))),
-    (1, ((0, 0, 0), (0, 0, 0), (1, 1, 1), (1, 1, 1))),
-)
+
+def _det2(field, e):
+    """The determinant of the 2x2 matrix with raw row-major entries e."""
+    return field.sub(field.mul(e[0], e[3]), field.mul(e[1], e[2]))
+
+
+def _pencil(field, e):
+    """(det0, mixed, det1) with det(l*A0 + m*A1) = det0*l^2 + mixed*l*m + det1*m^2, where
+    A0 = e[:4], A1 = e[4:] are the first-factor slices of raw 2x2x2 entries e."""
+    a0, a1 = e[:4], e[4:]
+    det0, det1 = _det2(field, a0), _det2(field, a1)
+    det_sum = _det2(field, [field.add(x, y) for x, y in zip(a0, a1)])
+    return det0, field.sub(field.sub(det_sum, det0), det1), det1
+
+
+def _discriminant(field, pencil):
+    """mixed^2 - 4*det0*det1, the discriminant of the determinant pencil."""
+    det0, mixed, det1 = pencil
+    twice = field.add(det0, det0)
+    return field.sub(field.mul(mixed, mixed), field.mul(field.add(twice, twice), det1))
+
+
+def _checked_pencil(t: Tensor, what: str):
+    """The determinant pencil of a 2x2x2 tensor over Q or F_q; `what` names the caller."""
+    if t.dims != (2, 2, 2):
+        raise DimensionMismatchError(f"{what} needs dims (2,2,2), got {t.dims}")
+    if not isinstance(t.ring, FieldSpec):
+        raise DimensionMismatchError(f"{what} is evaluated over Q or F_q, not {t.ring.name}")
+    return _pencil(t.ring, t.entries)
 
 
 def cayley_hyperdet(t: Tensor) -> Scalar:
-    """Exact value of the degree-4 hyperdeterminant of a 2x2x2 tensor."""
-    if t.dims != (2, 2, 2):
-        raise DimensionMismatchError(f"hyperdeterminant needs dims (2,2,2), got {t.dims}")
-    field = t.ring
-    if not isinstance(field, FieldSpec):
-        raise DimensionMismatchError("hyperdeterminant is evaluated over Q or F_p")
-    add, mul = field.add, field.mul
-    entries = t.entries
-    total = field._raw(0)
-    for coeff, idxs in _CAYLEY_TERMS:
-        prod = field._raw(coeff)
-        for i, j, k in idxs:
-            prod = mul(prod, entries[4 * i + 2 * j + k])
-            if not prod:
-                break
-        if prod:
-            total = add(total, prod)
-    return field._box(total)
+    """Exact value of the degree-4 hyperdeterminant of a 2x2x2 tensor: the discriminant
+    of its determinant pencil, an identity over Z (Gelfand-Kapranov-Zelevinsky, ch. 14)."""
+    return t.ring._box(_discriminant(t.ring, _checked_pencil(t, "hyperdeterminant")))
 
 
 _ORBIT_BY_RANKS = {
@@ -230,11 +231,6 @@ def _rational_sqrt(q: Fraction):
     return None
 
 
-def _det2(field, e):
-    """The determinant of the 2x2 matrix with raw row-major entries e."""
-    return field.sub(field.mul(e[0], e[3]), field.mul(e[1], e[2]))
-
-
 def _fq_sqrt(field, a):
     """A square root of a in F_q, q odd, or None: Tonelli-Shanks with the
     non-residue of smallest code."""
@@ -252,20 +248,17 @@ def _fq_sqrt(field, a):
     return root
 
 
-def _pencil_rank_one_points(field, a0, a1):
+def _pencil_rank_one_points(field, pencil):
     """Distinct projective zeros (l : m) of det(l*A0 + m*A1) over the ground field.
 
-    A0, A1 are the first-factor slices, as raw row-major entries, and the
-    determinant must not vanish identically.  Returns a list of raw pairs;
-    when the hyperdeterminant is nonzero the quadratic is squarefree, so the
-    list has length 0 or 2 over the ground field.  Over F_q the points are
-    (1 : u) by ascending code u, then (0 : 1): from one square root of the
-    discriminant for odd q, by trying every u for q = 2^m <= 2^16.
+    `pencil` is the nonzero triple of `_pencil`; returns a list of raw pairs.
+    Its discriminant is the hyperdeterminant, so when that is nonzero the
+    quadratic is squarefree and the list has length 0 or 2.  Over F_q the
+    points are (1 : u) by ascending code u, then (0 : 1): from one square root
+    of the discriminant for odd q, by trying every u for q = 2^m <= 2^16.
     """
     add, sub, mul = field.add, field.sub, field.mul
-    det0, det1 = _det2(field, a0), _det2(field, a1)
-    det_sum = _det2(field, [add(x, y) for x, y in zip(a0, a1)])
-    mixed = sub(sub(det_sum, det0), det1)  # the l*m coefficient
+    det0, mixed, det1 = pencil
     if not (det0 or mixed or det1):
         raise ValueError("the determinant pencil vanishes identically")
     one, zero = field._raw(1), field._raw(0)
@@ -275,7 +268,7 @@ def _pencil_rank_one_points(field, a0, a1):
         elif not det1:
             roots = [mul(field.neg(det0), field.inv(mixed))] if mixed else []
         else:
-            root = _fq_sqrt(field, sub(mul(mixed, mixed), mul(field._raw(4), mul(det0, det1))))
+            root = _fq_sqrt(field, _discriminant(field, pencil))
             inv = field.inv(add(det1, det1))
             pair = () if root is None else (root, field.neg(root))
             roots = sorted({mul(sub(r, mixed), inv) for r in pair})
@@ -287,11 +280,10 @@ def _pencil_rank_one_points(field, a0, a1):
         if mixed:
             points.append((-det1 / mixed, one))
         return points
-    root = _rational_sqrt(mixed * mixed - 4 * det0 * det1)
+    root = _rational_sqrt(_discriminant(field, pencil))
     if root is None or root == 0:
         return []
-    two_a = 2 * det0
-    return [((-mixed + root) / two_a, one), ((-mixed - root) / two_a, one)]
+    return [((-mixed + r) / (2 * det0), one) for r in (root, -root)]
 
 
 def _rank_one_factors(field, e):
@@ -312,14 +304,12 @@ def unit_restriction_witness(t: Tensor):
     can be irrational, in which case None is returned and the tensor is a
     twisted form of the unit tensor.
     """
-    if t.dims != (2, 2, 2):
-        raise DimensionMismatchError("unit witness needs dims (2,2,2)")
     field = t.ring
-    if not cayley_hyperdet(t):
+    pencil = _checked_pencil(t, "unit witness")
+    if not _discriminant(field, pencil):
         raise ValueError("unit witness requires a nonvanishing hyperdeterminant")
-    slices = flatten(t, [0])
-    a0, a1 = slices.row(0), slices.row(1)
-    points = _pencil_rank_one_points(field, a0, a1)
+    a0, a1 = t.entries[:4], t.entries[4:]
+    points = _pencil_rank_one_points(field, pencil)
     if len(points) < 2:
         return None
     add, mul = field.add, field.mul

@@ -47,7 +47,8 @@ class CertificateConstructionError(TensorGapError):
 
 
 class ClassificationInconsistencyError(TensorGapError):
-    """Randomized and deterministic classification gates disagree; retry with a new seed."""
+    """A classification check failed.  Only the trichotomy's all-zero samples depend on
+    the seed; rank-pattern, census-label and witness-verification failures do not."""
 
 
 class DocumentFormatError(TensorGapError):

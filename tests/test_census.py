@@ -14,11 +14,11 @@ from tensorgap.census import (
     write_census,
 )
 from tensorgap.classify import Orbit222, classify_222, unit_restriction_witness
-from tensorgap.errors import SearchSpaceTooLargeError
+from tensorgap.errors import DimensionMismatchError, SearchSpaceTooLargeError
 from tensorgap.fields import GF
 from tensorgap.linalg import Matrix
 from tensorgap.ranks import subrank_bruteforce
-from tensorgap.tensors import restrict
+from tensorgap.tensors import Tensor, restrict
 from conftest import all_fp_tensors
 
 
@@ -28,6 +28,18 @@ def test_id_round_trip():
         assert tensor_to_id(t) == tensor_id
     t = tensor_from_id(6560, 3)
     assert tensor_to_id(t) == 6560
+
+
+def test_tensor_to_id_refuses_other_shapes():
+    # flat position 2 of a 2x2x3 tensor would encode as id 4, i.e. e_(0,1,0)
+    f2 = GF(2)
+    for t in (
+        Tensor.from_dict(f2, (2, 2, 3), {(0, 0, 2): 1}),
+        Tensor.from_dict(f2, (2, 2), {(1, 1): 1}),
+        Tensor.from_dict(f2, (2, 2, 2, 2), {(0, 0, 0, 1): 1}),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            tensor_to_id(t)
 
 
 def test_census_f2_counts():

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +13,7 @@ from tensorgap.classify import (
     Confidence,
     _coordinate_core,
     _det2,
+    _pencil,
     _pencil_rank_one_points,
     _report,
     Orbit222,
@@ -34,6 +36,7 @@ from tensorgap.errors import (
 )
 from tensorgap.fields import GF, QQ
 from tensorgap.linalg import Matrix, mat_det, mat_rank
+from tensorgap.ratfunc import EpsField
 from tensorgap.ranks import canonical_subsets, generic_compress, rank_signature
 from tensorgap.tensors import (
     Tensor,
@@ -77,6 +80,56 @@ def test_cayley_values():
     assert not cayley_hyperdet(Tensor.zeros(QQ, (2, 2, 2)))
     with pytest.raises(DimensionMismatchError):
         cayley_hyperdet(Tensor.zeros(QQ, (2, 2, 3)))
+    over_eps = Tensor.zeros(EpsField(QQ), (2, 2, 2))
+    for refused in (cayley_hyperdet, unit_restriction_witness):
+        with pytest.raises(DimensionMismatchError, match="Q or F_q"):
+            refused(over_eps)
+
+
+# Reference: the 12 monomials of the degree-4 Cayley hyperdeterminant,
+# (coefficient, entry indices), evaluated with boxed scalar arithmetic.
+_CAYLEY_TERMS = (
+    (1, ((0, 1, 1), (0, 1, 1), (1, 0, 0), (1, 0, 0))),
+    (-2, ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))),
+    (1, ((0, 1, 0), (0, 1, 0), (1, 0, 1), (1, 0, 1))),
+    (-2, ((0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0))),
+    (-2, ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0))),
+    (4, ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))),
+    (1, ((0, 0, 1), (0, 0, 1), (1, 1, 0), (1, 1, 0))),
+    (4, ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))),
+    (-2, ((0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1))),
+    (-2, ((0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1))),
+    (-2, ((0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1))),
+    (1, ((0, 0, 0), (0, 0, 0), (1, 1, 1), (1, 1, 1))),
+)
+
+
+def _monomial_cayley(t):
+    total = t.ring.zero()
+    for coeff, idxs in _CAYLEY_TERMS:
+        term = t.ring.from_int(coeff)
+        for idx in idxs:
+            term = term * t[idx]
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cayley_matches_monomial_table_on_all_fp_tensors(p):
+    for code, t in all_fp_tensors((2, 2, 2), p):
+        assert cayley_hyperdet(t) == _monomial_cayley(t), (p, code)
+
+
+def test_cayley_matches_monomial_table_on_seeded_tensors():
+    rng = random.Random(20)
+    for field in (GF(2, 2), GF(3, 2)):
+        for _ in range(400):
+            t = Tensor(field, (2, 2, 2), [field.element(rng.randrange(field.q)) for _ in range(8)])
+            assert cayley_hyperdet(t) == _monomial_cayley(t), (field.name, t.entries)
+    for _ in range(400):
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(8)]
+        t = Tensor(QQ, (2, 2, 2), [QQ.from_fraction(v) for v in values])
+        assert cayley_hyperdet(t) == _monomial_cayley(t), values
 
 
 def test_cayley_equals_pencil_discriminant():
@@ -240,11 +293,12 @@ def test_pencil_points_match_enumeration():
             a0 = [rng.randrange(field.q) for _ in range(4)]
             a1 = [rng.randrange(field.q) for _ in range(4)]
             expected = _enumerated_pencil_points(field, a0, a1)
+            pencil = _pencil(field, a0 + a1)
             if len(expected) == field.q + 1:  # the determinant vanishes identically
                 with pytest.raises(ValueError):
-                    _pencil_rank_one_points(field, a0, a1)
+                    _pencil_rank_one_points(field, pencil)
             else:
-                assert _pencil_rank_one_points(field, a0, a1) == expected, (field.name, a0, a1)
+                assert _pencil_rank_one_points(field, pencil) == expected, (field.name, a0, a1)
 
 
 @pytest.mark.parametrize("p", [2**61 - 1, 998244353])
