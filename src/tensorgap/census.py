@@ -116,13 +116,15 @@ def census_222(p: int) -> list:
     Ranks, hyperdeterminant and label are computed per row; the brute-force
     subrank only for each orbit's leader.  Raises
     ClassificationInconsistencyError if a label is not constant on an orbit.
-    Guarded: p^8 rows are enumerated, so only p <= CENSUS_MAX_PRIME is allowed.
+    Guarded: p^8 rows are enumerated, so only p <= CENSUS_MAX_PRIME is allowed,
+    and p must be prime (ValueError otherwise).
     """
     if p > CENSUS_MAX_PRIME:
         raise SearchSpaceTooLargeError(
             f"census over F_{p} has {p**8} rows, above the p <= {CENSUS_MAX_PRIME} guard",
             size=p**8,
         )
+    GF(p)  # ValueError unless p is prime
     rows: list = []
     for tensor_id, leader in enumerate(_orbit_leaders(p)):
         t = tensor_from_id(tensor_id, p)

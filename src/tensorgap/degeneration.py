@@ -22,8 +22,9 @@ W-tensor out of any tensor of partition rank at least two:
   curve down (eps -> eps^N) until the Grassmannian limit is exactly the
   plane of the W-tensor's last flattening.  The limit is the span of the
   leading coefficients a0, b0 of the valuation-reduced transported pair, so
-  the test is the base-field rank test rank [a0; b0; W; corner] = 2;
-* read the final factor off the reduction: it maps the slices to the
+  the test is that W and the corner tensor have coordinates in the
+  independent base-field basis a0, b0 (one linear solve each);
+* read the final factor off the reduction: it maps the slices to those
   coordinates of W and the corner tensor in the limit basis a0, b0, composed
   with the triangular K(eps) matrix that carried the transported slices to
   the reduced pair.
@@ -268,12 +269,12 @@ def grassmann_degenerates(curves, e_t, e_s) -> bool:
 
     e_t and e_s are pairs of tensors spanning 2-planes (base field).  The
     Grassmannian limit of the transported plane is the span of the leading
-    coefficients of the valuation-reduced transported pair, so the answer is
-    the base-field rank test rank [a0; b0; s0; s1] = 2.  A transported pair
-    that is dependent over K(eps) has no limit plane and gives False.  The
-    test passes exactly when the Pluecker one does: when the transported
-    wedge, divided by its minimal eps power, is a nonzero multiple of
-    s0 ^ s1 at eps = 0 (see `_dvr_reduce_pair`).
+    coefficients a0, b0 of the valuation-reduced transported pair, so the
+    answer is whether both s0 and s1 have coordinates in the basis a0, b0.
+    A transported pair that is dependent over K(eps) has no limit plane and
+    gives False.  The test passes exactly when the Pluecker one does: when
+    the transported wedge, divided by its minimal eps power, is a nonzero
+    multiple of s0 ^ s1 at eps = 0 (see `_dvr_reduce_pair`).
     """
     t0, t1 = e_t
     s0, s1 = e_s
@@ -281,7 +282,8 @@ def grassmann_degenerates(curves, e_t, e_s) -> bool:
         raise DegenerateSpanError("e_t pair is linearly dependent")
     if mat_rank(_rows(s0, s1)) < 2:
         raise DegenerateSpanError("e_s pair is linearly dependent")
-    return _limit_is(_limit_plane(tuple(curves), t0, t1), s0, s1)
+    limit = _limit_plane(tuple(curves), t0, t1)
+    return limit is not None and all(_coordinates(limit[2:4], c) is not None for c in (s0, s1))
 
 
 # -- explicit unit-to-W certificate ------------------------------------------------
@@ -313,29 +315,29 @@ def unit_to_w_certificate(k: int, field: FieldSpec = QQ) -> DegenerationCertific
 # -- constructive certificate builder ----------------------------------------------
 
 
-def _proportionality(t: Tensor, w: Tensor):
-    """The raw scalar lam with t = lam * w, or None when independent (w != 0)."""
-    field = w.ring
-    pivot = next(i for i, e in enumerate(w.entries) if e)
-    lam = field.mul(t.entries[pivot], field.inv(w.entries[pivot]))
-    return lam if t.entries == tuple(field.mul(lam, e) for e in w.entries) else None
-
-
 def _rows(*tensors) -> Matrix:
     """The matrix whose rows are the entry vectors of same-shape tensors."""
     ring, size = tensors[0].ring, tensors[0].size
     return Matrix._from_raw(ring, len(tensors), size, [e for t in tensors for e in t.entries])
 
 
+def _coordinates(basis, target: Tensor):
+    """Raw coefficients x with sum x_i * basis_i = target, or None when target
+    is outside the span of the independent same-shape tensors in basis."""
+    rows = [list(row) for row in zip(*(b.entries for b in basis), target.entries)]
+    return _solve(basis[0].ring, rows, len(basis))
+
+
 def _dvr_reduce_pair(a: Tensor, b: Tensor):
     """Normalize a pair of K(eps) tensors until the leading coefficients are
-    independent; returns (ra, rb, a0, b0, T).
+    independent, that is until b0 has no coordinate lam in the basis a0;
+    returns (ra, rb, a0, b0, T).
 
     The pair must be independent over K(eps).  Each step keeps or rescales
     a ^ b by a power of eps: dividing a or b by eps^v divides the wedge by
-    eps^v, and b - lam * a leaves it unchanged.  So a0 ^ b0 is the leading
-    coefficient of the input wedge, and span(a0, b0) is the limit of the
-    transported plane.  Termination: once a and b have valuation 0, the wedge
+    eps^v, and b - lam * a (for b0 = lam * a0) leaves it unchanged.  So
+    a0 ^ b0 is the leading coefficient of the input wedge, and span(a0, b0)
+    is the limit of the transported plane.  Termination: once a and b have valuation 0, the wedge
     has a finite valuation >= 0; a step that does not return leaves b of
     valuation >= 1, and dividing it out lowers val(a ^ b) by at least 1.
     A dependent pair with a ratio that is no polynomial in eps would never
@@ -365,9 +367,10 @@ def _dvr_reduce_pair(a: Tensor, b: Tensor):
             b = b.scale(shift)
             t10, t11 = t10 * shift, t11 * shift
         b0 = eps_coefficient_tensor(b, 0)
-        if mat_rank(_rows(a0, b0)) == 2:
+        coords = _coordinates((a0,), b0)
+        if coords is None:
             return a, b, a0, b0, Matrix._from_raw(eps_ring, 2, 2, [t00, eps_ring.zero(), t10, t11])
-        lam = eps_ring._constant(_proportionality(b0, a0))
+        lam = eps_ring._constant(coords[0])
         b = b - a.scale(lam)
         t10 = t10 - lam * t00
 
@@ -387,23 +390,10 @@ def _limit_plane(curves, t0: Tensor, t1: Tensor):
     return _dvr_reduce_pair(a, b)
 
 
-def _limit_is(limit, c0: Tensor, c1: Tensor) -> bool:
-    """Whether a `_limit_plane` result has the limit plane span(c0, c1), for
-    independent base-field tensors c0, c1."""
-    return limit is not None and mat_rank(_rows(limit[2], limit[3], c0, c1)) == 2
-
-
-def _solve_in_plane(a0: Tensor, b0: Tensor, target: Tensor):
-    """Raw coefficients (x, y) with x*a0 + y*b0 = target, or None."""
-    rows = [list(row) for row in zip(a0.entries, b0.entries, target.entries)]
-    return _solve(a0.ring, rows, 2)
-
-
 def _choose_slice_combo(s0: Tensor, s1: Tensor):
     """Small integer coefficients (alpha, beta) giving a combination of the
     last-axis slices s0, s1 of partition rank >= 2, with the combination
     itself."""
-    field = s0.ring
     for bound in range(1, SLICE_COMBO_BOUND + 1):
         for alpha, beta in itertools.product(range(-bound, bound + 1), repeat=2):
             if max(abs(alpha), abs(beta)) != bound:
@@ -489,18 +479,16 @@ def _certify_cube(t: Tensor):
         inner = rec if slowdown == 1 else tuple(substitute_matrix(m, slowdown) for m in rec)
         curve = tuple(d * m for d, m in zip(stab, inner))
         limit = _limit_plane(curve, s0, s1)
-        if not _limit_is(limit, w_prev, corner_prev):
+        if limit is None:
             continue
-        # The last factor maps the slices to W and the corner; with
-        # (ra, rb) = T * (curve s0, curve s1) its rows are [top; bottom] * T.
+        # The limit span(a0, b0) is the plane of W and the corner when both
+        # have coordinates in it.  The last factor maps the slices to them;
+        # with (ra, rb) = T * (curve s0, curve s1) its rows are [top; bottom] * T.
         _, _, a0, b0, transform = limit
-        top = _solve_in_plane(a0, b0, w_prev)
-        bottom = _solve_in_plane(a0, b0, corner_prev)
+        top = _coordinates((a0, b0), w_prev)
+        bottom = _coordinates((a0, b0), corner_prev)
         if top is None or bottom is None:
-            raise CertificateConstructionError(
-                "Grassmannian limit accepted but the plane does not contain "
-                "the W-tensor and the corner tensor"
-            )
+            continue
         x = lift_matrix(Matrix._from_raw(field, 2, 2, top + bottom), eps_ring) * transform
         if not mat_det(x):
             raise CertificateConstructionError("recovered final factor is singular")

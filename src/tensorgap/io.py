@@ -47,9 +47,12 @@ def _parse_field(name, location) -> FieldSpec:
         except ValueError:
             raise DocumentFormatError(f"bad field name {name!r}", location) from None
         try:
-            return GF(p)
+            field = GF(p)
         except ValueError as exc:
-            raise DocumentFormatError(f"modulus must be prime: {exc}", location) from None
+            raise DocumentFormatError(str(exc), location) from None
+        if field.name != name:
+            raise DocumentFormatError(f"bad field name {name!r}", location)
+        return field
     raise DocumentFormatError(f"unknown field {name!r}", location)
 
 

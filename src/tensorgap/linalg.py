@@ -25,7 +25,7 @@ import math
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import GF, QQ
-from .ratfunc import EpsField, RatFunc
+from .ratfunc import EpsField
 
 
 class Matrix:

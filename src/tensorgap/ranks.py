@@ -222,7 +222,7 @@ def _witness_field(field: FieldSpec, order: int):
     return GF(field.p, m)
 
 
-def pr_at_least_two(t: Tensor, seed: int = 0, axis: int | None = None) -> bool:
+def pr_at_least_two(t: Tensor, seed: int = 0) -> bool:
     """Whether the partition rank is at least two.
 
     Recursive gate: for k = 2 this is matrix rank >= 2; for k >= 3 the last
@@ -230,11 +230,9 @@ def pr_at_least_two(t: Tensor, seed: int = 0, axis: int | None = None) -> bool:
     partition rank >= 2.  The image is searched on a fixed grid of
     projective points, the chart (1, G^(d-1)) first, with |G| = D + 1 for
     D = 2(2^(k-2) - 1); that is exact over Q and over F_q with q > D (see
-    the module docstring), walking raw entry rows.  `axis`, moved last
-    before the walk, overrides the flattening choice (the default is the
-    last factor); the result does not depend on it.  The search is
-    deterministic, so `seed` has no effect; it is kept for callers that
-    pass one.
+    the module docstring), walking raw entry rows.  The result does not
+    depend on which factor is flattened last.  The search is deterministic,
+    so `seed` has no effect; it is kept for callers that pass one.
 
     Over a prime field F_p with p <= D the grid is the whole projective
     space, which can lack a witness (at order 4 over F_2, 648 tensors with
@@ -247,8 +245,6 @@ def pr_at_least_two(t: Tensor, seed: int = 0, axis: int | None = None) -> bool:
         raise FieldMismatchError("partition-rank gate works over Q or a finite field")
     if t.order < 2:
         raise DimensionMismatchError("partition rank needs order >= 2")
-    if axis is not None:
-        t = t.permute_axes([a for a in range(t.order) if a != axis] + [axis])
     if t.is_zero():
         return False
     if _pr_recurse(t.ring, t.dims, t.entries):
@@ -280,16 +276,13 @@ def _pr_recurse(ring, dims, entries) -> bool:
     return False
 
 
-def generic_compress(
-    t: Tensor,
-    seed: int = 0,
-    budget: int = DEFAULT_COMPRESS_BUDGET,
-):
+def generic_compress(t: Tensor, seed: int = 0):
     """Compress a tensor of partition rank >= 2 to shape (2, ..., 2).
 
     Returns (maps, compressed) with every map 2 x n_j and the compressed
     tensor again of partition rank >= 2; the property is certified by the
-    exact signature gate and failed draws are retried with fresh randomness.
+    exact signature gate and failed draws are retried with fresh randomness,
+    up to DEFAULT_COMPRESS_BUDGET draws.
     """
     if t.order < 2:
         raise DimensionMismatchError("compression needs order >= 2")
@@ -302,6 +295,7 @@ def generic_compress(
         raise ValueError("tensor does not have partition rank >= 2")
     rng = random.Random(seed)
     bound = DEFAULT_START_BOUND
+    budget = DEFAULT_COMPRESS_BUDGET
     for attempt in range(budget):
         maps = []
         for d in t.dims:

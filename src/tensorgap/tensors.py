@@ -62,8 +62,8 @@ class Tensor:
 
     @classmethod
     def zeros(cls, ring, dims):
-        dims = tuple(int(d) for d in dims)
-        if not dims or any(d < 1 for d in dims):
+        dims = tuple(dims)
+        if not dims or any(type(d) is bool or not isinstance(d, int) or d < 1 for d in dims):
             raise DimensionMismatchError(f"bad tensor dimensions {dims}")
         return cls._from_raw(ring, dims, [ring._raw(0)] * math.prod(dims))
 

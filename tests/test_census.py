@@ -171,6 +171,9 @@ def test_orbit_leaders(p):
 def test_census_guard():
     with pytest.raises(SearchSpaceTooLargeError):
         census_222(5)
+    for p in (0, 1):
+        with pytest.raises(ValueError, match="modulus"):
+            census_222(p)
 
 
 def test_census_row_tsv_format():

@@ -148,6 +148,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_census_guard_exit_code(tmp_path, capsys):
     assert main(["census", "--p", "5", "--out", str(tmp_path / "x.tsv")]) == 2
+    # a modulus that is not prime is refused before any file is written
+    for p in ("0", "1"):
+        out = tmp_path / f"census{p}.tsv"
+        assert main(["census", "--p", p, "--out", str(out)]) == 2
+        assert "modulus" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_seed_env_override(tmp_path, monkeypatch, capsys):

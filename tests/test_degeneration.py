@@ -1,13 +1,18 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tensorgap.degeneration import (
     DegenerationCertificate,
     WedgePoint,
+    _coordinates,
     _dvr_reduce_pair,
+    _rows,
     construct_w_degeneration,
     eps_coefficient_tensor,
     grassmann_degenerates,
@@ -25,7 +30,7 @@ from tensorgap.errors import (
 )
 from tensorgap.fields import GF, QQ
 from tensorgap.io import certificate_from_document, certificate_to_document, save_certificate
-from tensorgap.linalg import Matrix
+from tensorgap.linalg import Matrix, mat_rank
 from tensorgap.ranks import has_rank_one_flattening, rank_signature
 from tensorgap.ratfunc import EpsField
 from tensorgap.tensors import Tensor, flatten, lift_tensor, pad, restrict, unit_tensor, w_tensor
@@ -206,6 +211,49 @@ def test_grassmann_identity_and_collapse():
     assert not grassmann_degenerates(collapse, (corner, e01), (corner, e01))
     with pytest.raises(DegenerateSpanError):
         grassmann_degenerates(ident, (corner, corner), (w2, corner))
+    # a target plane that shares one tensor with the limit plane is refused,
+    # whichever of its two tensors that is
+    e11 = Tensor.from_dict(QQ, (2, 2), {(1, 1): 1})
+    assert not grassmann_degenerates(ident, (w2, corner), (w2, e11))
+    assert not grassmann_degenerates(ident, (w2, corner), (e11, w2))
+
+
+@st.composite
+def _span_cases(draw):
+    """An independent basis of one or two tensors over Q, F_2 or F_5, and a
+    target drawn inside or outside its span."""
+    field = draw(st.sampled_from((QQ, GF(2), GF(5))))
+    dims = draw(st.sampled_from(((2, 2), (2, 2, 2), (2, 3))))
+    size = math.prod(dims)
+    values = st.integers(-3, 3) if field is QQ else st.integers(0, field.p - 1)
+
+    def tensor():
+        return Tensor(field, dims, draw(st.lists(values, min_size=size, max_size=size)))
+
+    basis = tuple(tensor() for _ in range(draw(st.integers(1, 2))))
+    assume(mat_rank(_rows(*basis)) == len(basis))
+    if draw(st.booleans()):
+        target = Tensor.zeros(field, dims)
+        for b in basis:
+            target = target + b.scale(draw(values))
+        inside = True
+    else:
+        target = tensor()
+        inside = mat_rank(_rows(*basis, target)) == len(basis)
+    return basis, target, inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(_span_cases())
+def test_coordinates_agree_with_rank(case):
+    basis, target, inside = case
+    coords = _coordinates(basis, target)
+    assert (coords is not None) == inside
+    if coords is not None:
+        rebuilt = Tensor.zeros(target.ring, target.dims)
+        for x, b in zip(coords, basis):
+            rebuilt = rebuilt + b.scale(x)
+        assert rebuilt == target
 
 
 def _pluecker_limit(curves, e_t):

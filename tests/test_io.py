@@ -65,8 +65,17 @@ def test_tensor_document_errors():
 
     f4 = dict(doc)
     f4["field"] = "F4"
-    with pytest.raises(DocumentFormatError, match="must be prime"):
+    with pytest.raises(DocumentFormatError, match="must be prime") as info:
         tensor_from_document(f4)
+    assert str(info.value).count("must be prime") == 1
+
+    # only the name a field prints as is read back, so loading and saving
+    # round-trip the text exactly
+    for name in ("F007", "F+7", "F 7", "F\u0667"):
+        noncanonical = dict(doc)
+        noncanonical["field"] = name
+        with pytest.raises(DocumentFormatError, match="bad field name"):
+            tensor_from_document(noncanonical)
 
     wrong_version = dict(doc)
     wrong_version["format"] = 2

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tensorgap import census, ranks
 from tensorgap.errors import (
-    DimensionMismatchError,
     FieldMismatchError,
     SearchSpaceTooLargeError,
     ZeroTensorError,
@@ -88,11 +87,15 @@ def test_pr_at_least_two_examples():
     assert not pr_at_least_two(Tensor.from_dict(QQ, (2, 2), {(0, 0): 1}), seed=1)
 
 
+def _axis_last(t, axis):
+    return t.permute_axes([a for a in range(t.order) if a != axis] + [axis])
+
+
 def test_pr_gate_axis_choice_immaterial_f2_order3():
     for _, t in all_fp_tensors((2, 2, 2), 2):
         if t.is_zero():
             continue
-        results = {pr_at_least_two(t, seed=3, axis=a) for a in range(3)}
+        results = {pr_at_least_two(_axis_last(t, a), seed=3) for a in range(3)}
         assert len(results) == 1
 
 
@@ -102,7 +105,7 @@ def test_pr_gate_axis_choice_immaterial_rational():
         t = random_rational_tensor((2, 2, 2), rng, bound=2)
         if t.is_zero():
             continue
-        results = {pr_at_least_two(t, seed=11, axis=a) for a in range(3)}
+        results = {pr_at_least_two(_axis_last(t, a), seed=11) for a in range(3)}
         assert len(results) == 1
 
 
@@ -377,20 +380,13 @@ def test_pr_gate_matches_tensor_matrix_reference(monkeypatch):
     for t in _oracle_inputs():
         for axis in (None, *range(t.order)):
             visits.clear()
-            answer = pr_at_least_two(t, axis=axis)
+            answer = pr_at_least_two(t if axis is None else _axis_last(t, axis))
             expected = []
             assert answer == _reference_gate(t, axis, expected), (t, axis)
             assert visits == expected, (t, axis)
             answers.add(answer)
             lifted += any(ring is not t.ring for ring, _ in visits)
     assert answers == {True, False} and lifted > 0
-
-
-def test_pr_gate_refuses_out_of_range_axis():
-    t = w_tensor(3, (2, 2, 2), QQ)
-    for axis in (3, -1):
-        with pytest.raises(DimensionMismatchError):
-            pr_at_least_two(t, axis=axis)
 
 
 def test_generic_compress_w3_padded():
@@ -424,12 +420,13 @@ def test_generic_compress_rejects_low_rank_cube():
         generic_compress(t, seed=1)
 
 
-def test_generic_compress_budget_error_reports_attempts():
+def test_generic_compress_budget_error_reports_attempts(monkeypatch):
     from tensorgap.errors import SearchBudgetError
 
     t = pad(w_tensor(3, (2, 2, 2), QQ), (3, 3, 3))
+    monkeypatch.setattr(ranks, "DEFAULT_COMPRESS_BUDGET", 0)
     with pytest.raises(SearchBudgetError) as info:
-        generic_compress(t, seed=1, budget=0)
+        generic_compress(t, seed=1)
     assert info.value.attempts == 0
 
 

@@ -54,6 +54,17 @@ def test_w_tensor_examples():
         w_tensor(3, (2, 1, 2), QQ)
 
 
+def test_dims_must_be_positive_ints():
+    for dims in ((2.9,), (2.0,), ("2",), (True, 2), (False, 2), (0, 2)):
+        with pytest.raises(DimensionMismatchError):
+            Tensor.zeros(QQ, dims)
+    with pytest.raises(DimensionMismatchError):
+        Tensor(QQ, (2.9,), [1, 2])
+    with pytest.raises(DimensionMismatchError):
+        Tensor.from_dict(QQ, (True, 2), {(0, 1): 1})
+    assert Tensor.zeros(QQ, [2, 3]).dims == (2, 3)
+
+
 def test_kronecker_of_unit_tensors_is_unit():
     i32 = unit_tensor(3, 2, QQ)
     assert kronecker(i32, i32) == unit_tensor(3, 4, QQ)

@@ -64,7 +64,7 @@ def test_tracer_counts_scalar_ops_and_uninstalls():
             assert after[key][attr] is value, f"{key}.{attr} not restored"
 
 
-def test_traced_q_compression_keeps_its_spans():
+def test_traced_q_compression_keeps_its_spans(monkeypatch):
     # The per-layer metrics ranks.compress.attempts_per_call (restrict spans
     # under ranks.compress) and linalg.rank.q.* count the Q work of
     # generic_compress: one restriction per attempt, one mode product per
@@ -77,8 +77,9 @@ def test_traced_q_compression_keeps_its_spans():
     try:
         tracer.on = True
         tensorgap.ranks.generic_compress(unit, seed=0)
+        monkeypatch.setattr(tensorgap.ranks, "DEFAULT_COMPRESS_BUDGET", 5)
         with pytest.raises(SearchBudgetError) as info:
-            tensorgap.ranks.generic_compress(rank_one, seed=0, budget=5)
+            tensorgap.ranks.generic_compress(rank_one, seed=0)
     finally:
         tracer.uninstall()
     calls, _ = tracer.span_totals()
