@@ -17,17 +17,15 @@ W-tensor out of any tensor of partition rank at least two:
 * transport the 2-plane spanned by the two slices along the recursive curve,
   take its first coefficient P independent of the W-tensor (a valuation
   reduction of the transported pair, replacing power-series bookkeeping),
-  feed it to the stabilizer curves (a shear making the corner coefficient
-  nonzero when needed, then the weighted scaling curve), and slow the inner
-  curve down (eps -> eps^N) until the Grassmannian limit is exactly the
-  plane of the W-tensor's last flattening.  The limit is the span of the
-  leading coefficients a0, b0 of the valuation-reduced transported pair, so
-  the test is that W and the corner tensor have coordinates in the
-  independent base-field basis a0, b0 (one linear solve each);
-* read the final factor off the reduction: it maps the slices to those
-  coordinates of W and the corner tensor in the limit basis a0, b0, composed
-  with the triangular K(eps) matrix that carried the transported slices to
-  the reduced pair.
+  and feed it to the stabilizer curves: a shear making the corner
+  coefficient nonzero when needed, then the weighted scaling curve.  The
+  composed curve carries the slice plane to the plane of W and the corner
+  tensor (proved in `_certify_cube`), the span of the leading coefficients
+  a0, b0 of the valuation-reduced pair of transported slices;
+* read the final factor off the reduction: it maps the slices to the
+  coordinates of W and the corner tensor in the basis a0, b0, composed with
+  the triangular K(eps) matrix that carried the transported slices to the
+  reduced pair.
 
 Everything is exact; the only randomness is the compression seed, and the
 constructed certificate is re-verified before being returned.
@@ -48,7 +46,7 @@ from .errors import (
     SingularCurveError,
 )
 from .fields import QQ, FieldSpec, Scalar
-from .linalg import Matrix, _solve, lift_matrix, mat_det, mat_inverse, mat_rank, substitute_matrix
+from .linalg import Matrix, _solve, lift_matrix, mat_det, mat_inverse, mat_rank
 from .ratfunc import EpsField
 from .ranks import generic_compress, has_rank_one_flattening
 from .tensors import (
@@ -63,7 +61,6 @@ from .tensors import (
 
 SLICE_COMBO_BOUND = 8
 SHEAR_BOX_BOUND = 8
-SLOWDOWN_BOUND = 24
 
 
 @dataclass(frozen=True)
@@ -267,23 +264,33 @@ def pluecker_wedge(s: Tensor, s_prime: Tensor) -> WedgePoint:
 def grassmann_degenerates(curves, e_t, e_s) -> bool:
     """Whether the curves carry the plane spanned by e_t to the plane of e_s.
 
-    e_t and e_s are pairs of tensors spanning 2-planes (base field).  The
-    Grassmannian limit of the transported plane is the span of the leading
-    coefficients a0, b0 of the valuation-reduced transported pair, so the
-    answer is whether both s0 and s1 have coordinates in the basis a0, b0.
-    A transported pair that is dependent over K(eps) has no limit plane and
-    gives False.  The test passes exactly when the Pluecker one does: when
-    the transported wedge, divided by its minimal eps power, is a nonzero
-    multiple of s0 ^ s1 at eps = 0 (see `_dvr_reduce_pair`).
+    e_t and e_s are pairs of same-shape tensors over the curves' base field,
+    each spanning a 2-plane.  The Grassmannian limit of the transported plane
+    is the span of the leading coefficients a0, b0 of the valuation-reduced
+    transported pair, so the answer is whether both s0 and s1 have
+    coordinates in the basis a0, b0.  A transported pair that is dependent
+    over K(eps) has no limit plane and gives False.  The test passes exactly
+    when the Pluecker one does: when the transported wedge, divided by its
+    minimal eps power, is a nonzero multiple of s0 ^ s1 at eps = 0 (see
+    `_dvr_reduce_pair`).
     """
-    t0, t1 = e_t
-    s0, s1 = e_s
+    curves = tuple(curves)
+    (t0, t1), (s0, s1) = e_t, e_s
+    if not curves or not isinstance(curves[0].ring, EpsField):
+        raise FieldMismatchError("curves must be K(eps) matrices")
+    if any(x.ring is not curves[0].ring.base for x in (t0, t1, s0, s1)):
+        raise FieldMismatchError("e_t and e_s must be over the base field of the curves")
+    if any(x.dims != t0.dims for x in (t1, s0, s1)):
+        raise DimensionMismatchError("e_t and e_s tensors must share one dims")
     if mat_rank(_rows(t0, t1)) < 2:
         raise DegenerateSpanError("e_t pair is linearly dependent")
     if mat_rank(_rows(s0, s1)) < 2:
         raise DegenerateSpanError("e_s pair is linearly dependent")
-    limit = _limit_plane(tuple(curves), t0, t1)
-    return limit is not None and all(_coordinates(limit[2:4], c) is not None for c in (s0, s1))
+    a, b = _expand(t0, curves), _expand(t1, curves)
+    if mat_rank(_rows(a, b)) < 2:
+        return False
+    a0, b0 = _dvr_reduce_pair(a, b)[2:4]
+    return all(_coordinates((a0, b0), c) is not None for c in (s0, s1))
 
 
 # -- explicit unit-to-W certificate ------------------------------------------------
@@ -341,8 +348,9 @@ def _dvr_reduce_pair(a: Tensor, b: Tensor):
     has a finite valuation >= 0; a step that does not return leaves b of
     valuation >= 1, and dividing it out lowers val(a ^ b) by at least 1.
     A dependent pair with a ratio that is no polynomial in eps would never
-    stop, so callers check independence first (`_limit_plane`) or pass the
-    images of independent tensors under invertible curves (`_certify_cube`).
+    stop, so callers check independence first (`grassmann_degenerates`) or
+    pass the images of independent tensors under invertible curves
+    (`_certify_cube`).
 
     T is the 2x2 matrix over K(eps) with (ra, rb) = T * (a, b): the steps
     rescale a row by a power of eps or subtract lam times the first row from
@@ -373,21 +381,6 @@ def _dvr_reduce_pair(a: Tensor, b: Tensor):
         lam = eps_ring._constant(coords[0])
         b = b - a.scale(lam)
         t10 = t10 - lam * t00
-
-
-def _limit_plane(curves, t0: Tensor, t1: Tensor):
-    """Transport t0, t1 along the curves and reduce the pair.
-
-    Returns None when the transported pair is dependent over K(eps) (the
-    transported wedge vanishes identically), else `_dvr_reduce_pair`'s
-    (ra, rb, a0, b0, T); span(a0, b0) is the Grassmannian limit of the
-    transported plane.
-    """
-    a = _expand(t0, curves)
-    b = _expand(t1, curves)
-    if mat_rank(_rows(a, b)) < 2:
-        return None
-    return _dvr_reduce_pair(a, b)
 
 
 def _choose_slice_combo(s0: Tensor, s1: Tensor):
@@ -435,7 +428,25 @@ def _find_shear(p: Tensor):
 
 def _certify_cube(t: Tensor):
     """Curves carrying a (2, ..., 2) tensor with no rank-one flattening onto
-    the W-tensor of the same order: restrict(t, curves) = W + O(eps) exactly."""
+    the W-tensor of the same order: restrict(t, curves) = W + O(eps) exactly.
+
+    A level of order k >= 3 transports the last-axis slices s0, s1 once,
+    along curve = stab o rec, and the limit of their plane is span(W, corner)
+    (both of order k - 1).  Proof: rec carries the slice combination s to
+    a = W + O(eps) (verified one level down); the reduced second vector
+    b = p + O(eps) completes a to a K(eps)-basis of the transported plane.
+    The shear S fixes W with corner(S p) = c != 0, and the scaling tuple D
+    of order k - 1 multiplies basis tensors of weight m by eps^((k-1) m).
+    So D S b = c corner + O(eps), its weight >= 1 part O(eps^(k-1)), while
+    D S a has corner part O(eps), weight-1 part eps^(k-1) (W + O(eps)) and
+    higher weights O(eps^(2(k-1))).  Less the corner ratio (valuation >= 1)
+    times D S b, it is eps^(k-1) (W + O(eps)), as 2(k-1) >= k.
+
+    The limit is also span(a0, b0) of `_dvr_reduce_pair` on the transported
+    slices, so W and the corner have coordinates top, bottom in a0, b0, and
+    the invertible last factor [top; bottom] * T takes the slices to
+    W + O(eps) and corner + O(eps).
+    """
     field = t.ring
     eps_ring = EpsField(field)
     k = t.order
@@ -468,35 +479,19 @@ def _certify_cube(t: Tensor):
     p = _dvr_reduce_pair(a, b)[3]
 
     shear = _find_shear(p)
-    scaling = scaling_map_tuple(k - 1, field)
-    stab = scaling
+    stab = scaling_map_tuple(k - 1, field)
     if shear is not None:
-        stab = tuple(
-            d * lift_matrix(m, eps_ring) for d, m in zip(scaling, shear)
-        )
-
-    for slowdown in range(1, SLOWDOWN_BOUND + 1):
-        inner = rec if slowdown == 1 else tuple(substitute_matrix(m, slowdown) for m in rec)
-        curve = tuple(d * m for d, m in zip(stab, inner))
-        limit = _limit_plane(curve, s0, s1)
-        if limit is None:
-            continue
-        # The limit span(a0, b0) is the plane of W and the corner when both
-        # have coordinates in it.  The last factor maps the slices to them;
-        # with (ra, rb) = T * (curve s0, curve s1) its rows are [top; bottom] * T.
-        _, _, a0, b0, transform = limit
-        top = _coordinates((a0, b0), w_prev)
-        bottom = _coordinates((a0, b0), corner_prev)
-        if top is None or bottom is None:
-            continue
-        x = lift_matrix(Matrix._from_raw(field, 2, 2, top + bottom), eps_ring) * transform
-        if not mat_det(x):
-            raise CertificateConstructionError("recovered final factor is singular")
-        return curve + (x,)
-    raise CertificateConstructionError(
-        f"no slowdown exponent up to {SLOWDOWN_BOUND} made the Grassmannian "
-        f"limit match; this should be impossible"
-    )
+        stab = tuple(d * lift_matrix(m, eps_ring) for d, m in zip(stab, shear))
+    curve = tuple(d * m for d, m in zip(stab, rec))
+    _, _, a0, b0, transform = _dvr_reduce_pair(_expand(s0, curve), _expand(s1, curve))
+    top = _coordinates((a0, b0), w_prev)
+    bottom = _coordinates((a0, b0), corner_prev)
+    if top is None or bottom is None:
+        raise CertificateConstructionError("the limit plane is not span(W, corner)")
+    x = lift_matrix(Matrix._from_raw(field, 2, 2, top + bottom), eps_ring) * transform
+    if not mat_det(x):
+        raise CertificateConstructionError("recovered final factor is singular")
+    return curve + (x,)
 
 
 def construct_w_degeneration(t: Tensor, seed: int = 0) -> DegenerationCertificate:

@@ -125,7 +125,7 @@ class FieldSpec:
 
     def element(self, code: int) -> "Scalar":
         """The element of a finite field with raw code in [0, q)."""
-        if self.p is None or not 0 <= code < self.q:
+        if self.p is None or type(code) is not int or not 0 <= code < self.q:
             raise ValueError(f"no element with code {code!r} in {self.name}")
         return Scalar(self, code)
 

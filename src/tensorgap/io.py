@@ -155,17 +155,25 @@ def _scalar_matrix_to_document(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": [m.ring.text(e) for e in m.entries]}
 
 
-def _scalar_matrix_from_document(doc, field, location) -> Matrix:
+def _matrix_shape(doc, what, location):
+    """The rows, cols and entries list of a matrix document, checked."""
     if not isinstance(doc, dict):
-        raise DocumentFormatError("matrix must be an object", location)
+        raise DocumentFormatError(f"{what} must be an object", location)
     rows, cols = doc.get("rows"), doc.get("cols")
     entries = doc.get("entries")
     if not (_is_int(rows) and _is_int(cols) and isinstance(entries, list)):
-        raise DocumentFormatError("matrix needs rows, cols, entries", location)
+        raise DocumentFormatError(f"{what} needs rows, cols, entries", location)
+    if rows < 1 or cols < 1:
+        raise DocumentFormatError(f"{what} needs rows, cols >= 1, got {rows}x{cols}", location)
     if len(entries) != rows * cols:
         raise DocumentFormatError(
-            f"{rows}x{cols} matrix with {len(entries)} entries", location
+            f"{rows}x{cols} {what} with {len(entries)} entries", location
         )
+    return rows, cols, entries
+
+
+def _scalar_matrix_from_document(doc, field, location) -> Matrix:
+    rows, cols, entries = _matrix_shape(doc, "matrix", location)
     try:
         parsed = [field._parse(str(e)) for e in entries]
     except ValueError as exc:
@@ -183,16 +191,7 @@ def _curve_matrix_to_document(m: Matrix) -> dict:
 
 
 def _curve_matrix_from_document(doc, field, location) -> Matrix:
-    if not isinstance(doc, dict):
-        raise DocumentFormatError("curve matrix must be an object", location)
-    rows, cols = doc.get("rows"), doc.get("cols")
-    entries = doc.get("entries")
-    if not (_is_int(rows) and _is_int(cols) and isinstance(entries, list)):
-        raise DocumentFormatError("curve matrix needs rows, cols, entries", location)
-    if len(entries) != rows * cols:
-        raise DocumentFormatError(
-            f"{rows}x{cols} curve matrix with {len(entries)} entries", location
-        )
+    rows, cols, entries = _matrix_shape(doc, "curve matrix", location)
     ring = EpsField(field)
     parsed = []
     for n, e in enumerate(entries):

@@ -28,12 +28,20 @@ from .fields import GF, QQ
 from .ratfunc import EpsField
 
 
+def _check_dims(*dims):
+    """Refuse a matrix dimension that is not a nonnegative int (bools too)."""
+    for d in dims:
+        if type(d) is bool or not isinstance(d, int) or d < 0:
+            raise DimensionMismatchError(f"bad matrix dimension {d!r}")
+
+
 class Matrix:
     """Immutable rows x cols matrix over a FieldSpec or EpsField."""
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
     def __new__(cls, ring, rows: int, cols: int, entries):
+        _check_dims(rows, cols)
         entries = tuple(map(ring._raw, entries))
         if len(entries) != rows * cols:
             raise DimensionMismatchError(
@@ -65,12 +73,14 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n: int):
+        _check_dims(n)
         one, zero = ring._raw(1), ring._raw(0)
         entries = [one if i == j else zero for i in range(n) for j in range(n)]
         return cls._from_raw(ring, n, n, entries)
 
     @classmethod
     def zeros(cls, ring, rows: int, cols: int):
+        _check_dims(rows, cols)
         return cls._from_raw(ring, rows, cols, [ring._raw(0)] * (rows * cols))
 
     def __getitem__(self, ij):
@@ -346,10 +356,3 @@ def lift_matrix(m: Matrix, ring: EpsField) -> Matrix:
             raise FieldMismatchError("matrix already over a different K(eps)")
         return m
     return Matrix._from_raw(ring, m.rows, m.cols, map(ring._embedding(m.ring), m.entries))
-
-
-def substitute_matrix(m: Matrix, n: int) -> Matrix:
-    """Entrywise eps -> eps^n substitution for a K(eps) matrix."""
-    if not isinstance(m.ring, EpsField):
-        raise FieldMismatchError("power substitution needs a K(eps) matrix")
-    return Matrix._from_raw(m.ring, m.rows, m.cols, [e.substitute_power(n) for e in m.entries])

@@ -97,6 +97,15 @@ def test_oversized_documents_are_errors_not_rejections(tmp_path, capsys):
     assert "dims" in capsys.readouterr().err
 
 
+def test_negative_curve_shape_is_a_located_format_error(tmp_path, capsys):
+    doc = certificate_to_document(unit_to_w_certificate(3))
+    doc["curves"][2].update(rows=-1, cols=-1, entries=doc["curves"][2]["entries"][:1])
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-cert", str(path)]) == 2
+    assert "negative.json.curves[2]: curve matrix needs rows, cols >= 1" in capsys.readouterr().err
+
+
 def test_curve_coefficients_must_be_lists(tmp_path, capsys):
     # a coefficient list given as an int or a string is a format error (exit 2)
     for key, value in (("den-coeffs", 1), ("num-coeffs", "10")):

@@ -7,11 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tensorgap import degeneration
 from tensorgap.degeneration import (
     DegenerationCertificate,
     WedgePoint,
+    _certify_cube,
+    _choose_slice_combo,
     _coordinates,
     _dvr_reduce_pair,
+    _expand,
+    _find_shear,
     _rows,
     construct_w_degeneration,
     eps_coefficient_tensor,
@@ -26,11 +31,12 @@ from tensorgap.degeneration import (
 )
 from tensorgap.errors import (
     DegenerateSpanError,
+    DimensionMismatchError,
     FieldMismatchError,
 )
 from tensorgap.fields import GF, QQ
 from tensorgap.io import certificate_from_document, certificate_to_document, save_certificate
-from tensorgap.linalg import Matrix, mat_rank
+from tensorgap.linalg import Matrix, lift_matrix, mat_rank
 from tensorgap.ranks import has_rank_one_flattening, rank_signature
 from tensorgap.ratfunc import EpsField
 from tensorgap.tensors import Tensor, flatten, lift_tensor, pad, restrict, unit_tensor, w_tensor
@@ -216,6 +222,29 @@ def test_grassmann_identity_and_collapse():
     e11 = Tensor.from_dict(QQ, (2, 2), {(1, 1): 1})
     assert not grassmann_degenerates(ident, (w2, corner), (w2, e11))
     assert not grassmann_degenerates(ident, (w2, corner), (e11, w2))
+
+
+def test_grassmann_refuses_foreign_fields_and_mixed_dims():
+    w2 = w_tensor(2, (2, 2), QQ)
+    corner = Tensor.from_dict(QQ, (2, 2), {(0, 0): 1})
+    ident = _identity_curves((2, 2))
+    f5 = GF(5)
+    w2_f5 = w_tensor(2, (2, 2), f5)
+    corner_f5 = Tensor.from_dict(f5, (2, 2), {(0, 0): 1})
+    for e_t, e_s in (
+        ((w2, corner), (w2_f5, corner_f5)),
+        ((w2_f5, corner_f5), (w2, corner)),
+        ((w2, corner), (w2, corner_f5)),
+        ((lift_tensor(w2, EPS), corner), (w2, corner)),
+    ):
+        with pytest.raises(FieldMismatchError):
+            grassmann_degenerates(ident, e_t, e_s)
+    # a (2, 2, 2) pair against a (2, 2) plane, in either role
+    w3 = w_tensor(3, (2, 2, 2), QQ)
+    corner3 = Tensor.from_dict(QQ, (2, 2, 2), {(0, 0, 0): 1})
+    for e_t, e_s in (((w2, corner), (w3, corner3)), ((w3, corner3), (w2, corner))):
+        with pytest.raises(DimensionMismatchError):
+            grassmann_degenerates(ident, e_t, e_s)
 
 
 @st.composite
@@ -495,6 +524,78 @@ def test_construct_k4_with_eps_recursion():
         corner = Tensor.from_dict(QQ, (2, 2, 2), {(0, 0, 0): 1})
         assert grassmann_degenerates(cert.curves[:3], (s0, s1), (w3, corner))
         done += 1
+
+
+def _reference_certify_cube(t):
+    """The builder with its former slowdown search, kept as an oracle: each
+    level tries the inner curve at eps -> eps^N, N = 1..24, and accepts the
+    first whose transported slices stay independent over K(eps) and have
+    the plane of W and the corner as their Grassmannian limit."""
+    field = t.ring
+    eps_ring = EpsField(field)
+    k = t.order
+    if k == 2:
+        return _certify_cube(t)
+    slices = flatten(t, [k - 1])
+    s0, s1 = (Tensor(field, t.dims[:-1], slices.row(i)) for i in (0, 1))
+    (alpha, _), s = _choose_slice_combo(s0, s1)
+    rec = _reference_certify_cube(s)
+    w_prev = w_tensor(k - 1, (2,) * (k - 1), field)
+    corner_prev = Tensor.from_dict(field, (2,) * (k - 1), {(0,) * (k - 1): 1})
+    shear = _find_shear(_dvr_reduce_pair(_expand(s, rec), _expand(s1 if alpha else s0, rec))[3])
+    stab = scaling_map_tuple(k - 1, field)
+    if shear is not None:
+        stab = tuple(d * lift_matrix(m, eps_ring) for d, m in zip(stab, shear))
+    for slowdown in range(1, 25):
+        inner = tuple(
+            Matrix(eps_ring, m.rows, m.cols, [e.substitute_power(slowdown) for e in m.entries])
+            for m in rec
+        )
+        curve = tuple(d * m for d, m in zip(stab, inner))
+        a, b = _expand(s0, curve), _expand(s1, curve)
+        if mat_rank(_rows(a, b)) < 2:
+            continue
+        _, _, a0, b0, transform = _dvr_reduce_pair(a, b)
+        top = _coordinates((a0, b0), w_prev)
+        bottom = _coordinates((a0, b0), corner_prev)
+        if top is not None and bottom is not None:
+            last = lift_matrix(Matrix(field, 2, 2, top + bottom), eps_ring) * transform
+            return curve + (last,)
+    raise AssertionError("no slowdown exponent up to 24 made the limit match")
+
+
+@st.composite
+def _partition_rank_two_cubes(draw):
+    k = draw(st.integers(3, 5))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=2**k, max_size=2**k))
+    t = Tensor(QQ, (2,) * k, entries)
+    assume(not t.is_zero() and has_rank_one_flattening(t) is None)
+    return t
+
+
+@settings(max_examples=60, deadline=None)
+@given(_partition_rank_two_cubes())
+def test_certify_cube_matches_slowdown_search(t):
+    assert _certify_cube(t) == _reference_certify_cube(t)
+
+
+def test_certify_cube_shear_branch_matches_slowdown_search(monkeypatch):
+    # the order-4 unit tensor takes the shear at its order-3 level (searched
+    # first) and not at the top level
+    shears = []
+
+    def recording_find_shear(p):
+        shears.append(_find_shear(p))
+        return shears[-1]
+
+    monkeypatch.setattr(degeneration, "_find_shear", recording_find_shear)
+    t = unit_tensor(4, 2, QQ)
+    curves = _certify_cube(t)
+    assert len(shears) == 2 and shears[0] is not None and shears[1] is None
+    monkeypatch.undo()
+    assert curves == _reference_certify_cube(t)
+    cert = DegenerationCertificate(t, w_tensor(4, (2,) * 4, QQ), curves)
+    assert verify_certificate(cert)
 
 
 # sha256 of the saved certificate of construct_w_degeneration(I_{k,2}, seed=0)

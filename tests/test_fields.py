@@ -185,8 +185,10 @@ def test_extension_prime_subfield(p, m):
         field.one() + base.one()
     with pytest.raises(FieldMismatchError):
         field.lift(GF(5).one())
-    with pytest.raises(ValueError):
-        field.element(p**m)
+    # codes are ints in [0, q): not q, and not a bool, float or Fraction
+    for f, code in itertools.product((field, base), (p**m, True, False, 1.0, Fraction(1))):
+        with pytest.raises(ValueError, match="no element with code"):
+            f.element(code)
 
 
 def test_fields_never_mix_and_invalid_fields_are_not_interned():

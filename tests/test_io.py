@@ -210,6 +210,21 @@ def test_certificate_document_errors():
         certificate_from_document(bad)
 
 
+def test_matrix_shapes_below_one_are_refused_where_they_stand():
+    # a curve or compression map of -1 x -1 with one entry (or 0 x 0 with
+    # none) fits rows * cols = len(entries) but is refused at its location
+    cert = construct_w_degeneration(pad(unit_tensor(3, 2, QQ), (3, 2, 2)), seed=0)
+    doc = certificate_to_document(cert)
+    for key in ("curves", "compression"):
+        for rows, cols, count in ((-1, -1, 1), (0, 0, 0), (0, 2, 0), (2, -3, 6)):
+            bad = json.loads(json.dumps(doc))
+            node = bad[key][1]
+            node.update(rows=rows, cols=cols, entries=node["entries"][:1] * count)
+            with pytest.raises(DocumentFormatError, match="rows, cols >= 1") as info:
+                certificate_from_document(bad)
+            assert info.value.location == f"certificate.{key}[1]"
+
+
 def test_oversized_dims_refused_before_allocation():
     # About 100 bytes asking for 2^60 entries, and dims in between that would
     # still allocate gigabytes: both are refused at the dims, not allocated.

@@ -15,7 +15,6 @@ from tensorgap.linalg import (
     mat_inverse,
     mat_rank,
     mat_solve,
-    substitute_matrix,
 )
 from tensorgap.ratfunc import EpsField
 
@@ -167,14 +166,24 @@ def test_lift_and_substitute():
     a = Matrix.from_rows(QQ, [[1, 2], [0, 1]])
     lifted = lift_matrix(a, EPS)
     assert lifted.ring == EPS
-    eps = EPS.eps()
-    m = Matrix(EPS, 1, 1, [eps + 1])
-    assert substitute_matrix(m, 3)[0, 0] == EPS.eps(3) + 1
 
 
 def test_bareiss_handles_zero_pivot_columns():
     m = Matrix.from_rows(QQ, [[0, 0, 1], [0, 0, 2], [1, 0, 0]])
     assert mat_rank(m) == 2
+
+
+def test_matrix_dimensions_must_be_nonnegative_ints():
+    for bad in (True, False, -1, 2.0):
+        with pytest.raises(DimensionMismatchError, match="bad matrix dimension"):
+            Matrix(QQ, bad, 2, [1, 2])
+        with pytest.raises(DimensionMismatchError, match="bad matrix dimension"):
+            Matrix.zeros(QQ, 2, bad)
+        with pytest.raises(DimensionMismatchError, match="bad matrix dimension"):
+            Matrix.identity(QQ, bad)
+    # zero stays a dimension: the empty row list is the 0 x 0 matrix
+    assert Matrix.from_rows(QQ, []) == Matrix.zeros(QQ, 0, 0) == Matrix.identity(QQ, 0)
+    assert Matrix(QQ, 0, 3, []).cols == 3
 
 
 def test_mixed_field_entries_rejected():
