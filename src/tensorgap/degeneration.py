@@ -14,14 +14,12 @@ W-tensor out of any tensor of partition rank at least two:
 * compress to shape (2, ..., 2) by a seeded random restriction;
 * split off a slice S of partition rank >= 2 along the last factor and
   recursively drive S to the W-tensor of order k-1;
-* transport the 2-plane spanned by the two slices along the recursive curve,
-  take its first coefficient P independent of the W-tensor (a valuation
-  reduction of the transported pair, replacing power-series bookkeeping),
-  and feed it to the stabilizer curves: a shear making the corner
-  coefficient nonzero when needed, then the weighted scaling curve.  The
-  composed curve carries the slice plane to the plane of W and the corner
-  tensor (proved in `_certify_cube`), the span of the leading coefficients
-  a0, b0 of the valuation-reduced pair of transported slices;
+* transport the two slices along the recursive curve once; the limit of
+  their plane (a valuation reduction, replacing power-series bookkeeping)
+  contains the W-tensor and picks the stabilizer curves, a shear making a
+  corner coefficient nonzero when needed and the weighted scaling curve,
+  which carry it on to the plane of W and the corner tensor (proved in
+  `_certify_cube`), spanned by the reduced pair's leading coefficients a0, b0;
 * read the final factor off the reduction: it maps the slices to the
   coordinates of W and the corner tensor in the basis a0, b0, composed with
   the triangular K(eps) matrix that carried the transported slices to the
@@ -125,7 +123,15 @@ def _expand_certificate(cert: DegenerationCertificate) -> Tensor:
     """curve * (compressed) source over K(eps), after the shape checks.
 
     Raises SingularCurveError when a curve matrix has determinant zero.
+    The compression maps are shape-checked first: they set the compressed
+    source's size.
     """
+    maps = cert.compression
+    shapes = list(zip(cert.target.dims, cert.source.dims))
+    if maps is not None and [(m.rows, m.cols) for m in maps] != shapes:
+        raise DimensionMismatchError(
+            f"compression needs one map per factor of shapes {shapes} (target x source dims)"
+        )
     compressed = cert.compressed_source()
     if compressed.dims != cert.target.dims:
         raise DimensionMismatchError(
@@ -402,12 +408,12 @@ def _choose_slice_combo(s0: Tensor, s1: Tensor):
     )
 
 
-def _find_shear(p: Tensor):
-    """Deterministic integer shear parameters (sum zero) giving the corner
-    coefficient of shear * p a nonzero value; identity when already nonzero."""
-    field = p.ring
-    k = p.order
-    if p.entries[0]:  # the corner (0, ..., 0)
+def _find_shear(*plane: Tensor):
+    """Deterministic integer shear parameters (sum zero) giving shear * p a
+    nonzero corner for some p in plane; None when some p has one already."""
+    field = plane[0].ring
+    k = plane[0].order
+    if any(p.entries[0] for p in plane):  # the corner (0, ..., 0)
         return None
     for bound in range(1, SHEAR_BOX_BOUND + 1):
         for head in itertools.product(range(-bound, bound + 1), repeat=k - 1):
@@ -418,7 +424,7 @@ def _find_shear(p: Tensor):
             if all(x == 0 for x in s):
                 continue
             shear = stab_shear(s, field)
-            if restrict(p, shear).entries[0]:
+            if any(restrict(p, shear).entries[0] for p in plane):
                 return shear
     raise CertificateConstructionError(
         "no shear with zero parameter sum exposes the corner coefficient; "
@@ -430,21 +436,26 @@ def _certify_cube(t: Tensor):
     """Curves carrying a (2, ..., 2) tensor with no rank-one flattening onto
     the W-tensor of the same order: restrict(t, curves) = W + O(eps) exactly.
 
-    A level of order k >= 3 transports the last-axis slices s0, s1 once,
-    along curve = stab o rec, and the limit of their plane is span(W, corner)
-    (both of order k - 1).  Proof: rec carries the slice combination s to
-    a = W + O(eps) (verified one level down); the reduced second vector
-    b = p + O(eps) completes a to a K(eps)-basis of the transported plane.
-    The shear S fixes W with corner(S p) = c != 0, and the scaling tuple D
-    of order k - 1 multiplies basis tensors of weight m by eps^((k-1) m).
-    So D S b = c corner + O(eps), its weight >= 1 part O(eps^(k-1)), while
-    D S a has corner part O(eps), weight-1 part eps^(k-1) (W + O(eps)) and
-    higher weights O(eps^(2(k-1))).  Less the corner ratio (valuation >= 1)
-    times D S b, it is eps^(k-1) (W + O(eps)), as 2(k-1) >= k.
+    A level of order k >= 3 transports the last-axis slices s0, s1 along rec
+    once.  rec carries the slice combination s to a = W + O(eps) (verified
+    one level down), so W lies in the limit plane L = span(W, p) of
+    rec span(s0, s1), p the leading coefficient of a reduced b completing a
+    (all of order k - 1).  The shear S fixes W and corner(W) = 0, so
+    corner o S vanishes on W and on L is a multiple of its value at p: a
+    shear gets the same verdict from every basis of L, such as the limit
+    plane span(a0, b0) of `_dvr_reduce_pair` that `_find_shear` is given.
 
-    The limit is also span(a0, b0) of `_dvr_reduce_pair` on the transported
-    slices, so W and the corner have coordinates top, bottom in a0, b0, and
-    the invertible last factor [top; bottom] * T takes the slices to
+    Let stab = D S, with corner(S p) = c != 0 and D the scaling tuple of
+    order k - 1 (weight-m basis tensors times eps^((k-1) m)).  D S b is
+    c corner + O(eps), its weight >= 1 part O(eps^(k-1)); D S a has corner
+    part O(eps), weight-1 part eps^(k-1) (W + O(eps)), higher weights
+    O(eps^(2(k-1))), and less the corner ratio (valuation >= 1) times D S b
+    it is eps^(k-1) (W + O(eps)), as 2(k-1) >= k.  So stab o rec carries
+    the slice plane to span(W, corner).  As restrict(restrict(X, rec), stab)
+    is restrict(X, stab o rec) exactly and RatFunc's normal form is unique,
+    reducing stab applied to the transported slices gives that transport's
+    a0, b0 and T; W and the corner have coordinates top, bottom in a0, b0,
+    and the invertible last factor [top; bottom] * T takes the slices to
     W + O(eps) and corner + O(eps).
     """
     field = t.ring
@@ -459,7 +470,7 @@ def _certify_cube(t: Tensor):
 
     slices = flatten(t, [k - 1])
     s0, s1 = (Tensor._from_raw(field, t.dims[:-1], slices.row(i)) for i in (0, 1))
-    (alpha, _), s = _choose_slice_combo(s0, s1)
+    s = _choose_slice_combo(s0, s1)[1]
     rec = _certify_cube(s)
     w_prev = w_tensor(k - 1, (2,) * (k - 1), field)
     # Each level is verified once: the recursive result here (the order-2
@@ -472,18 +483,12 @@ def _certify_cube(t: Tensor):
         )
     corner_prev = Tensor.from_dict(field, (2,) * (k - 1), {(0,) * (k - 1): 1})
 
-    # Complete s to a basis of the slice span and transport both vectors;
-    # a = W + O(eps) exactly, so the reduction only rescales and reduces b.
-    a = _expand(s, rec)
-    b = _expand(s1 if alpha else s0, rec)
-    p = _dvr_reduce_pair(a, b)[3]
-
-    shear = _find_shear(p)
+    pair = (_expand(s0, rec), _expand(s1, rec))
+    shear = _find_shear(*_dvr_reduce_pair(*pair)[2:4])
     stab = scaling_map_tuple(k - 1, field)
     if shear is not None:
         stab = tuple(d * lift_matrix(m, eps_ring) for d, m in zip(stab, shear))
-    curve = tuple(d * m for d, m in zip(stab, rec))
-    _, _, a0, b0, transform = _dvr_reduce_pair(_expand(s0, curve), _expand(s1, curve))
+    _, _, a0, b0, transform = _dvr_reduce_pair(*(restrict(x, stab) for x in pair))
     top = _coordinates((a0, b0), w_prev)
     bottom = _coordinates((a0, b0), corner_prev)
     if top is None or bottom is None:
@@ -491,7 +496,7 @@ def _certify_cube(t: Tensor):
     x = lift_matrix(Matrix._from_raw(field, 2, 2, top + bottom), eps_ring) * transform
     if not mat_det(x):
         raise CertificateConstructionError("recovered final factor is singular")
-    return curve + (x,)
+    return tuple(d * m for d, m in zip(stab, rec)) + (x,)
 
 
 def construct_w_degeneration(t: Tensor, seed: int = 0) -> DegenerationCertificate:

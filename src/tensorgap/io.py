@@ -56,6 +56,17 @@ def _parse_field(name, location) -> FieldSpec:
     raise DocumentFormatError(f"unknown field {name!r}", location)
 
 
+def _read_json(path):
+    """The JSON value in a file.  Malformed JSON, an integer past Python's
+    digit limit (both ValueError) and nesting too deep to parse
+    (RecursionError) are format errors located at the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise DocumentFormatError(f"invalid JSON: {exc}", str(path)) from None
+
+
 def _check_format(doc, kind, location):
     if not isinstance(doc, dict):
         raise DocumentFormatError("document must be a JSON object", location)
@@ -140,12 +151,7 @@ def save_tensor(t: Tensor, path) -> None:
 
 
 def load_tensor(path) -> Tensor:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DocumentFormatError(f"invalid JSON: {exc}", str(path)) from None
-    return tensor_from_document(doc, location=str(path))
+    return tensor_from_document(_read_json(path), location=str(path))
 
 
 # -- matrices ------------------------------------------------------------------
@@ -276,9 +282,4 @@ def save_certificate(cert: DegenerationCertificate, path) -> None:
 
 
 def load_certificate(path) -> DegenerationCertificate:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DocumentFormatError(f"invalid JSON: {exc}", str(path)) from None
-    return certificate_from_document(doc, location=str(path))
+    return certificate_from_document(_read_json(path), location=str(path))

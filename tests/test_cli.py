@@ -97,6 +97,26 @@ def test_oversized_documents_are_errors_not_rejections(tmp_path, capsys):
     assert "dims" in capsys.readouterr().err
 
 
+def test_unparsable_and_misshapen_documents_exit_2(tmp_path, w3_file, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    for command in ("verify-cert", "classify"):
+        assert main([command, str(nested)]) == 2
+        assert "nested.json: invalid JSON" in capsys.readouterr().err
+
+    # three 80x3 compression maps on a 3x3x3 source, for a 2x2x2 target
+    doc = certificate_to_document(unit_to_w_certificate(3))
+    doc["source"] = json.loads(w3_file.read_text())
+    doc["source"]["dims"] = [3, 3, 3]
+    doc["compression"] = [
+        {"rows": 80, "cols": 3, "entries": [str(i % 2) for i in range(240)]}
+    ] * 3
+    path = tmp_path / "tall-maps.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-cert", str(path)]) == 2
+    assert "one map per factor" in capsys.readouterr().err
+
+
 def test_negative_curve_shape_is_a_located_format_error(tmp_path, capsys):
     doc = certificate_to_document(unit_to_w_certificate(3))
     doc["curves"][2].update(rows=-1, cols=-1, entries=doc["curves"][2]["entries"][:1])

@@ -30,6 +30,7 @@ from tensorgap.degeneration import (
     verify_certificate,
 )
 from tensorgap.errors import (
+    CertificateConstructionError,
     DegenerateSpanError,
     DimensionMismatchError,
     FieldMismatchError,
@@ -584,8 +585,8 @@ def test_certify_cube_shear_branch_matches_slowdown_search(monkeypatch):
     # first) and not at the top level
     shears = []
 
-    def recording_find_shear(p):
-        shears.append(_find_shear(p))
+    def recording_find_shear(*plane):
+        shears.append(_find_shear(*plane))
         return shears[-1]
 
     monkeypatch.setattr(degeneration, "_find_shear", recording_find_shear)
@@ -596,6 +597,84 @@ def test_certify_cube_shear_branch_matches_slowdown_search(monkeypatch):
     assert curves == _reference_certify_cube(t)
     cert = DegenerationCertificate(t, w_tensor(4, (2,) * 4, QQ), curves)
     assert verify_certificate(cert)
+
+
+def _shear_verdict(*plane):
+    try:
+        return _find_shear(*plane)
+    except CertificateConstructionError:
+        return "raises"
+
+
+@st.composite
+def _planes_through_w(draw):
+    """A tensor p of order 2..4 over Q and an invertible integer recombination
+    (x, y) of W and p, so span(x, y) = span(W, p) when p is outside span(W)."""
+    k = draw(st.integers(2, 4))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=2**k, max_size=2**k))
+    if draw(st.booleans()):
+        entries[0] = 0  # a zero corner, so that the shear search runs
+    p = Tensor(QQ, (2,) * k, entries)
+    a, b, c, d = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    assume(a * d - b * c)
+    w = w_tensor(k, (2,) * k, QQ)
+    return p, (w.scale(a) + p.scale(b), w.scale(c) + p.scale(d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planes_through_w())
+def test_find_shear_gives_one_verdict_on_every_basis_of_the_plane(case):
+    # a shear fixes W and corner(W) = 0, so on span(W, p) the corner after a
+    # shear is a multiple of its value at p
+    p, plane = case
+    assert _shear_verdict(*plane) == _shear_verdict(p)
+
+
+def test_certify_cube_transports_each_level_once(monkeypatch):
+    # The order-3 and order-4 levels each transport s0 and s1 along their
+    # recursive curves (of order 2 and 3) and nothing else; the one other
+    # call is the order-4 level's verification of its recursive result.
+    calls = []
+    verifying = []
+    expand, verify = degeneration._expand, degeneration.verify_certificate
+
+    def counting_expand(base, curves):
+        calls.append((bool(verifying), len(curves)))
+        return expand(base, curves)
+
+    def flagged_verify(cert):
+        verifying.append(cert)
+        try:
+            return verify(cert)
+        finally:
+            verifying.pop()
+
+    monkeypatch.setattr(degeneration, "_expand", counting_expand)
+    monkeypatch.setattr(degeneration, "verify_certificate", flagged_verify)
+    _certify_cube(unit_tensor(4, 2, QQ))
+    assert [order for inside, order in calls if not inside] == [2, 2, 3, 3]
+    assert [order for inside, order in calls if inside] == [3]
+
+
+def test_verify_refuses_misshapen_compression_before_restricting(monkeypatch):
+    # 80x3 maps on a 3x3x3 source would build an 80x80x80 compressed source
+    # before its dims were compared with the 2x2x2 target
+    rng = random.Random(80)
+    maps = tuple(Matrix(QQ, 80, 3, [rng.randint(-1, 1) for _ in range(240)]) for _ in range(3))
+    target = w_tensor(3, (2, 2, 2), QQ)
+    source = random_rational_tensor((3, 3, 3), rng)
+    bad = [
+        DegenerationCertificate(source, target, _identity_curves(target.dims), compression=maps),
+        DegenerationCertificate(source, target, _identity_curves(target.dims), compression=maps[:2]),
+    ]
+
+    def no_restrict(*args):
+        raise AssertionError("restrict called before the compression shapes were checked")
+
+    monkeypatch.setattr(degeneration, "restrict", no_restrict)
+    for cert in bad:
+        with pytest.raises(DimensionMismatchError, match="one map per factor"):
+            verify_certificate(cert)
 
 
 # sha256 of the saved certificate of construct_w_degeneration(I_{k,2}, seed=0)

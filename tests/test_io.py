@@ -100,6 +100,23 @@ def test_invalid_json_reports_location(tmp_path):
         load_tensor(path)
 
 
+def test_deep_nesting_and_long_integers_are_located_format_errors(tmp_path):
+    # 100,000 nested arrays exceed the parser's recursion limit, and a
+    # 5000-digit integer exceeds Python's int-digit limit
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    long_int = tmp_path / "long-int.json"
+    long_int.write_text(
+        '{"format": 1, "kind": "tensor", "field": "Q", "dims": [1%s, 2, 2], "entries": []}'
+        % ("0" * 4999)
+    )
+    for path in (nested, long_int):
+        for load in (load_tensor, load_certificate):
+            with pytest.raises(DocumentFormatError, match="invalid JSON") as info:
+                load(path)
+            assert info.value.location == str(path)
+
+
 def test_certificate_round_trip_unit_to_w(tmp_path):
     for k in (2, 3, 4):
         cert = unit_to_w_certificate(k)
