@@ -20,8 +20,8 @@ that flattening cut out a 2x2x2 core isomorphic to the tensor, and a
 vanishing hyperdeterminant of the core settles the W class: any compression
 to 2x2x2 that keeps partition rank >= 2 restricts to invertible maps on the
 fibre spans, so its hyperdeterminant is prod det(g_j)^2 times the core's,
-and the seeded samples the report lists are provably 0.  Its `Confidence`
-stays "randomized" with the trial count, so reports keep their format.
+and the seeded samples the report lists are provably 0.  The report
+derives its "randomized" confidence from the number of those samples.
 Otherwise seeded random compressions to 2x2x2 are tried; a nonvanishing
 hyperdeterminant sample is a deterministic certificate for the unit class,
 and its ground-field witness is built from the compression maps.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -44,7 +45,6 @@ from .fields import FieldSpec, Scalar
 from .linalg import Matrix, mat_inverse, mat_rank
 from .ranks import (
     RankSignature,
-    canonical_subsets,
     generic_compress,
     rank_signature,
 )
@@ -98,19 +98,48 @@ class Confidence:
         return Confidence("randomized", trials)
 
 
+_TWISTED_NOTE = (
+    "determinant pencil has no rational rank-one points over the ground field; "
+    "unit restriction exists over the closure only"
+)
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Outcome of the order-3 trichotomy for one tensor."""
+    """Outcome of the order-3 trichotomy for one tensor: the verdict and its
+    evidence.  Everything else the report shows is derived from these."""
 
     trichotomy: TrichotomyClass
     rank_signature: RankSignature
     cayley_samples: tuple  # ((seed, Scalar), ...) one per compression trial
-    asymptotic_class: AsymptoticClass
-    constant: GapValue
-    confidence: Confidence
-    rank_one_witness: frozenset | None = None
     unit_witness: tuple | None = None  # map tuple with restrict(T, maps) = I_{3,2}
-    unit_witness_note: str | None = None
+
+    @property
+    def asymptotic_class(self) -> AsymptoticClass:
+        return _GAP_BY_CLASS[self.trichotomy][0]
+
+    @property
+    def constant(self) -> GapValue:
+        return _GAP_BY_CLASS[self.trichotomy][1]
+
+    @property
+    def rank_one_witness(self) -> frozenset | None:
+        """The first flattening axes of rank at most 1, or None."""
+        return next((axes for axes, r in self.rank_signature.items() if r <= 1), None)
+
+    @property
+    def confidence(self) -> Confidence:
+        """Randomized over the sample count for a W verdict, else deterministic."""
+        if self.trichotomy is TrichotomyClass.W_ISOMORPHIC:
+            return Confidence.randomized(len(self.cayley_samples))
+        return Confidence.deterministic()
+
+    @property
+    def unit_witness_note(self) -> str | None:
+        """Why a unit verdict has no ground-field witness, or None."""
+        if self.trichotomy is TrichotomyClass.RESTRICTS_TO_UNIT2 and self.unit_witness is None:
+            return _TWISTED_NOTE
+        return None
 
 
 # -- the determinant pencil and the Cayley hyperdeterminant ----------------------
@@ -342,8 +371,8 @@ def trichotomy(t: Tensor, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Classi
     class.  With every multilinear rank equal to 2, the hyperdeterminant of
     the coordinate core decides the W class exactly (module docstring): the
     W report lists the `trials` seeds drawn from `random.Random(seed)`, each
-    with the sample value 0 its compression provably has, computes no
-    compression, and keeps "randomized" confidence for report compatibility.
+    with the sample value 0 its compression provably has, and computes no
+    compression; the report derives its "randomized" confidence from them.
     Otherwise `trials` independent random compressions to 2x2x2 are
     classified; any unit-class hit is a deterministic certificate (the
     sampled hyperdeterminant value is a polynomial certificate, and a
@@ -361,17 +390,8 @@ def trichotomy(t: Tensor, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Classi
     if not isinstance(t.ring, FieldSpec):
         raise DimensionMismatchError("trichotomy works over Q or F_p")
     signature = rank_signature(t)
-    witness_axes = next(
-        (axes for axes in canonical_subsets(3) if signature.ranks[axes] <= 1), None
-    )
-    if witness_axes is not None:
-        return _report(
-            TrichotomyClass.FLATTENING_RANK_ONE,
-            rank_signature=signature,
-            cayley_samples=(),
-            confidence=Confidence.deterministic(),
-            rank_one_witness=witness_axes,
-        )
+    if any(r <= 1 for r in signature.ranks.values()):
+        return ClassificationReport(TrichotomyClass.FLATTENING_RANK_ONE, signature, ())
 
     rng = random.Random(seed)
     if all(r <= 2 for r in signature.ranks.values()):
@@ -381,12 +401,8 @@ def trichotomy(t: Tensor, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Classi
             # prod det(g_j)^2 * Cay(core) = 0, so the samples are recorded
             # without being computed.
             zero = t.ring.zero()
-            return _report(
-                TrichotomyClass.W_ISOMORPHIC,
-                rank_signature=signature,
-                cayley_samples=tuple((rng.randrange(2**63), zero) for _ in range(trials)),
-                confidence=Confidence.randomized(trials),
-            )
+            samples = tuple((rng.randrange(2**63), zero) for _ in range(trials))
+            return ClassificationReport(TrichotomyClass.W_ISOMORPHIC, signature, samples)
 
     samples = []
     for trial in range(trials):
@@ -397,25 +413,13 @@ def trichotomy(t: Tensor, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Classi
         if cay:
             # Unit class: deterministic certificate.  T >= compressed >= I_{3,2}.
             witness = None
-            note = None
             cube_maps = unit_restriction_witness(compressed)
-            if cube_maps is None:
-                note = (
-                    "determinant pencil has no rational rank-one points over "
-                    "the ground field; unit restriction exists over the "
-                    "closure only"
-                )
-            else:
+            if cube_maps is not None:
                 witness = compose_maps(cube_maps, maps)
                 if restrict(t, witness) != unit_tensor(3, 2, t.ring):
                     raise ClassificationInconsistencyError("composed unit witness failed")
-            return _report(
-                TrichotomyClass.RESTRICTS_TO_UNIT2,
-                rank_signature=signature,
-                cayley_samples=tuple(samples),
-                confidence=Confidence.deterministic(),
-                unit_witness=witness,
-                unit_witness_note=note,
+            return ClassificationReport(
+                TrichotomyClass.RESTRICTS_TO_UNIT2, signature, tuple(samples), witness
             )
 
     # With multilinear ranks <= 2 a nonzero Cay(core) makes every sample
@@ -426,26 +430,21 @@ def trichotomy(t: Tensor, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Classi
     )
 
 
-def _report(label: TrichotomyClass, **fields) -> ClassificationReport:
-    asymptotic_class, constant = _GAP_BY_CLASS[label]
-    return ClassificationReport(
-        trichotomy=label, asymptotic_class=asymptotic_class, constant=constant, **fields
-    )
-
-
 def gap_class(report: ClassificationReport):
     """Asymptotic-subrank class and constant from a classification report."""
-    return _GAP_BY_CLASS[report.trichotomy]
+    return report.asymptotic_class, report.constant
 
 
 def gap_constant(k: int):
     """The gap constant for order k: k/(k-1)^((k-1)/k), equal to 2^h(1/k).
 
     Returns (exact description, decimal).  Both closed forms are evaluated in
-    floating point and must agree to 1e-12.
+    floating point and must agree to 1e-12, so k may not exceed the largest float.
     """
     if k < 2:
         raise ValueError("gap constant needs k >= 2")
+    if k > sys.float_info.max:
+        raise ValueError(f"gap constant needs k <= {sys.float_info.max!r}, the largest float")
     direct = k / (k - 1) ** ((k - 1) / k) if k > 2 else 2.0
     x = 1.0 / k
     entropy = -(x * math.log2(x) + (1 - x) * math.log2(1 - x))

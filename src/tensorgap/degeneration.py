@@ -50,6 +50,7 @@ from .ranks import generic_compress, has_rank_one_flattening
 from .tensors import (
     Tensor,
     as_matrix,
+    compose_maps,
     flatten,
     lift_tensor,
     restrict,
@@ -88,9 +89,12 @@ class DegenerationCertificate:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    accepted: bool
     condition: str | None = None  # singular-curve | negative-valuation | constant-term-mismatch
     detail: str | None = None
+
+    @property
+    def accepted(self) -> bool:
+        return self.condition is None
 
     def __bool__(self):
         return self.accepted
@@ -151,12 +155,11 @@ def verify_certificate(cert: DegenerationCertificate) -> VerificationResult:
     try:
         expanded = _expand_certificate(cert)
     except SingularCurveError as exc:
-        return VerificationResult(False, "singular-curve", str(exc))
+        return VerificationResult("singular-curve", str(exc))
     for flat, e in enumerate(expanded.entries):
         if e and e.valuation() < 0:
             idx = expanded.multi_index(flat)
             return VerificationResult(
-                False,
                 "negative-valuation",
                 f"entry {idx} has a pole of order {-e.valuation()} at eps = 0",
             )
@@ -167,12 +170,11 @@ def verify_certificate(cert: DegenerationCertificate) -> VerificationResult:
     for flat, (c, want) in enumerate(zip(constant.entries, cert.target.entries)):
         if c != want:
             return VerificationResult(
-                False,
                 "constant-term-mismatch",
                 f"entry {constant.multi_index(flat)}: eps^0 coefficient {text(c)} "
                 f"!= target {text(want)}",
             )
-    return VerificationResult(True)
+    return VerificationResult()
 
 
 # -- stabilizer curves of the W-tensor -------------------------------------------
@@ -487,7 +489,7 @@ def _certify_cube(t: Tensor):
     shear = _find_shear(*_dvr_reduce_pair(*pair)[2:4])
     stab = scaling_map_tuple(k - 1, field)
     if shear is not None:
-        stab = tuple(d * lift_matrix(m, eps_ring) for d, m in zip(stab, shear))
+        stab = compose_maps(stab, tuple(lift_matrix(m, eps_ring) for m in shear))
     _, _, a0, b0, transform = _dvr_reduce_pair(*(restrict(x, stab) for x in pair))
     top = _coordinates((a0, b0), w_prev)
     bottom = _coordinates((a0, b0), corner_prev)
@@ -496,7 +498,7 @@ def _certify_cube(t: Tensor):
     x = lift_matrix(Matrix._from_raw(field, 2, 2, top + bottom), eps_ring) * transform
     if not mat_det(x):
         raise CertificateConstructionError("recovered final factor is singular")
-    return tuple(d * m for d, m in zip(stab, rec)) + (x,)
+    return compose_maps(stab, rec) + (x,)
 
 
 def construct_w_degeneration(t: Tensor, seed: int = 0) -> DegenerationCertificate:

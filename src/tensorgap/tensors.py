@@ -38,7 +38,7 @@ from .ratfunc import EpsField
 class Tensor:
     """Immutable dense tensor of order k >= 1 over a FieldSpec or EpsField."""
 
-    __slots__ = ("ring", "dims", "entries", "_strides")
+    __slots__ = ("ring", "dims", "entries")
 
     def __new__(cls, ring, dims, entries):
         t = cls.zeros(ring, dims)  # validates dims
@@ -54,7 +54,6 @@ class Tensor:
         object.__setattr__(t, "ring", ring)
         object.__setattr__(t, "dims", dims)
         object.__setattr__(t, "entries", tuple(entries))
-        object.__setattr__(t, "_strides", _strides(dims))
         return t
 
     def __setattr__(self, name, value):
@@ -89,7 +88,7 @@ class Tensor:
         if len(idx) != len(self.dims):
             raise DimensionMismatchError(f"index {idx} has wrong length for dims {self.dims}")
         flat = 0
-        for i, d, s in zip(idx, self.dims, self._strides):
+        for i, d, s in zip(idx, self.dims, _strides(self.dims)):
             if not 0 <= i < d:
                 raise DimensionMismatchError(f"index {idx} out of range for dims {self.dims}")
             flat += i * s
@@ -97,7 +96,7 @@ class Tensor:
 
     def multi_index(self, flat: int):
         idx = []
-        for s in self._strides:
+        for s in _strides(self.dims):
             idx.append(flat // s)
             flat %= s
         return tuple(idx)

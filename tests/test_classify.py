@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from tensorgap import classify
 from tensorgap.classify import (
     AsymptoticClass,
+    ClassificationReport,
     Confidence,
     _coordinate_core,
     _det2,
     _pencil,
     _pencil_rank_one_points,
-    _report,
     Orbit222,
     TrichotomyClass,
     cayley_hyperdet,
@@ -37,7 +37,7 @@ from tensorgap.errors import (
 from tensorgap.fields import GF, QQ
 from tensorgap.linalg import Matrix, mat_det, mat_rank
 from tensorgap.ratfunc import EpsField
-from tensorgap.ranks import canonical_subsets, generic_compress, rank_signature
+from tensorgap.ranks import generic_compress, rank_signature
 from tensorgap.tensors import (
     Tensor,
     compose_maps,
@@ -362,6 +362,14 @@ def test_gap_constant_values():
         gap_constant(1)
 
 
+def test_gap_constant_refuses_k_past_the_float_range():
+    # both closed forms are floats, so a k past the largest float is a usage error
+    assert gap_constant(2**1023)[1] == 1.0
+    for k in (2**1024 - 1, 10**400):
+        with pytest.raises(ValueError, match="largest float"):
+            gap_constant(k)
+
+
 def test_gap_constant_monotone_decreasing():
     values = [gap_constant(k)[1] for k in range(2, 65)]
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -378,25 +386,13 @@ def test_trichotomy_refuses_fewer_than_one_trial(trials):
 
 # -- the W verdict from the coordinate core ------------------------------------
 
-_TWISTED_NOTE = (
-    "determinant pencil has no rational rank-one points over the ground field; "
-    "unit restriction exists over the closure only"
-)
-
 
 def _reference_trichotomy(t, seed, trials):
     """Every verdict past the rank-one gate from `trials` seeded compressions
     to 2x2x2, the W verdict when all their hyperdeterminants vanish."""
     signature = rank_signature(t)
-    axes = next((a for a in canonical_subsets(3) if signature.ranks[a] <= 1), None)
-    if axes is not None:
-        return _report(
-            TrichotomyClass.FLATTENING_RANK_ONE,
-            rank_signature=signature,
-            cayley_samples=(),
-            confidence=Confidence.deterministic(),
-            rank_one_witness=axes,
-        )
+    if any(r <= 1 for r in signature.ranks.values()):
+        return ClassificationReport(TrichotomyClass.FLATTENING_RANK_ONE, signature, ())
     samples = []
     rng = random.Random(seed)
     for _ in range(trials):
@@ -406,22 +402,13 @@ def _reference_trichotomy(t, seed, trials):
         samples.append((trial_seed, cay))
         if cay:
             cube_maps = unit_restriction_witness(compressed)
-            return _report(
-                TrichotomyClass.RESTRICTS_TO_UNIT2,
-                rank_signature=signature,
-                cayley_samples=tuple(samples),
-                confidence=Confidence.deterministic(),
-                unit_witness=None if cube_maps is None else compose_maps(cube_maps, maps),
-                unit_witness_note=_TWISTED_NOTE if cube_maps is None else None,
+            witness = None if cube_maps is None else compose_maps(cube_maps, maps)
+            return ClassificationReport(
+                TrichotomyClass.RESTRICTS_TO_UNIT2, signature, tuple(samples), witness
             )
     if not multilinear_rank_le_2(t):
         raise ClassificationInconsistencyError("all samples vanished at multilinear rank 3")
-    return _report(
-        TrichotomyClass.W_ISOMORPHIC,
-        rank_signature=signature,
-        cayley_samples=tuple(samples),
-        confidence=Confidence.randomized(trials),
-    )
+    return ClassificationReport(TrichotomyClass.W_ISOMORPHIC, signature, tuple(samples))
 
 
 def _planted_order3_cases():

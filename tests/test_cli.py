@@ -29,6 +29,12 @@ def test_constant_command(capsys):
     assert "1.88988" in out and "3/2^(2/3)" in out
 
 
+def test_constant_command_refuses_huge_k(capsys):
+    # a usage error exits 2; exit 1 is kept for negative results
+    assert main(["constant", "--k", str(10**400)]) == 2
+    assert "error: gap constant needs k <=" in capsys.readouterr().err
+
+
 def test_classify_command(w3_file, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code = main(["classify", str(w3_file), "--seed", "4", "--out", str(report_path)])

@@ -281,3 +281,17 @@ def test_raw_coercion_edge_cases():
         GF(3)._raw(QQ.one())
     with pytest.raises(TypeError):
         QQ._raw(0.5)
+
+
+def test_extension_field_text():
+    # residues as polynomials in x, highest power first, coefficients in F_p
+    f4, f8, f9 = GF(2, 2), GF(2, 3), GF(3, 2)
+    assert [f4.text(c) for c in (0, 1, 2, 3)] == ["0", "1", "x", "x+1"]
+    assert f8.text(6) == "x^2+x"
+    assert (f9.text(5), f9.text(7), f9.text(0)) == ("x+2", "2x+1", "0")
+
+
+def test_reflected_scalar_operators():
+    assert 1 - QQ.from_int(3) == -2
+    assert 2 / GF(5).from_int(3) == 4
+    assert Fraction(1, 2) - QQ.from_int(1) == QQ.from_fraction(Fraction(-1, 2))

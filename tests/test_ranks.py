@@ -430,6 +430,27 @@ def test_generic_compress_budget_error_reports_attempts(monkeypatch):
     assert info.value.attempts == 0
 
 
+def test_generic_compress_doubles_bound_after_eight_failures(monkeypatch):
+    # Over Q the sampling bound starts at 8 and doubles after every 8 failed draws.
+    draws = []
+    real_restrict, real_gate = ranks.restrict, ranks.has_rank_one_flattening
+
+    def recording_restrict(t, maps):
+        draws.append([x for m in maps for x in m.entries])
+        return real_restrict(t, maps)
+
+    def refuse_first_eight(t):
+        return frozenset([0]) if len(draws) <= 8 else real_gate(t)
+
+    monkeypatch.setattr(ranks, "restrict", recording_restrict)
+    monkeypatch.setattr(ranks, "has_rank_one_flattening", refuse_first_eight)
+    generic_compress(pad(w_tensor(3, (2, 2, 2), QQ), (4, 3, 3)), seed=0)
+    assert len(draws) == 9
+    assert all(-8 <= x <= 8 for draw in draws[:8] for x in draw)
+    assert all(-16 <= x <= 16 for x in draws[8])
+    assert any(abs(x) > 8 for x in draws[8])
+
+
 def test_subrank_bruteforce_examples():
     i32 = unit_tensor(3, 2, F2)
     assert subrank_bruteforce(i32, 2)

@@ -434,3 +434,8 @@ def test_eps_adic_form_matches_dense_reference(case):
     if g:
         _agrees(f / g, rf / rg)
         _agrees(g.inverse(), rg.inverse())
+
+
+def test_reflected_division():
+    assert 1 / EPS.eps(2) == EPS.eps(-2)
+    assert 3 / EPS.eps() == EPS.from_int(3) * EPS.eps(-1)
