@@ -22,7 +22,13 @@ from .census import census_222, census_summary, write_census
 from .classify import DEFAULT_TRIALS, TrichotomyClass, gap_constant, trichotomy
 from .degeneration import construct_w_degeneration, verify_certificate
 from .errors import TensorGapError
-from .io import _scalar_matrix_to_document, load_certificate, load_tensor, save_certificate
+from .io import (
+    FORMAT_VERSION,
+    _scalar_matrix_to_document,
+    load_certificate,
+    load_tensor,
+    save_certificate,
+)
 from .ranks import (
     DEFAULT_BRUTE_CEILING,
     rank_signature,
@@ -44,7 +50,7 @@ def _seed(args) -> int:
 
 def _report_json(report) -> dict:
     doc = {
-        "format": 1,
+        "format": FORMAT_VERSION,
         "kind": "classification",
         "trichotomy": report.trichotomy.value,
         "asymptotic-class": report.asymptotic_class.value,

@@ -23,7 +23,12 @@ num = eps^max(v, 0) u and den = eps^max(-v, 0) w are coprime with den
 monic, and ``num``/``den`` rebuild them.  Nearly every value of a
 certificate construction is a monomial c*eps^n; in this form its valuation
 is a field read and a product of two is one multiplication in K.  Euclid
-runs only when both eps-free parts of a result are nonconstant.
+runs only when both eps-free parts of a result are nonconstant, so never
+on Laurent values (w = 1).  The K(eps) restriction and determinant kernels
+(`tensors._laurent_restrict`, `linalg._eps_det`) skip the RatFunc operators
+altogether: `_integer_laurent` hands them the integer coefficients of
+Laurent values over one denominator, and `_laurent_from_integers` builds
+each result in normal form.
 
 Curves of group elements appearing in degeneration certificates have rational
 function entries, so exact arithmetic here removes any need for truncation
@@ -131,18 +136,7 @@ class RatFunc:
         EpsField(field)  # refuses a base field other than Q or F_p
         num = _trimmed([field._raw(c) for c in num])
         den = _trimmed([field._raw(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            v, u, w = INFINITE_VALUATION, (), (field._raw(1),)
-        else:
-            vn, vd = _low(num), _low(den)
-            v = vn - vd
-            u, w = _lowest_terms(field, num[vn:], den[vd:])
-            if w[-1] != 1:
-                inv = field.inv(w[-1])
-                u, w = _scaled(field, u, inv), _scaled(field, w, inv)
-        _rf(field, v, u, w, self)
+        _quotient(field, 0, num, den, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -348,6 +342,58 @@ def _rf(field, v, u, w, r=None) -> RatFunc:
     object.__setattr__(r, "_u", u)
     object.__setattr__(r, "_w", w)
     return r
+
+
+def _quotient(field, v, num: tuple, den: tuple, r=None) -> RatFunc:
+    """The RatFunc eps^v * num/den of trimmed raw coefficient tuples, den
+    nonzero, brought to normal form (filled into r if given)."""
+    if not den:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if not num:
+        return _rf(field, INFINITE_VALUATION, (), (field._raw(1),), r)
+    vn, vd = _low(num), _low(den)
+    u, w = _lowest_terms(field, num[vn:], den[vd:])
+    if w[-1] != 1:
+        inv = field.inv(w[-1])
+        u, w = _scaled(field, u, inv), _scaled(field, w, inv)
+    return _rf(field, v + vn - vd, u, w, r)
+
+
+def _integer_laurent(field, values):
+    """Laurent values (w = 1) as integer coefficients over one denominator.
+
+    Returns (d, [(v, ints)]) with value = eps^v * sum_i ints[i] eps^i / d for
+    each value: over Q, d is the lcm of all coefficient denominators; over
+    F_p, d = 1 and ints are the residues.  The zero value gives (+inf, ()).
+    None unless every value is Laurent.
+    """
+    if any(len(e._w) != 1 for e in values):
+        return None
+    if field.p is not None:
+        return 1, [(e._v, e._u) for e in values]
+    d = math.lcm(*{c.denominator for e in values for c in e._u})
+    if d == 1:
+        return d, [(e._v, tuple([c.numerator for c in e._u])) for e in values]
+    return d, [(e._v, tuple([c.numerator * (d // c.denominator) for c in e._u])) for e in values]
+
+
+def _laurent_from_integers(field, v, ints, d: int) -> RatFunc:
+    """The Laurent value eps^v * sum_i ints[i] eps^i / d of integer
+    coefficients (d = 1 over F_p, where ints are reduced mod p here)."""
+    p = field.p
+    if p is not None:
+        ints = [c % p for c in ints]
+    nonzero = [i for i, c in enumerate(ints) if c]
+    if not nonzero:
+        return EpsField(field).zero()
+    lo, hi = nonzero[0], nonzero[-1] + 1
+    if p is not None:
+        u = ints[lo:hi]
+    elif d == 1:
+        u = [Fraction(c) for c in ints[lo:hi]]
+    else:
+        u = [Fraction(c, d) for c in ints[lo:hi]]
+    return _rf(field, v + lo, tuple(u), (field._raw(1),))
 
 
 def _lowest_terms(field, u: tuple, w: tuple):

@@ -12,12 +12,20 @@ per factor.
 Every reshuffle of entries (flattenings, slices, axis permutations, the
 Kronecker product) is a gather through one cached axis-order map,
 ``_axis_order(dims, perm)``; `flatten` reads it, with its row count and its
-axis checks, from one cached plan per (dims, axes).  ``mode_apply`` is the only contraction:
-restriction, padding and the covector tables of the brute-force oracles are
-mode products.  Over Q it works on integer numerators: each map row is
-scaled by the lcm of its denominators and each source fiber along the
-contracted axis by the lcm of its own, and one Fraction is built per nonzero
-output entry.  The other rings use their own add and mul.
+axis checks, from one cached plan per (dims, axes).  There are two
+contractions.  ``mode_apply`` applies one map along one axis: restriction,
+padding and the covector tables of the brute-force oracles are mode
+products.  Over Q it works on integer numerators: each map row is scaled by
+the lcm of its denominators and each source fiber along the contracted axis
+by the lcm of its own, and one Fraction is built per nonzero output entry.
+The other rings use their own add and mul.  ``_laurent_restrict`` is
+`restrict` over K(eps) when every entry of the tensor and of the maps is
+Laurent (its denominator a power of eps, as in every curve the certificate
+builder and `unit_to_w_certificate` write): it scales the tensor and each
+map to integer coefficients over one denominator each, carries the support
+as {flat index: {exponent: int}} through all axes and builds one RatFunc
+per nonzero output entry.  Any other K(eps) input takes one `mode_apply`
+per axis, as every other ring does.
 
 Kronecker index convention: the combined index on factor j is
 ``i_j * m_j + i'_j`` (left factor major); tests depend on it bit-exactly.
@@ -32,7 +40,7 @@ from fractions import Fraction
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import QQ, FieldSpec
 from .linalg import Matrix, _integer_row
-from .ratfunc import EpsField
+from .ratfunc import EpsField, _integer_laurent, _laurent_from_integers
 
 
 class Tensor:
@@ -239,14 +247,19 @@ def flatten(t: Tensor, axes) -> Matrix:
     return Matrix._from_raw(t.ring, nrows, t.size // nrows, [entries[f] for f in order])
 
 
-def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
-    """Apply one linear map along a single axis."""
+def _check_map(t: Tensor, m: Matrix, axis: int):
+    """Refuse a map over another ring or of the wrong width for its axis."""
     if m.ring is not t.ring:
         raise FieldMismatchError("map and tensor over different rings")
     if m.cols != t.dims[axis]:
         raise DimensionMismatchError(
             f"map is {m.rows}x{m.cols} but axis {axis} has dimension {t.dims[axis]}"
         )
+
+
+def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
+    """Apply one linear map along a single axis."""
+    _check_map(t, m, axis)
     # Work in axis-first order: the source is then an n x rest matrix and
     # output row j is sum_i m[j, i] * (source row i).
     ring = t.ring
@@ -316,14 +329,76 @@ def _q_mode_product(src, m: Matrix, rest: int) -> list:
 
 
 def restrict(t: Tensor, maps) -> Tensor:
-    """Restriction by a tuple of linear maps, one map per factor."""
+    """Restriction by a tuple of linear maps, one map per factor.
+
+    Over K(eps) with every entry of t and of the maps Laurent, one pass of
+    `_laurent_restrict`; otherwise one `mode_apply` per axis.
+    """
     maps = tuple(maps)
     if len(maps) != t.order:
         raise DimensionMismatchError(f"need {t.order} maps, got {len(maps)}")
+    if isinstance(t.ring, EpsField):
+        for axis, m in enumerate(maps):
+            _check_map(t, m, axis)
+        out = _laurent_restrict(t, maps)
+        if out is not None:
+            return out
     out = t
     for axis, m in enumerate(maps):
         out = mode_apply(out, m, axis)
     return out
+
+
+def _laurent_restrict(t: Tensor, maps):
+    """`restrict` over K(eps) on integer Laurent coefficients, or None unless
+    every entry of t and of the (checked) maps is Laurent.
+
+    The tensor and each map are scaled to integers over one common
+    denominator each (`_integer_laurent`).  The support is carried through
+    all axes as {flat index: {exponent: int}}, a product of entries being a
+    convolution of integer coefficients, and one normalized RatFunc is built
+    per nonzero output entry over the product of the denominators.
+    """
+    field = t.ring.base
+    scaled = [_integer_laurent(field, x.entries) for x in (t, *maps)]
+    if None in scaled:
+        return None
+    d, polys = scaled[0]
+    support = {f: _exponent_map(v, c) for f, (v, c) in enumerate(polys) if c}
+    dims = list(t.dims)
+    for axis, (m, (dm, mpolys)) in enumerate(zip(maps, scaled[1:])):
+        d *= dm
+        n, s = m.cols, math.prod(dims[axis + 1 :])
+        # column[i]: the output offsets and entries of map column i
+        column = [[] for _ in range(n)]
+        for f, (v, c) in enumerate(mpolys):
+            if c:
+                j, i = divmod(f, n)
+                column[i].append((j * s, _exponent_map(v, c)))
+        out = {}
+        for f, a in support.items():
+            hi, lo = divmod(f, n * s)
+            i, lo = divmod(lo, s)
+            base = hi * m.rows * s + lo
+            for shift, b in column[i]:
+                acc = out.setdefault(base + shift, {})
+                for eb, cb in b.items():
+                    for ea, ca in a.items():
+                        e = ea + eb
+                        acc[e] = acc.get(e, 0) + ca * cb
+        support = out
+        dims[axis] = m.rows
+    entries = [t.ring.zero()] * math.prod(dims)
+    for f, acc in support.items():
+        lo = min(acc)
+        ints = [acc.get(e, 0) for e in range(lo, max(acc) + 1)]
+        entries[f] = _laurent_from_integers(field, lo, ints, d)
+    return Tensor._from_raw(t.ring, tuple(dims), entries)
+
+
+def _exponent_map(v, ints) -> dict:
+    """{exponent: coefficient} of eps^v * sum_i ints[i] eps^i, zeros dropped."""
+    return {v + i: c for i, c in enumerate(ints) if c}
 
 
 def identity_maps(t: Tensor):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tensorgap import degeneration
+from tensorgap import degeneration, ratfunc
 from tensorgap.degeneration import (
     DegenerationCertificate,
     WedgePoint,
@@ -147,6 +147,26 @@ def test_verify_rejects_random_dense_curve_entries():
     result = verify_certificate(certificate_from_document(doc))
     assert not result.accepted
     assert result.condition == "constant-term-mismatch"
+
+
+def test_verify_runs_no_euclid_on_laurent_curve_entries(monkeypatch):
+    # Every curve entry of the unit k = 3 document replaced by 32 random
+    # numerator coefficients over eps^7: the expansion and the curve
+    # determinants stay on integer Laurent coefficients, so no gcd of
+    # polynomials is ever taken.
+    rnd = random.Random(0)
+    doc = certificate_to_document(unit_to_w_certificate(3))
+    for curve in doc["curves"]:
+        for entry in curve["entries"]:
+            entry["num-coeffs"] = [str(rnd.randint(1, 9)) for _ in range(32)]
+            entry["den-coeffs"] = ["0"] * 7 + ["1"]
+    cert = certificate_from_document(doc)
+    gcds = []
+    euclid = ratfunc._gcd
+    monkeypatch.setattr(ratfunc, "_gcd", lambda *args: gcds.append(args) or euclid(*args))
+    result = verify_certificate(cert)
+    assert not result.accepted
+    assert gcds == []
 
 
 def test_verify_rejects_pole():

@@ -10,6 +10,7 @@ from tensorgap.errors import DimensionMismatchError, FieldMismatchError
 from tensorgap.fields import GF, QQ
 from tensorgap.linalg import (
     Matrix,
+    _echelon,
     lift_matrix,
     mat_det,
     mat_inverse,
@@ -268,3 +269,62 @@ def test_det_inverse_and_solve_match_oracles(ring_name, n, seed):
         b[-1] = b[-1] + ring.one()
     singular = Matrix.from_rows(ring, [all_rows[i] for i in order])
     assert mat_solve(singular, [b[i] for i in order]) is None
+
+
+# -- the fraction-free determinant over K(eps) -------------------------------------
+
+
+def _echelon_det(m):
+    """The reference: the swap sign times the pivot product of field
+    elimination by `_echelon`."""
+    ring = m.ring
+    rows = m.to_rows()
+    pivots, parity = _echelon(ring, rows, m.cols)
+    if len(pivots) < m.rows:
+        return ring.zero()
+    det = -ring.one() if parity else ring.one()
+    for i in range(m.rows):
+        det = det * rows[i][i]
+    return det
+
+
+def _random_eps_element(ring, rng):
+    """Zero, a Laurent polynomial, or a quotient by a polynomial that is not
+    a power of eps."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ring.zero()
+
+    def poly(low, high):
+        return sum(
+            (ring.eps(n) * ring.coerce(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+             if ring.base is QQ else ring.eps(n) * ring.from_int(rng.randrange(ring.base.p))
+             for n in range(low, high)),
+            ring.zero(),
+        )
+
+    num = poly(rng.randint(-2, 1), rng.randint(2, 4))
+    if kind == 3:
+        den = poly(0, rng.randint(2, 3))
+        if den:
+            return num / den
+    return num
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((QQ, GF(2), GF(5))), st.integers(0, 4), st.booleans(), st.integers(0, 2**32 - 1)
+)
+def test_eps_det_matches_echelon_pivot_product(base, n, singular, seed):
+    ring = EpsField(base)
+    rng = random.Random(seed)
+    rows = [[_random_eps_element(ring, rng) for _ in range(n)] for _ in range(n)]
+    if singular and n >= 2:
+        # the last row a combination of earlier ones: det is exactly zero
+        a, b = _random_eps_element(ring, rng), _random_eps_element(ring, rng)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[n - 2])]
+    m = Matrix.from_rows(ring, rows) if n else Matrix.zeros(ring, 0, 0)
+    det = mat_det(m)
+    assert det == _echelon_det(m)
+    if singular and n >= 2:
+        assert det == ring.zero()

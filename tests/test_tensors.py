@@ -337,6 +337,128 @@ def test_mode_apply_over_k_eps():
         assert mode_apply(t, mm, axis) == _mode_product_reference(t, mm, axis)
 
 
+# -- the Laurent restriction kernel over K(eps) ---------------------------------
+
+
+def _per_axis_restrict(t, maps):
+    """The reference: one mode product per axis, the route of every ring
+    other than Laurent K(eps)."""
+    for axis, m in enumerate(maps):
+        t = mode_apply(t, m, axis)
+    return t
+
+
+@st.composite
+def _laurent_values(draw, ring):
+    """A Laurent element: zero often, else a sum of up to three terms c eps^n
+    with n in -3..3 and, over Q, denominators up to 7."""
+    if draw(st.integers(0, 3)) == 0:
+        return ring.zero()
+    if ring.base is QQ:
+        coeffs = st.fractions(-9, 9, max_denominator=7)
+    else:
+        coeffs = st.integers(0, ring.base.p - 1)
+    terms = draw(st.lists(st.tuples(coeffs, st.integers(-3, 3)), min_size=1, max_size=3))
+    return sum((ring.eps(n) * ring.coerce(c) for c, n in terms), ring.zero())
+
+
+@st.composite
+def _laurent_restriction(draw):
+    """A Laurent K(eps) tensor of order 1..4 and dims 1..3 with one map per
+    axis; some maps or map rows are zero, and some fibres of the tensor."""
+    ring = EpsField(draw(st.sampled_from((QQ, GF(2), GF(3), GF(7)))))
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    fibres = draw(st.sets(st.integers(0, math.prod(dims) - 1), max_size=2))
+    entries = [
+        ring.zero() if f in fibres else draw(_laurent_values(ring)) for f in range(math.prod(dims))
+    ]
+    t = Tensor(ring, dims, entries)
+    maps = []
+    for n in dims:
+        rows = draw(st.integers(1, 3))
+        zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+        values = [
+            ring.zero() if f // n in zero_rows else draw(_laurent_values(ring))
+            for f in range(rows * n)
+        ]
+        maps.append(Matrix(ring, rows, n, values))
+    return t, tuple(maps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_laurent_restriction())
+def test_laurent_restrict_matches_per_axis_mode_products(case):
+    t, maps = case
+    assert restrict(t, maps) == _per_axis_restrict(t, maps)
+
+
+def test_laurent_restrict_cancels_exactly_to_zero():
+    # Two equal slices along axis 0 and a map row (c, -c): the first output
+    # slice cancels term by term, eps^-2 parts included.
+    for ring in (EpsField(QQ), EpsField(GF(5))):
+        e = ring.eps()
+        half = ring.coerce(Fraction(1, 2)) if ring.base is QQ else ring.from_int(3)
+        row = [ring.eps(-2) * half + e, ring.from_int(4) - ring.eps(-1)]
+        t = Tensor(ring, (2, 2), row + row)
+        c = ring.eps(-1) * ring.from_int(3) + ring.one()
+        maps = (Matrix(ring, 2, 2, [c, -c, ring.one(), e]), Matrix.identity(ring, 2))
+        out = restrict(t, maps)
+        assert out == _per_axis_restrict(t, maps)
+        assert out.entries[:2] == (ring.zero(), ring.zero())
+        assert all(out.entries[2:])
+    # Over F_p the coefficients cancel mod p: 3 eps + 4 eps = 0 over F_7.
+    ring = EpsField(GF(7))
+    t = Tensor(ring, (2,), [ring.eps() * ring.from_int(3), ring.eps() * ring.from_int(4)])
+    assert restrict(t, (Matrix(ring, 1, 2, [ring.one(), ring.one()]),)) == Tensor.zeros(ring, (1,))
+
+
+def test_restrict_takes_the_laurent_kernel_exactly_on_laurent_input(monkeypatch):
+    calls = []
+
+    def counting_mode_apply(t, m, axis):
+        calls.append(axis)
+        return mode_apply(t, m, axis)
+
+    monkeypatch.setattr(tensors, "mode_apply", counting_mode_apply)
+    ring = EpsField(QQ)
+    e, one = ring.eps(), ring.one()
+    t = Tensor(ring, (2, 2), [one, e, ring.eps(-1), one - e])
+    laurent = Matrix(ring, 2, 2, [e, one, ring.eps(-2), ring.zero()])
+    assert restrict(t, (laurent, laurent)) == _per_axis_restrict(t, (laurent, laurent))
+    assert calls == []
+    # One entry with a denominator that is not a power of eps: the per-axis
+    # route, checked against the elementwise definition.
+    rational = Matrix(ring, 2, 2, [e, one / (one + e), ring.eps(-2), ring.zero()])
+    out = restrict(t, (laurent, rational))
+    assert calls == [0, 1]
+    expected = _mode_product_reference(_mode_product_reference(t, laurent, 0), rational, 1)
+    assert out == expected
+
+
+def _raised(fn):
+    with pytest.raises((FieldMismatchError, DimensionMismatchError)) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+def test_restrict_errors_are_the_per_axis_errors():
+    ring = EpsField(QQ)
+    e, one = ring.eps(), ring.one()
+    t = Tensor(ring, (2, 3), [one, e, ring.eps(-1), one - e, e, one])
+    good = (Matrix(ring, 1, 2, [e, one]), Matrix(ring, 2, 3, [one, e, one, one, one, e]))
+    bad_ring = (good[0], Matrix(QQ, 2, 3, [1, 0, 0, 0, 1, 0]))
+    bad_shape = (good[0], Matrix(ring, 2, 2, [one, e, one, one]))
+    bad_both = (Matrix(ring, 2, 3, [one] * 6), bad_ring[1])
+    for maps in (bad_ring, bad_shape, bad_both):
+        assert _raised(lambda: restrict(t, maps)) == _raised(lambda: _per_axis_restrict(t, maps))
+    assert _raised(lambda: restrict(t, bad_ring))[0] is FieldMismatchError
+    assert _raised(lambda: restrict(t, bad_shape))[0] is DimensionMismatchError
+    with pytest.raises(DimensionMismatchError, match="need 2 maps, got 1"):
+        restrict(t, good[:1])
+    with pytest.raises(DimensionMismatchError, match="need 2 maps, got 3"):
+        restrict(t, good + good[:1])
+
+
 def test_q_restriction_memory_stays_per_fiber():
     # 4096 entries with pairwise distinct prime denominators: one common
     # denominator for the whole tensor would be a product of 4096 primes in
