@@ -18,10 +18,11 @@ bitmasks and reduced by XOR.  Over Q each row is scaled to integers (its
 nonzero entries only) and the sparse integer rows are reduced fraction-free,
 each updated row divided by its content.  The determinant over K(eps) has
 its own route, `_eps_det`: fraction-free (Bareiss) elimination on integer
-polynomials in eps, whose only divisions are exact ones by the previous
-pivot, so a Laurent matrix (every denominator a power of eps, as in every
-certificate curve) needs no inverse and no polynomial gcd.  All results are
-exact.
+Laurent polynomials in eps (the coefficient maps of `ratfunc`), each row
+over the lcm of its own denominators, whose only divisions are exact ones
+by the previous pivot, so a Laurent matrix (every denominator a power of
+eps, as in every certificate curve) needs no inverse and no polynomial
+gcd.  All results are exact.
 """
 
 from __future__ import annotations
@@ -31,7 +32,16 @@ import math
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import GF, QQ
-from .ratfunc import EpsField, _integer_laurent, _laurent_from_integers, _quotient, _rf, _times
+from .ratfunc import (
+    EpsField,
+    _add_product,
+    _exact_quotient,
+    _integer_laurent,
+    _laurent_from_integers,
+    _quotient,
+    _rf,
+    _times,
+)
 
 
 def _check_dims(*dims):
@@ -345,18 +355,17 @@ def mat_det(m: Matrix):
 
 def _eps_det(ring: EpsField, m: Matrix):
     """The determinant over K(eps) by fraction-free (Bareiss) elimination on
-    integer polynomials in eps.
+    integer Laurent polynomials in eps.
 
     Row i is multiplied by the product W_i of its distinct eps-free
-    denominators w, so that every entry is Laurent.  The matrix is scaled to
-    integer coefficients over one denominator d (over F_p the residues,
-    d = 1) and row i multiplied by eps^-v_i (v_i its least valuation), so it
-    becomes a matrix over Z[eps].  Bareiss elimination there divides only
-    exactly, by the previous pivot, and leaves the determinant of the
-    integer matrix in the last pivot: for a 2x2 curve that is ad - bc.  The
-    result is eps^(sum v_i) times it over d^n prod W_i; Euclid runs only when
-    some w is nonconstant, once, in bringing that quotient to normal form.
-    Over F_p the integer determinant is reduced mod p at the end.
+    denominators w, so that every entry is Laurent, and is taken to integer
+    coefficients over the lcm d_i of its own denominators (over F_p the
+    residues, d_i = 1).  Bareiss elimination on the integer matrix divides
+    only exactly, by the previous pivot, and leaves its determinant in the
+    last pivot: for a 2x2 curve that is ad - bc.  The result is that over
+    prod d_i W_i; Euclid runs only when some w is nonconstant, once, in
+    bringing that quotient to normal form.  Over F_p the integer
+    determinant is reduced mod p at the end.
     """
     field, n = ring.base, m.rows
     entries, den = m.entries, None  # den: prod W_i, None when every entry is Laurent
@@ -370,16 +379,12 @@ def _eps_det(ring: EpsField, m: Matrix):
             for e in row:  # e * W_i = eps^v u times the w of row i other than e's
                 u = functools.reduce(times, [w for w in ws if w != e._w], e._u)
                 entries.append(_rf(field, e._v, u, one) if e else e)
-    d, polys = _integer_laurent(field, entries)
-    shift, rows = 0, []
+    scale, rows = 1, []
     for i in range(n):
-        row = polys[i * n : (i + 1) * n]
-        v = min(pv for pv, _ in row)
-        if v == math.inf:
-            return ring.zero()
-        shift += v
-        rows.append([[0] * (pv - v) + list(c) if c else [] for pv, c in row])
-    sign, prev = 1, [1]
+        d, row = _integer_laurent(field, entries[i * n : (i + 1) * n])
+        scale *= d
+        rows.append(row)
+    sign, prev = 1, {0: 1}
     for k in range(n - 1):
         pivot = next((r for r in range(k, n) if rows[r][k]), None)
         if pivot is None:
@@ -391,48 +396,15 @@ def _eps_det(ring: EpsField, m: Matrix):
         for r in range(k + 1, n):
             rr = rows[r]
             for c in range(k + 1, n):
-                rr[c] = _poly_exact_quotient(
-                    _poly_sub(_poly_times(pk, rr[c]), _poly_times(rr[k], top[c])), prev
-                )
+                acc = {}
+                _add_product(acc, pk, rr[c])
+                _add_product(acc, rr[k], top[c], -1)
+                rr[c] = _exact_quotient(acc, prev)
         prev = pk
-    ints = [sign * c for c in rows[-1][-1]] if n else [1]
-    det = _laurent_from_integers(field, shift, ints, d**n)
+    det = _laurent_from_integers(field, scale, rows[-1][-1] if n else {0: 1})
+    if sign < 0:
+        det = -det
     return det if den is None or not det else _quotient(field, det._v, det._u, den)
-
-
-def _poly_times(a: list, b: list) -> list:
-    """The product of integer polynomials (coefficient lists from eps^0)."""
-    if not (a and b):
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list, b: list) -> list:
-    """a - b for integer polynomials, trailing zeros trimmed."""
-    out = [x - y for x, y in zip(a, b)] + a[len(b) :] + [-y for y in b[len(a) :]]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_exact_quotient(a: list, b: list) -> list:
-    """a / b for integer polynomials where b divides a exactly in Z[eps]."""
-    if b == [1] or not a:
-        return a
-    a, lead, db = list(a), b[-1], len(b) - 1
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        q = a[i] // lead
-        if q:
-            quo[i - db] = q
-            for j, y in enumerate(b):
-                a[i - db + j] -= q * y
-    return quo
 
 
 def mat_inverse(m: Matrix) -> Matrix:

@@ -26,9 +26,13 @@ is a field read and a product of two is one multiplication in K.  Euclid
 runs only when both eps-free parts of a result are nonconstant, so never
 on Laurent values (w = 1).  The K(eps) restriction and determinant kernels
 (`tensors._laurent_restrict`, `linalg._eps_det`) skip the RatFunc operators
-altogether: `_integer_laurent` hands them the integer coefficients of
-Laurent values over one denominator, and `_laurent_from_integers` builds
-each result in normal form.
+altogether and work on integer coefficient maps {exponent: int} over an
+integer denominator, a format only the helpers here read or write:
+`_integer_laurent` takes Laurent values (a map row, a matrix row, a single
+entry) over the lcm of their own denominators, `_add_product` and
+`_exact_quotient` are the arithmetic, `_reduce` brings a map and its
+denominator to lowest terms, and `_laurent_from_integers` builds each
+result in normal form.
 
 Curves of group elements appearing in degeneration certificates have rational
 function entries, so exact arithmetic here removes any need for truncation
@@ -360,40 +364,88 @@ def _quotient(field, v, num: tuple, den: tuple, r=None) -> RatFunc:
 
 
 def _integer_laurent(field, values):
-    """Laurent values (w = 1) as integer coefficients over one denominator.
+    """Laurent values (w = 1) as integer coefficient maps over one denominator.
 
-    Returns (d, [(v, ints)]) with value = eps^v * sum_i ints[i] eps^i / d for
-    each value: over Q, d is the lcm of all coefficient denominators; over
-    F_p, d = 1 and ints are the residues.  The zero value gives (+inf, ()).
-    None unless every value is Laurent.
+    Returns (d, [coeffs]) with value = sum_n coeffs[n] eps^n / d for each
+    value, zero coefficients left out (the zero value gives {}).  Over Q, d
+    is the lcm of the values' coefficient denominators; over F_p, d = 1 and
+    the coefficients are the residues.
     """
-    if any(len(e._w) != 1 for e in values):
-        return None
     if field.p is not None:
-        return 1, [(e._v, e._u) for e in values]
-    d = math.lcm(*{c.denominator for e in values for c in e._u})
-    if d == 1:
-        return d, [(e._v, tuple([c.numerator for c in e._u])) for e in values]
-    return d, [(e._v, tuple([c.numerator * (d // c.denominator) for c in e._u])) for e in values]
+        return 1, [{e._v + i: c for i, c in enumerate(e._u) if c} for e in values]
+    d = math.lcm(*[c.denominator for e in values for c in e._u])
+    return d, [
+        {e._v + i: c.numerator * (d // c.denominator) for i, c in enumerate(e._u) if c}
+        for e in values
+    ]
 
 
-def _laurent_from_integers(field, v, ints, d: int) -> RatFunc:
-    """The Laurent value eps^v * sum_i ints[i] eps^i / d of integer
-    coefficients (d = 1 over F_p, where ints are reduced mod p here)."""
+def _add_product(acc: dict, a: dict, b: dict, scale: int = 1):
+    """acc += scale * a * b for integer coefficient maps, acc in place."""
+    for ea, x in a.items():
+        x *= scale
+        for eb, y in b.items():
+            e = ea + eb
+            acc[e] = acc.get(e, 0) + x * y
+
+
+def _exact_quotient(a: dict, b: dict) -> dict:
+    """a / b for integer coefficient maps where b (nonzero, no zero
+    coefficient) divides a exactly over Z[eps, 1/eps]: long division from
+    the top, each step an exact integer division."""
+    a = {e: c for e, c in a.items() if c}
+    if len(b) == 1:
+        ((eb, cb),) = b.items()
+        return {e - eb: c // cb for e, c in a.items()}
+    if not a:
+        return a
+    va, vb = min(a), min(b)
+    rem = [a.get(e, 0) for e in range(va, max(a) + 1)]
+    den = [b.get(e, 0) for e in range(vb, max(b) + 1)]
+    lead, db, quo = den[-1], len(den) - 1, {}
+    for i in range(len(rem) - 1, db - 1, -1):
+        q = rem[i] // lead
+        if q:
+            quo[va - vb + i - db] = q
+            for j, y in enumerate(den):
+                rem[i - db + j] -= q * y
+    return quo
+
+
+def _reduce(field, d: int, coeffs: dict) -> int:
+    """Bring coeffs over d to lowest terms in place and return the new d:
+    zero coefficients dropped and the gcd of d and the coefficients divided
+    out; over F_p (d = 1) the coefficients reduced mod p."""
     p = field.p
     if p is not None:
-        ints = [c % p for c in ints]
-    nonzero = [i for i, c in enumerate(ints) if c]
-    if not nonzero:
+        for e, c in list(coeffs.items()):
+            if c % p:
+                coeffs[e] = c % p
+            else:
+                del coeffs[e]
+        return d
+    if 0 in coeffs.values():
+        for e in [e for e, c in coeffs.items() if not c]:
+            del coeffs[e]
+    g = math.gcd(d, *coeffs.values()) if d != 1 else 1
+    if g != 1:
+        for e, c in coeffs.items():
+            coeffs[e] = c // g
+    return d // g
+
+
+def _laurent_from_integers(field, d: int, coeffs: dict) -> RatFunc:
+    """The Laurent value sum_n coeffs[n] eps^n / d of an integer coefficient
+    map, reduced in place (d = 1 over F_p, where the coefficients are
+    reduced mod p here)."""
+    d = _reduce(field, d, coeffs)
+    if not coeffs:
         return EpsField(field).zero()
-    lo, hi = nonzero[0], nonzero[-1] + 1
-    if p is not None:
-        u = ints[lo:hi]
-    elif d == 1:
-        u = [Fraction(c) for c in ints[lo:hi]]
-    else:
-        u = [Fraction(c, d) for c in ints[lo:hi]]
-    return _rf(field, v + lo, tuple(u), (field._raw(1),))
+    lo = min(coeffs)
+    u = [coeffs.get(e, 0) for e in range(lo, max(coeffs) + 1)]
+    if field.p is None:
+        u = [Fraction(c) for c in u] if d == 1 else [Fraction(c, d) for c in u]
+    return _rf(field, lo, tuple(u), EpsField(field)._one._w)
 
 
 def _lowest_terms(field, u: tuple, w: tuple):

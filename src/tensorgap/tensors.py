@@ -21,11 +21,12 @@ by the lcm of its own, and one Fraction is built per nonzero output entry.
 The other rings use their own add and mul.  ``_laurent_restrict`` is
 `restrict` over K(eps) when every entry of the tensor and of the maps is
 Laurent (its denominator a power of eps, as in every curve the certificate
-builder and `unit_to_w_certificate` write): it scales the tensor and each
-map to integer coefficients over one denominator each, carries the support
-as {flat index: {exponent: int}} through all axes and builds one RatFunc
-per nonzero output entry.  Any other K(eps) input takes one `mode_apply`
-per axis, as every other ring does.
+builder and `unit_to_w_certificate` write): it carries the support through
+all axes as integer coefficient maps, each over its own denominator, scales
+each axis as `_q_mode_product` does (map rows and source fibers over the
+lcm of their own denominators) and builds one RatFunc per nonzero output
+entry.  Any other K(eps) input takes one `mode_apply` per axis, as every
+other ring does.
 
 Kronecker index convention: the combined index on factor j is
 ``i_j * m_j + i'_j`` (left factor major); tests depend on it bit-exactly.
@@ -40,7 +41,7 @@ from fractions import Fraction
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import QQ, FieldSpec
 from .linalg import Matrix, _integer_row
-from .ratfunc import EpsField, _integer_laurent, _laurent_from_integers
+from .ratfunc import EpsField, _add_product, _integer_laurent, _laurent_from_integers, _reduce
 
 
 class Tensor:
@@ -340,65 +341,67 @@ def restrict(t: Tensor, maps) -> Tensor:
     if isinstance(t.ring, EpsField):
         for axis, m in enumerate(maps):
             _check_map(t, m, axis)
-        out = _laurent_restrict(t, maps)
-        if out is not None:
-            return out
+        if all(len(e._w) == 1 for x in (t, *maps) for e in x.entries):
+            return _laurent_restrict(t, maps)
     out = t
     for axis, m in enumerate(maps):
         out = mode_apply(out, m, axis)
     return out
 
 
-def _laurent_restrict(t: Tensor, maps):
-    """`restrict` over K(eps) on integer Laurent coefficients, or None unless
-    every entry of t and of the (checked) maps is Laurent.
+def _laurent_restrict(t: Tensor, maps) -> Tensor:
+    """`restrict` over K(eps) on integer Laurent coefficients, for a tensor
+    and (checked) maps whose entries are all Laurent.
 
-    The tensor and each map are scaled to integers over one common
-    denominator each (`_integer_laurent`).  The support is carried through
-    all axes as {flat index: {exponent: int}}, a product of entries being a
-    convolution of integer coefficients, and one normalized RatFunc is built
-    per nonzero output entry over the product of the denominators.
+    The support is carried through all axes as {flat index: (d, coeffs)},
+    each entry an integer coefficient map over its own denominator
+    (`ratfunc._integer_laurent`).  Each axis is scaled as `_q_mode_product`
+    scales it: every map row over the lcm of its own denominators and every
+    source fiber along the axis over the lcm of its own, so each output
+    entry is an integer sum over the product of the two scales; it is
+    brought to lowest terms before the next axis.  One RatFunc is built per
+    nonzero output entry.
     """
     field = t.ring.base
-    scaled = [_integer_laurent(field, x.entries) for x in (t, *maps)]
-    if None in scaled:
-        return None
-    d, polys = scaled[0]
-    support = {f: _exponent_map(v, c) for f, (v, c) in enumerate(polys) if c}
+    support = {}
+    for f, e in enumerate(t.entries):
+        if e:
+            d, (c,) = _integer_laurent(field, (e,))
+            support[f] = d, c
     dims = list(t.dims)
-    for axis, (m, (dm, mpolys)) in enumerate(zip(maps, scaled[1:])):
-        d *= dm
+    for axis, m in enumerate(maps):
         n, s = m.cols, math.prod(dims[axis + 1 :])
-        # column[i]: the output offsets and entries of map column i
-        column = [[] for _ in range(n)]
-        for f, (v, c) in enumerate(mpolys):
-            if c:
-                j, i = divmod(f, n)
-                column[i].append((j * s, _exponent_map(v, c)))
+        column = [[] for _ in range(n)]  # column[i]: (output offset, scale, entry)
+        for j in range(m.rows):
+            dj, row = _integer_laurent(field, m.row(j))
+            for i, c in enumerate(row):
+                if c:
+                    column[i].append((j * s, dj, c))
+        fiber_den = {}  # fiber (hi, lo) along the axis, keyed hi * s + lo
+        for f, (d, _) in support.items():
+            key = f // (n * s) * s + f % s
+            fiber_den[key] = math.lcm(fiber_den.get(key, 1), d)
         out = {}
-        for f, a in support.items():
+        for f, (d, a) in support.items():
             hi, lo = divmod(f, n * s)
             i, lo = divmod(lo, s)
+            fd = fiber_den[hi * s + lo]
             base = hi * m.rows * s + lo
-            for shift, b in column[i]:
-                acc = out.setdefault(base + shift, {})
-                for eb, cb in b.items():
-                    for ea, ca in a.items():
-                        e = ea + eb
-                        acc[e] = acc.get(e, 0) + ca * cb
-        support = out
+            for shift, dj, b in column[i]:
+                acc = out.get(base + shift)
+                if acc is None:
+                    acc = out[base + shift] = (fd * dj, {})
+                _add_product(acc[1], a, b, fd // d)
+        support = {}
+        for f, (d, acc) in out.items():
+            d = _reduce(field, d, acc)
+            if acc:
+                support[f] = d, acc
         dims[axis] = m.rows
     entries = [t.ring.zero()] * math.prod(dims)
-    for f, acc in support.items():
-        lo = min(acc)
-        ints = [acc.get(e, 0) for e in range(lo, max(acc) + 1)]
-        entries[f] = _laurent_from_integers(field, lo, ints, d)
+    for f, (d, c) in support.items():
+        entries[f] = _laurent_from_integers(field, d, c)
     return Tensor._from_raw(t.ring, tuple(dims), entries)
-
-
-def _exponent_map(v, ints) -> dict:
-    """{exponent: coefficient} of eps^v * sum_i ints[i] eps^i, zeros dropped."""
-    return {v + i: c for i, c in enumerate(ints) if c}
 
 
 def identity_maps(t: Tensor):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tensorgap import tensors
 from tensorgap.errors import DimensionMismatchError, FieldMismatchError
 from tensorgap.fields import GF, QQ, Scalar
-from tensorgap.linalg import Matrix, mat_det, mat_rank, mat_solve
+from tensorgap.linalg import Matrix, lift_matrix, mat_det, mat_rank, mat_solve
 from tensorgap.ratfunc import EpsField, RatFunc
 from tensorgap.tensors import (
     Tensor,
@@ -459,10 +459,9 @@ def test_restrict_errors_are_the_per_axis_errors():
         restrict(t, good + good[:1])
 
 
-def test_q_restriction_memory_stays_per_fiber():
-    # 4096 entries with pairwise distinct prime denominators: one common
-    # denominator for the whole tensor would be a product of 4096 primes in
-    # every entry (tens of MB); per-fiber scaling keeps the peak small.
+def _prime_denominator_tensor(rng):
+    """A 16 x 16 x 16 Q tensor whose 4096 entries have pairwise distinct
+    prime denominators."""
     sieve = bytearray([1]) * 40000
     primes = []
     for n in range(2, len(sieve)):
@@ -471,20 +470,54 @@ def test_q_restriction_memory_stays_per_fiber():
             sieve[n * n :: n] = bytearray(len(sieve[n * n :: n]))
     primes = [p for p in primes if p > 10][:4096]
     assert len(primes) == 4096
-    rng = random.Random(16)
-    t = Tensor(QQ, (16, 16, 16), [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), p) for p in primes])
-    maps = [Matrix(QQ, 2, 16, [rng.randint(-3, 3) for _ in range(32)]) for _ in range(3)]
+    return Tensor(QQ, (16, 16, 16), [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), p) for p in primes])
+
+
+def _peak_bytes(fn):
+    """fn() and the peak of memory traced while it ran."""
     tracemalloc.start()
     try:
-        out = restrict(t, maps)
+        out = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_q_restriction_memory_stays_per_fiber():
+    # 4096 entries with pairwise distinct prime denominators: one common
+    # denominator for the whole tensor would be a product of 4096 primes in
+    # every entry (tens of MB); per-fiber scaling keeps the peak small.
+    rng = random.Random(16)
+    t = _prime_denominator_tensor(rng)
+    maps = [Matrix(QQ, 2, 16, [rng.randint(-3, 3) for _ in range(32)]) for _ in range(3)]
+    out, peak = _peak_bytes(lambda: restrict(t, maps))
     assert peak < 4 * 2**20
     expected = t
     for axis, m in enumerate(maps):
         expected = _mode_product_reference(expected, m, axis)
     assert out == expected
+
+
+def test_laurent_restriction_memory_stays_per_fiber():
+    # The same tensor lifted to Q(eps), as the certificate verifier lifts a
+    # source before expanding it: its constants are Laurent, so restrict
+    # takes the integer Laurent kernel.  With identity curves every entry
+    # keeps its own prime denominator, and with 2 x 16 maps each output
+    # entry's denominator is the lcm of its own inputs'; a common
+    # denominator for the whole tensor would cost tens of MB.
+    ring = EpsField(QQ)
+    rng = random.Random(16)
+    t = _prime_denominator_tensor(rng)
+    lifted = lift_tensor(t, ring)
+    identity = identity_maps(lifted)
+    out, peak = _peak_bytes(lambda: restrict(lifted, identity))
+    assert peak < 4 * 2**20
+    assert out == lifted
+    maps = [Matrix(QQ, 2, 16, [rng.randint(-3, 3) for _ in range(32)]) for _ in range(3)]
+    out, peak = _peak_bytes(lambda: restrict(lifted, [lift_matrix(m, ring) for m in maps]))
+    assert peak < 4 * 2**20
+    assert out == lift_tensor(restrict(t, maps), ring)
 
 
 # -- the element representation ---------------------------------------------------
