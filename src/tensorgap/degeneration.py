@@ -127,26 +127,29 @@ def _expand_certificate(cert: DegenerationCertificate) -> Tensor:
     """curve * (compressed) source over K(eps), after the shape checks.
 
     Raises SingularCurveError when a curve matrix has determinant zero.
-    The compression maps are shape-checked first: they set the compressed
-    source's size.
+    Every shape, the rings of the compression maps and every curve
+    determinant are checked before the source is compressed, so a malformed
+    or singular certificate costs no restriction.  Compression maps of the
+    checked shapes give the compressed source the target's dims.
     """
-    maps = cert.compression
-    shapes = list(zip(cert.target.dims, cert.source.dims))
+    maps, source, dims = cert.compression, cert.source, cert.target.dims
+    shapes = list(zip(dims, source.dims))
     if maps is not None and [(m.rows, m.cols) for m in maps] != shapes:
         raise DimensionMismatchError(
             f"compression needs one map per factor of shapes {shapes} (target x source dims)"
         )
-    compressed = cert.compressed_source()
-    if compressed.dims != cert.target.dims:
+    if maps is None and source.dims != dims:
         raise DimensionMismatchError(
-            f"(compressed) source dims {compressed.dims} != target dims {cert.target.dims}"
+            f"(compressed) source dims {source.dims} != target dims {dims}"
         )
+    if maps is not None and any(m.ring is not source.ring for m in maps):
+        raise FieldMismatchError("map and tensor over different rings")
     for j, curve in enumerate(cert.curves):
-        if curve.rows != curve.cols or curve.rows != compressed.dims[j]:
+        if curve.rows != curve.cols or curve.rows != dims[j]:
             raise DimensionMismatchError(f"curve {j} has the wrong shape")
         if not mat_det(curve):
             raise SingularCurveError(f"curve {j} has determinant identically zero")
-    return _expand(compressed, cert.curves)
+    return _expand(cert.compressed_source(), cert.curves)
 
 
 def verify_certificate(cert: DegenerationCertificate) -> VerificationResult:

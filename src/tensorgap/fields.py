@@ -177,13 +177,16 @@ class FieldSpec:
     def _parse(self, text: str):
         """The raw value of the textual scalar form."""
         text = text.strip()
+        p = self.p
         try:
             if "/" in text:
                 a, b = text.split("/")
-                return self._raw(Fraction(int(a), int(b)))
-            return self._raw(int(text))
+                q = Fraction(int(a), int(b))
+                return q if p is None else self._raw(q)
+            n = int(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad scalar literal {text!r} for {self.name}: {exc}") from None
+        return Fraction(n) if p is None else n % p
 
     # -- arithmetic on raw values ---------------------------------------------
 

@@ -17,7 +17,7 @@ from .degeneration import DegenerationCertificate
 from .errors import DocumentFormatError, FieldMismatchError
 from .fields import GF, QQ, FieldSpec
 from .linalg import Matrix
-from .ratfunc import EpsField, RatFunc, coeff_parse, coeff_text
+from .ratfunc import EpsField, _quotient, coeff_parse, coeff_text
 from .tensors import Tensor, _strides
 
 FORMAT_VERSION = 1
@@ -121,9 +121,9 @@ def tensor_from_document(doc, location="tensor") -> Tensor:
     raw = doc.get("entries")
     if not isinstance(raw, list):
         raise DocumentFormatError("entries must be a list", f"{location}.entries")
-    strides = _strides(dims)
+    axes = tuple(zip(dims, _strides(dims)))
     entries = [field._raw(0)] * size
-    seen = set()
+    seen = set()  # flat indices
     for n, pair in enumerate(raw):
         where = f"{location}.entries[{n}]"
         if not (isinstance(pair, list) and len(pair) == 2):
@@ -131,23 +131,29 @@ def tensor_from_document(doc, location="tensor") -> Tensor:
         idx, text = pair
         if not (isinstance(idx, list) and len(idx) == len(dims)):
             raise DocumentFormatError(f"index {idx!r} has wrong length", where)
-        if not all(_is_int(i) and 0 <= i < d for i, d in zip(idx, dims)):
-            raise DocumentFormatError(f"index {idx!r} out of range for dims {list(dims)}", where)
-        key = tuple(idx)
-        if key in seen:
+        flat = 0
+        for i, (d, s) in zip(idx, axes):
+            if not (isinstance(i, int) and type(i) is not bool and 0 <= i < d):
+                raise DocumentFormatError(f"index {idx!r} out of range for dims {list(dims)}", where)
+            flat += i * s
+        if flat in seen:
             raise DocumentFormatError(f"duplicate index {idx!r}", where)
-        seen.add(key)
+        seen.add(flat)
         try:
-            entries[sum(i * s for i, s in zip(key, strides))] = field._parse(str(text))
+            entries[flat] = field._parse(str(text))
         except ValueError as exc:
             raise DocumentFormatError(str(exc), where) from None
     return Tensor._from_raw(field, dims, entries)
 
 
-def save_tensor(t: Tensor, path) -> None:
+def _write_json(doc, path) -> None:
+    """Write a document as indented JSON with a final newline, in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tensor_to_document(t), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
+def save_tensor(t: Tensor, path) -> None:
+    _write_json(tensor_to_document(t), path)
 
 
 def load_tensor(path) -> Tensor:
@@ -180,10 +186,12 @@ def _matrix_shape(doc, what, location):
 
 def _scalar_matrix_from_document(doc, field, location) -> Matrix:
     rows, cols, entries = _matrix_shape(doc, "matrix", location)
-    try:
-        parsed = [field._parse(str(e)) for e in entries]
-    except ValueError as exc:
-        raise DocumentFormatError(str(exc), location) from None
+    parsed = []
+    for n, e in enumerate(entries):
+        try:
+            parsed.append(field._parse(str(e)))
+        except ValueError as exc:
+            raise DocumentFormatError(str(exc), f"{location}.entries[{n}]") from None
     return Matrix._from_raw(field, rows, cols, parsed)
 
 
@@ -218,7 +226,7 @@ def _curve_matrix_from_document(doc, field, location) -> Matrix:
         except ValueError as exc:
             raise DocumentFormatError(str(exc), where) from None
         try:
-            parsed.append(RatFunc(field, num, den))
+            parsed.append(_quotient(field, 0, num, den))
         except ZeroDivisionError:
             raise DocumentFormatError("curve entry has zero denominator", where) from None
     return Matrix._from_raw(ring, rows, cols, parsed)
@@ -276,9 +284,7 @@ def certificate_from_document(doc, location="certificate") -> DegenerationCertif
 
 
 def save_certificate(cert: DegenerationCertificate, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(certificate_to_document(cert), fh, indent=2)
-        fh.write("\n")
+    _write_json(certificate_to_document(cert), path)
 
 
 def load_certificate(path) -> DegenerationCertificate:

@@ -25,7 +25,7 @@ certificate construction is a monomial c*eps^n; in this form its valuation
 is a field read and a product of two is one multiplication in K.  Euclid
 runs only when both eps-free parts of a result are nonconstant, so never
 on Laurent values (w = 1).  The K(eps) restriction and determinant kernels
-(`tensors._laurent_restrict`, `linalg._eps_det`) skip the RatFunc operators
+(`tensors._integer_restrict`, `linalg._eps_det`) skip the RatFunc operators
 altogether and work on integer coefficient maps {exponent: int} over an
 integer denominator, a format only the helpers here read or write:
 `_integer_laurent` takes Laurent values (a map row, a matrix row, a single
@@ -549,9 +549,10 @@ def coeff_text(field: FieldSpec, raw: tuple) -> list:
     return [field.text(c) for c in raw] or ["0"]
 
 
-def coeff_parse(field: FieldSpec, texts) -> list:
-    """Raw coefficients from their texts: the inverse of `coeff_text`."""
-    return [field._parse(str(t)) for t in texts]
+def coeff_parse(field: FieldSpec, texts) -> tuple:
+    """Raw coefficients from their texts, trailing zeros trimmed: the inverse
+    of `coeff_text`."""
+    return _trimmed([field._parse(str(t)) for t in texts])
 
 
 def ratfunc_parse(field: FieldSpec, text: str) -> RatFunc:

@@ -12,21 +12,17 @@ per factor.
 Every reshuffle of entries (flattenings, slices, axis permutations, the
 Kronecker product) is a gather through one cached axis-order map,
 ``_axis_order(dims, perm)``; `flatten` reads it, with its row count and its
-axis checks, from one cached plan per (dims, axes).  There are two
-contractions.  ``mode_apply`` applies one map along one axis: restriction,
-padding and the covector tables of the brute-force oracles are mode
-products.  Over Q it works on integer numerators: each map row is scaled by
-the lcm of its denominators and each source fiber along the contracted axis
-by the lcm of its own, and one Fraction is built per nonzero output entry.
-The other rings use their own add and mul.  ``_laurent_restrict`` is
-`restrict` over K(eps) when every entry of the tensor and of the maps is
-Laurent (its denominator a power of eps, as in every curve the certificate
-builder and `unit_to_w_certificate` write): it carries the support through
-all axes as integer coefficient maps, each over its own denominator, scales
-each axis as `_q_mode_product` does (map rows and source fibers over the
-lcm of their own denominators) and builds one RatFunc per nonzero output
-entry.  Any other K(eps) input takes one `mode_apply` per axis, as every
-other ring does.
+axis checks, from one cached plan per (dims, axes).  `restrict` over Q, and
+over K(eps) when every entry of the tensor and of the maps is Laurent (its
+denominator a power of eps, as in every curve the certificate builder and
+`unit_to_w_certificate` write), is one integer pass over all axes,
+``_integer_restrict``: it carries the support as integer numerators (ints
+over Q, integer coefficient maps over K(eps)), scales each map row and each
+source fiber along an axis over the lcm of its own denominators, and builds
+one Fraction or RatFunc per nonzero output entry.  Every other input takes
+one ``mode_apply`` per axis: one map applied along one axis with the ring's
+own add and mul (over F_p, padding and the covector tables of the
+brute-force oracles).
 
 Kronecker index convention: the combined index on factor j is
 ``i_j * m_j + i'_j`` (left factor major); tests depend on it bit-exactly.
@@ -40,7 +36,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import QQ, FieldSpec
-from .linalg import Matrix, _integer_row
+from .linalg import Matrix
 from .ratfunc import EpsField, _add_product, _integer_laurent, _laurent_from_integers, _reduce
 
 
@@ -264,23 +260,20 @@ def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
     # Work in axis-first order: the source is then an n x rest matrix and
     # output row j is sum_i m[j, i] * (source row i).
     ring = t.ring
+    add, mul = ring.add, ring.mul
     perm = (axis,) + tuple(a for a in range(t.order) if a != axis)
     rest = t.size // m.cols
     src = [t.entries[f] for f in _axis_order(t.dims, perm)]
-    if ring is QQ:
-        out = _q_mode_product(src, m, rest)
-    else:
-        add, mul = ring.add, ring.mul
-        out = [ring._raw(0)] * (m.rows * rest)
-        for i in range(m.cols):
-            column = [(j * rest, c) for j, c in enumerate(m.column(i)) if c]
-            if not column:
+    out = [ring._raw(0)] * (m.rows * rest)
+    for i in range(m.cols):
+        column = [(j * rest, c) for j, c in enumerate(m.column(i)) if c]
+        if not column:
+            continue
+        for r, e in enumerate(src[i * rest : (i + 1) * rest]):
+            if not e:
                 continue
-            for r, e in enumerate(src[i * rest : (i + 1) * rest]):
-                if not e:
-                    continue
-                for base, c in column:
-                    out[base + r] = add(out[base + r], mul(c, e))
+            for base, c in column:
+                out[base + r] = add(out[base + r], mul(c, e))
     new_dims = t.dims[:axis] + (m.rows,) + t.dims[axis + 1 :]
     entries = [None] * len(out)
     for f, e in zip(_axis_order(new_dims, perm), out):
@@ -288,120 +281,113 @@ def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
     return Tensor._from_raw(ring, new_dims, entries)
 
 
-def _q_mode_product(src, m: Matrix, rest: int) -> list:
-    """`mode_apply`'s axis-first product over Q, computed on integer numerators.
-
-    Source fiber r (src[r::rest]) is scaled by the lcm of its denominators
-    and map row j by the lcm of its own, so each output entry is an integer
-    sum over the product of the two scales: one Fraction is built per nonzero
-    output entry.  Zero fibers and zero map rows cost nothing past the scan
-    for nonzero source entries.
-    """
-    nonzero = [(f, e) for f, e in enumerate(src) if e]
-    fiber_den = {}  # the nonzero fibers and their scales
-    for f, e in nonzero:
-        r = f % rest
-        fiber_den[r] = math.lcm(fiber_den.get(r, 1), e.denominator)
-    src_rows = [[] for _ in range(m.cols)]
-    for f, e in nonzero:
-        i, r = divmod(f, rest)
-        src_rows[i].append((r, e.numerator * (fiber_den[r] // e.denominator)))
-    map_rows = [_integer_row(m.row(j)) for j in range(m.rows)]
-    acc = [0] * (m.rows * rest)
-    for i, row in enumerate(src_rows):
-        if not row:
-            continue
-        for j, (_, mrow) in enumerate(map_rows):
-            c = mrow.get(i)
-            if c:
-                base = j * rest
-                for r, a in row:
-                    acc[base + r] += c * a
-    out = [QQ._raw(0)] * len(acc)
-    for j, (d, mrow) in enumerate(map_rows):
-        if not mrow:
-            continue
-        base = j * rest
-        for r, fd in fiber_den.items():
-            a = acc[base + r]
-            if a:
-                out[base + r] = Fraction(a, d * fd)
-    return out
-
-
 def restrict(t: Tensor, maps) -> Tensor:
     """Restriction by a tuple of linear maps, one map per factor.
 
-    Over K(eps) with every entry of t and of the maps Laurent, one pass of
-    `_laurent_restrict`; otherwise one `mode_apply` per axis.
+    Over Q, and over K(eps) with every entry of t and of the maps Laurent,
+    one pass of `_integer_restrict`; otherwise one `mode_apply` per axis.
     """
     maps = tuple(maps)
     if len(maps) != t.order:
         raise DimensionMismatchError(f"need {t.order} maps, got {len(maps)}")
-    if isinstance(t.ring, EpsField):
+    if t.ring is QQ or isinstance(t.ring, EpsField):
         for axis, m in enumerate(maps):
             _check_map(t, m, axis)
-        if all(len(e._w) == 1 for x in (t, *maps) for e in x.entries):
-            return _laurent_restrict(t, maps)
+        if t.ring is QQ or all(len(e._w) == 1 for x in (t, *maps) for e in x.entries):
+            return _integer_restrict(t, maps)
     out = t
     for axis, m in enumerate(maps):
         out = mode_apply(out, m, axis)
     return out
 
 
-def _laurent_restrict(t: Tensor, maps) -> Tensor:
-    """`restrict` over K(eps) on integer Laurent coefficients, for a tensor
+def _q_integers(field, values):
+    """Fractions as ints over the lcm d of their denominators: (d, [d * e]),
+    the Q counterpart of `ratfunc._integer_laurent`."""
+    d = math.lcm(*[e.denominator for e in values])
+    return d, [e.numerator * (d // e.denominator) for e in values]
+
+
+def _add_ints(out: dict, base: int, column, a: int, scale: int):
+    """out[base + shift] += scale * a * b for the (shift, b) of a map column."""
+    a *= scale
+    for shift, b in column:
+        f = base + shift
+        out[f] = out.get(f, 0) + a * b
+
+
+def _add_laurent(out: dict, base: int, column, a: dict, scale: int):
+    """`_add_ints` on integer coefficient maps, by `ratfunc._add_product`."""
+    for shift, b in column:
+        acc = out.get(base + shift)
+        if acc is None:
+            acc = out[base + shift] = {}
+        _add_product(acc, a, b, scale)
+
+
+def _integer_restrict(t: Tensor, maps) -> Tensor:
+    """`restrict` on integer numerators, over Q or over K(eps) for a tensor
     and (checked) maps whose entries are all Laurent.
 
-    The support is carried through all axes as {flat index: (d, coeffs)},
-    each entry an integer coefficient map over its own denominator
-    (`ratfunc._integer_laurent`).  Each axis is scaled as `_q_mode_product`
-    scales it: every map row over the lcm of its own denominators and every
+    The support is carried through all axes as {flat index: (d, value)},
+    each entry over its own denominator d: an int over Q, an integer
+    coefficient map over K(eps) (`ratfunc._integer_laurent`).  At each axis
+    every map row is scaled over the lcm of its own denominators and every
     source fiber along the axis over the lcm of its own, so each output
-    entry is an integer sum over the product of the two scales; it is
-    brought to lowest terms before the next axis.  One RatFunc is built per
-    nonzero output entry.
+    entry is an integer sum over the product of the two scales, accumulated
+    by `_add_ints` or `_add_laurent`; it is brought to lowest terms before
+    the next axis.  Zero fibers and zero map rows cost nothing past the
+    scan, and one Fraction or RatFunc is built per nonzero output entry.
     """
-    field = t.ring.base
-    support = {}
-    for f, e in enumerate(t.entries):
-        if e:
-            d, (c,) = _integer_laurent(field, (e,))
-            support[f] = d, c
+    ring = t.ring
+    laurent = ring is not QQ
+    if laurent:
+        field, scaled, add = ring.base, _integer_laurent, _add_laurent
+        support = {}
+        for f, e in enumerate(t.entries):
+            if e:
+                d, (c,) = _integer_laurent(field, (e,))
+                support[f] = d, c
+    else:
+        field, scaled, add = QQ, _q_integers, _add_ints
+        support = {f: (e.denominator, e.numerator) for f, e in enumerate(t.entries) if e}
     dims = list(t.dims)
     for axis, m in enumerate(maps):
-        n, s = m.cols, math.prod(dims[axis + 1 :])
-        column = [[] for _ in range(n)]  # column[i]: (output offset, scale, entry)
-        for j in range(m.rows):
-            dj, row = _integer_laurent(field, m.row(j))
+        n, s, rows = m.cols, math.prod(dims[axis + 1 :]), m.rows
+        ns, rs = n * s, rows * s
+        row_den, column = [], [[] for _ in range(n)]  # column[i]: (output offset, entry)
+        for j in range(rows):
+            dj, row = scaled(field, m.row(j))
+            row_den.append(dj)
             for i, c in enumerate(row):
                 if c:
-                    column[i].append((j * s, dj, c))
+                    column[i].append((j * s, c))
         fiber_den = {}  # fiber (hi, lo) along the axis, keyed hi * s + lo
         for f, (d, _) in support.items():
-            key = f // (n * s) * s + f % s
+            key = f // ns * s + f % s
             fiber_den[key] = math.lcm(fiber_den.get(key, 1), d)
         out = {}
         for f, (d, a) in support.items():
-            hi, lo = divmod(f, n * s)
+            hi, lo = divmod(f, ns)
             i, lo = divmod(lo, s)
-            fd = fiber_den[hi * s + lo]
-            base = hi * m.rows * s + lo
-            for shift, dj, b in column[i]:
-                acc = out.get(base + shift)
-                if acc is None:
-                    acc = out[base + shift] = (fd * dj, {})
-                _add_product(acc[1], a, b, fd // d)
+            add(out, hi * rs + lo, column[i], a, fiber_den[hi * s + lo] // d)
         support = {}
-        for f, (d, acc) in out.items():
-            d = _reduce(field, d, acc)
+        for f, acc in out.items():
+            hi, lo = divmod(f, rs)
+            j, lo = divmod(lo, s)
+            d = fiber_den[hi * s + lo] * row_den[j]
+            if laurent:
+                d = _reduce(field, d, acc)
+            elif d != 1:
+                g = math.gcd(d, acc)
+                d, acc = d // g, acc // g
             if acc:
                 support[f] = d, acc
-        dims[axis] = m.rows
-    entries = [t.ring.zero()] * math.prod(dims)
+        dims[axis] = rows
+    entries = [ring._raw(0)] * math.prod(dims)
     for f, (d, c) in support.items():
-        entries[f] = _laurent_from_integers(field, d, c)
-    return Tensor._from_raw(t.ring, tuple(dims), entries)
+        entries[f] = _laurent_from_integers(field, d, c) if laurent else Fraction(c, d)
+    return Tensor._from_raw(ring, tuple(dims), entries)
 
 
 def identity_maps(t: Tensor):

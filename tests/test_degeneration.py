@@ -697,6 +697,33 @@ def test_verify_refuses_misshapen_compression_before_restricting(monkeypatch):
             verify_certificate(cert)
 
 
+def test_verify_rejects_a_singular_curve_before_compressing(monkeypatch):
+    # Every shape and every curve determinant is checked before the source
+    # is compressed: a singular copy of a compressed certificate is rejected
+    # without a Q restriction, and the valid certificate takes exactly one.
+    cert = construct_w_degeneration(random_rational_tensor((3, 3, 3), random.Random(5)), seed=0)
+    assert cert.compression is not None
+    c0 = cert.curves[0]
+    entries = list(c0.entries)
+    entries[c0.cols : 2 * c0.cols] = [EPS.zero()] * c0.cols
+    singular = DegenerationCertificate(
+        cert.source, cert.target, (Matrix(EPS, c0.rows, c0.cols, entries),) + cert.curves[1:],
+        compression=cert.compression,
+    )
+    q_restricts = []
+
+    def counting_restrict(t, maps):
+        if t.ring is QQ:
+            q_restricts.append(t.dims)
+        return restrict(t, maps)
+
+    monkeypatch.setattr(degeneration, "restrict", counting_restrict)
+    assert verify_certificate(singular).condition == "singular-curve"
+    assert q_restricts == []
+    assert verify_certificate(cert).accepted
+    assert q_restricts == [(3, 3, 3)]
+
+
 # sha256 of the saved certificate of construct_w_degeneration(I_{k,2}, seed=0)
 UNIT_CERT_SHA256 = {
     3: "7aad3a945e6e7c2661656376999909a2bfcfa3488aa8fd8cd4682629e2da5016",

@@ -104,6 +104,31 @@ def test_text_round_trip():
         QQ.parse("1/0")
 
 
+def test_scalar_literals_keep_their_values_and_messages():
+    # _parse builds each raw value directly; these are the values, raw types
+    # and messages of coercing the parsed int or Fraction into the field.
+    f7, f4 = GF(7), GF(2, 2)
+    values = {
+        QQ: {"-1": Fraction(-1), "1/2": Fraction(1, 2), "-3/6": Fraction(-1, 2), " +12 ": Fraction(12)},
+        f7: {"-1": 6, "1/2": 4, "7/14": 4, "-3/6": 3, "10": 3},
+        f4: {"-1": 1, "12": 0, "3": 1},
+    }
+    for field, cases in values.items():
+        for text, raw in cases.items():
+            got = field._parse(text)
+            assert got == raw and type(got) is type(raw), (field, text)
+    errors = {
+        (QQ, "1/0"): "bad scalar literal '1/0' for Q: Fraction(1, 0)",
+        (QQ, "1.5"): "bad scalar literal '1.5' for Q: invalid literal for int() with base 10: '1.5'",
+        (f7, "1/14"): "bad scalar literal '1/14' for F7: denominator of 1/14 vanishes in F_7",
+        (f4, "-3/6"): "bad scalar literal '-3/6' for F4: denominator of -1/2 vanishes in F_2",
+    }
+    for (field, text), message in errors.items():
+        with pytest.raises(ValueError) as info:
+            field._parse(text)
+        assert str(info.value) == message
+
+
 def test_scalar_truthiness_and_hash():
     assert not QQ.zero()
     assert QQ.one()

@@ -12,7 +12,7 @@ from tensorgap.degeneration import (
     verify_certificate,
 )
 from tensorgap.errors import DocumentFormatError, TensorGapError
-from tensorgap.fields import QQ
+from tensorgap.fields import GF, QQ
 from tensorgap.io import (
     MAX_EPS_COEFFS,
     certificate_from_document,
@@ -91,6 +91,68 @@ def test_tensor_document_errors():
     bad_scalar["entries"] = [[[0, 0, 0], "x"]]
     with pytest.raises(DocumentFormatError, match="bad scalar"):
         tensor_from_document(bad_scalar)
+
+
+def test_index_errors_keep_their_messages():
+    doc = tensor_to_document(w_tensor(3, (2, 2, 2), QQ))
+    for idx, message in (
+        ([0, True, 1], "index [0, True, 1] out of range for dims [2, 2, 2]"),
+        ([0, 1.0, 1], "index [0, 1.0, 1] out of range for dims [2, 2, 2]"),
+        ([0, -1, 1], "index [0, -1, 1] out of range for dims [2, 2, 2]"),
+        ([0, 0], "index [0, 0] has wrong length"),
+        ([0, 0, 0, 0], "index [0, 0, 0, 0] has wrong length"),
+        ("001", "index '001' has wrong length"),
+    ):
+        bad = dict(doc, entries=[[idx, "1"]])
+        with pytest.raises(DocumentFormatError) as info:
+            tensor_from_document(bad)
+        assert str(info.value) == f"tensor.entries[0]: {message}"
+
+
+def test_document_errors_are_located_at_the_first_bad_entry():
+    doc = tensor_to_document(w_tensor(3, (2, 2, 2), QQ))
+    for entries, message in (
+        ([[[0, 0, 1], "1"], [[0, 0, 2], "1"], [[1, 0, 0], "x"]], "out of range"),
+        ([[[0, 0, 1], "1"], [[1, 0, 0], "x"], [[0, 0, 1], "1"]], "bad scalar"),
+        ([[[0, 0, 1], "1"], [[0, 0, 1], "2"], [[0, 2, 0], "1"]], "duplicate"),
+    ):
+        with pytest.raises(DocumentFormatError, match=message) as info:
+            tensor_from_document(dict(doc, entries=entries))
+        assert info.value.location == "tensor.entries[1]"
+    # compression map and curve literals are located at their entry too
+    cert = construct_w_degeneration(pad(unit_tensor(3, 2, QQ), (3, 2, 2)), seed=0)
+    cert_doc = certificate_to_document(cert)
+    for key, edit in (
+        ("compression", lambda entries, n: entries.__setitem__(n, "1/x")),
+        ("curves", lambda entries, n: entries[n].update({"num-coeffs": ["y"]})),
+    ):
+        bad = json.loads(json.dumps(cert_doc))
+        entries = bad[key][1]["entries"]
+        edit(entries, 3)
+        edit(entries, 1)
+        with pytest.raises(DocumentFormatError, match="bad scalar") as info:
+            certificate_from_document(bad)
+        assert info.value.location == f"certificate.{key}[1].entries[1]"
+
+
+def test_json_number_literals_parse_as_their_strings():
+    w3 = tensor_to_document(w_tensor(3, (2, 2, 2), QQ))
+    for field, numbers in ((QQ, [3, -2, 0]), (GF(7), [10, -1, 7])):
+        for n in numbers:
+            numeric = dict(w3, field=field.name, entries=[[[0, 0, 1], n], [[1, 1, 0], "1/2"]])
+            text = dict(numeric, entries=[[[0, 0, 1], str(n)], [[1, 1, 0], "1/2"]])
+            assert tensor_from_document(numeric) == tensor_from_document(text)
+    # a JSON float is not a scalar literal, as its string is not
+    for value in (1.5, 2.0):
+        with pytest.raises(DocumentFormatError, match="bad scalar literal") as info:
+            tensor_from_document(dict(w3, entries=[[[0, 0, 1], value]]))
+        assert info.value.location == "tensor.entries[0]"
+    cert_doc = certificate_to_document(unit_to_w_certificate(3))
+    numeric = json.loads(json.dumps(cert_doc))
+    for entry in numeric["curves"][0]["entries"]:
+        for key in ("num-coeffs", "den-coeffs"):
+            entry[key] = [int(c) for c in entry[key]]
+    assert certificate_from_document(numeric) == certificate_from_document(cert_doc)
 
 
 def test_invalid_json_reports_location(tmp_path):

@@ -342,7 +342,7 @@ def test_mode_apply_over_k_eps():
 
 def _per_axis_restrict(t, maps):
     """The reference: one mode product per axis, the route of every ring
-    other than Laurent K(eps)."""
+    other than Q and Laurent K(eps)."""
     for axis, m in enumerate(maps):
         t = mode_apply(t, m, axis)
     return t
@@ -433,6 +433,61 @@ def test_restrict_takes_the_laurent_kernel_exactly_on_laurent_input(monkeypatch)
     assert calls == [0, 1]
     expected = _mode_product_reference(_mode_product_reference(t, laurent, 0), rational, 1)
     assert out == expected
+
+
+# -- the integer restriction kernel over Q -----------------------------------------
+
+
+def _q_values():
+    """Zero, small integers, and Fractions whose denominators differ entry by entry."""
+    return st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-9, 9, max_denominator=60))
+
+
+@st.composite
+def _q_restriction(draw):
+    """A Q tensor of order 1..4 and dims 1..3 with one map of 1..3 rows per
+    axis; some map rows are zero, and some fibres of the tensor along a
+    drawn axis (the entries sharing all other indices)."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    axis = draw(st.integers(0, len(dims) - 1))
+    others = list(_indices(dims[:axis] + dims[axis + 1 :]))
+    fibres = draw(st.sets(st.sampled_from(others), max_size=3))
+    entries = [
+        0 if idx[:axis] + idx[axis + 1 :] in fibres else draw(_q_values()) for idx in _indices(dims)
+    ]
+    maps = []
+    for n in dims:
+        rows = draw(st.integers(1, 3))
+        zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+        values = [0 if f // n in zero_rows else draw(_q_values()) for f in range(rows * n)]
+        maps.append(Matrix(QQ, rows, n, values))
+    return Tensor(QQ, dims, entries), tuple(maps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_q_restriction())
+def test_q_restrict_matches_the_per_axis_definition(case):
+    t, maps = case
+    expected = t
+    for axis, m in enumerate(maps):
+        expected = _mode_product_reference(expected, m, axis)
+    assert restrict(t, maps) == expected
+
+
+def test_q_restrict_makes_no_mode_product(monkeypatch):
+    calls = []
+
+    def counting_mode_apply(t, m, axis):
+        calls.append(axis)
+        return mode_apply(t, m, axis)
+
+    monkeypatch.setattr(tensors, "mode_apply", counting_mode_apply)
+    t = Tensor(QQ, (2, 3), [Fraction(1, 2), 0, 3, Fraction(-2, 7), 1, 0])
+    maps = (Matrix(QQ, 1, 2, [Fraction(1, 3), 2]), Matrix(QQ, 2, 3, [1, 0, Fraction(5, 4), 0, 0, 0]))
+    out = restrict(t, maps)
+    assert calls == []
+    assert out == _mode_product_reference(_mode_product_reference(t, maps[0], 0), maps[1], 1)
+    assert out == _per_axis_restrict(t, maps)  # mode_apply's ring loop, over Q
 
 
 def _raised(fn):
