@@ -3,10 +3,11 @@
 Tensor documents carry the field, the dimensions, and a sparse entry list;
 omitted entries are zero.  Certificate documents carry the field, source and
 target tensors, the optional compression maps with exact scalar entries, and
-one curve matrix per factor whose rational-function entries are serialized as
-two coefficient lists ("num-coeffs", "den-coeffs") read from eps^0 upward.
-Parsing and printing are exact inverses of each other; every malformed input
-is reported with a document location.
+one curve matrix per factor whose Laurent-polynomial entries are serialized
+as two coefficient lists ("num-coeffs", "den-coeffs") read from eps^0
+upward, the denominator a monomial c*eps^m.  Parsing and printing are exact
+inverses of each other; every malformed input is reported with a document
+location.
 """
 
 from __future__ import annotations
@@ -17,17 +18,17 @@ from .degeneration import DegenerationCertificate
 from .errors import DocumentFormatError, FieldMismatchError
 from .fields import GF, QQ, FieldSpec
 from .linalg import Matrix
-from .ratfunc import EpsField, _quotient, coeff_parse, coeff_text
+from .ratfunc import EpsField, _monomial_quotient, coeff_parse, coeff_text
 from .tensors import Tensor, _strides
 
 FORMAT_VERSION = 1
 # Dense tensors are allocated from a document's dims before any entry is
 # read, so dims that ask for more entries than this are refused.
 _MAX_TENSOR_ENTRIES = 2**20
-# Normalizing a dense curve entry takes time about cubic in its length, so
-# coefficient lists longer than this are refused before they are parsed.  The
-# builder's longest list for the unit tensor of order k has (k - 1)^2
-# coefficients: 121 at k = 12.
+# The verifier's work (the curve determinants, the expansion) grows with the
+# products of the curve entries' lengths, so coefficient lists longer than
+# this are refused before they are parsed.  The builder's longest list for
+# the unit tensor of order k has (k - 1)^2 coefficients: 121 at k = 12.
 MAX_EPS_COEFFS = 128
 
 
@@ -226,9 +227,11 @@ def _curve_matrix_from_document(doc, field, location) -> Matrix:
         except ValueError as exc:
             raise DocumentFormatError(str(exc), where) from None
         try:
-            parsed.append(_quotient(field, 0, num, den))
+            parsed.append(_monomial_quotient(field, num, den))
         except ZeroDivisionError:
             raise DocumentFormatError("curve entry has zero denominator", where) from None
+        except ValueError as exc:
+            raise DocumentFormatError(str(exc), f"{where}.den-coeffs") from None
     return Matrix._from_raw(ring, rows, cols, parsed)
 
 

@@ -6,28 +6,29 @@ Matrices are immutable row-major arrays of the raw values of their ring
 are boxed.  Constructors coerce ints, Fractions and Scalars; inside the
 package matrices are built from raw values by `Matrix._from_raw`.
 
-One kernel, `_echelon`, does Gaussian elimination with field division in any
-supported ring; it reduces the leading columns of a row list in place and
-returns the pivot columns and the parity of the row swaps.  Everything is
-built on it: `mat_solve` eliminates [A | b] and back-substitutes, `mat_det`
-is the swap sign times the product of the pivots, `mat_inverse` eliminates
+Over the fields Q, F_p and F_{p^m} one kernel, `_echelon`, does Gaussian
+elimination with field division; it reduces the leading columns of a row
+list in place and returns the pivot columns and the parity of the row
+swaps.  `mat_solve` eliminates [A | b] and back-substitutes, `mat_det` is
+the swap sign times the product of the pivots, `mat_inverse` eliminates
 [A | I] once and back-substitutes each column of I, and `mat_rank` counts
-its pivots over F_p, F_{p^m} and K(eps).  Rank has two other routes.  Over
+its pivots over F_p and F_{p^m}.  Rank has two other field routes.  Over
 F_2, the hot case of the order-4 partition-rank gates, rows are packed into
 bitmasks and reduced by XOR.  Over Q each row is scaled to integers (its
 nonzero entries only) and the sparse integer rows are reduced fraction-free,
-each updated row divided by its content.  The determinant over K(eps) has
-its own route, `_eps_det`: fraction-free (Bareiss) elimination on integer
-Laurent polynomials in eps (the coefficient maps of `ratfunc`), each row
-over the lcm of its own denominators, whose only divisions are exact ones
-by the previous pivot, so a Laurent matrix (every denominator a power of
-eps, as in every certificate curve) needs no inverse and no polynomial
-gcd.  All results are exact.
+each updated row divided by its content.
+
+K(eps) holds Laurent polynomials, a ring whose only units are the monomials
+c*eps^n, so it has no field division: `mat_solve` and `mat_inverse` refuse
+it, and `mat_det` and `mat_rank` over K(eps) take one fraction-free
+(Bareiss) kernel, `_eps_bareiss`, on the integer coefficient maps of
+`ratfunc`, each row over the lcm of its own denominators.  Its only
+divisions are exact ones by the previous pivot, and a column without a
+pivot is skipped.  All results are exact.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .errors import DimensionMismatchError, FieldMismatchError
@@ -38,9 +39,7 @@ from .ratfunc import (
     _exact_quotient,
     _integer_laurent,
     _laurent_from_integers,
-    _quotient,
-    _rf,
-    _times,
+    _reduce,
 )
 
 
@@ -305,7 +304,7 @@ def _q_rank(rows, ncols: int) -> int:
 
 def mat_rank(m: Matrix) -> int:
     """Exact rank: rows packed into bitmasks over F_2, rows scaled to
-    integers over Q, `_echelon` elsewhere."""
+    integers over Q, `_eps_bareiss` over K(eps), `_echelon` elsewhere."""
     if m.ring is _F2:
         rows = []
         for i in range(m.rows):
@@ -317,15 +316,24 @@ def mat_rank(m: Matrix) -> int:
         return _gf2_rank(rows)
     if m.ring is QQ:
         return _q_rank((_integer_row(m.row(i))[1] for i in range(m.rows)), m.cols)
+    if isinstance(m.ring, EpsField):
+        return _eps_bareiss(m.ring.base, m)[0]
     return len(_echelon(m.ring, m.to_rows(), m.cols)[0])
+
+
+def _over_a_field(m: Matrix, what: str):
+    """Refuse a K(eps) matrix for a routine that needs field division."""
+    if isinstance(m.ring, EpsField):
+        raise FieldMismatchError(f"{what} needs field division, which {m.ring.name} lacks")
 
 
 def mat_solve(a: Matrix, b):
     """One exact solution of a x = b, or None when the system is inconsistent.
 
     b is a sequence of ring elements of length a.rows; free variables are set
-    to zero.  Works over Q, F_p, F_{p^m} and K(eps).
+    to zero.  Works over Q, F_p and F_{p^m}.
     """
+    _over_a_field(a, "mat_solve")
     ring = a.ring
     b = list(map(ring._raw, b))
     if len(b) != a.rows:
@@ -336,13 +344,17 @@ def mat_solve(a: Matrix, b):
 
 def mat_det(m: Matrix):
     """Exact determinant of a square matrix (any supported ring): over K(eps)
-    by `_eps_det`, elsewhere the swap sign times the product of the pivots
-    of `_echelon`."""
+    the last pivot of `_eps_bareiss`, elsewhere the swap sign times the
+    product of the pivots of `_echelon`."""
     if m.rows != m.cols:
         raise DimensionMismatchError("determinant of a non-square matrix")
     ring = m.ring
     if isinstance(ring, EpsField):
-        return _eps_det(ring, m)
+        rank, sign, scale, pivot = _eps_bareiss(ring.base, m)
+        if rank < m.rows:
+            return ring.zero()
+        det = _laurent_from_integers(ring.base, scale, pivot)
+        return -det if sign < 0 else det
     rows = m.to_rows()
     pivots, parity = _echelon(ring, rows, m.cols)
     if len(pivots) < m.rows:
@@ -353,62 +365,56 @@ def mat_det(m: Matrix):
     return ring._box(det)
 
 
-def _eps_det(ring: EpsField, m: Matrix):
-    """The determinant over K(eps) by fraction-free (Bareiss) elimination on
-    integer Laurent polynomials in eps.
+def _eps_bareiss(field, m: Matrix):
+    """Fraction-free (Bareiss) elimination of a K(eps) matrix over the base
+    field on integer Laurent polynomials; returns (rank, sign, scale, pivot).
 
-    Row i is multiplied by the product W_i of its distinct eps-free
-    denominators w, so that every entry is Laurent, and is taken to integer
-    coefficients over the lcm d_i of its own denominators (over F_p the
-    residues, d_i = 1).  Bareiss elimination on the integer matrix divides
-    only exactly, by the previous pivot, and leaves its determinant in the
-    last pivot: for a 2x2 curve that is ad - bc.  The result is that over
-    prod d_i W_i; Euclid runs only when some w is nonconstant, once, in
-    bringing that quotient to normal form.  Over F_p the integer
-    determinant is reduced mod p at the end.
+    Row i is taken to integer coefficients over the lcm d_i of its own
+    denominators (over F_p the residues, d_i = 1), and scale is prod d_i.
+    Each column with a nonzero entry at or below the current row supplies
+    the next pivot, after a row swap if needed (sign records their parity);
+    a column without one is skipped.  Every entry right of the pivot column
+    below the pivot row becomes pivot * entry - (its row's pivot-column
+    entry) * (the pivot row's entry), divided exactly by the previous
+    pivot, so after each step the entries are minors of the integer matrix
+    (over F_p reduced mod p).  The rank is the number of pivots, and for a
+    square matrix of full rank the last pivot is the integer determinant:
+    the determinant is sign * pivot / scale, ad - bc for a 2x2 curve.
     """
-    field, n = ring.base, m.rows
-    entries, den = m.entries, None  # den: prod W_i, None when every entry is Laurent
-    if any(len(e._w) > 1 for e in entries):
-        times, one = functools.partial(_times, field), (field._raw(1),)
-        den, entries = one, []
-        for i in range(n):
-            row = m.row(i)
-            ws = list({e._w: None for e in row if len(e._w) > 1})
-            den = functools.reduce(times, ws, den)
-            for e in row:  # e * W_i = eps^v u times the w of row i other than e's
-                u = functools.reduce(times, [w for w in ws if w != e._w], e._u)
-                entries.append(_rf(field, e._v, u, one) if e else e)
     scale, rows = 1, []
-    for i in range(n):
-        d, row = _integer_laurent(field, entries[i * n : (i + 1) * n])
+    for i in range(m.rows):
+        d, row = _integer_laurent(field, m.row(i))
         scale *= d
         rows.append(row)
-    sign, prev = 1, {0: 1}
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if rows[r][k]), None)
+    sign, prev, rank = 1, {0: 1}, 0
+    for col in range(m.cols):
+        if rank == m.rows:
+            break
+        pivot = next((r for r in range(rank, m.rows) if rows[r][col]), None)
         if pivot is None:
-            return ring.zero()
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
             sign = -sign
-        pk, top = rows[k][k], rows[k]
-        for r in range(k + 1, n):
-            rr = rows[r]
-            for c in range(k + 1, n):
+        top = rows[rank]
+        pk = top[col]
+        for rr in rows[rank + 1 :]:
+            for c in range(col + 1, m.cols):
                 acc = {}
                 _add_product(acc, pk, rr[c])
-                _add_product(acc, rr[k], top[c], -1)
-                rr[c] = _exact_quotient(acc, prev)
+                _add_product(acc, rr[col], top[c], -1)
+                _reduce(field, 1, acc)
+                # the previous pivot is 1 at the first step
+                rr[c] = _exact_quotient(field, acc, prev) if rank else acc
         prev = pk
-    det = _laurent_from_integers(field, scale, rows[-1][-1] if n else {0: 1})
-    if sign < 0:
-        det = -det
-    return det if den is None or not det else _quotient(field, det._v, det._u, den)
+        rank += 1
+    return rank, sign, scale, prev
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a square invertible matrix: one elimination of [m | I]."""
+    """Exact inverse of a square invertible matrix over Q, F_p or F_{p^m}:
+    one elimination of [m | I]."""
+    _over_a_field(m, "mat_inverse")
     if m.rows != m.cols:
         raise DimensionMismatchError("inverse of a non-square matrix")
     n = m.rows

@@ -1,44 +1,33 @@
-"""The rational function field K(eps) over an exact coefficient field K.
+"""Laurent polynomials K[eps, 1/eps], the K(eps) values of degeneration curves.
 
-A polynomial in K[eps] is a raw coefficient tuple indexed by exponent from
-eps^0 upward (Fractions over Q, int residues over F_p), trailing zeros
-trimmed; the zero polynomial is the empty tuple.  Three private kernels work
-on such tuples: ``_times``, ``_divmod`` and the monic-remainder Euclid
-``_gcd``.  Every sum, product, inverse, negation and coefficient text of raw
-coefficients is the field's own (``K.add``, ``K.mul``, ``K.inv``, ...), so no
-rule of the arithmetic of K is written here, and ``coeff_text`` and
-``coeff_parse`` are the one text form of a polynomial, for ``RatFunc.text``
-and for documents alike.  :class:`EpsField` tags K(eps) the way FieldSpec
-tags K, and is interned the same way: one object per base field.  A RatFunc
-is both the raw value of K(eps) containers and the element at the API
-boundary; EpsField's raw arithmetic (``add``, ``mul``, ...) is the RatFunc
-operators.
+A degeneration needs only curves with entries in K[eps, 1/eps]: the
+expansion must have no pole and its constant term must be the target
+(Buergisser-Clausen-Shokrollahi, ch. 15).  So every K(eps) value here is a
+Laurent polynomial, and division is by the units of K[eps, 1/eps], the
+monomials c*eps^n, only; anything else raises ValueError.
 
-A :class:`RatFunc` is held eps-adically, as eps^v * u/w with u, w raw
-coefficient tuples, u(0) != 0, w(0) != 0, gcd(u, w) = 1 and w monic (zero
-is u = (), w = (1,), v = +inf), so equal values have equal representations.
-This is the old dense normal form, num/den in lowest terms with den monic,
-split at eps: eps is prime in K[eps] and divides neither u nor w, so
-num = eps^max(v, 0) u and den = eps^max(-v, 0) w are coprime with den
-monic, and ``num``/``den`` rebuild them.  Nearly every value of a
-certificate construction is a monomial c*eps^n; in this form its valuation
-is a field read and a product of two is one multiplication in K.  Euclid
-runs only when both eps-free parts of a result are nonconstant, so never
-on Laurent values (w = 1).  The K(eps) restriction and determinant kernels
-(`tensors._integer_restrict`, `linalg._eps_det`) skip the RatFunc operators
-altogether and work on integer coefficient maps {exponent: int} over an
-integer denominator, a format only the helpers here read or write:
-`_integer_laurent` takes Laurent values (a map row, a matrix row, a single
-entry) over the lcm of their own denominators, `_add_product` and
-`_exact_quotient` are the arithmetic, `_reduce` brings a map and its
-denominator to lowest terms, and `_laurent_from_integers` builds each
-result in normal form.
+A polynomial is a raw coefficient tuple indexed by exponent from eps^0
+upward (Fractions over Q, int residues over F_p), trailing zeros trimmed;
+the zero polynomial is the empty tuple.  All arithmetic of raw coefficients
+is the field's own (``K.add``, ``K.mul``, ``K.inv``, ...), and
+``coeff_text`` and ``coeff_parse`` are the one text form of a polynomial,
+for ``RatFunc.text`` and for documents alike.  :class:`EpsField` tags K(eps)
+the way FieldSpec tags K and is interned the same way, one object per base
+field; its raw values and boxed elements are both RatFuncs, so its raw
+arithmetic (``add``, ``mul``, ...) is the RatFunc operators.
 
-Curves of group elements appearing in degeneration certificates have rational
-function entries, so exact arithmetic here removes any need for truncation
-order bookkeeping.  Laurent data at eps = 0 is recovered on demand:
-``RatFunc.valuation`` gives the order of vanishing (negative at a pole, +inf
-at 0) and ``RatFunc.series`` expands u/w exactly up to a requested exponent.
+A :class:`RatFunc` is held as eps^v * u with u(0) != 0 (zero is u = (),
+v = +inf), so equal values have equal representations; ``valuation`` reads
+v and ``coefficient`` reads u.  Its ``num`` and ``den`` are eps^max(v, 0) u
+and eps^max(-v, 0).  Nearly every value a certificate construction makes is
+a monomial, whose product with another is one multiplication in K.  The
+K(eps) restriction and elimination kernels (`tensors._integer_restrict`,
+`linalg._eps_bareiss`) skip the RatFunc operators and work on integer
+coefficient maps {exponent: int} over an integer denominator, a format only
+the helpers here read or write: `_integer_laurent` takes values over the
+lcm of their own denominators, `_add_product` and `_exact_quotient` are the
+arithmetic, and `_reduce` and `_laurent_from_integers` bring a result to
+lowest terms and build it.
 """
 
 from __future__ import annotations
@@ -54,7 +43,7 @@ INFINITE_VALUATION = math.inf
 
 
 class EpsField:
-    """The field K(eps) of rational functions over a base FieldSpec; one
+    """The ring K(eps) of the Laurent polynomials over a base FieldSpec; one
     object per base field, so equality is identity."""
 
     __slots__ = ("base", "_zero", "_one")
@@ -65,10 +54,9 @@ class EpsField:
             if base.m != 1:
                 raise FieldMismatchError(f"eps-polynomials are over Q or F_p, not {base.name}")
             ring = _EPS_FIELDS[base] = object.__new__(cls)
-            one = (base._raw(1),)
             object.__setattr__(ring, "base", base)
-            object.__setattr__(ring, "_zero", _rf(base, INFINITE_VALUATION, (), one))
-            object.__setattr__(ring, "_one", _rf(base, 0, one, one))
+            object.__setattr__(ring, "_zero", _rf(base, INFINITE_VALUATION, ()))
+            object.__setattr__(ring, "_one", _rf(base, 0, (base._raw(1),)))
         return ring
 
     def __setattr__(self, name, value):
@@ -89,7 +77,7 @@ class EpsField:
 
     def eps(self, n: int = 1) -> "RatFunc":
         """The monomial eps^n, for any integer n."""
-        return _rf(self.base, n, self._one._u, self._one._w)
+        return _rf(self.base, n, self._one._u)
 
     def from_int(self, n: int) -> "RatFunc":
         return self._constant(self.base._raw(n))
@@ -107,7 +95,7 @@ class EpsField:
         """The constant function with raw base value c."""
         if c == 0:
             return self._zero
-        return _rf(self.base, 0, (c,), self._one._w)
+        return _rf(self.base, 0, (c,))
 
     def coerce(self, x) -> "RatFunc":
         """Coerce a RatFunc, Scalar, int or Fraction into K(eps)."""
@@ -126,21 +114,18 @@ class EpsField:
 
 
 class RatFunc:
-    """An element eps^v * u/w of K(eps) in the normal form of the module docstring.
+    """A Laurent polynomial eps^v * u in the form of the module docstring.
 
-    RatFunc(field, num, den) takes any quotient of polynomials, given as
-    coefficient sequences from eps^0 whose entries field coerces (ints,
-    Fractions, Scalars or raw values): it moves the powers of eps into v by
-    slicing, divides the eps-free parts by their gcd when both are
-    nonconstant (otherwise that gcd is 1) and scales w monic."""
+    RatFunc(field, num, den) takes coefficient sequences from eps^0 whose
+    entries field coerces; den must be a nonzero monomial c*eps^m."""
 
-    __slots__ = ("field", "_v", "_u", "_w")
+    __slots__ = ("field", "_v", "_u")
 
     def __init__(self, field: FieldSpec, num, den=(1,)):
         EpsField(field)  # refuses a base field other than Q or F_p
         num = _trimmed([field._raw(c) for c in num])
         den = _trimmed([field._raw(c) for c in den])
-        _quotient(field, 0, num, den, self)
+        _monomial_quotient(field, num, den, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -157,8 +142,8 @@ class RatFunc:
 
     @property
     def den(self) -> tuple:
-        """The raw coefficients of the monic denominator eps^max(-v, 0) * w."""
-        return _dense(self.field, self._w, -self._v)
+        """The raw coefficients of the denominator eps^max(-v, 0)."""
+        return _dense(self.field, self.ring._one._u, -self._v)
 
     def _other(self, other):
         if isinstance(other, RatFunc):
@@ -170,8 +155,8 @@ class RatFunc:
         return None
 
     def _sum(self, other, subtract: bool) -> "RatFunc":
-        """self + other, or self - other when subtract.  Equal denominators
-        skip the cross products; leading zeros of a cancellation move into v."""
+        """self + other, or self - other when subtract; leading zeros of a
+        cancellation move into v."""
         o = self._other(other)
         if o is None:
             return NotImplemented
@@ -179,24 +164,17 @@ class RatFunc:
             return self
         if not self._u:
             return -o if subtract else o
-        field = self.field
-        a, b, w1, w2 = self._u, o._u, self._w, o._w
-        if len(w1) == 1 == len(w2) or w1 == w2:
-            w = w1
-        else:
-            a, b, w = _times(field, a, w2), _times(field, b, w1), _times(field, w1, w2)
-        v = min(self._v, o._v)
+        field, v = self.field, min(self._v, o._v)
         op, zero = (field.sub if subtract else field.add), field._raw(0)
-        n = [zero] * (self._v - v) + list(a)
-        n += [zero] * (o._v - v + len(b) - len(n))
-        for i, c in enumerate(b, o._v - v):
+        n = [zero] * (self._v - v) + list(self._u)
+        n += [zero] * (o._v - v + len(o._u) - len(n))
+        for i, c in enumerate(o._u, o._v - v):
             n[i] = op(n[i], c)
         n = _trimmed(n)
         if not n:
             return self.ring.zero()
         k = _low(n)
-        u, w = _lowest_terms(field, n[k:], w)
-        return _rf(field, v + k, u, w)
+        return _rf(field, v + k, n[k:])
 
     def __add__(self, other):
         return self._sum(other, False)
@@ -220,11 +198,7 @@ class RatFunc:
             return NotImplemented
         if not (self._u and o._u):
             return self.ring.zero()
-        field = self.field
-        w1, w2 = self._w, o._w
-        w = w2 if len(w1) == 1 else w1 if len(w2) == 1 else _times(field, w1, w2)
-        u, w = _lowest_terms(field, _times(field, self._u, o._u), w)
-        return _rf(field, self._v + o._v, u, w)
+        return _rf(self.field, self._v + o._v, _times(self.field, self._u, o._u))
 
     __rmul__ = __mul__
 
@@ -241,11 +215,11 @@ class RatFunc:
         return o / self
 
     def __neg__(self):
-        return _rf(self.field, self._v, tuple(map(self.field.neg, self._u)), self._w)
+        return _rf(self.field, self._v, tuple(map(self.field.neg, self._u)))
 
     def __pow__(self, n: int):
         if n < 0:
-            return (self.ring.one() / self) ** (-n)
+            return self.inverse() ** (-n)
         out = self.ring.one()
         base = self
         while n:
@@ -262,18 +236,19 @@ class RatFunc:
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return self._v == o._v and self._u == o._u and self._w == o._w
+        return self._v == o._v and self._u == o._u
 
     def __hash__(self):
-        return hash((self._v, self._u, self._w))
+        return hash((self._v, self._u))
 
     def inverse(self) -> "RatFunc":
-        """Swap u and w, negate v and scale the new w monic."""
+        """The inverse of a monomial c*eps^n, (1/c)*eps^-n.  The monomials
+        are the units of K[eps, 1/eps]; any other value raises ValueError."""
         if not self._u:
             raise ZeroDivisionError("inverse of the zero rational function")
-        field = self.field
-        inv = field.inv(self._u[-1])
-        return _rf(field, -self._v, _scaled(field, self._w, inv), _scaled(field, self._u, inv))
+        if len(self._u) > 1:
+            raise ValueError(f"{self.text()} is not a monomial c*eps^n, a unit of K[eps, 1/eps]")
+        return _rf(self.field, -self._v, (self.field.inv(self._u[0]),))
 
     def valuation(self):
         """Order of vanishing at eps = 0; negative at a pole, +inf for 0."""
@@ -284,48 +259,27 @@ class RatFunc:
 
         Empty for the zero function; otherwise requires upto >= valuation.
         """
-        return [Scalar(self.field, c) for c in self._series(upto)]
-
-    def _series(self, upto: int) -> list:
-        """`series` as raw coefficients: u/w expanded to order upto - v."""
         if not self._u:
             return []
-        v = self._v
-        if upto < v:
-            raise ValueError(f"expansion order {upto} below valuation {v}")
-        n0, d0 = self._u, self._w
-        field = self.field
-        sub, mul = field.sub, field.mul
-        inv0 = field.inv(d0[0])
-        zero = field._raw(0)
-        out = []
-        for j in range(upto - v + 1):
-            acc = n0[j] if j < len(n0) else zero
-            for i in range(max(0, j - len(d0) + 1), j):
-                acc = sub(acc, mul(out[i], d0[j - i]))
-            out.append(mul(acc, inv0))
-        return out
+        if upto < self._v:
+            raise ValueError(f"expansion order {upto} below valuation {self._v}")
+        return [self.coefficient(e) for e in range(self._v, upto + 1)]
 
     def coefficient(self, e: int) -> Scalar:
         """The exact Laurent coefficient at eps^e."""
         return Scalar(self.field, self._coefficient(e))
 
     def _coefficient(self, e: int):
-        """`coefficient` as a raw value: read off u when w = 1."""
+        """`coefficient` as a raw value, read off u."""
         i = e - self._v  # -inf for the zero function
-        if i < 0:
-            return self.field._raw(0)
-        if len(self._w) == 1:
-            return self._u[i] if i < len(self._u) else self.field._raw(0)
-        return self._series(e)[i]
+        return self._u[i] if 0 <= i < len(self._u) else self.field._raw(0)
 
     def substitute_power(self, n: int) -> "RatFunc":
-        """The rational function f(eps^n), n >= 1; eps -> eps^n keeps the
-        normal form's conditions on u and w, so they need no normalization."""
+        """The Laurent polynomial f(eps^n), n >= 1; eps -> eps^n keeps
+        u(0) != 0, so the result needs no normalization."""
         if n < 1:
             raise ValueError("power substitution needs n >= 1")
-        field = self.field
-        return _rf(field, n * self._v, _spread(field, self._u, n), _spread(field, self._w, n))
+        return _rf(self.field, n * self._v, _spread(self.field, self._u, n))
 
     def text(self) -> str:
         num, den = (",".join(coeff_text(self.field, p)) for p in (self.num, self.den))
@@ -338,33 +292,35 @@ class RatFunc:
         return f"RatFunc({self.text()!r})"
 
 
-def _rf(field, v, u, w, r=None) -> RatFunc:
-    """The RatFunc eps^v * u/w (filled into r if given) of parts in normal form."""
+def _rf(field, v, u, r=None) -> RatFunc:
+    """The RatFunc eps^v * u (filled into r if given), u(0) != 0 or u = ()."""
     r = object.__new__(RatFunc) if r is None else r
     object.__setattr__(r, "field", field)
     object.__setattr__(r, "_v", v)
     object.__setattr__(r, "_u", u)
-    object.__setattr__(r, "_w", w)
     return r
 
 
-def _quotient(field, v, num: tuple, den: tuple, r=None) -> RatFunc:
-    """The RatFunc eps^v * num/den of trimmed raw coefficient tuples, den
-    nonzero, brought to normal form (filled into r if given)."""
+def _monomial_quotient(field, num: tuple, den: tuple, r=None) -> RatFunc:
+    """The RatFunc num / den of trimmed raw coefficient tuples, den a nonzero
+    monomial c*eps^m (filled into r if given).  A zero den raises
+    ZeroDivisionError and any other den ValueError."""
     if not den:
         raise ZeroDivisionError("rational function with zero denominator")
+    m = _low(den)
+    if m != len(den) - 1:
+        raise ValueError("denominator is not a monomial c*eps^m: K(eps) values are Laurent")
     if not num:
-        return _rf(field, INFINITE_VALUATION, (), (field._raw(1),), r)
-    vn, vd = _low(num), _low(den)
-    u, w = _lowest_terms(field, num[vn:], den[vd:])
-    if w[-1] != 1:
-        inv = field.inv(w[-1])
-        u, w = _scaled(field, u, inv), _scaled(field, w, inv)
-    return _rf(field, v + vn - vd, u, w, r)
+        return _rf(field, INFINITE_VALUATION, (), r)
+    k, c = _low(num), den[m]
+    if c != 1:
+        c = field.inv(c)
+        num = tuple([field.mul(x, c) for x in num])
+    return _rf(field, k - m, num[k:], r)
 
 
 def _integer_laurent(field, values):
-    """Laurent values (w = 1) as integer coefficient maps over one denominator.
+    """Laurent values as integer coefficient maps over one denominator.
 
     Returns (d, [coeffs]) with value = sum_n coeffs[n] eps^n / d for each
     value, zero coefficients left out (the zero value gives {}).  Over Q, d
@@ -389,22 +345,21 @@ def _add_product(acc: dict, a: dict, b: dict, scale: int = 1):
             acc[e] = acc.get(e, 0) + x * y
 
 
-def _exact_quotient(a: dict, b: dict) -> dict:
-    """a / b for integer coefficient maps where b (nonzero, no zero
-    coefficient) divides a exactly over Z[eps, 1/eps]: long division from
-    the top, each step an exact integer division."""
-    a = {e: c for e, c in a.items() if c}
-    if len(b) == 1:
-        ((eb, cb),) = b.items()
-        return {e - eb: c // cb for e, c in a.items()}
+def _exact_quotient(field, a: dict, b: dict) -> dict:
+    """a / b for integer coefficient maps reduced by `_reduce` where b
+    (nonzero) divides a exactly, over Z[eps, 1/eps] or, as residues, over
+    F_p[eps, 1/eps]: long division from the top, each step an exact integer
+    division (over F_p a product with the inverse of b's leading
+    coefficient)."""
     if not a:
         return a
-    va, vb = min(a), min(b)
+    p, va, vb = field.p, min(a), min(b)
     rem = [a.get(e, 0) for e in range(va, max(a) + 1)]
     den = [b.get(e, 0) for e in range(vb, max(b) + 1)]
     lead, db, quo = den[-1], len(den) - 1, {}
+    inv = None if p is None else pow(lead, -1, p)
     for i in range(len(rem) - 1, db - 1, -1):
-        q = rem[i] // lead
+        q = rem[i] // lead if p is None else rem[i] * inv % p
         if q:
             quo[va - vb + i - db] = q
             for j, y in enumerate(den):
@@ -436,8 +391,7 @@ def _reduce(field, d: int, coeffs: dict) -> int:
 
 def _laurent_from_integers(field, d: int, coeffs: dict) -> RatFunc:
     """The Laurent value sum_n coeffs[n] eps^n / d of an integer coefficient
-    map, reduced in place (d = 1 over F_p, where the coefficients are
-    reduced mod p here)."""
+    map, reduced in place by `_reduce`."""
     d = _reduce(field, d, coeffs)
     if not coeffs:
         return EpsField(field).zero()
@@ -445,16 +399,7 @@ def _laurent_from_integers(field, d: int, coeffs: dict) -> RatFunc:
     u = [coeffs.get(e, 0) for e in range(lo, max(coeffs) + 1)]
     if field.p is None:
         u = [Fraction(c) for c in u] if d == 1 else [Fraction(c, d) for c in u]
-    return _rf(field, lo, tuple(u), EpsField(field)._one._w)
-
-
-def _lowest_terms(field, u: tuple, w: tuple):
-    """u and w divided by their monic gcd; a no-op unless both are nonconstant."""
-    if len(u) > 1 and len(w) > 1:
-        g = _gcd(field, u, w)
-        if len(g) > 1:
-            return _divmod(field, u, g)[0], _divmod(field, w, g)[0]
-    return u, w
+    return _rf(field, lo, tuple(u))
 
 
 def _times(field, a: tuple, b: tuple) -> tuple:
@@ -470,47 +415,6 @@ def _times(field, a: tuple, b: tuple) -> tuple:
             if bj != 0:
                 out[i + j] = add(out[i + j], mul(ai, bj))
     return _trimmed(out)
-
-
-def _divmod(field, a: tuple, b: tuple):
-    """Quotient and remainder of Euclidean division of a by a nonzero b."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    sub, mul = field.sub, field.mul
-    inv_lead = field.inv(b[-1])
-    rem = list(a)
-    db = len(b) - 1
-    quo = [field._raw(0)] * max(len(rem) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        q = mul(c, inv_lead)
-        quo[i - db] = q
-        for j, bj in enumerate(b):
-            rem[i - db + j] = sub(rem[i - db + j], mul(q, bj))
-    return _trimmed(quo), _trimmed(rem)
-
-
-def _gcd(field, a: tuple, b: tuple) -> tuple:
-    """Monic gcd by the Euclidean algorithm.
-
-    Each remainder is made monic before the next division.  Scaling by a
-    unit does not change the ideal a remainder generates, so the monic gcd is
-    the one plain Euclid gives; over Q it keeps the `Fraction` coefficients
-    of the remainders from growing with every step.
-    """
-    while b:
-        a, b = b, _monic(field, _divmod(field, a, b)[1])
-    return _monic(field, a)
-
-
-def _monic(field, a: tuple) -> tuple:
-    return _scaled(field, a, field.inv(a[-1])) if a else a
-
-
-def _scaled(field, a: tuple, c) -> tuple:
-    return tuple([field.mul(x, c) for x in a])
 
 
 def _dense(field, part: tuple, shift) -> tuple:
@@ -553,9 +457,3 @@ def coeff_parse(field: FieldSpec, texts) -> tuple:
     """Raw coefficients from their texts, trailing zeros trimmed: the inverse
     of `coeff_text`."""
     return _trimmed([field._parse(str(t)) for t in texts])
-
-
-def ratfunc_parse(field: FieldSpec, text: str) -> RatFunc:
-    """Parse the "num ; den" form of `RatFunc.text` (den defaults to 1)."""
-    num, den = text.split(";") if ";" in text else (text, "1")
-    return RatFunc(field, coeff_parse(field, num.split(",")), coeff_parse(field, den.split(",")))

@@ -12,17 +12,15 @@ per factor.
 Every reshuffle of entries (flattenings, slices, axis permutations, the
 Kronecker product) is a gather through one cached axis-order map,
 ``_axis_order(dims, perm)``; `flatten` reads it, with its row count and its
-axis checks, from one cached plan per (dims, axes).  `restrict` over Q, and
-over K(eps) when every entry of the tensor and of the maps is Laurent (its
-denominator a power of eps, as in every curve the certificate builder and
-`unit_to_w_certificate` write), is one integer pass over all axes,
-``_integer_restrict``: it carries the support as integer numerators (ints
-over Q, integer coefficient maps over K(eps)), scales each map row and each
-source fiber along an axis over the lcm of its own denominators, and builds
-one Fraction or RatFunc per nonzero output entry.  Every other input takes
-one ``mode_apply`` per axis: one map applied along one axis with the ring's
-own add and mul (over F_p, padding and the covector tables of the
-brute-force oracles).
+axis checks, from one cached plan per (dims, axes).  `restrict` over Q and
+over K(eps) (whose values are Laurent polynomials) is one integer pass over
+all axes, ``_integer_restrict``: it carries the support as integer
+numerators (ints over Q, integer coefficient maps over K(eps)), scales each
+map row and each source fiber along an axis over the lcm of its own
+denominators, and builds one Fraction or RatFunc per nonzero output entry.
+Over F_p and F_{p^m} it takes one ``mode_apply`` per axis: one map applied
+along one axis with the ring's own add and mul (padding and the covector
+tables of the brute-force oracles).
 
 Kronecker index convention: the combined index on factor j is
 ``i_j * m_j + i'_j`` (left factor major); tests depend on it bit-exactly.
@@ -284,8 +282,8 @@ def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
 def restrict(t: Tensor, maps) -> Tensor:
     """Restriction by a tuple of linear maps, one map per factor.
 
-    Over Q, and over K(eps) with every entry of t and of the maps Laurent,
-    one pass of `_integer_restrict`; otherwise one `mode_apply` per axis.
+    Over Q and K(eps) one pass of `_integer_restrict`; over F_p and F_{p^m}
+    one `mode_apply` per axis.
     """
     maps = tuple(maps)
     if len(maps) != t.order:
@@ -293,8 +291,7 @@ def restrict(t: Tensor, maps) -> Tensor:
     if t.ring is QQ or isinstance(t.ring, EpsField):
         for axis, m in enumerate(maps):
             _check_map(t, m, axis)
-        if t.ring is QQ or all(len(e._w) == 1 for x in (t, *maps) for e in x.entries):
-            return _integer_restrict(t, maps)
+        return _integer_restrict(t, maps)
     out = t
     for axis, m in enumerate(maps):
         out = mode_apply(out, m, axis)
@@ -326,8 +323,8 @@ def _add_laurent(out: dict, base: int, column, a: dict, scale: int):
 
 
 def _integer_restrict(t: Tensor, maps) -> Tensor:
-    """`restrict` on integer numerators, over Q or over K(eps) for a tensor
-    and (checked) maps whose entries are all Laurent.
+    """`restrict` on integer numerators, over Q or K(eps), for a tensor and
+    checked maps.
 
     The support is carried through all axes as {flat index: (d, value)},
     each entry over its own denominator d: an int over Q, an integer

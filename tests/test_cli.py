@@ -1,11 +1,14 @@
 import argparse
 import hashlib
 import json
+import random
+import time
 
 import pytest
 
 from tensorgap.cli import build_parser, main
-from tensorgap.degeneration import unit_to_w_certificate
+from tensorgap.degeneration import DegenerationCertificate, unit_to_w_certificate
+from tensorgap.errors import DocumentFormatError
 from tensorgap.fields import GF, QQ
 from tensorgap.io import (
     certificate_to_document,
@@ -13,6 +16,8 @@ from tensorgap.io import (
     save_certificate,
     save_tensor,
 )
+from tensorgap.linalg import Matrix
+from tensorgap.ratfunc import EpsField
 from tensorgap.tensors import pad, unit_tensor, w_tensor
 
 
@@ -141,6 +146,34 @@ def test_curve_coefficients_must_be_lists(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["verify-cert", str(path)]) == 2
         assert f"bad-coeffs.json.curves[0].entries[0].{key}: {key} must be a list" in capsys.readouterr().err
+
+
+def test_dense_rational_curve_entries_are_refused_at_load(tmp_path, capsys):
+    # The unit tensor of rank 3 to itself under identity curves, every curve
+    # entry's num-coeffs and den-coeffs replaced by n random coefficients.
+    # While K(eps) values were reduced fractions, verify-cert took 10 s to
+    # reject this at n = 8 and 282 s at n = 16; a dense denominator is no
+    # Laurent polynomial, so both are now refused at load.
+    t = unit_tensor(3, 3, QQ)
+    identity = tuple(Matrix.identity(EpsField(QQ), 3) for _ in range(3))
+    for n in (8, 16):
+        rnd = random.Random(0)
+        doc = certificate_to_document(DegenerationCertificate(t, t, identity))
+        for curve in doc["curves"]:
+            for entry in curve["entries"]:
+                for key in ("num-coeffs", "den-coeffs"):
+                    entry[key] = [str(rnd.randrange(1, 10)) for _ in range(n)]
+        path = tmp_path / f"dense-{n}.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        with pytest.raises(DocumentFormatError, match="not a monomial") as info:
+            load_certificate(path)
+        assert time.perf_counter() - start < 1
+        assert info.value.location == f"{path}.curves[0].entries[0].den-coeffs"
+        start = time.perf_counter()
+        assert main(["verify-cert", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"dense-{n}.json.curves[0].entries[0].den-coeffs: " in capsys.readouterr().err
 
 
 def test_make_w_cert_command(tmp_path, capsys):

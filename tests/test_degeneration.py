@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tensorgap import degeneration, ratfunc
+from tensorgap import degeneration
 from tensorgap.degeneration import (
     DegenerationCertificate,
     WedgePoint,
@@ -33,6 +33,7 @@ from tensorgap.errors import (
     CertificateConstructionError,
     DegenerateSpanError,
     DimensionMismatchError,
+    DocumentFormatError,
     FieldMismatchError,
 )
 from tensorgap.fields import GF, QQ
@@ -134,39 +135,51 @@ def test_verify_rejects_wrong_constant_term():
     assert result.condition == "constant-term-mismatch"
 
 
+def _unit_document(coeffs: int, dense_den: bool):
+    """The unit k = 3 certificate document, every curve entry replaced by
+    `coeffs` random numerator coefficients over a dense denominator of as
+    many coefficients, or over eps^7."""
+    rnd = random.Random(0)
+    doc = certificate_to_document(unit_to_w_certificate(3))
+    for curve in doc["curves"]:
+        for entry in curve["entries"]:
+            entry["num-coeffs"] = [str(rnd.randint(1, 9)) for _ in range(coeffs)]
+            if dense_den:
+                entry["den-coeffs"] = [str(rnd.randint(1, 9)) for _ in range(coeffs)]
+            else:
+                entry["den-coeffs"] = ["0"] * 7 + ["1"]
+    return doc
+
+
 def test_verify_rejects_random_dense_curve_entries():
-    # Every curve entry of the unit k = 3 document replaced by dense degree-7
-    # numerator and denominator: Euclid over Fractions without monic
-    # remainders took about 10 s to reject this 1.8 KB document.
+    # Dense degree-7 numerators and denominators: no Laurent polynomial, so
+    # the document is refused at load, at the first entry's den-coeffs.
+    with pytest.raises(DocumentFormatError, match="not a monomial") as info:
+        certificate_from_document(_unit_document(8, dense_den=True))
+    assert info.value.location == "certificate.curves[0].entries[0].den-coeffs"
+
+
+def test_verify_runs_no_euclid_on_laurent_curve_entries():
+    # 32 random numerator coefficients over eps^7 in every curve entry: the
+    # expansion and the curve determinants stay on integer Laurent
+    # coefficients, and the document is rejected by value.
+    result = verify_certificate(certificate_from_document(_unit_document(32, dense_den=False)))
+    assert not result.accepted
+
+
+def test_verify_rejects_long_dense_laurent_entries_by_value():
+    # A 3x3x3 document (the unit tensor of rank 3 to itself) whose curve
+    # entries have 128 dense numerator coefficients over the denominator 1,
+    # the longest list a document may hold: rejected by value.
     rnd = random.Random(0)
-    doc = certificate_to_document(unit_to_w_certificate(3))
+    t = unit_tensor(3, 3, QQ)
+    doc = certificate_to_document(DegenerationCertificate(t, t, _identity_curves(t.dims)))
     for curve in doc["curves"]:
         for entry in curve["entries"]:
-            entry["num-coeffs"] = [str(rnd.randint(1, 9)) for _ in range(8)]
-            entry["den-coeffs"] = [str(rnd.randint(1, 9)) for _ in range(8)]
+            entry["num-coeffs"] = [str(rnd.randrange(1, 10)) for _ in range(128)]
+            entry["den-coeffs"] = ["1"]
     result = verify_certificate(certificate_from_document(doc))
-    assert not result.accepted
     assert result.condition == "constant-term-mismatch"
-
-
-def test_verify_runs_no_euclid_on_laurent_curve_entries(monkeypatch):
-    # Every curve entry of the unit k = 3 document replaced by 32 random
-    # numerator coefficients over eps^7: the expansion and the curve
-    # determinants stay on integer Laurent coefficients, so no gcd of
-    # polynomials is ever taken.
-    rnd = random.Random(0)
-    doc = certificate_to_document(unit_to_w_certificate(3))
-    for curve in doc["curves"]:
-        for entry in curve["entries"]:
-            entry["num-coeffs"] = [str(rnd.randint(1, 9)) for _ in range(32)]
-            entry["den-coeffs"] = ["0"] * 7 + ["1"]
-    cert = certificate_from_document(doc)
-    gcds = []
-    euclid = ratfunc._gcd
-    monkeypatch.setattr(ratfunc, "_gcd", lambda *args: gcds.append(args) or euclid(*args))
-    result = verify_certificate(cert)
-    assert not result.accepted
-    assert gcds == []
 
 
 def test_verify_rejects_pole():
@@ -387,16 +400,18 @@ def test_grassmann_rank_test_agrees_with_pluecker():
                 accepted += expected
                 rejected += not expected
     assert accepted >= 100 and rejected >= 100
-    # the first curve folds e_1 onto e_0 / (1 + eps): e00 and e10 are carried
-    # to e00 and e00 / (1 + eps), dependent over K(eps) with a ratio that is
-    # no polynomial, so no finite number of reduction steps separates them
-    fold = Matrix(EPS, 2, 2, [EPS.one(), EPS.one() / (EPS.one() + EPS.eps()), EPS.zero(), EPS.zero()])
+    # the first curve folds e_0 onto (1 + eps) e_0 and e_1 onto e_0: e00 and
+    # e10 are carried to (1 + eps) e00 and e00, dependent over K(eps) with a
+    # ratio 1 / (1 + eps) that is no Laurent polynomial, so no finite number
+    # of reduction steps separates them
+    one_plus_eps = EPS.one() + EPS.eps()
+    fold = Matrix(EPS, 2, 2, [one_plus_eps, EPS.one(), EPS.zero(), EPS.zero()])
     e00 = Tensor.from_dict(QQ, (2, 2), {(0, 0): 1})
     e10 = Tensor.from_dict(QQ, (2, 2), {(1, 0): 1})
     curves = (fold, Matrix.identity(EPS, 2))
-    assert restrict(lift_tensor(e10, EPS), curves) == restrict(
-        lift_tensor(e00, EPS), curves
-    ).scale(EPS.one() / (EPS.one() + EPS.eps()))
+    assert restrict(lift_tensor(e00, EPS), curves) == restrict(
+        lift_tensor(e10, EPS), curves
+    ).scale(one_plus_eps)
     assert _pluecker_limit(curves, (e00, e10)) is None
     assert not grassmann_degenerates(curves, (e00, e10), (e00, e10))
 

@@ -278,6 +278,19 @@ def test_certificate_document_errors():
     with pytest.raises(DocumentFormatError, match="zero denominator"):
         certificate_from_document(bad)
 
+    # a denominator with two nonzero coefficients is no monomial c*eps^m;
+    # zero coefficients around a monomial are fine
+    dens = ((["1", "1"], False), (["0", "2", "0", "-1"], False), (["0", "0", "3", "0"], True))
+    for den, accepted in dens:
+        bad = json.loads(json.dumps(doc))
+        bad["curves"][1]["entries"][2]["den-coeffs"] = den
+        if accepted:
+            certificate_from_document(bad)
+            continue
+        with pytest.raises(DocumentFormatError, match="not a monomial") as info:
+            certificate_from_document(bad)
+        assert info.value.location == "certificate.curves[1].entries[2].den-coeffs"
+
     bad = json.loads(json.dumps(doc))
     bad["order"] = 5
     with pytest.raises(DocumentFormatError, match="order"):

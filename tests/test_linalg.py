@@ -8,15 +8,7 @@ from hypothesis import strategies as st
 
 from tensorgap.errors import DimensionMismatchError, FieldMismatchError
 from tensorgap.fields import GF, QQ
-from tensorgap.linalg import (
-    Matrix,
-    _echelon,
-    lift_matrix,
-    mat_det,
-    mat_inverse,
-    mat_rank,
-    mat_solve,
-)
+from tensorgap.linalg import Matrix, lift_matrix, mat_det, mat_inverse, mat_rank, mat_solve
 from tensorgap.ratfunc import EpsField
 
 EPS = EpsField(QQ)
@@ -103,9 +95,6 @@ def test_solve_examples():
     x = mat_solve(Matrix.identity(QQ, 2), [3, 5])
     assert [v.value for v in x] == [3, 5]
     assert mat_solve(Matrix.from_rows(QQ, [[1, 1], [1, 1]]), [1, 0]) is None
-    a = Matrix(EPS, 2, 2, [EPS.eps(), EPS.zero(), EPS.zero(), EPS.one()])
-    x = mat_solve(a, [EPS.one(), EPS.one()])
-    assert x == [EPS.eps(-1), EPS.one()]
 
 
 def test_solve_underdetermined_picks_a_solution():
@@ -229,7 +218,8 @@ def test_det_needs_row_swaps_in_every_ring():
         assert mat_det(swap) == -one
         cycle = Matrix(ring, 3, 3, [zero, one, zero, zero, zero, one, one, zero, zero])
         assert mat_det(cycle) == one
-        assert mat_inverse(cycle) == cycle.transpose()
+        if ring is not EPS:  # K(eps) has no field division
+            assert mat_inverse(cycle) == cycle.transpose()
 
 
 @settings(max_examples=150, deadline=None)
@@ -240,6 +230,8 @@ def test_det_inverse_and_solve_match_oracles(ring_name, n, seed):
     a = Matrix(ring, n, n, [_random_element(ring, rng) for _ in range(n * n)])
     det = mat_det(a)
     assert det == _leibniz_det(a)
+    if ring is EPS:
+        return  # K(eps) has no field division: mat_inverse and mat_solve refuse it
     if det:
         assert a * mat_inverse(a) == Matrix.identity(ring, n)
     else:
@@ -271,26 +263,12 @@ def test_det_inverse_and_solve_match_oracles(ring_name, n, seed):
     assert mat_solve(singular, [b[i] for i in order]) is None
 
 
-# -- the fraction-free determinant over K(eps) -------------------------------------
-
-
-def _echelon_det(m):
-    """The reference: the swap sign times the pivot product of field
-    elimination by `_echelon`."""
-    ring = m.ring
-    rows = m.to_rows()
-    pivots, parity = _echelon(ring, rows, m.cols)
-    if len(pivots) < m.rows:
-        return ring.zero()
-    det = -ring.one() if parity else ring.one()
-    for i in range(m.rows):
-        det = det * rows[i][i]
-    return det
+# -- the fraction-free kernel over K(eps) --------------------------------------------
 
 
 def _random_eps_element(ring, rng):
-    """Zero, a Laurent polynomial, or a quotient by a polynomial that is not
-    a power of eps."""
+    """Zero, a Laurent polynomial, or a product of two, so that pivots with
+    several terms occur."""
     kind = rng.randrange(4)
     if kind == 0:
         return ring.zero()
@@ -305,9 +283,7 @@ def _random_eps_element(ring, rng):
 
     num = poly(rng.randint(-2, 1), rng.randint(2, 4))
     if kind == 3:
-        den = poly(0, rng.randint(2, 3))
-        if den:
-            return num / den
+        return num * poly(0, rng.randint(2, 3))
     return num
 
 
@@ -325,6 +301,49 @@ def test_eps_det_matches_echelon_pivot_product(base, n, singular, seed):
         rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[n - 2])]
     m = Matrix.from_rows(ring, rows) if n else Matrix.zeros(ring, 0, 0)
     det = mat_det(m)
-    assert det == _echelon_det(m)
+    assert det == _leibniz_det(m)
     if singular and n >= 2:
         assert det == ring.zero()
+
+
+def _minor_rank(m):
+    """The reference rank: the largest k with a nonzero k x k minor, each
+    minor a permutation-sum determinant."""
+    for k in range(min(m.rows, m.cols), 0, -1):
+        for rows in itertools.combinations(range(m.rows), k):
+            for cols in itertools.combinations(range(m.cols), k):
+                minor = Matrix(m.ring, k, k, [m.entries[i * m.cols + j] for i in rows for j in cols])
+                if _leibniz_det(minor):
+                    return k
+    return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((QQ, GF(2), GF(5))),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.sets(st.integers(0, 4), max_size=3),
+    st.integers(0, 2),
+)
+def test_eps_rank_matches_largest_nonzero_minor(base, nrows, ncols, seed, zero_cols, dependent):
+    # Zero columns make the kernel skip a column without a pivot; dependent
+    # rows (combinations of the rows above them) make it run out of pivots
+    # and leave later columns pivot-free too.  The rank alone would not
+    # notice a kernel that skips the exact division by the previous pivot
+    # (that only scales rows by nonzero factors), so square draws also
+    # check the determinant the same kernel gives.
+    ring = EpsField(base)
+    rng = random.Random(seed)
+    rows = [
+        [ring.zero() if j in zero_cols else _random_eps_element(ring, rng) for j in range(ncols)]
+        for _ in range(nrows)
+    ]
+    for i in range(max(1, nrows - dependent), nrows):
+        a, b = _random_eps_element(ring, rng), _random_eps_element(ring, rng)
+        rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[i - 1])]
+    m = Matrix.from_rows(ring, rows)
+    assert mat_rank(m) == _minor_rank(m)
+    if nrows == ncols:
+        assert mat_det(m) == _leibniz_det(m)

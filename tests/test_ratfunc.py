@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,16 +8,17 @@ from hypothesis import strategies as st
 
 from tensorgap.errors import FieldMismatchError
 from tensorgap.fields import GF, QQ
+from tensorgap.linalg import Matrix, mat_inverse, mat_solve
 from tensorgap.ratfunc import (
     EpsField,
     RatFunc,
-    _divmod,
-    _gcd,
+    _add_product,
+    _exact_quotient,
+    _reduce,
     _times,
     _trimmed,
     coeff_parse,
     coeff_text,
-    ratfunc_parse,
 )
 
 EPS = EpsField(QQ)
@@ -45,19 +47,29 @@ def test_poly_trims_trailing_zeros():
 
 
 def test_poly_divmod_exact():
-    q, r = _divmod(QQ, P(-1, 0, 1), P(-1, 1))  # (eps^2 - 1) / (eps - 1)
-    assert q == P(1, 1) and r == ()
-    q, r = _divmod(QQ, P(1, 0, 0, 1), P(1, 1))
-    assert RF(_times(QQ, q, P(1, 1))) + RF(r) == RF(P(1, 0, 0, 1))
-    with pytest.raises(ZeroDivisionError):
-        _divmod(QQ, P(1, 1), ())
-
-
-def test_poly_gcd_is_monic():
-    g = _gcd(QQ, P(-1, 0, 1), P(1, -2, 1))  # gcd(eps^2-1, (eps-1)^2) = eps - 1
-    assert g == P(-1, 1)
-    g2 = _gcd(QQ, P(0, 2), P(0, 0, 4))
-    assert g2 == P(0, 1)
+    # The one polynomial division left is `_exact_quotient`, the exact
+    # division of the fraction-free elimination, over Z[eps, 1/eps] and, as
+    # residues, over F_p[eps, 1/eps].
+    assert _exact_quotient(QQ, {-3: -1, -1: 1}, {0: -1, 1: 1}) == {-3: 1, -2: 1}  # (x^2-1)/(x-1)
+    assert _exact_quotient(QQ, {0: 6, 2: -4}, {1: 2}) == {-1: 3, 1: -2}
+    # over F_5: (1 + 2 eps + eps^2) / (3 + 3 eps) = (1 + eps) / 3 = 2 + 2 eps
+    assert _exact_quotient(GF(5), {0: 1, 1: 2, 2: 1}, {0: 3, 1: 3}) == {0: 2, 1: 2}
+    assert _exact_quotient(GF(5), {}, {0: 1, 1: 1}) == {}
+    rng = random.Random(11)
+    for field in (QQ, GF(2), GF(5)):
+        for _ in range(60):
+            a, b = (
+                {e: rng.randint(-9, 9) for e in range(rng.randint(-3, 1), rng.randint(1, 4))}
+                for _ in range(2)
+            )
+            _reduce(field, 1, a)
+            _reduce(field, 1, b)
+            if not b:
+                continue
+            product = {}
+            _add_product(product, a, b)
+            _reduce(field, 1, product)
+            assert _exact_quotient(field, product, b) == a
 
 
 def test_poly_over_prime_field():
@@ -70,13 +82,15 @@ def test_poly_valuation():
     assert RF(()).valuation() == math.inf
 
 
-# -- rational functions -----------------------------------------------------------
+# -- Laurent polynomials ----------------------------------------------------------
 
 
 def test_ratfunc_normalization_common_factor():
-    # (p*h, q*h) must normalize identically to (p, q)
-    p, q, h = P(1, 2), P(2, 0, 1), P(3, 1, 4)
-    assert RF(_times(QQ, p, h), _times(QQ, q, h)) == RF(p, q)
+    # (p * h) / h normalizes identically to p for every monomial h = c eps^m
+    p = P(1, 2)
+    for h in (P(3), P(0, 0, 4), P(0, Fraction(-1, 2))):
+        assert RF(_times(QQ, p, h), h) == RF(p)
+    assert RF(P(0, 5, 10), P(0, 0, 0, 5)) == RF(P(1, 2), P(0, 0, 1))
 
 
 def test_ratfunc_den_monic():
@@ -87,21 +101,17 @@ def test_ratfunc_den_monic():
 
 
 def test_valuation_examples():
-    # eps^2 / (1 + eps) -> 2 ; (1 + eps)/eps^3 -> -3 ; 0 -> +inf
-    assert RF((0, 0, 1), (1, 1)).valuation() == 2
+    # eps^2 (1 + eps) -> 2 ; (1 + eps)/eps^3 -> -3 ; 0 -> +inf
+    assert RF((0, 0, 1, 1)).valuation() == 2
     assert RF((1, 1), (0, 0, 0, 1)).valuation() == -3
     assert EPS.zero().valuation() == math.inf
-
-
-def test_series_geometric():
-    f = RF((1,), (1, -1))  # 1 / (1 - eps)
-    assert [c.value for c in f.series(2)] == [1, 1, 1]
 
 
 def test_series_laurent_tail():
     f = RF((1, 1), (0, 1))  # (1 + eps) / eps
     assert f.valuation() == -1
     assert [c.value for c in f.series(0)] == [1, 1]
+    assert [c.value for c in f.series(2)] == [1, 1, 0, 0]
     assert EPS.zero().series(5) == []
 
 
@@ -111,39 +121,45 @@ def test_series_below_valuation_rejected():
 
 
 def test_coefficient():
-    f = RF((1,), (1, -2, 1))  # 1/(1-eps)^2 = sum (n+1) eps^n
-    assert f.coefficient(5).value == 6
-    assert f.coefficient(-1).value == 0
+    f = RF((1, 2, 3, 4, 5, 6), (0, 0, 1))  # sum (n+1) eps^(n-2), n = 0..5
+    assert f.coefficient(3).value == 6
+    assert f.coefficient(-2).value == 1
+    assert f.coefficient(-3).value == 0 and f.coefficient(4).value == 0
+    assert EPS.zero().coefficient(0).value == 0
 
 
 def test_arithmetic_and_powers():
     eps = EPS.eps()
-    f = (1 + eps) / (1 - eps)
+    f = (1 + eps) / eps
     g = f * f - 1
-    # (1+x)^2/(1-x)^2 - 1 = 4x/(1-x)^2
-    assert g == RF((0, 4), (1, -2, 1))
+    # (1+x)^2/x^2 - 1 = (1 + 2x)/x^2
+    assert g == RF((1, 2), (0, 0, 1))
     assert (eps**-2) == EPS.eps(-2)
+    assert (eps * 3) ** -2 == EPS.eps(-2) / 9
     assert f**0 == EPS.one()
+    assert f**3 == f * f * f
 
 
 def test_substitute_power():
-    f = RF((0, 1), (1, -1))  # eps/(1-eps)
-    assert f.substitute_power(2) == RF((0, 0, 1), (1, 0, -1))
+    f = RF((1, 3), (0, 1))  # (1 + 3 eps)/eps
+    assert f.substitute_power(2) == RF((1, 0, 3), (0, 0, 1))
 
 
 def test_parse_print_round_trip():
     # One text form serves RatFunc.text and the document coefficient lists.
     cases = {
-        QQ: ["0,1 ; 1", "1,2,3 ; 1,1", "0 ; 1", "-1/2,0,1 ; 3,1"],
-        GF(2): ["0,1 ; 1", "1,1 ; 1,0,1", "0 ; 1,1", "1 ; 0,0,1", "1,0,1 ; 1,1"],
-        GF(3): ["2,1 ; 1,2", "0 ; 2", "0,0,2 ; 0,1", "1,2,0,1 ; 2,2,1", "4 ; 5"],
+        QQ: [((0, 1), (1,)), ((1, 2, 3), (0, 1)), ((0,), (1,)), ((Fraction(-1, 2), 0, 1), (3,))],
+        GF(2): [((0, 1), (1,)), ((1, 1), (0, 0, 1)), ((0,), (0, 1)), ((1, 0, 1), (0, 1))],
+        GF(3): [((2, 1), (2,)), ((0, 0, 2), (0, 1)), ((1, 2, 0, 1), (0, 0, 2)), ((4,), (5,))],
     }
-    for field, texts in cases.items():
-        for text in texts:
-            f = ratfunc_parse(field, text)
-            assert ratfunc_parse(field, f.text()) == f
-            num, den = (coeff_parse(field, coeff_text(field, p)) for p in (f.num, f.den))
-            assert RatFunc(field, num, den) == f
+    for field, pairs in cases.items():
+        for num, den in pairs:
+            f = RatFunc(field, num, den)
+            texts = [coeff_text(field, p) for p in (f.num, f.den)]
+            assert f.text() == " ; ".join(",".join(t) for t in texts)
+            assert RatFunc(field, *(coeff_parse(field, t) for t in texts)) == f
+    assert RF((0, 2, 4), (0, 0, 2)).text() == "1,2 ; 0,1"
+    assert RatFunc(GF(3), (4,), (5,)).text() == "2 ; 1"
 
 
 def test_cross_base_rejected():
@@ -153,16 +169,44 @@ def test_cross_base_rejected():
 
 def test_fp_base_series():
     f3 = GF(3)
-    ring = EpsField(f3)
-    f = RatFunc(f3, [1], [1, 2])  # 1/(1 + 2 eps) over F_3
-    # expansion: sum (-2 eps)^n = sum eps^n over F_3
-    assert [c.value for c in f.series(3)] == [1, 1, 1, 1]
+    f = RatFunc(f3, [1, 2, 0, 4], [0, 1])  # (1 + 2 eps + eps^3) / eps over F_3
+    assert f.valuation() == -1
+    assert [c.value for c in f.series(3)] == [1, 2, 0, 1, 0]
+
+
+def test_non_units_are_refused():
+    # K(eps) values are Laurent polynomials: a denominator must be a monomial
+    # c eps^m, and only the monomials, the units of K[eps, 1/eps], invert
+    one_plus_eps = EPS.one() + EPS.eps()
+    for field, den in ((QQ, (1, 1)), (QQ, (0, 2, 0, 3)), (GF(2), (1, 0, 1))):
+        with pytest.raises(ValueError, match="not a monomial"):
+            RatFunc(field, (1,), den)
+    with pytest.raises(ValueError, match="not a monomial"):
+        one_plus_eps.inverse()
+    for divide in (lambda: EPS.one() / one_plus_eps, lambda: 1 / one_plus_eps,
+                   lambda: one_plus_eps**-1):
+        with pytest.raises(ValueError, match="not a monomial"):
+            divide()
+    for divide in (lambda: EPS.zero().inverse(), lambda: EPS.one() / 0, lambda: EPS.zero() ** -1):
+        with pytest.raises(ZeroDivisionError):
+            divide()
+    assert (EPS.eps(-2) * 3).inverse() == EPS.eps(2) / 3
+    # so does linear algebra that needs field division
+    m = Matrix(EPS, 2, 2, [EPS.eps(), EPS.zero(), EPS.zero(), EPS.one()])
+    with pytest.raises(FieldMismatchError, match="mat_solve"):
+        mat_solve(m, [EPS.one(), EPS.one()])
+    with pytest.raises(FieldMismatchError, match="mat_inverse"):
+        mat_inverse(m)
 
 
 small_rf = st.builds(
-    lambda a, b: RF(tuple(a), tuple(b)),
+    lambda num, m, c: RF(tuple(num), (0,) * m + (c,)),
     st.lists(st.integers(-4, 4), min_size=1, max_size=4),
-    st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(lambda c: any(c)),
+    st.integers(0, 3),
+    st.integers(-4, 4).filter(bool),
+)
+monomials = st.builds(
+    lambda m, c: EPS.eps(m) * c, st.integers(-3, 3), st.integers(-4, 4).filter(bool)
 )
 
 
@@ -175,16 +219,20 @@ def test_valuation_laws(f, g):
 
 
 @settings(max_examples=200, deadline=None)
-@given(small_rf, small_rf, small_rf)
-def test_field_axioms(f, g, h):
+@given(small_rf, small_rf, small_rf, monomials)
+def test_field_axioms(f, g, h, unit):
+    # the ring axioms of K[eps, 1/eps], and division by its units
     assert f + g == g + f
     assert (f + g) + h == f + (g + h)
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
-    if g:
-        assert (f / g) * g == f
+    assert f - f == EPS.zero() and f * EPS.one() == f
+    assert (f / unit) * unit == f
+    assert unit * unit.inverse() == EPS.one()
 
 
-# -- normal form against plain Euclid --------------------------------------------
+# -- the Laurent form against a dense reference ------------------------------------
 
 
 class _Pol:
@@ -238,9 +286,6 @@ class _Pol:
             q, r = q + t, r - t * o
         return q, r
 
-    def monic(self):
-        return self.scale(self.field.inv(self.cs[-1])) if self.cs else self
-
     def valuation(self):
         return next((i for i, c in enumerate(self.cs) if c != 0), math.inf)
 
@@ -265,12 +310,6 @@ def _plain_reduce(num, den):
     return num.scale(inv), den.scale(inv)
 
 
-def _plain_normal_form(num, den):
-    """Coefficient tuples of num/den in lowest terms with den monic."""
-    num, den = _plain_reduce(num, den)
-    return tuple(num.cs), tuple(den.cs)
-
-
 def _factors(field):
     """General, constant and monomial polynomials over `field` (possibly 0)."""
     ints = st.integers(-4, 4)
@@ -281,43 +320,12 @@ def _factors(field):
     ).map(lambda cs: _Pol(field, cs))
 
 
-@st.composite
-def _normalization_cases(draw):
-    """(num, den, x) with num = eps^i A C, den = eps^j B C, i, j <= 4."""
-    factors = _factors(draw(st.sampled_from((QQ, GF(2), GF(3)))))
-    a, x = draw(factors), draw(factors)
-    b, c = draw(factors.filter(bool)), draw(factors.filter(bool))
-    i, j = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-    return (a * c).shift(i), (b * c).shift(j), x
-
-
 def _rf(num, den):
     return RatFunc(num.field, num.cs, den.cs)
 
 
 def _parts(r):
     return r.num, r.den
-
-
-@settings(max_examples=400, deadline=None)
-@given(_normalization_cases())
-def test_normal_form_matches_plain_euclid(case):
-    num, den, x = case
-    field = num.field
-    r = _rf(num, den)
-    assert _parts(r) == _plain_normal_form(num, den)
-    assert _gcd(field, tuple(num.cs), tuple(den.cs)) == tuple(_plain_gcd(num, den).monic().cs)
-    # t shares r's denominator, so r + t and r - u take the equal-denominator
-    # path; both equal x.
-    rn, rd = _Pol(field, r.num), _Pol(field, r.den)
-    t = _rf(x * rd - rn, rd)
-    u = _rf(rn - x * rd, rd)
-    assert t.den == r.den == u.den
-    assert _parts(r + t) == _plain_normal_form(x * rd, rd)
-    assert _parts(r - u) == _plain_normal_form(x * rd, rd)
-
-
-# -- the eps-adic form against a dense reference -----------------------------------
 
 
 class _Dense:
@@ -371,29 +379,36 @@ def _dense_spread(poly, n):
     return _Pol(poly.field, out)
 
 
+def _monomials(field):
+    """Nonzero monomials c eps^j over `field`, j <= 3."""
+    terms = st.tuples(st.integers(0, 3), st.integers(-4, 4))
+    return terms.map(lambda jc: _Pol(field, [0] * jc[0] + [jc[1]])).filter(bool)
+
+
 @st.composite
 def _eps_adic_cases(draw):
-    """(f, g) as dense (num, den) pairs over Q, F_2 or F_3.
+    """(f, g) as dense (num, den) pairs over Q, F_2 or F_3, each den a
+    monomial c eps^j.
 
     g is drawn free, or as f plus a Laurent polynomial (so f and g share
-    their eps-free denominator w), or as h - f with h = f * eps^m * q (so
-    f + g cancels the lowest terms of f), or as eps^m h - f for a free h.
-    Numerators include zero and monomials; denominators carry eps powers, so
-    valuations go negative.
+    their denominator), or as h - f with h = f * eps^m * q (so f + g cancels
+    the lowest terms of f), or as eps^m h - f for a free h.  Numerators
+    include zero and monomials; denominators carry eps powers, so valuations
+    go negative.
     """
     field = draw(st.sampled_from((QQ, GF(2), GF(3))))
-    polys = _factors(field)
+    polys, dens = _factors(field), _monomials(field)
     nonzero = polys.filter(bool)
 
     def shifted(p):
         return p.shift(draw(st.integers(0, 3)))
 
-    f = shifted(draw(polys)), shifted(draw(nonzero))
-    kind = draw(st.sampled_from(("free", "same-w", "cancel", "cancel-free")))
+    f = shifted(draw(polys)), draw(dens)
+    kind = draw(st.sampled_from(("free", "same-den", "cancel", "cancel-free")))
     m = draw(st.integers(1, 3))
     if kind == "free":
-        g = shifted(draw(polys)), shifted(draw(nonzero))
-    elif kind == "same-w":
+        g = shifted(draw(polys)), draw(dens)
+    elif kind == "same-den":
         x, k = draw(polys), draw(st.integers(-3, 3))
         if k >= 0:
             g = f[0] + x.shift(k) * f[1], f[1]
@@ -402,7 +417,7 @@ def _eps_adic_cases(draw):
     elif kind == "cancel":
         g = f[0] * (draw(nonzero).shift(m) - _Pol(field, [1])), f[1]
     else:
-        h = draw(polys), draw(nonzero)
+        h = draw(polys), draw(dens)
         g = h[0].shift(m) * f[1] - f[0] * h[1], f[1] * h[1]
     return f, g
 
@@ -431,9 +446,14 @@ def test_eps_adic_form_matches_dense_reference(case):
         _agrees(r, ref)
     for n in (1, 2, 3):
         _agrees(f.substitute_power(n), rf.substitute_power(n))
-    if g:
+    if g and sum(1 for c in rg.num.cs if c) == 1:  # a monomial, a unit
         _agrees(f / g, rf / rg)
         _agrees(g.inverse(), rg.inverse())
+    elif g:
+        with pytest.raises(ValueError, match="not a monomial"):
+            f / g
+        with pytest.raises(ValueError, match="not a monomial"):
+            g.inverse()
 
 
 def test_reflected_division():

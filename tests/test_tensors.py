@@ -331,8 +331,8 @@ def test_index_calculus_matches_elementwise_definitions(data):
 def test_mode_apply_over_k_eps():
     eps_ring = EpsField(QQ)
     e, one = eps_ring.eps(), eps_ring.one()
-    t = Tensor(eps_ring, (2, 3), [one, e, eps_ring.zero(), one / (one + e), e * e, one - e])
-    m = Matrix(eps_ring, 3, 2, [e, one, one / (one - e), eps_ring.zero(), one + e, e])
+    t = Tensor(eps_ring, (2, 3), [one, e, eps_ring.zero(), (one + e) / e, e * e, one - e])
+    m = Matrix(eps_ring, 3, 2, [e, one, (one - e) * eps_ring.eps(-2), eps_ring.zero(), one + e, e])
     for axis, mm in ((0, m), (1, m.transpose())):
         assert mode_apply(t, mm, axis) == _mode_product_reference(t, mm, axis)
 
@@ -413,6 +413,8 @@ def test_laurent_restrict_cancels_exactly_to_zero():
 
 
 def test_restrict_takes_the_laurent_kernel_exactly_on_laurent_input(monkeypatch):
+    # Every K(eps) value is Laurent, so every K(eps) restriction takes the
+    # integer kernel; F_p and F_{p^m} take one mode product per axis.
     calls = []
 
     def counting_mode_apply(t, m, axis):
@@ -420,19 +422,20 @@ def test_restrict_takes_the_laurent_kernel_exactly_on_laurent_input(monkeypatch)
         return mode_apply(t, m, axis)
 
     monkeypatch.setattr(tensors, "mode_apply", counting_mode_apply)
-    ring = EpsField(QQ)
-    e, one = ring.eps(), ring.one()
-    t = Tensor(ring, (2, 2), [one, e, ring.eps(-1), one - e])
-    laurent = Matrix(ring, 2, 2, [e, one, ring.eps(-2), ring.zero()])
-    assert restrict(t, (laurent, laurent)) == _per_axis_restrict(t, (laurent, laurent))
+    for ring in (EpsField(QQ), EpsField(GF(3))):
+        e, one = ring.eps(), ring.one()
+        t = Tensor(ring, (2, 2), [one, e, ring.eps(-1), one - e])
+        laurent = Matrix(ring, 2, 2, [e, one, ring.eps(-2), ring.zero()])
+        dense = Matrix(ring, 2, 2, [e, (one + e) ** 3, ring.eps(-2) - e, one])
+        for maps in ((laurent, laurent), (laurent, dense)):
+            expected = _mode_product_reference(_mode_product_reference(t, maps[0], 0), maps[1], 1)
+            assert restrict(t, maps) == expected
     assert calls == []
-    # One entry with a denominator that is not a power of eps: the per-axis
-    # route, checked against the elementwise definition.
-    rational = Matrix(ring, 2, 2, [e, one / (one + e), ring.eps(-2), ring.zero()])
-    out = restrict(t, (laurent, rational))
-    assert calls == [0, 1]
-    expected = _mode_product_reference(_mode_product_reference(t, laurent, 0), rational, 1)
-    assert out == expected
+    for field in (GF(3), GF(3, 2)):
+        t = Tensor(field, (2, 2), [1, 2, 0, 1])
+        m = Matrix(field, 2, 2, [1, 1, 0, 2])
+        assert restrict(t, (m, m)) == _mode_product_reference(_mode_product_reference(t, m, 0), m, 1)
+    assert calls == [0, 1, 0, 1]
 
 
 # -- the integer restriction kernel over Q -----------------------------------------
