@@ -45,7 +45,6 @@ from .classify import (
     TrichotomyClass,
     cayley_hyperdet,
     classify_222,
-    gap_class,
     gap_constant,
     multilinear_rank_le_2,
     trichotomy,

@@ -430,11 +430,6 @@ def trichotomy(t: Tensor, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Classi
     )
 
 
-def gap_class(report: ClassificationReport):
-    """Asymptotic-subrank class and constant from a classification report."""
-    return report.asymptotic_class, report.constant
-
-
 def gap_constant(k: int):
     """The gap constant for order k: k/(k-1)^((k-1)/k), equal to 2^h(1/k).
 

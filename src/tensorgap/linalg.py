@@ -21,10 +21,10 @@ each updated row divided by its content.
 K(eps) holds Laurent polynomials, a ring whose only units are the monomials
 c*eps^n, so it has no field division: `mat_solve` and `mat_inverse` refuse
 it, and `mat_det` and `mat_rank` over K(eps) take one fraction-free
-(Bareiss) kernel, `_eps_bareiss`, on the integer coefficient maps of
-`ratfunc`, each row over the lcm of its own denominators.  Its only
-divisions are exact ones by the previous pivot, and a column without a
-pivot is skipped.  All results are exact.
+(Bareiss) kernel, `_eps_bareiss`, on the entries' own integer coefficient
+maps (`ratfunc.RatFunc`), each row rescaled to the lcm of its own
+denominators.  Its only divisions are exact ones by the previous pivot,
+and a column without a pivot is skipped.  All results are exact.
 """
 
 from __future__ import annotations

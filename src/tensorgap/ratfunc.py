@@ -6,28 +6,27 @@ expansion must have no pole and its constant term must be the target
 Laurent polynomial, and division is by the units of K[eps, 1/eps], the
 monomials c*eps^n, only; anything else raises ValueError.
 
-A polynomial is a raw coefficient tuple indexed by exponent from eps^0
-upward (Fractions over Q, int residues over F_p), trailing zeros trimmed;
-the zero polynomial is the empty tuple.  All arithmetic of raw coefficients
-is the field's own (``K.add``, ``K.mul``, ``K.inv``, ...), and
-``coeff_text`` and ``coeff_parse`` are the one text form of a polynomial,
-for ``RatFunc.text`` and for documents alike.  :class:`EpsField` tags K(eps)
+A :class:`RatFunc` holds its value in the one form the K(eps) kernels
+work on: an integer coefficient map ``_c`` {exponent: nonzero int} over a
+positive integer denominator ``_d``, the value sum_n _c[n] eps^n / _d, in
+lowest terms (`_reduce`); over F_p, _d = 1 and the coefficients are
+residues.  Equal values have equal (_d, _c), and zero is (1, {}).  Its
+``+`` and ``-`` add scaled maps and its ``*`` is `_add_product`, the product
+of the restriction and elimination kernels (`tensors._integer_restrict`,
+`linalg._eps_bareiss`), which read (_d, _c) directly: `_integer_laurent`
+only rescales values to one denominator, `_exact_quotient` divides, and
+`_laurent_from_integers` brings a result to lowest terms and wraps it.  A
+value's map may be shared with a kernel or another value and is never
+changed in place.
+
+Raw coefficient tuples indexed by exponent from eps^0 upward (Fractions
+over Q, int residues over F_p, trailing zeros trimmed; zero is the empty
+tuple) are what ``RatFunc(field, num, den)`` takes and ``num`` and ``den``
+give; ``coeff_text`` and ``coeff_parse`` are their one text form, for
+``RatFunc.text`` and for documents alike.  :class:`EpsField` tags K(eps)
 the way FieldSpec tags K and is interned the same way, one object per base
 field; its raw values and boxed elements are both RatFuncs, so its raw
 arithmetic (``add``, ``mul``, ...) is the RatFunc operators.
-
-A :class:`RatFunc` is held as eps^v * u with u(0) != 0 (zero is u = (),
-v = +inf), so equal values have equal representations; ``valuation`` reads
-v and ``coefficient`` reads u.  Its ``num`` and ``den`` are eps^max(v, 0) u
-and eps^max(-v, 0).  Nearly every value a certificate construction makes is
-a monomial, whose product with another is one multiplication in K.  The
-K(eps) restriction and elimination kernels (`tensors._integer_restrict`,
-`linalg._eps_bareiss`) skip the RatFunc operators and work on integer
-coefficient maps {exponent: int} over an integer denominator, a format only
-the helpers here read or write: `_integer_laurent` takes values over the
-lcm of their own denominators, `_add_product` and `_exact_quotient` are the
-arithmetic, and `_reduce` and `_laurent_from_integers` bring a result to
-lowest terms and build it.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ class EpsField:
                 raise FieldMismatchError(f"eps-polynomials are over Q or F_p, not {base.name}")
             ring = _EPS_FIELDS[base] = object.__new__(cls)
             object.__setattr__(ring, "base", base)
-            object.__setattr__(ring, "_zero", _rf(base, INFINITE_VALUATION, ()))
-            object.__setattr__(ring, "_one", _rf(base, 0, (base._raw(1),)))
+            object.__setattr__(ring, "_zero", _rf(base, 1, {}))
+            object.__setattr__(ring, "_one", _rf(base, 1, {0: 1}))
         return ring
 
     def __setattr__(self, name, value):
@@ -77,7 +76,7 @@ class EpsField:
 
     def eps(self, n: int = 1) -> "RatFunc":
         """The monomial eps^n, for any integer n."""
-        return _rf(self.base, n, self._one._u)
+        return _rf(self.base, 1, {n: 1})
 
     def from_int(self, n: int) -> "RatFunc":
         return self._constant(self.base._raw(n))
@@ -95,7 +94,7 @@ class EpsField:
         """The constant function with raw base value c."""
         if c == 0:
             return self._zero
-        return _rf(self.base, 0, (c,))
+        return _from_raw(self.base, 0, (c,))
 
     def coerce(self, x) -> "RatFunc":
         """Coerce a RatFunc, Scalar, int or Fraction into K(eps)."""
@@ -114,18 +113,16 @@ class EpsField:
 
 
 class RatFunc:
-    """A Laurent polynomial eps^v * u in the form of the module docstring.
+    """A Laurent polynomial in the form of the module docstring.
 
     RatFunc(field, num, den) takes coefficient sequences from eps^0 whose
     entries field coerces; den must be a nonzero monomial c*eps^m."""
 
-    __slots__ = ("field", "_v", "_u")
+    __slots__ = ("field", "_d", "_c")
 
     def __init__(self, field: FieldSpec, num, den=(1,)):
         EpsField(field)  # refuses a base field other than Q or F_p
-        num = _trimmed([field._raw(c) for c in num])
-        den = _trimmed([field._raw(c) for c in den])
-        _monomial_quotient(field, num, den, self)
+        _monomial_quotient(field, [field._raw(c) for c in num], [field._raw(c) for c in den], self)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -136,14 +133,17 @@ class RatFunc:
 
     @property
     def num(self) -> tuple:
-        """The raw coefficients of the numerator eps^max(v, 0) * u of the
-        dense quotient in lowest terms."""
-        return _dense(self.field, self._u, self._v)
+        """The raw coefficients of the numerator eps^max(-v, 0) * self, v
+        the valuation, of the dense quotient in lowest terms."""
+        if not self._c:
+            return ()
+        return tuple(map(self._coefficient, range(min(min(self._c), 0), max(self._c) + 1)))
 
     @property
     def den(self) -> tuple:
         """The raw coefficients of the denominator eps^max(-v, 0)."""
-        return _dense(self.field, self.ring._one._u, -self._v)
+        zero, one, v = self.field._raw(0), self.field._raw(1), self.valuation()
+        return (zero,) * -v + (one,) if v < 0 else (one,)
 
     def _other(self, other):
         if isinstance(other, RatFunc):
@@ -155,26 +155,22 @@ class RatFunc:
         return None
 
     def _sum(self, other, subtract: bool) -> "RatFunc":
-        """self + other, or self - other when subtract; leading zeros of a
-        cancellation move into v."""
+        """self + other, or self - other when subtract: the maps scaled to
+        the lcm of the denominators and added."""
         o = self._other(other)
         if o is None:
             return NotImplemented
-        if not o._u:
+        if not o._c:
             return self
-        if not self._u:
+        if not self._c:
             return -o if subtract else o
-        field, v = self.field, min(self._v, o._v)
-        op, zero = (field.sub if subtract else field.add), field._raw(0)
-        n = [zero] * (self._v - v) + list(self._u)
-        n += [zero] * (o._v - v + len(o._u) - len(n))
-        for i, c in enumerate(o._u, o._v - v):
-            n[i] = op(n[i], c)
-        n = _trimmed(n)
-        if not n:
-            return self.ring.zero()
-        k = _low(n)
-        return _rf(field, v + k, n[k:])
+        d = math.lcm(self._d, o._d)
+        k = d // self._d
+        out = {e: c * k for e, c in self._c.items()}
+        k = -(d // o._d) if subtract else d // o._d
+        for e, c in o._c.items():
+            out[e] = out.get(e, 0) + c * k
+        return _laurent_from_integers(self.field, d, out)
 
     def __add__(self, other):
         return self._sum(other, False)
@@ -191,14 +187,15 @@ class RatFunc:
         return o - self
 
     def __mul__(self, other):
-        """Valuations add and the eps-free parts multiply; a product of
-        monomials is one multiplication in K."""
+        """`_add_product` of the maps over the product of the denominators."""
         o = self._other(other)
         if o is None:
             return NotImplemented
-        if not (self._u and o._u):
+        if not (self._c and o._c):
             return self.ring.zero()
-        return _rf(self.field, self._v + o._v, _times(self.field, self._u, o._u))
+        acc = {}
+        _add_product(acc, self._c, o._c)
+        return _laurent_from_integers(self.field, self._d * o._d, acc)
 
     __rmul__ = __mul__
 
@@ -215,7 +212,7 @@ class RatFunc:
         return o / self
 
     def __neg__(self):
-        return _rf(self.field, self._v, tuple(map(self.field.neg, self._u)))
+        return _rf(self.field, self._d, {e: self.field.neg(c) for e, c in self._c.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -230,56 +227,59 @@ class RatFunc:
         return out
 
     def __bool__(self):
-        return bool(self._u)
+        return bool(self._c)
 
     def __eq__(self, other):
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return self._v == o._v and self._u == o._u
+        return self._d == o._d and self._c == o._c
 
     def __hash__(self):
-        return hash((self._v, self._u))
+        return hash((self._d, frozenset(self._c.items())))
 
     def inverse(self) -> "RatFunc":
         """The inverse of a monomial c*eps^n, (1/c)*eps^-n.  The monomials
         are the units of K[eps, 1/eps]; any other value raises ValueError."""
-        if not self._u:
+        if not self._c:
             raise ZeroDivisionError("inverse of the zero rational function")
-        if len(self._u) > 1:
+        if len(self._c) > 1:
             raise ValueError(f"{self.text()} is not a monomial c*eps^n, a unit of K[eps, 1/eps]")
-        return _rf(self.field, -self._v, (self.field.inv(self._u[0]),))
+        (n,) = self._c
+        return _from_raw(self.field, -n, (self.field.inv(self._coefficient(n)),))
 
     def valuation(self):
         """Order of vanishing at eps = 0; negative at a pole, +inf for 0."""
-        return self._v
+        return min(self._c) if self._c else INFINITE_VALUATION
 
     def series(self, upto: int) -> list[Scalar]:
         """Exact Laurent coefficients from the valuation up to exponent `upto`.
 
         Empty for the zero function; otherwise requires upto >= valuation.
         """
-        if not self._u:
+        if not self._c:
             return []
-        if upto < self._v:
-            raise ValueError(f"expansion order {upto} below valuation {self._v}")
-        return [self.coefficient(e) for e in range(self._v, upto + 1)]
+        v = self.valuation()
+        if upto < v:
+            raise ValueError(f"expansion order {upto} below valuation {v}")
+        return [self.coefficient(e) for e in range(v, upto + 1)]
 
     def coefficient(self, e: int) -> Scalar:
         """The exact Laurent coefficient at eps^e."""
         return Scalar(self.field, self._coefficient(e))
 
     def _coefficient(self, e: int):
-        """`coefficient` as a raw value, read off u."""
-        i = e - self._v  # -inf for the zero function
-        return self._u[i] if 0 <= i < len(self._u) else self.field._raw(0)
+        """`coefficient` as a raw value, _c[e] / _d."""
+        c = self._c.get(e, 0)
+        if self.field.p is not None:
+            return c
+        return Fraction(c) if self._d == 1 else Fraction(c, self._d)
 
     def substitute_power(self, n: int) -> "RatFunc":
-        """The Laurent polynomial f(eps^n), n >= 1; eps -> eps^n keeps
-        u(0) != 0, so the result needs no normalization."""
+        """The Laurent polynomial f(eps^n), n >= 1: each exponent times n."""
         if n < 1:
             raise ValueError("power substitution needs n >= 1")
-        return _rf(self.field, n * self._v, _spread(self.field, self._u, n))
+        return _rf(self.field, self._d, {n * e: c for e, c in self._c.items()})
 
     def text(self) -> str:
         num, den = (",".join(coeff_text(self.field, p)) for p in (self.num, self.den))
@@ -292,48 +292,48 @@ class RatFunc:
         return f"RatFunc({self.text()!r})"
 
 
-def _rf(field, v, u, r=None) -> RatFunc:
-    """The RatFunc eps^v * u (filled into r if given), u(0) != 0 or u = ()."""
+def _rf(field, d: int, c: dict, r=None) -> RatFunc:
+    """The RatFunc of (d, c) already in lowest terms (filled into r if given)."""
     r = object.__new__(RatFunc) if r is None else r
     object.__setattr__(r, "field", field)
-    object.__setattr__(r, "_v", v)
-    object.__setattr__(r, "_u", u)
+    object.__setattr__(r, "_d", d)
+    object.__setattr__(r, "_c", c)
     return r
 
 
-def _monomial_quotient(field, num: tuple, den: tuple, r=None) -> RatFunc:
-    """The RatFunc num / den of trimmed raw coefficient tuples, den a nonzero
+def _from_raw(field, v: int, raw, r=None) -> RatFunc:
+    """The RatFunc sum_i raw[i] eps^(v + i) of raw coefficients (filled into
+    r if given).  Over Q it lies over the lcm of the Fractions' reduced
+    denominators, which is in lowest terms with no gcd to take."""
+    if field.p is not None:
+        return _rf(field, 1, {v + i: c for i, c in enumerate(raw) if c}, r)
+    d = math.lcm(*[c.denominator for c in raw])
+    c = {v + i: x.numerator * (d // x.denominator) for i, x in enumerate(raw) if x}
+    return _rf(field, d, c, r)
+
+
+def _monomial_quotient(field, num, den, r=None) -> RatFunc:
+    """The RatFunc num / den of raw coefficient sequences, den a nonzero
     monomial c*eps^m (filled into r if given).  A zero den raises
     ZeroDivisionError and any other den ValueError."""
+    den = [(m, c) for m, c in enumerate(den) if c != 0]
     if not den:
         raise ZeroDivisionError("rational function with zero denominator")
-    m = _low(den)
-    if m != len(den) - 1:
+    if len(den) > 1:
         raise ValueError("denominator is not a monomial c*eps^m: K(eps) values are Laurent")
-    if not num:
-        return _rf(field, INFINITE_VALUATION, (), r)
-    k, c = _low(num), den[m]
+    ((m, c),) = den
     if c != 1:
         c = field.inv(c)
-        num = tuple([field.mul(x, c) for x in num])
-    return _rf(field, k - m, num[k:], r)
+        num = [field.mul(x, c) for x in num]
+    return _from_raw(field, -m, num, r)
 
 
 def _integer_laurent(field, values):
-    """Laurent values as integer coefficient maps over one denominator.
-
-    Returns (d, [coeffs]) with value = sum_n coeffs[n] eps^n / d for each
-    value, zero coefficients left out (the zero value gives {}).  Over Q, d
-    is the lcm of the values' coefficient denominators; over F_p, d = 1 and
-    the coefficients are the residues.
-    """
-    if field.p is not None:
-        return 1, [{e._v + i: c for i, c in enumerate(e._u) if c} for e in values]
-    d = math.lcm(*[c.denominator for e in values for c in e._u])
-    return d, [
-        {e._v + i: c.numerator * (d // c.denominator) for i, c in enumerate(e._u) if c}
-        for e in values
-    ]
+    """RatFuncs over one denominator: (d, [map]) with value = map / d for
+    each value, d the lcm of their _d (1 over F_p).  A value already over
+    d hands out its own map, which the caller must not change."""
+    d = math.lcm(*[e._d for e in values])
+    return d, [e._c if e._d == d else {n: c * (d // e._d) for n, c in e._c.items()} for e in values]
 
 
 def _add_product(acc: dict, a: dict, b: dict, scale: int = 1):
@@ -390,50 +390,9 @@ def _reduce(field, d: int, coeffs: dict) -> int:
 
 
 def _laurent_from_integers(field, d: int, coeffs: dict) -> RatFunc:
-    """The Laurent value sum_n coeffs[n] eps^n / d of an integer coefficient
-    map, reduced in place by `_reduce`."""
-    d = _reduce(field, d, coeffs)
-    if not coeffs:
-        return EpsField(field).zero()
-    lo = min(coeffs)
-    u = [coeffs.get(e, 0) for e in range(lo, max(coeffs) + 1)]
-    if field.p is None:
-        u = [Fraction(c) for c in u] if d == 1 else [Fraction(c, d) for c in u]
-    return _rf(field, lo, tuple(u))
-
-
-def _times(field, a: tuple, b: tuple) -> tuple:
-    """The product of raw coefficient tuples."""
-    if len(a) == 1 == len(b):
-        return (field.mul(a[0], b[0]),)
-    add, mul = field.add, field.mul
-    out = [field._raw(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj != 0:
-                out[i + j] = add(out[i + j], mul(ai, bj))
-    return _trimmed(out)
-
-
-def _dense(field, part: tuple, shift) -> tuple:
-    """eps^shift * part when shift > 0, else part."""
-    return (field._raw(0),) * shift + part if shift > 0 and part else part
-
-
-def _spread(field, raw: tuple, n: int) -> tuple:
-    """raw(eps^n) as raw coefficients."""
-    if n == 1 or len(raw) == 1:
-        return raw
-    out = [field._raw(0)] * ((len(raw) - 1) * n + 1)
-    out[::n] = raw
-    return tuple(out)
-
-
-def _low(raw) -> int:
-    """The exponent of the lowest nonzero coefficient of a nonzero polynomial."""
-    return next(i for i, c in enumerate(raw) if c != 0)
+    """The RatFunc coeffs / d of an integer coefficient map, brought to
+    lowest terms in place by `_reduce`."""
+    return _rf(field, _reduce(field, d, coeffs), coeffs)
 
 
 def _trimmed(raw) -> tuple:

@@ -15,9 +15,10 @@ Kronecker product) is a gather through one cached axis-order map,
 axis checks, from one cached plan per (dims, axes).  `restrict` over Q and
 over K(eps) (whose values are Laurent polynomials) is one integer pass over
 all axes, ``_integer_restrict``: it carries the support as integer
-numerators (ints over Q, integer coefficient maps over K(eps)), scales each
-map row and each source fiber along an axis over the lcm of its own
-denominators, and builds one Fraction or RatFunc per nonzero output entry.
+numerators over denominators, read off each entry as it stands (a
+Fraction's numerator, a RatFunc's coefficient map), scales each map row and
+each source fiber along an axis over the lcm of its own denominators, and
+builds one Fraction or RatFunc per nonzero output entry.
 Over F_p and F_{p^m} it takes one ``mode_apply`` per axis: one map applied
 along one axis with the ring's own add and mul (padding and the covector
 tables of the brute-force oracles).
@@ -35,7 +36,7 @@ from fractions import Fraction
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import QQ, FieldSpec
 from .linalg import Matrix
-from .ratfunc import EpsField, _add_product, _integer_laurent, _laurent_from_integers, _reduce
+from .ratfunc import EpsField, _add_product, _integer_laurent, _reduce, _rf
 
 
 class Tensor:
@@ -300,7 +301,7 @@ def restrict(t: Tensor, maps) -> Tensor:
 
 def _q_integers(field, values):
     """Fractions as ints over the lcm d of their denominators: (d, [d * e]),
-    the Q counterpart of `ratfunc._integer_laurent`."""
+    as `ratfunc._integer_laurent` rescales RatFuncs."""
     d = math.lcm(*[e.denominator for e in values])
     return d, [e.numerator * (d // e.denominator) for e in values]
 
@@ -327,24 +328,21 @@ def _integer_restrict(t: Tensor, maps) -> Tensor:
     checked maps.
 
     The support is carried through all axes as {flat index: (d, value)},
-    each entry over its own denominator d: an int over Q, an integer
-    coefficient map over K(eps) (`ratfunc._integer_laurent`).  At each axis
+    each entry over its own denominator d: a Fraction's (denominator,
+    numerator) over Q, a RatFunc's own (_d, _c) over K(eps).  At each axis
     every map row is scaled over the lcm of its own denominators and every
     source fiber along the axis over the lcm of its own, so each output
     entry is an integer sum over the product of the two scales, accumulated
     by `_add_ints` or `_add_laurent`; it is brought to lowest terms before
-    the next axis.  Zero fibers and zero map rows cost nothing past the
-    scan, and one Fraction or RatFunc is built per nonzero output entry.
+    the next axis, so a RatFunc wraps the last one as it stands.  Zero
+    fibers and zero map rows cost nothing past the scan, and one Fraction
+    or RatFunc is built per nonzero output entry.
     """
     ring = t.ring
     laurent = ring is not QQ
     if laurent:
         field, scaled, add = ring.base, _integer_laurent, _add_laurent
-        support = {}
-        for f, e in enumerate(t.entries):
-            if e:
-                d, (c,) = _integer_laurent(field, (e,))
-                support[f] = d, c
+        support = {f: (e._d, e._c) for f, e in enumerate(t.entries) if e}
     else:
         field, scaled, add = QQ, _q_integers, _add_ints
         support = {f: (e.denominator, e.numerator) for f, e in enumerate(t.entries) if e}
@@ -383,7 +381,7 @@ def _integer_restrict(t: Tensor, maps) -> Tensor:
         dims[axis] = rows
     entries = [ring._raw(0)] * math.prod(dims)
     for f, (d, c) in support.items():
-        entries[f] = _laurent_from_integers(field, d, c) if laurent else Fraction(c, d)
+        entries[f] = _rf(field, d, c) if laurent else Fraction(c, d)
     return Tensor._from_raw(ring, tuple(dims), entries)
 
 

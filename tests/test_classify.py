@@ -20,7 +20,6 @@ from tensorgap.classify import (
     TrichotomyClass,
     cayley_hyperdet,
     classify_222,
-    gap_class,
     gap_constant,
     multilinear_rank_le_2,
     trichotomy,
@@ -344,13 +343,15 @@ def test_trichotomy_rejects_zero():
 
 def test_gap_class_mapping():
     w3 = w_tensor(3, (2, 2, 2), QQ)
-    cls, value = gap_class(trichotomy(w3, seed=1))
-    assert cls is AsymptoticClass.C3 and abs(value.decimal - 1.8898815748) < 1e-9
-    cls, value = gap_class(trichotomy(unit_tensor(3, 2, QQ), seed=1))
-    assert cls is AsymptoticClass.AT_LEAST_TWO and value.lower_bound_only
+    report = trichotomy(w3, seed=1)
+    assert report.asymptotic_class is AsymptoticClass.C3
+    assert abs(report.constant.decimal - 1.8898815748) < 1e-9
+    report = trichotomy(unit_tensor(3, 2, QQ), seed=1)
+    assert report.asymptotic_class is AsymptoticClass.AT_LEAST_TWO
+    assert report.constant.lower_bound_only
     rank_one = Tensor.from_dict(QQ, (2, 2, 2), {(0, 0, 0): 1})
-    cls, value = gap_class(trichotomy(rank_one, seed=1))
-    assert cls is AsymptoticClass.ONE and value.decimal == 1.0
+    report = trichotomy(rank_one, seed=1)
+    assert report.asymptotic_class is AsymptoticClass.ONE and report.constant.decimal == 1.0
 
 
 def test_gap_constant_values():

@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 
 from tensorgap.errors import FieldMismatchError
 from tensorgap.fields import GF, QQ
-from tensorgap.linalg import Matrix, mat_inverse, mat_solve
+from tensorgap.linalg import Matrix, mat_det, mat_inverse, mat_rank, mat_solve
 from tensorgap.ratfunc import (
     EpsField,
     RatFunc,
     _add_product,
     _exact_quotient,
     _reduce,
-    _times,
     _trimmed,
     coeff_parse,
     coeff_text,
 )
+from tensorgap.tensors import Tensor, restrict
 
 EPS = EpsField(QQ)
 
@@ -310,6 +310,11 @@ def _plain_reduce(num, den):
     return num.scale(inv), den.scale(inv)
 
 
+def _times(field, a, b):
+    """The product of raw coefficient tuples, by `_Pol`'s schoolbook product."""
+    return tuple((_Pol(field, a) * _Pol(field, b)).cs)
+
+
 def _factors(field):
     """General, constant and monomial polynomials over `field` (possibly 0)."""
     ints = st.integers(-4, 4)
@@ -422,6 +427,22 @@ def _eps_adic_cases(draw):
     return f, g
 
 
+def _one_form(field, r, f):
+    """r built again by the constructor, arithmetic, `restrict` and
+    `mat_det`: every route gives one (_d, _c), so one hash."""
+    ring, c = EpsField(field), field._raw(-1)
+    routes = (
+        RatFunc(field, (0,) + tuple(field.mul(c, x) for x in r.num),
+                (0,) + tuple(field.mul(c, x) for x in r.den)),
+        (r + f) - f,
+        r * ring.eps() * ring.eps(-1),
+        restrict(Tensor(ring, (1,), [r]), (Matrix(ring, 1, 1, [1]),)).entries[0],
+        mat_det(Matrix(ring, 1, 1, [r])),
+    )
+    for x in routes:
+        assert x == r and hash(x) == hash(r) and (x._d, x._c) == (r._d, r._c)
+
+
 def _agrees(r, ref):
     assert _parts(r) == (tuple(ref.num.cs), tuple(ref.den.cs))
     v = r.valuation()
@@ -444,6 +465,7 @@ def test_eps_adic_form_matches_dense_reference(case):
     for r, ref in ((f, rf), (g, rg), (f + g, rf + rg), (f - g, rf - rg), (g - f, rg - rf),
                    (f * g, rf * rg), (-f, _Dense(-fn, fd))):
         _agrees(r, ref)
+        _one_form(fn.field, r, f)
     for n in (1, 2, 3):
         _agrees(f.substitute_power(n), rf.substitute_power(n))
     if g and sum(1 for c in rg.num.cs if c) == 1:  # a monomial, a unit
@@ -459,3 +481,27 @@ def test_eps_adic_form_matches_dense_reference(case):
 def test_reflected_division():
     assert 1 / EPS.eps(2) == EPS.eps(-2)
     assert 3 / EPS.eps() == EPS.from_int(3) * EPS.eps(-1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_kernels_leave_input_maps_unchanged(field):
+    # restrict, mat_det and mat_rank read each entry's (_d, _c) as it stands
+    # and may share its map; none of them may change it
+    ring = EpsField(field)
+    eps, one = ring.eps(), ring.one()
+    values = [
+        eps**-1 / 2 + one / 3, eps / 6, one * 5,
+        one * 2 / 3, one / 2 + eps, eps**2,
+        eps**-1 / 4, ring.zero(), eps * 7 / 12,
+    ]
+    m = Matrix(ring, 3, 3, values)
+    maps = (Matrix(ring, 2, 3, values[3:]), Matrix(ring, 3, 3, values[::-1]))
+    inputs = values + list(maps[0].entries) + list(maps[1].entries)
+    snapshot = [(e._d, dict(e._c)) for e in inputs]
+    restrict(Tensor(ring, (3, 3), values), maps)
+    mat_det(m)
+    mat_rank(m)
+    mat_rank(maps[0])
+    for e in values:
+        mat_det(Matrix(ring, 1, 1, [e]))
+    assert [(e._d, e._c) for e in inputs] == snapshot
