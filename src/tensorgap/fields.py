@@ -176,17 +176,27 @@ class FieldSpec:
 
     def _parse(self, text: str):
         """The raw value of the textual scalar form."""
+        x = self._literal(text)
+        return Fraction(x) if self.p is None and type(x) is int else x
+
+    def _literal(self, text: str):
+        """The textual scalar form in integer form, the one set of literal
+        rules: over the rationals an int for an integer value and a Fraction
+        in lowest terms otherwise, over F_p the int residue.  Surrounding
+        whitespace is ignored; anything else raises ValueError."""
         text = text.strip()
         p = self.p
         try:
             if "/" in text:
                 a, b = text.split("/")
                 q = Fraction(int(a), int(b))
-                return q if p is None else self._raw(q)
+                if p is not None:
+                    return self._raw(q)
+                return q.numerator if q.denominator == 1 else q
             n = int(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad scalar literal {text!r} for {self.name}: {exc}") from None
-        return Fraction(n) if p is None else n % p
+        return n if p is None else n % p
 
     # -- arithmetic on raw values ---------------------------------------------
 

@@ -7,12 +7,21 @@ one curve matrix per factor whose Laurent-polynomial entries are serialized
 as two coefficient lists ("num-coeffs", "den-coeffs") read from eps^0
 upward, the denominator a monomial c*eps^m.  Parsing and printing are exact
 inverses of each other; every malformed input is reported with a document
-location.
+location, a string built only when the error is raised.
+
+A curve entry goes between its literals and RatFunc's integer form (_d, _c)
+in one step each way: `ratfunc.coeff_parse` reads each list and
+`ratfunc._monomial_quotient` divides by the monomial denominator, and
+`ratfunc.coeff_text` prints both lists from (_d, _c).  Documents are written
+by `_json_text`, byte for byte what json.dumps(doc, indent=2) gives, on
+json's C string encoder; json's C encoder ignores indent, so json.dumps
+would run its pure-Python one.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .degeneration import DegenerationCertificate
 from .errors import DocumentFormatError, FieldMismatchError
@@ -126,31 +135,72 @@ def tensor_from_document(doc, location="tensor") -> Tensor:
     entries = [field._raw(0)] * size
     seen = set()  # flat indices
     for n, pair in enumerate(raw):
-        where = f"{location}.entries[{n}]"
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise DocumentFormatError("entry must be [index, value]", where)
+            raise DocumentFormatError("entry must be [index, value]", _entry(location, n))
         idx, text = pair
         if not (isinstance(idx, list) and len(idx) == len(dims)):
-            raise DocumentFormatError(f"index {idx!r} has wrong length", where)
+            raise DocumentFormatError(f"index {idx!r} has wrong length", _entry(location, n))
         flat = 0
         for i, (d, s) in zip(idx, axes):
             if not (isinstance(i, int) and type(i) is not bool and 0 <= i < d):
-                raise DocumentFormatError(f"index {idx!r} out of range for dims {list(dims)}", where)
+                raise DocumentFormatError(
+                    f"index {idx!r} out of range for dims {list(dims)}", _entry(location, n)
+                )
             flat += i * s
         if flat in seen:
-            raise DocumentFormatError(f"duplicate index {idx!r}", where)
+            raise DocumentFormatError(f"duplicate index {idx!r}", _entry(location, n))
         seen.add(flat)
         try:
             entries[flat] = field._parse(str(text))
         except ValueError as exc:
-            raise DocumentFormatError(str(exc), where) from None
+            raise DocumentFormatError(str(exc), _entry(location, n)) from None
     return Tensor._from_raw(field, dims, entries)
 
 
+def _entry(location, n, key=None) -> str:
+    """The location of entry n of the entries list at location, or of its
+    member key; built only for an error."""
+    return f"{location}.entries[{n}]" if key is None else f"{location}.entries[{n}].{key}"
+
+
+def _json_text(value, newline="\n") -> str:
+    """json.dumps(value, indent=2) for the values documents hold: str, int,
+    bool, None, and lists and str-keyed dicts of them, in insertion order;
+    anything else raises TypeError.  newline is the line break and
+    indentation before value's closing bracket."""
+    kind = type(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for k, v in value.items():
+            if type(k) is not str:
+                raise TypeError(f"document keys must be str, not {type(k).__name__}")
+            items.append(_json_string(k) + ": " + _json_text(v, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _write_json(doc, path) -> None:
-    """Write a document as indented JSON with a final newline, in one write."""
+    """Write a document as json.dumps(doc, indent=2) with a final newline,
+    in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(_json_text(doc) + "\n")
 
 
 def save_tensor(t: Tensor, path) -> None:
@@ -192,16 +242,15 @@ def _scalar_matrix_from_document(doc, field, location) -> Matrix:
         try:
             parsed.append(field._parse(str(e)))
         except ValueError as exc:
-            raise DocumentFormatError(str(exc), f"{location}.entries[{n}]") from None
+            raise DocumentFormatError(str(exc), _entry(location, n)) from None
     return Matrix._from_raw(field, rows, cols, parsed)
 
 
 def _curve_matrix_to_document(m: Matrix) -> dict:
-    base = m.ring.base
-    entries = [
-        {"num-coeffs": coeff_text(base, e.num), "den-coeffs": coeff_text(base, e.den)}
-        for e in m.entries
-    ]
+    entries = []
+    for e in m.entries:
+        num, den = coeff_text(e)
+        entries.append({"num-coeffs": num, "den-coeffs": den})
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
@@ -210,28 +259,31 @@ def _curve_matrix_from_document(doc, field, location) -> Matrix:
     ring = EpsField(field)
     parsed = []
     for n, e in enumerate(entries):
-        where = f"{location}.entries[{n}]"
         if not isinstance(e, dict) or "num-coeffs" not in e or "den-coeffs" not in e:
-            raise DocumentFormatError("curve entry needs num-coeffs and den-coeffs", where)
-        for key in ("num-coeffs", "den-coeffs"):
-            if not isinstance(e[key], list):
-                raise DocumentFormatError(f"{key} must be a list", f"{where}.{key}")
-            if len(e[key]) > MAX_EPS_COEFFS:
+            raise DocumentFormatError(
+                "curve entry needs num-coeffs and den-coeffs", _entry(location, n)
+            )
+        num, den = e["num-coeffs"], e["den-coeffs"]
+        for key, texts in (("num-coeffs", num), ("den-coeffs", den)):
+            if not isinstance(texts, list):
+                raise DocumentFormatError(f"{key} must be a list", _entry(location, n, key))
+            if len(texts) > MAX_EPS_COEFFS:
                 raise DocumentFormatError(
-                    f"{key} has {len(e[key])} coefficients, more than {MAX_EPS_COEFFS}",
-                    f"{where}.{key}",
+                    f"{key} has {len(texts)} coefficients, more than {MAX_EPS_COEFFS}",
+                    _entry(location, n, key),
                 )
         try:
-            num = coeff_parse(field, e["num-coeffs"])
-            den = coeff_parse(field, e["den-coeffs"])
+            num, den = coeff_parse(field, num), coeff_parse(field, den)
         except ValueError as exc:
-            raise DocumentFormatError(str(exc), where) from None
+            raise DocumentFormatError(str(exc), _entry(location, n)) from None
         try:
             parsed.append(_monomial_quotient(field, num, den))
         except ZeroDivisionError:
-            raise DocumentFormatError("curve entry has zero denominator", where) from None
+            raise DocumentFormatError(
+                "curve entry has zero denominator", _entry(location, n)
+            ) from None
         except ValueError as exc:
-            raise DocumentFormatError(str(exc), f"{where}.den-coeffs") from None
+            raise DocumentFormatError(str(exc), _entry(location, n, "den-coeffs")) from None
     return Matrix._from_raw(ring, rows, cols, parsed)
 
 

@@ -22,11 +22,16 @@ changed in place.
 Raw coefficient tuples indexed by exponent from eps^0 upward (Fractions
 over Q, int residues over F_p, trailing zeros trimmed; zero is the empty
 tuple) are what ``RatFunc(field, num, den)`` takes and ``num`` and ``den``
-give; ``coeff_text`` and ``coeff_parse`` are their one text form, for
-``RatFunc.text`` and for documents alike.  :class:`EpsField` tags K(eps)
-the way FieldSpec tags K and is interned the same way, one object per base
-field; its raw values and boxed elements are both RatFuncs, so its raw
-arithmetic (``add``, ``mul``, ...) is the RatFunc operators.
+give.  The text form, for ``RatFunc.text`` and for documents alike, is the
+pair of literal lists of ``num`` and ``den``, taken to and from (_d, _c) in
+one step: ``coeff_text`` prints both from the map, and ``coeff_parse``
+reads one list into the integer form (d, map) by ``FieldSpec._literal``'s
+rules, which `_monomial_quotient` divides by the monomial denominator.
+
+:class:`EpsField` tags K(eps) the way FieldSpec tags K and is interned the
+same way, one object per base field; its raw values and boxed elements are
+both RatFuncs, so its raw arithmetic (``add``, ``mul``, ...) is the RatFunc
+operators.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ class EpsField:
         """The constant function with raw base value c."""
         if c == 0:
             return self._zero
-        return _from_raw(self.base, 0, (c,))
+        return _rf(self.base, *_integer_map((c,)))
 
     def coerce(self, x) -> "RatFunc":
         """Coerce a RatFunc, Scalar, int or Fraction into K(eps)."""
@@ -122,7 +127,8 @@ class RatFunc:
 
     def __init__(self, field: FieldSpec, num, den=(1,)):
         EpsField(field)  # refuses a base field other than Q or F_p
-        _monomial_quotient(field, [field._raw(c) for c in num], [field._raw(c) for c in den], self)
+        num, den = ([field._raw(c) for c in p] for p in (num, den))
+        _monomial_quotient(field, _integer_map(num), _integer_map(den), self)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -246,7 +252,7 @@ class RatFunc:
         if len(self._c) > 1:
             raise ValueError(f"{self.text()} is not a monomial c*eps^n, a unit of K[eps, 1/eps]")
         (n,) = self._c
-        return _from_raw(self.field, -n, (self.field.inv(self._coefficient(n)),))
+        return _rf(self.field, *_integer_map((self.field.inv(self._coefficient(n)),), -n))
 
     def valuation(self):
         """Order of vanishing at eps = 0; negative at a pole, +inf for 0."""
@@ -282,7 +288,7 @@ class RatFunc:
         return _rf(self.field, self._d, {n * e: c for e, c in self._c.items()})
 
     def text(self) -> str:
-        num, den = (",".join(coeff_text(self.field, p)) for p in (self.num, self.den))
+        num, den = (",".join(t) for t in coeff_text(self))
         return f"{num} ; {den}"
 
     def __str__(self):
@@ -301,31 +307,39 @@ def _rf(field, d: int, c: dict, r=None) -> RatFunc:
     return r
 
 
-def _from_raw(field, v: int, raw, r=None) -> RatFunc:
-    """The RatFunc sum_i raw[i] eps^(v + i) of raw coefficients (filled into
-    r if given).  Over Q it lies over the lcm of the Fractions' reduced
-    denominators, which is in lowest terms with no gcd to take."""
-    if field.p is not None:
-        return _rf(field, 1, {v + i: c for i, c in enumerate(raw) if c}, r)
-    d = math.lcm(*[c.denominator for c in raw])
-    c = {v + i: x.numerator * (d // x.denominator) for i, x in enumerate(raw) if x}
-    return _rf(field, d, c, r)
+def _integer_map(raw, v: int = 0) -> tuple:
+    """The integer form (d, map) of raw coefficients of eps^v, eps^(v+1), ...
+    (ints, Fractions in lowest terms, or residues over F_p): d is the lcm of
+    their denominators, which is in lowest terms with no gcd to take."""
+    d = math.lcm(*[x.denominator for x in raw])
+    if d == 1:
+        return 1, {v + i: x.numerator for i, x in enumerate(raw) if x}
+    return d, {v + i: x.numerator * (d // x.denominator) for i, x in enumerate(raw) if x}
 
 
 def _monomial_quotient(field, num, den, r=None) -> RatFunc:
-    """The RatFunc num / den of raw coefficient sequences, den a nonzero
-    monomial c*eps^m (filled into r if given).  A zero den raises
-    ZeroDivisionError and any other den ValueError."""
-    den = [(m, c) for m, c in enumerate(den) if c != 0]
-    if not den:
+    """The RatFunc num / den of integer forms (d, map), den a nonzero
+    monomial c*eps^m (filled into r if given): num's exponents shifted by -m
+    and its map scaled by 1/c.  A zero den raises ZeroDivisionError and any
+    other den ValueError."""
+    (d, c), (dd, dc) = num, den
+    if not dc:
         raise ZeroDivisionError("rational function with zero denominator")
-    if len(den) > 1:
+    if len(dc) > 1:
         raise ValueError("denominator is not a monomial c*eps^m: K(eps) values are Laurent")
-    ((m, c),) = den
-    if c != 1:
-        c = field.inv(c)
-        num = [field.mul(x, c) for x in num]
-    return _from_raw(field, -m, num, r)
+    ((m, k),) = dc.items()
+    if m:
+        c = {e - m: x for e, x in c.items()}
+    if k == 1 and dd == 1:
+        return _rf(field, d, c, r)
+    p = field.p
+    if p is not None:
+        k = pow(k, -1, p)
+        return _rf(field, 1, {e: x * k % p for e, x in c.items()}, r)
+    # c / d divided by k / dd is (dd * c) / (k * d), made positive over |k| * d
+    s = dd if k > 0 else -dd
+    c = {e: x * s for e, x in c.items()}
+    return _rf(field, _reduce(field, d * abs(k), c), c, r)
 
 
 def _integer_laurent(field, values):
@@ -395,24 +409,39 @@ def _laurent_from_integers(field, d: int, coeffs: dict) -> RatFunc:
     return _rf(field, _reduce(field, d, coeffs), coeffs)
 
 
-def _trimmed(raw) -> tuple:
-    """raw as a tuple without trailing zeros."""
-    n = len(raw)
-    while n and raw[n - 1] == 0:
-        n -= 1
-    return tuple(raw[:n])
-
-
 # The one EpsField of each base field.
 _EPS_FIELDS: dict = {}
 
 
-def coeff_text(field: FieldSpec, raw: tuple) -> list:
-    """The texts of raw coefficients from eps^0; ["0"] for the zero polynomial."""
-    return [field.text(c) for c in raw] or ["0"]
+def coeff_text(r: RatFunc) -> tuple:
+    """The literal lists of r's num and den from eps^0 upward, printed from
+    (_d, _c) without building num; ["0"] for the zero numerator."""
+    c = r._c
+    if not c:
+        return ["0"], ["1"]
+    v = min(c)
+    exponents = range(min(v, 0), max(c) + 1)
+    if r._d == 1:
+        num = [str(c[e]) if e in c else "0" for e in exponents]
+    else:
+        num = [r.field.text(r._coefficient(e)) if e in c else "0" for e in exponents]
+    return num, (["0"] * -v + ["1"] if v < 0 else ["1"])
 
 
 def coeff_parse(field: FieldSpec, texts) -> tuple:
-    """Raw coefficients from their texts, trailing zeros trimmed: the inverse
-    of `coeff_text`."""
-    return _trimmed([field._parse(str(t)) for t in texts])
+    """The integer form (d, map) of a coefficient list from eps^0 upward, in
+    lowest terms: the inverse of `coeff_text` under `_monomial_quotient`.
+    Literals follow ``field._literal``, whose ValueError a bad one raises;
+    a "0" costs one comparison, and d is the lcm of the Fractions'
+    denominators (1 if there are none), as in `_integer_map`."""
+    literal, c, d = field._literal, {}, 1
+    for e, t in enumerate(texts):
+        if t != "0":
+            x = literal(str(t))
+            if x:
+                c[e] = x
+                if type(x) is not int:
+                    d = math.lcm(d, x.denominator)
+    if d == 1:
+        return 1, c
+    return d, {e: x.numerator * (d // x.denominator) for e, x in c.items()}

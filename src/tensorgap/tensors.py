@@ -335,8 +335,10 @@ def _integer_restrict(t: Tensor, maps) -> Tensor:
     entry is an integer sum over the product of the two scales, accumulated
     by `_add_ints` or `_add_laurent`; it is brought to lowest terms before
     the next axis, so a RatFunc wraps the last one as it stands.  Zero
-    fibers and zero map rows cost nothing past the scan, and one Fraction
-    or RatFunc is built per nonzero output entry.
+    fibers and zero map rows cost nothing past the scan, an identity map
+    costs only its own scan, the fiber lcms are taken only when some
+    denominator is not 1, and one Fraction or RatFunc is built per nonzero
+    output entry.
     """
     ring = t.ring
     laurent = ring is not QQ
@@ -346,6 +348,7 @@ def _integer_restrict(t: Tensor, maps) -> Tensor:
     else:
         field, scaled, add = QQ, _q_integers, _add_ints
         support = {f: (e.denominator, e.numerator) for f, e in enumerate(t.entries) if e}
+    one = {0: 1} if laurent else 1
     dims = list(t.dims)
     for axis, m in enumerate(maps):
         n, s, rows = m.cols, math.prod(dims[axis + 1 :]), m.rows
@@ -357,20 +360,26 @@ def _integer_restrict(t: Tensor, maps) -> Tensor:
             for i, c in enumerate(row):
                 if c:
                     column[i].append((j * s, c))
+        if rows == n and all(
+            col == [(i * s, one)] and row_den[i] == 1 for i, col in enumerate(column)
+        ):
+            continue  # the identity map
+        ones = all(d == 1 for d, _ in support.values())
         fiber_den = {}  # fiber (hi, lo) along the axis, keyed hi * s + lo
-        for f, (d, _) in support.items():
-            key = f // ns * s + f % s
-            fiber_den[key] = math.lcm(fiber_den.get(key, 1), d)
+        if not ones:
+            for f, (d, _) in support.items():
+                key = f // ns * s + f % s
+                fiber_den[key] = math.lcm(fiber_den.get(key, 1), d)
         out = {}
         for f, (d, a) in support.items():
             hi, lo = divmod(f, ns)
             i, lo = divmod(lo, s)
-            add(out, hi * rs + lo, column[i], a, fiber_den[hi * s + lo] // d)
+            add(out, hi * rs + lo, column[i], a, 1 if ones else fiber_den[hi * s + lo] // d)
         support = {}
         for f, acc in out.items():
             hi, lo = divmod(f, rs)
             j, lo = divmod(lo, s)
-            d = fiber_den[hi * s + lo] * row_den[j]
+            d = row_den[j] if ones else fiber_den[hi * s + lo] * row_den[j]
             if laurent:
                 d = _reduce(field, d, acc)
             elif d != 1:

@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +16,9 @@ from tensorgap.errors import DocumentFormatError, TensorGapError
 from tensorgap.fields import GF, QQ
 from tensorgap.io import (
     MAX_EPS_COEFFS,
+    _curve_matrix_from_document,
+    _json_text,
+    _write_json,
     certificate_from_document,
     certificate_to_document,
     load_certificate,
@@ -26,7 +30,12 @@ from tensorgap.io import (
 )
 from tensorgap.ranks import has_rank_one_flattening
 from tensorgap.tensors import Tensor, pad, unit_tensor, w_tensor
-from conftest import random_fp_tensor, random_rational_tensor
+from conftest import (
+    dense_coeff_parse,
+    dense_monomial_quotient,
+    random_fp_tensor,
+    random_rational_tensor,
+)
 
 
 def test_tensor_document_round_trip_w3():
@@ -390,3 +399,127 @@ def test_curve_coefficient_lists_are_capped():
         with pytest.raises(DocumentFormatError, match="more than 128") as info:
             certificate_from_document(bad)
         assert info.value.location == f"certificate.curves[0].entries[0].{key}"
+
+
+# -- curve entries against the dense route ------------------------------------------
+
+
+def _dense_curve_entries(doc, field, location):
+    """The (d, map) of each entry of a 1 x n curve matrix document by the
+    dense route: every literal parsed to a raw value, trimmed, then divided
+    by the monomial denominator."""
+    out = []
+    for n, e in enumerate(doc["entries"]):
+        where = f"{location}.entries[{n}]"
+        try:
+            num = dense_coeff_parse(field, e["num-coeffs"])
+            den = dense_coeff_parse(field, e["den-coeffs"])
+        except ValueError as exc:
+            raise DocumentFormatError(str(exc), where) from None
+        try:
+            out.append(dense_monomial_quotient(field, num, den))
+        except ZeroDivisionError:
+            raise DocumentFormatError("curve entry has zero denominator", where) from None
+        except ValueError as exc:
+            raise DocumentFormatError(str(exc), f"{where}.den-coeffs") from None
+    return out
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except DocumentFormatError as exc:
+        return type(exc), str(exc), exc.location
+
+
+_NONZERO_LITERALS = st.one_of(
+    st.integers(-30, 30).filter(bool).map(str),
+    st.tuples(st.integers(-30, 30).filter(bool), st.integers(-30, 30).filter(bool)).map(
+        lambda ab: f"{ab[0]}/{ab[1]}"
+    ),
+    st.integers(-30, 30).filter(bool),  # JSON numbers
+    st.sampled_from(
+        ["7", "14", "7/14", "-2/-4", "3/-6", "4/2", "9/-3", " 5\t", "1 / 2", "+3", "1_0", "\u0663"]
+    ),
+)
+_ZERO_LITERALS = st.sampled_from(["0", "0", "0", "-0", " 0 ", "00", "0/5", 0])
+_BAD_LITERALS = st.one_of(
+    st.sampled_from(["1/7", "1/0", "0/0", "x", "", "/", "1/", "1/2/3", "1.5"]),
+    st.sampled_from([1.5, 2.0, True, False, None, [1], {"a": 1}]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _literal_lists(draw, monomial=False):
+    """Zero and nonzero literals, one nonzero only if monomial; one time in
+    eight with one bad literal put in (over F_p a fraction whose reduced
+    denominator p divides is bad too)."""
+    if monomial:
+        texts = draw(st.lists(_ZERO_LITERALS, max_size=3))
+        texts.insert(draw(st.integers(0, len(texts))), draw(_NONZERO_LITERALS))
+    else:
+        texts = draw(st.lists(_ZERO_LITERALS | _NONZERO_LITERALS, max_size=6))
+    if draw(st.integers(0, 7)) == 0:
+        texts.insert(draw(st.integers(0, len(texts))), draw(_BAD_LITERALS))
+    return texts
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(7)]),
+    st.lists(
+        st.tuples(
+            _literal_lists(), st.integers(0, 3).flatmap(lambda m: _literal_lists(monomial=m > 0))
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_curve_entries_parse_as_the_dense_route(field, lists):
+    # The one-step parse gives each entry the (d, map) of the dense route,
+    # or the same error: type, message and location.
+    entries = [{"num-coeffs": n, "den-coeffs": d} for n, d in lists]
+    doc = {"rows": 1, "cols": len(lists), "entries": entries}
+    got = _outcome(
+        lambda: [(e._d, e._c) for e in _curve_matrix_from_document(doc, field, "m").entries]
+    )
+    assert got == _outcome(lambda: _dense_curve_entries(doc, field, "m"))
+    if isinstance(got, list):  # maps of ints, as the kernels take them
+        assert all(type(x) is int for _, c in got for x in c.values())
+
+
+# -- the document writer against json.dumps --------------------------------------------
+
+_JSON_STRINGS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(
+        ['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "\u00e9\u2028\u2029", "\U0001f600", "\ud800"]
+    ),
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_is_json_dumps_indented(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_documents_are_written_as_json_dumps_indented(tmp_path):
+    t = random_rational_tensor((3, 3, 3), random.Random(7), bound=3)
+    for doc in (
+        certificate_to_document(construct_w_degeneration(t, seed=0)),
+        certificate_to_document(unit_to_w_certificate(4)),
+        tensor_to_document(t),
+    ):
+        path = tmp_path / "doc.json"
+        _write_json(doc, path)
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+    for value in (1.5, (1, 2), {1: "a"}, ["ok", {"k": b"x"}], Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            _json_text(value)

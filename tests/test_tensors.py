@@ -493,6 +493,51 @@ def test_q_restrict_makes_no_mode_product(monkeypatch):
     assert out == _per_axis_restrict(t, maps)  # mode_apply's ring loop, over Q
 
 
+def test_restrict_skips_identity_maps(monkeypatch):
+    # Identity maps mixed with others, over Q and Q(eps), on tensors with
+    # integer entries (no fiber lcm is taken) and with fractions: the result
+    # is the per-axis definition, and an all-identity restriction
+    # accumulates nothing.
+    adds = []
+    for name in ("_add_ints", "_add_laurent"):
+        add = getattr(tensors, name)
+        monkeypatch.setattr(tensors, name, lambda *args, add=add: adds.append(1) or add(*args))
+    rng = random.Random(17)
+    for ring in (QQ, EpsField(QQ)):
+        one, half = ring.one(), ring.coerce(Fraction(1, 2))
+        e = ring.coerce(2) if ring is QQ else ring.eps()
+        others = {
+            2: [
+                Matrix(ring, 2, 2, [one, 0, 0, e]),
+                Matrix(ring, 2, 2, [one, one, 0, one]),
+                Matrix(ring, 2, 2, [half, 0, 0, half]),
+                Matrix(ring, 2, 2, [0, one, one, 0]),
+                Matrix(ring, 1, 2, [one, e]),
+                Matrix(ring, 3, 2, [one, 0, 0, one, e, half]),
+            ],
+            3: [
+                Matrix(ring, 3, 3, [one, 0, 0, 0, one, 0, 0, 0, e]),
+                Matrix(ring, 2, 3, [one, 0, 0, 0, one, 0]),
+            ],
+        }
+        for dims in ((2, 2, 2, 2, 2), (2, 3, 2), (3,)):
+            for fractions in (False, True):
+                pool = [0, one, -one, e, e * e] + ([half, e * half] if fractions else [])
+                t = Tensor(ring, dims, [rng.choice(pool) for _ in range(math.prod(dims))])
+                identity = identity_maps(t)
+                adds.clear()
+                assert restrict(t, identity) == t
+                assert adds == []
+                for _ in range(12):
+                    maps = [
+                        m if rng.random() < 0.5 else rng.choice(others[m.rows]) for m in identity
+                    ]
+                    expected = t
+                    for axis, m in enumerate(maps):
+                        expected = _mode_product_reference(expected, m, axis)
+                    assert restrict(t, maps) == expected
+
+
 def _raised(fn):
     with pytest.raises((FieldMismatchError, DimensionMismatchError)) as info:
         fn()
