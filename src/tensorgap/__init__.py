@@ -54,7 +54,6 @@ from .degeneration import (
     DegenerationCertificate,
     WedgePoint,
     construct_w_degeneration,
-    grassmann_degenerates,
     pluecker_wedge,
     scaling_map_tuple,
     stab_scaling_curve,

@@ -2,9 +2,11 @@
 
 A :class:`DegenerationCertificate` holds a source tensor T, a target S of the
 same shape as the (optionally compressed) source, and one square curve matrix
-over K(eps) per factor.  It witnesses that S lies in the orbit closure of T:
-applying the curves must produce S + O(eps), which is checked by exact
-expansion at eps = 0 (every entry has valuation >= 0 and the eps^0
+over K(eps) per factor.  It witnesses that S lies in the orbit closure of T,
+and the verifier checks it by two tests only: every curve has a determinant
+that is not identically zero (`linalg.mat_det`, the one routine of linear
+algebra over K(eps)), and applying the curves produces S + O(eps), checked by
+exact expansion at eps = 0 (every entry has valuation >= 0 and the eps^0
 coefficient tensor equals S).  Verification is a value, never an error, and
 works over any supported coefficient field.
 
@@ -26,7 +28,8 @@ W-tensor out of any tensor of partition rank at least two:
   reduced pair.
 
 Everything is exact; the only randomness is the compression seed, and the
-constructed certificate is re-verified before being returned.
+constructed certificate is re-verified before being returned.  Pluecker
+coordinates (`pluecker_wedge`) remain a library utility that no check uses.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .errors import (
     SingularCurveError,
 )
 from .fields import QQ, FieldSpec, Scalar
-from .linalg import Matrix, _solve, lift_matrix, mat_det, mat_inverse, mat_rank
+from .linalg import Matrix, _solve, lift_matrix, mat_det, mat_inverse
 from .ratfunc import EpsField
 from .ranks import generic_compress, has_rank_one_flattening
 from .tensors import (
@@ -222,7 +225,7 @@ def stab_shear(scalars, field: FieldSpec | None = None):
     return tuple(Matrix._from_raw(field, 2, 2, [one, v, zero, one]) for v in values)
 
 
-# -- Pluecker coordinates and Grassmannian transport ------------------------------
+# -- Pluecker coordinates ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -272,38 +275,6 @@ def pluecker_wedge(s: Tensor, s_prime: Tensor) -> WedgePoint:
     return WedgePoint(ring, n, tuple(coords))
 
 
-def grassmann_degenerates(curves, e_t, e_s) -> bool:
-    """Whether the curves carry the plane spanned by e_t to the plane of e_s.
-
-    e_t and e_s are pairs of same-shape tensors over the curves' base field,
-    each spanning a 2-plane.  The Grassmannian limit of the transported plane
-    is the span of the leading coefficients a0, b0 of the valuation-reduced
-    transported pair, so the answer is whether both s0 and s1 have
-    coordinates in the basis a0, b0.  A transported pair that is dependent
-    over K(eps) has no limit plane and gives False.  The test passes exactly
-    when the Pluecker one does: when the transported wedge, divided by its
-    minimal eps power, is a nonzero multiple of s0 ^ s1 at eps = 0 (see
-    `_dvr_reduce_pair`).
-    """
-    curves = tuple(curves)
-    (t0, t1), (s0, s1) = e_t, e_s
-    if not curves or not isinstance(curves[0].ring, EpsField):
-        raise FieldMismatchError("curves must be K(eps) matrices")
-    if any(x.ring is not curves[0].ring.base for x in (t0, t1, s0, s1)):
-        raise FieldMismatchError("e_t and e_s must be over the base field of the curves")
-    if any(x.dims != t0.dims for x in (t1, s0, s1)):
-        raise DimensionMismatchError("e_t and e_s tensors must share one dims")
-    if mat_rank(_rows(t0, t1)) < 2:
-        raise DegenerateSpanError("e_t pair is linearly dependent")
-    if mat_rank(_rows(s0, s1)) < 2:
-        raise DegenerateSpanError("e_s pair is linearly dependent")
-    a, b = _expand(t0, curves), _expand(t1, curves)
-    if mat_rank(_rows(a, b)) < 2:
-        return False
-    a0, b0 = _dvr_reduce_pair(a, b)[2:4]
-    return all(_coordinates((a0, b0), c) is not None for c in (s0, s1))
-
-
 # -- explicit unit-to-W certificate ------------------------------------------------
 
 
@@ -333,12 +304,6 @@ def unit_to_w_certificate(k: int, field: FieldSpec = QQ) -> DegenerationCertific
 # -- constructive certificate builder ----------------------------------------------
 
 
-def _rows(*tensors) -> Matrix:
-    """The matrix whose rows are the entry vectors of same-shape tensors."""
-    ring, size = tensors[0].ring, tensors[0].size
-    return Matrix._from_raw(ring, len(tensors), size, [e for t in tensors for e in t.entries])
-
-
 def _coordinates(basis, target: Tensor):
     """Raw coefficients x with sum x_i * basis_i = target, or None when target
     is outside the span of the independent same-shape tensors in basis."""
@@ -355,13 +320,12 @@ def _dvr_reduce_pair(a: Tensor, b: Tensor):
     a ^ b by a power of eps: dividing a or b by eps^v divides the wedge by
     eps^v, and b - lam * a (for b0 = lam * a0) leaves it unchanged.  So
     a0 ^ b0 is the leading coefficient of the input wedge, and span(a0, b0)
-    is the limit of the transported plane.  Termination: once a and b have valuation 0, the wedge
-    has a finite valuation >= 0; a step that does not return leaves b of
-    valuation >= 1, and dividing it out lowers val(a ^ b) by at least 1.
-    A dependent pair with a ratio that is no polynomial in eps would never
-    stop, so callers check independence first (`grassmann_degenerates`) or
-    pass the images of independent tensors under invertible curves
-    (`_certify_cube`).
+    is the limit of the transported plane.  Termination: once a and b have
+    valuation 0, the wedge has a finite valuation >= 0; a step that does not
+    return leaves b of valuation >= 1, and dividing it out lowers val(a ^ b)
+    by at least 1.  A dependent pair with a ratio that is no polynomial in
+    eps would never stop, so the caller (`_certify_cube`) passes the images
+    of independent tensors under invertible curves.
 
     T is the 2x2 matrix over K(eps) with (ra, rb) = T * (a, b): the steps
     rescale a row by a power of eps or subtract lam times the first row from
@@ -483,8 +447,7 @@ def _certify_cube(t: Tensor):
     # construct_w_degeneration on the certificate it returns.
     if k > 3 and not verify_certificate(DegenerationCertificate(s, w_prev, rec)):
         raise CertificateConstructionError(
-            "assembled curves failed exact verification despite an accepted "
-            "Grassmannian limit"
+            f"the recursive curves failed exact verification against W of order {k - 1}"
         )
     corner_prev = Tensor.from_dict(field, (2,) * (k - 1), {(0,) * (k - 1): 1})
 

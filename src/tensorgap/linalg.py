@@ -19,12 +19,14 @@ nonzero entries only) and the sparse integer rows are reduced fraction-free,
 each updated row divided by its content.
 
 K(eps) holds Laurent polynomials, a ring whose only units are the monomials
-c*eps^n, so it has no field division: `mat_solve` and `mat_inverse` refuse
-it, and `mat_det` and `mat_rank` over K(eps) take one fraction-free
-(Bareiss) kernel, `_eps_bareiss`, on the entries' own integer coefficient
-maps (`ratfunc.RatFunc`), each row rescaled to the lcm of its own
-denominators.  Its only divisions are exact ones by the previous pivot,
-and a column without a pivot is skipped.  All results are exact.
+c*eps^n, so it has no field division: `mat_rank`, `mat_solve` and
+`mat_inverse` refuse it.  Its one routine is the determinant, which a
+degeneration curve needs to be invertible: `mat_det` takes it by one
+fraction-free (Bareiss) kernel, `_eps_bareiss`, on the entries' own integer
+coefficient maps (`ratfunc.RatFunc`), each row rescaled to the lcm of its
+own denominators.  Its only divisions are exact ones by the previous pivot,
+and a column without a pivot ends it with determinant zero.  All results
+are exact.
 """
 
 from __future__ import annotations
@@ -302,9 +304,15 @@ def _q_rank(rows, ncols: int) -> int:
     return len(pivots)
 
 
+def _over_a_field(m: Matrix, what: str):
+    """Refuse a K(eps) matrix for a routine that needs field division."""
+    if isinstance(m.ring, EpsField):
+        raise FieldMismatchError(f"{what} needs field division, which {m.ring.name} lacks")
+
+
 def mat_rank(m: Matrix) -> int:
-    """Exact rank: rows packed into bitmasks over F_2, rows scaled to
-    integers over Q, `_eps_bareiss` over K(eps), `_echelon` elsewhere."""
+    """Exact rank over a field: rows packed into bitmasks over F_2, rows
+    scaled to integers over Q, `_echelon` over F_p and F_{p^m}."""
     if m.ring is _F2:
         rows = []
         for i in range(m.rows):
@@ -316,15 +324,8 @@ def mat_rank(m: Matrix) -> int:
         return _gf2_rank(rows)
     if m.ring is QQ:
         return _q_rank((_integer_row(m.row(i))[1] for i in range(m.rows)), m.cols)
-    if isinstance(m.ring, EpsField):
-        return _eps_bareiss(m.ring.base, m)[0]
+    _over_a_field(m, "mat_rank")
     return len(_echelon(m.ring, m.to_rows(), m.cols)[0])
-
-
-def _over_a_field(m: Matrix, what: str):
-    """Refuse a K(eps) matrix for a routine that needs field division."""
-    if isinstance(m.ring, EpsField):
-        raise FieldMismatchError(f"{what} needs field division, which {m.ring.name} lacks")
 
 
 def mat_solve(a: Matrix, b):
@@ -344,17 +345,13 @@ def mat_solve(a: Matrix, b):
 
 def mat_det(m: Matrix):
     """Exact determinant of a square matrix (any supported ring): over K(eps)
-    the last pivot of `_eps_bareiss`, elsewhere the swap sign times the
-    product of the pivots of `_echelon`."""
+    `_eps_bareiss`, elsewhere the swap sign times the product of the pivots
+    of `_echelon`."""
     if m.rows != m.cols:
         raise DimensionMismatchError("determinant of a non-square matrix")
     ring = m.ring
     if isinstance(ring, EpsField):
-        rank, sign, scale, pivot = _eps_bareiss(ring.base, m)
-        if rank < m.rows:
-            return ring.zero()
-        det = _laurent_from_integers(ring.base, scale, pivot)
-        return -det if sign < 0 else det
+        return _eps_bareiss(m)
     rows = m.to_rows()
     pivots, parity = _echelon(ring, rows, m.cols)
     if len(pivots) < m.rows:
@@ -365,50 +362,48 @@ def mat_det(m: Matrix):
     return ring._box(det)
 
 
-def _eps_bareiss(field, m: Matrix):
-    """Fraction-free (Bareiss) elimination of a K(eps) matrix over the base
-    field on integer Laurent polynomials; returns (rank, sign, scale, pivot).
+def _eps_bareiss(m: Matrix):
+    """The determinant of a square K(eps) matrix by fraction-free (Bareiss)
+    elimination over the base field on integer Laurent polynomials.
 
     Row i is taken to integer coefficients over the lcm d_i of its own
     denominators (over F_p the residues, d_i = 1), and scale is prod d_i.
-    Each column with a nonzero entry at or below the current row supplies
-    the next pivot, after a row swap if needed (sign records their parity);
-    a column without one is skipped.  Every entry right of the pivot column
+    Column j's pivot is the first nonzero entry at or below row j, swapped
+    up if needed (sign records the parity of the swaps); a column without
+    one makes the determinant zero.  Every entry right of the pivot column
     below the pivot row becomes pivot * entry - (its row's pivot-column
-    entry) * (the pivot row's entry), divided exactly by the previous
-    pivot, so after each step the entries are minors of the integer matrix
-    (over F_p reduced mod p).  The rank is the number of pivots, and for a
-    square matrix of full rank the last pivot is the integer determinant:
-    the determinant is sign * pivot / scale, ad - bc for a 2x2 curve.
+    entry) * (the pivot row's entry), divided exactly by the previous pivot,
+    so after each step the entries are minors of the integer matrix (over
+    F_p reduced mod p) and the last pivot is its determinant: the
+    determinant is sign * pivot / scale, ad - bc for a 2x2 curve.
     """
+    field, n = m.ring.base, m.rows
     scale, rows = 1, []
-    for i in range(m.rows):
+    for i in range(n):
         d, row = _integer_laurent(field, m.row(i))
         scale *= d
         rows.append(row)
-    sign, prev, rank = 1, {0: 1}, 0
-    for col in range(m.cols):
-        if rank == m.rows:
-            break
-        pivot = next((r for r in range(rank, m.rows) if rows[r][col]), None)
+    sign, prev = 1, {0: 1}
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
-            continue
-        if pivot != rank:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            return m.ring.zero()
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
             sign = -sign
-        top = rows[rank]
+        top = rows[col]
         pk = top[col]
-        for rr in rows[rank + 1 :]:
-            for c in range(col + 1, m.cols):
+        for rr in rows[col + 1 :]:
+            for c in range(col + 1, n):
                 acc = {}
                 _add_product(acc, pk, rr[c])
                 _add_product(acc, rr[col], top[c], -1)
                 _reduce(field, 1, acc)
                 # the previous pivot is 1 at the first step
-                rr[c] = _exact_quotient(field, acc, prev) if rank else acc
+                rr[c] = _exact_quotient(field, acc, prev) if col else acc
         prev = pk
-        rank += 1
-    return rank, sign, scale, prev
+    det = _laurent_from_integers(field, scale, prev)
+    return -det if sign < 0 else det
 
 
 def mat_inverse(m: Matrix) -> Matrix:

@@ -12,7 +12,7 @@ positive integer denominator ``_d``, the value sum_n _c[n] eps^n / _d, in
 lowest terms (`_reduce`); over F_p, _d = 1 and the coefficients are
 residues.  Equal values have equal (_d, _c), and zero is (1, {}).  Its
 ``+`` and ``-`` add scaled maps and its ``*`` is `_add_product`, the product
-of the restriction and elimination kernels (`tensors._integer_restrict`,
+of the restriction and determinant kernels (`tensors._integer_restrict`,
 `linalg._eps_bareiss`), which read (_d, _c) directly: `_integer_laurent`
 only rescales values to one denominator, `_exact_quotient` divides, and
 `_laurent_from_integers` brings a result to lowest terms and wraps it.  A
@@ -257,18 +257,6 @@ class RatFunc:
     def valuation(self):
         """Order of vanishing at eps = 0; negative at a pole, +inf for 0."""
         return min(self._c) if self._c else INFINITE_VALUATION
-
-    def series(self, upto: int) -> list[Scalar]:
-        """Exact Laurent coefficients from the valuation up to exponent `upto`.
-
-        Empty for the zero function; otherwise requires upto >= valuation.
-        """
-        if not self._c:
-            return []
-        v = self.valuation()
-        if upto < v:
-            raise ValueError(f"expansion order {upto} below valuation {v}")
-        return [self.coefficient(e) for e in range(v, upto + 1)]
 
     def coefficient(self, e: int) -> Scalar:
         """The exact Laurent coefficient at eps^e."""

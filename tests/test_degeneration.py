@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
@@ -17,10 +18,8 @@ from tensorgap.degeneration import (
     _dvr_reduce_pair,
     _expand,
     _find_shear,
-    _rows,
     construct_w_degeneration,
     eps_coefficient_tensor,
-    grassmann_degenerates,
     pluecker_wedge,
     scaling_map_tuple,
     stab_scaling_curve,
@@ -45,6 +44,7 @@ from tensorgap.tensors import Tensor, flatten, lift_tensor, pad, restrict, unit_
 from conftest import random_rational_tensor
 
 EPS = EpsField(QQ)
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _identity_curves(dims):
@@ -237,48 +237,10 @@ def test_pluecker_wedge_basics():
     assert not pluecker_wedge(s0, s1).is_zero()
 
 
-def test_grassmann_identity_and_collapse():
-    w2 = w_tensor(2, (2, 2), QQ)
-    corner = Tensor.from_dict(QQ, (2, 2), {(0, 0): 1})
-    ident = _identity_curves((2, 2))
-    assert grassmann_degenerates(ident, (w2, corner), (w2, corner))
-    # a singular constant curve collapses the span: wedge vanishes identically
-    collapse = (
-        Matrix(EPS, 2, 2, [EPS.one(), EPS.zero(), EPS.zero(), EPS.zero()]),
-        Matrix(EPS, 2, 2, [EPS.one(), EPS.zero(), EPS.zero(), EPS.zero()]),
-    )
-    e01 = Tensor.from_dict(QQ, (2, 2), {(0, 1): 1})
-    assert not grassmann_degenerates(collapse, (corner, e01), (corner, e01))
-    with pytest.raises(DegenerateSpanError):
-        grassmann_degenerates(ident, (corner, corner), (w2, corner))
-    # a target plane that shares one tensor with the limit plane is refused,
-    # whichever of its two tensors that is
-    e11 = Tensor.from_dict(QQ, (2, 2), {(1, 1): 1})
-    assert not grassmann_degenerates(ident, (w2, corner), (w2, e11))
-    assert not grassmann_degenerates(ident, (w2, corner), (e11, w2))
-
-
-def test_grassmann_refuses_foreign_fields_and_mixed_dims():
-    w2 = w_tensor(2, (2, 2), QQ)
-    corner = Tensor.from_dict(QQ, (2, 2), {(0, 0): 1})
-    ident = _identity_curves((2, 2))
-    f5 = GF(5)
-    w2_f5 = w_tensor(2, (2, 2), f5)
-    corner_f5 = Tensor.from_dict(f5, (2, 2), {(0, 0): 1})
-    for e_t, e_s in (
-        ((w2, corner), (w2_f5, corner_f5)),
-        ((w2_f5, corner_f5), (w2, corner)),
-        ((w2, corner), (w2, corner_f5)),
-        ((lift_tensor(w2, EPS), corner), (w2, corner)),
-    ):
-        with pytest.raises(FieldMismatchError):
-            grassmann_degenerates(ident, e_t, e_s)
-    # a (2, 2, 2) pair against a (2, 2) plane, in either role
-    w3 = w_tensor(3, (2, 2, 2), QQ)
-    corner3 = Tensor.from_dict(QQ, (2, 2, 2), {(0, 0, 0): 1})
-    for e_t, e_s in (((w2, corner), (w3, corner3)), ((w3, corner3), (w2, corner))):
-        with pytest.raises(DimensionMismatchError):
-            grassmann_degenerates(ident, e_t, e_s)
+def _rows(*tensors) -> Matrix:
+    """The matrix whose rows are the entry vectors of same-shape tensors."""
+    ring, size = tensors[0].ring, tensors[0].size
+    return Matrix(ring, len(tensors), size, [e for t in tensors for e in t.entries])
 
 
 @st.composite
@@ -334,6 +296,16 @@ def _pluecker_accepts(limit, e_s) -> bool:
     return limit is not None and limit.proportional_to(pluecker_wedge(*e_s))
 
 
+def _limit_plane(curves, e_t):
+    """The basis a0, b0 of the limit plane of the transported pair e_t: the
+    leading coefficients of the pair reduced by `_dvr_reduce_pair`."""
+    return _dvr_reduce_pair(*(_expand(t, curves) for t in e_t))[2:4]
+
+
+def _in_plane(plane, tensors) -> bool:
+    return all(_coordinates(plane, x) is not None for x in tensors)
+
+
 def _plane_of_wedge(wedge: WedgePoint, dims):
     """Two tensors spanning the plane of a nonzero decomposable wedge a ^ b.
 
@@ -361,6 +333,9 @@ def _random_eps_entry(rng):
 
 
 def test_grassmann_rank_test_agrees_with_pluecker():
+    # The limit plane span(a0, b0) of the valuation-reduced transported pair
+    # is the Pluecker limit, and a plane spanned by an independent pair e_s
+    # is it exactly when both tensors of e_s have coordinates in a0, b0.
     rng = random.Random(4321)
     accepted = rejected = 0
     for order, trials in ((2, 40), (3, 8)):
@@ -374,29 +349,31 @@ def test_grassmann_rank_test_agrees_with_pluecker():
             if pluecker_wedge(*e_t).is_zero():
                 continue
             limit = _pluecker_limit(curves, e_t)
+            if limit is None:
+                # dependent over K(eps): no limit plane, nothing to reduce
+                continue
+            plane = _limit_plane(curves, e_t)
+            assert limit.proportional_to(pluecker_wedge(*plane))
             targets = [e_t]
-            if limit is not None:
-                u, v = _plane_of_wedge(limit, dims)
-                for _ in range(2):
-                    x, y, z, w = (QQ.from_int(rng.randint(-3, 3)) for _ in range(4))
-                    if not x * w - y * z:
-                        continue
-                    s0 = u.scale(x) + v.scale(y)
-                    s1 = u.scale(z) + v.scale(w)
-                    # an invertible combination of the limit plane is accepted
-                    assert _pluecker_accepts(limit, (s0, s1))
-                    assert grassmann_degenerates(curves, e_t, (s0, s1))
-                    accepted += 1
-                    idx = tuple(rng.randrange(2) for _ in dims)
-                    bump = Tensor.from_dict(QQ, dims, {idx: rng.choice((-1, 1))})
-                    targets.append((s0 + bump, s1))
+            u, v = _plane_of_wedge(limit, dims)
+            for _ in range(2):
+                x, y, z, w = (QQ.from_int(rng.randint(-3, 3)) for _ in range(4))
+                if not x * w - y * z:
+                    continue
+                s0 = u.scale(x) + v.scale(y)
+                s1 = u.scale(z) + v.scale(w)
+                # an invertible combination of the limit plane is accepted
+                assert _pluecker_accepts(limit, (s0, s1))
+                assert _in_plane(plane, (s0, s1))
+                accepted += 1
+                idx = tuple(rng.randrange(2) for _ in dims)
+                bump = Tensor.from_dict(QQ, dims, {idx: rng.choice((-1, 1))})
+                targets.append((s0 + bump, s1))
             for e_s in targets:
                 if pluecker_wedge(*e_s).is_zero():
-                    with pytest.raises(DegenerateSpanError):
-                        grassmann_degenerates(curves, e_t, e_s)
                     continue
                 expected = _pluecker_accepts(limit, e_s)
-                assert grassmann_degenerates(curves, e_t, e_s) == expected
+                assert _in_plane(plane, e_s) == expected
                 accepted += expected
                 rejected += not expected
     assert accepted >= 100 and rejected >= 100
@@ -413,7 +390,6 @@ def test_grassmann_rank_test_agrees_with_pluecker():
         lift_tensor(e10, EPS), curves
     ).scale(one_plus_eps)
     assert _pluecker_limit(curves, (e00, e10)) is None
-    assert not grassmann_degenerates(curves, (e00, e10), (e00, e10))
 
 
 def test_dvr_reduction_transform_is_exact():
@@ -448,6 +424,22 @@ def test_dvr_reduction_transform_is_exact():
     assert cases >= 40 and subtracted >= cases
 
 
+@pytest.mark.parametrize("case", ["first-zero", "second-zero", "laurent-multiple"])
+def test_dvr_reduction_refuses_a_dependent_pair(case):
+    # A pair dependent over K(eps) whose ratio is a Laurent polynomial
+    # collapses to one dimension in finitely many steps and is refused.
+    w2 = lift_tensor(w_tensor(2, (2, 2), QQ), EPS)
+    zero = Tensor.zeros(EPS, (2, 2))
+    ratio = (EPS.from_int(3) + EPS.eps(2)) * EPS.eps(-1)
+    a, b, message = {
+        "first-zero": (zero, w2, "first transported vector vanishes"),
+        "second-zero": (w2, zero, "collapsed to one dimension"),
+        "laurent-multiple": (w2, w2.scale(ratio), "collapsed to one dimension"),
+    }[case]
+    with pytest.raises(DegenerateSpanError, match=message):
+        _dvr_reduce_pair(a, b)
+
+
 def test_grassmann_on_stabilizer_transport():
     # the inner step of the builder, standalone: the scaling curve carries
     # the span <W2, P> (corner coefficient nonzero) to <W2, corner>.
@@ -455,19 +447,19 @@ def test_grassmann_on_stabilizer_transport():
     corner = Tensor.from_dict(QQ, (2, 2), {(0, 0): 1})
     p = Tensor.from_dict(QQ, (2, 2), {(0, 0): 1, (1, 1): 3})
     curves = scaling_map_tuple(2, QQ)
-    assert grassmann_degenerates(curves, (w2, p), (w2, corner))
+    assert _in_plane(_limit_plane(curves, (w2, p)), (w2, corner))
 
 
 def test_construct_on_unit_tensor():
     cert = construct_w_degeneration(unit_tensor(3, 2, QQ), seed=7)
     assert verify_certificate(cert).accepted
     assert cert.target == w_tensor(3, (2, 2, 2), QQ)
-    # the inductive step's Grassmannian acceptance, re-verified standalone
+    # the inductive step's limit plane, re-checked standalone
     cube = cert.compressed_source()
     s0, s1 = (Tensor(QQ, (2, 2), flatten(cube, [2]).row(i)) for i in (0, 1))
     w2 = w_tensor(2, (2, 2), QQ)
     corner = Tensor.from_dict(QQ, (2, 2), {(0, 0): 1})
-    assert grassmann_degenerates(cert.curves[:2], (s0, s1), (w2, corner))
+    assert _in_plane(_limit_plane(cert.curves[:2], (s0, s1)), (w2, corner))
 
 
 def test_construct_on_w4_itself():
@@ -553,12 +545,12 @@ def test_construct_k4_with_eps_recursion():
             continue
         cert = construct_w_degeneration(t, seed=900 + done)
         assert verify_certificate(cert).accepted
-        # Grassmannian/tensor-level consistency of the top inductive step
+        # the limit plane of the top inductive step, re-checked standalone
         cube = cert.compressed_source()
         s0, s1 = (Tensor(QQ, (2, 2, 2), flatten(cube, [3]).row(i)) for i in (0, 1))
         w3 = w_tensor(3, (2, 2, 2), QQ)
         corner = Tensor.from_dict(QQ, (2, 2, 2), {(0, 0, 0): 1})
-        assert grassmann_degenerates(cert.curves[:3], (s0, s1), (w3, corner))
+        assert _in_plane(_limit_plane(cert.curves[:3], (s0, s1)), (w3, corner))
         done += 1
 
 
@@ -589,7 +581,7 @@ def _reference_certify_cube(t):
         )
         curve = tuple(d * m for d, m in zip(stab, inner))
         a, b = _expand(s0, curve), _expand(s1, curve)
-        if mat_rank(_rows(a, b)) < 2:
+        if pluecker_wedge(a, b).is_zero():
             continue
         _, _, a0, b0, transform = _dvr_reduce_pair(a, b)
         top = _coordinates((a0, b0), w_prev)
@@ -763,3 +755,18 @@ def test_construct_unit_k7():
     cert = construct_w_degeneration(unit_tensor(7, 2, QQ), seed=0)
     assert verify_certificate(cert).accepted
     assert cert.target == w_tensor(7, (2,) * 7, QQ)
+
+
+def test_readme_library_example_prints_what_its_comments_state(capsys):
+    # The README's library example runs as written against the public API,
+    # and each line it prints is the first word of that print's comment.
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    stated = [
+        line.split("#", 1)[1].split()[0].rstrip(":")
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    assert printed == stated == ["restricts-to-unit2", "2", "True"]

@@ -134,11 +134,13 @@ def test_det_and_inverse():
 
 
 def test_rank_over_eps_field():
+    # K(eps) has no field division: rank refuses it as solve and inverse do,
+    # and the determinant is its one routine
     eps = EPS.eps()
     m = Matrix(EPS, 2, 2, [eps, EPS.one(), eps * eps, eps])
-    assert mat_rank(m) == 1
+    with pytest.raises(FieldMismatchError):
+        mat_rank(m)
     m2 = Matrix(EPS, 2, 2, [eps, EPS.one(), EPS.one(), eps])
-    assert mat_rank(m2) == 2
     assert mat_det(m2) == eps * eps - 1
 
 
@@ -287,63 +289,30 @@ def _random_eps_element(ring, rng):
     return num
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from((QQ, GF(2), GF(5))), st.integers(0, 4), st.booleans(), st.integers(0, 2**32 - 1)
-)
-def test_eps_det_matches_echelon_pivot_product(base, n, singular, seed):
-    ring = EpsField(base)
-    rng = random.Random(seed)
-    rows = [[_random_eps_element(ring, rng) for _ in range(n)] for _ in range(n)]
-    if singular and n >= 2:
-        # the last row a combination of earlier ones: det is exactly zero
-        a, b = _random_eps_element(ring, rng), _random_eps_element(ring, rng)
-        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[n - 2])]
-    m = Matrix.from_rows(ring, rows) if n else Matrix.zeros(ring, 0, 0)
-    det = mat_det(m)
-    assert det == _leibniz_det(m)
-    if singular and n >= 2:
-        assert det == ring.zero()
-
-
-def _minor_rank(m):
-    """The reference rank: the largest k with a nonzero k x k minor, each
-    minor a permutation-sum determinant."""
-    for k in range(min(m.rows, m.cols), 0, -1):
-        for rows in itertools.combinations(range(m.rows), k):
-            for cols in itertools.combinations(range(m.cols), k):
-                minor = Matrix(m.ring, k, k, [m.entries[i * m.cols + j] for i in rows for j in cols])
-                if _leibniz_det(minor):
-                    return k
-    return 0
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from((QQ, GF(2), GF(5))),
-    st.integers(1, 4),
-    st.integers(1, 5),
+    st.integers(0, 4),
     st.integers(0, 2**32 - 1),
     st.sets(st.integers(0, 4), max_size=3),
     st.integers(0, 2),
 )
-def test_eps_rank_matches_largest_nonzero_minor(base, nrows, ncols, seed, zero_cols, dependent):
-    # Zero columns make the kernel skip a column without a pivot; dependent
-    # rows (combinations of the rows above them) make it run out of pivots
-    # and leave later columns pivot-free too.  The rank alone would not
-    # notice a kernel that skips the exact division by the previous pivot
-    # (that only scales rows by nonzero factors), so square draws also
-    # check the determinant the same kernel gives.
+def test_eps_det_matches_echelon_pivot_product(base, n, seed, zero_cols, dependent):
+    # A zero column has no pivot when the kernel reaches it, and dependent
+    # rows (combinations of the rows above them) make it run out of pivots;
+    # either way it stops with determinant zero.  Full-rank draws check
+    # every exact division by the previous pivot.
     ring = EpsField(base)
     rng = random.Random(seed)
     rows = [
-        [ring.zero() if j in zero_cols else _random_eps_element(ring, rng) for j in range(ncols)]
-        for _ in range(nrows)
+        [ring.zero() if j in zero_cols else _random_eps_element(ring, rng) for j in range(n)]
+        for _ in range(n)
     ]
-    for i in range(max(1, nrows - dependent), nrows):
+    for i in range(max(1, n - dependent), n):
         a, b = _random_eps_element(ring, rng), _random_eps_element(ring, rng)
         rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[i - 1])]
-    m = Matrix.from_rows(ring, rows)
-    assert mat_rank(m) == _minor_rank(m)
-    if nrows == ncols:
-        assert mat_det(m) == _leibniz_det(m)
+    m = Matrix.from_rows(ring, rows) if n else Matrix.zeros(ring, 0, 0)
+    det = mat_det(m)
+    assert det == _leibniz_det(m)
+    if zero_cols & set(range(n)) or (dependent and n >= 2):
+        assert det == ring.zero()
