@@ -47,15 +47,16 @@ from .errors import (
     SingularCurveError,
 )
 from .fields import QQ, FieldSpec, Scalar
-from .linalg import Matrix, _solve, lift_matrix, mat_det, mat_inverse
-from .ratfunc import EpsField
+from .linalg import Matrix, _ratio, _solve, lift_matrix, mat_det, mat_inverse
+from .ratfunc import EpsField, _rf
 from .ranks import generic_compress, has_rank_one_flattening
 from .tensors import (
     Tensor,
+    _check_map,
+    _integer_restrict,
     as_matrix,
     compose_maps,
     flatten,
-    lift_tensor,
     restrict,
     unit_tensor,
     w_tensor,
@@ -120,22 +121,47 @@ def eps_coefficient_tensor(t: Tensor, exponent: int) -> Tensor:
 
 
 def _expand(base_tensor: Tensor, curves) -> Tensor:
+    """The base-field tensor restricted by K(eps) curves, its entries read
+    as constants by `_integer_restrict` with no lifted copy; the curves are
+    checked as `restrict` checks maps (ring first, then width, axis by
+    axis)."""
     eps_ring = curves[0].ring
     if not isinstance(eps_ring, EpsField):
         raise FieldMismatchError("curves must be K(eps) matrices")
-    return restrict(lift_tensor(base_tensor, eps_ring), curves)
+    if base_tensor.ring is not eps_ring.base:
+        raise FieldMismatchError(
+            f"cannot expand a {base_tensor.ring.name} tensor over {eps_ring.name}"
+        )
+    if len(curves) != base_tensor.order:
+        raise DimensionMismatchError(f"need {base_tensor.order} maps, got {len(curves)}")
+    for axis, m in enumerate(curves):
+        _check_map(eps_ring, base_tensor.dims, m, axis)
+    return _integer_restrict(base_tensor, curves)
 
 
 def _expand_certificate(cert: DegenerationCertificate) -> Tensor:
-    """curve * (compressed) source over K(eps), after the shape checks.
+    """curve * (compressed) source over K(eps), after the ring and shape
+    checks.
 
     Raises SingularCurveError when a curve matrix has determinant zero.
-    Every shape, the rings of the compression maps and every curve
-    determinant are checked before the source is compressed, so a malformed
-    or singular certificate costs no restriction.  Compression maps of the
-    checked shapes give the compressed source the target's dims.
+    Every ring (each curve's against the first curve's K(eps), the source's,
+    the target's and the compression maps' against its base field), every
+    shape and every curve determinant are checked before the source is
+    compressed, so a malformed or singular certificate costs no
+    restriction and a certificate over mixed fields no arithmetic at all.
+    Compression maps of the checked shapes give the compressed source the
+    target's dims.
     """
     maps, source, dims = cert.compression, cert.source, cert.target.dims
+    eps_ring = cert.curves[0].ring
+    if not isinstance(eps_ring, EpsField) or any(c.ring is not eps_ring for c in cert.curves):
+        raise FieldMismatchError("curves must be matrices over one K(eps)")
+    if source.ring is not eps_ring.base:
+        raise FieldMismatchError(f"source over {source.ring.name}, curves over {eps_ring.name}")
+    if cert.target.ring is not eps_ring.base:
+        raise FieldMismatchError("target and curves over different base fields")
+    if maps is not None and any(m.ring is not source.ring for m in maps):
+        raise FieldMismatchError("map and tensor over different rings")
     shapes = list(zip(dims, source.dims))
     if maps is not None and [(m.rows, m.cols) for m in maps] != shapes:
         raise DimensionMismatchError(
@@ -145,8 +171,6 @@ def _expand_certificate(cert: DegenerationCertificate) -> Tensor:
         raise DimensionMismatchError(
             f"(compressed) source dims {source.dims} != target dims {dims}"
         )
-    if maps is not None and any(m.ring is not source.ring for m in maps):
-        raise FieldMismatchError("map and tensor over different rings")
     for j, curve in enumerate(cert.curves):
         if curve.rows != curve.cols or curve.rows != dims[j]:
             raise DimensionMismatchError(f"curve {j} has the wrong shape")
@@ -170,8 +194,6 @@ def verify_certificate(cert: DegenerationCertificate) -> VerificationResult:
                 f"entry {idx} has a pole of order {-e.valuation()} at eps = 0",
             )
     constant = eps_coefficient_tensor(expanded, 0)
-    if cert.target.ring is not constant.ring:
-        raise FieldMismatchError("target and curves over different base fields")
     text = constant.ring.text
     for flat, (c, want) in enumerate(zip(constant.entries, cert.target.entries)):
         if c != want:
@@ -311,6 +333,17 @@ def _coordinates(basis, target: Tensor):
     return _solve(basis[0].ring, rows, len(basis))
 
 
+def _eps_shift(t: Tensor, n: int) -> Tensor:
+    """t * eps^n for a K(eps) tensor: each entry's exponents shifted by n,
+    which leaves it in lowest terms."""
+    field = t.ring.base
+    return Tensor._from_raw(
+        t.ring,
+        t.dims,
+        [_rf(field, e._d, {x + n: c for x, c in e._c.items()}) if e else e for e in t.entries],
+    )
+
+
 def _dvr_reduce_pair(a: Tensor, b: Tensor):
     """Normalize a pair of K(eps) tensors until the leading coefficients are
     independent, that is until b0 has no coordinate lam in the basis a0;
@@ -338,7 +371,7 @@ def _dvr_reduce_pair(a: Tensor, b: Tensor):
         raise DegenerateSpanError("first transported vector vanishes")
     t00 = eps_ring.eps(-va)
     if va != 0:
-        a = a.scale(t00)
+        a = _eps_shift(a, -va)
     a0 = eps_coefficient_tensor(a, 0)
     t10, t11 = eps_ring.zero(), eps_ring.one()
     while True:
@@ -347,13 +380,13 @@ def _dvr_reduce_pair(a: Tensor, b: Tensor):
             raise DegenerateSpanError("transported pair collapsed to one dimension")
         if vb != 0:
             shift = eps_ring.eps(-vb)
-            b = b.scale(shift)
+            b = _eps_shift(b, -vb)
             t10, t11 = t10 * shift, t11 * shift
         b0 = eps_coefficient_tensor(b, 0)
-        coords = _coordinates((a0,), b0)
-        if coords is None:
+        lam = _ratio(eps_ring.base, a0.entries, b0.entries)
+        if lam is None:
             return a, b, a0, b0, Matrix._from_raw(eps_ring, 2, 2, [t00, eps_ring.zero(), t10, t11])
-        lam = eps_ring._constant(coords[0])
+        lam = eps_ring._constant(lam)
         b = b - a.scale(lam)
         t10 = t10 - lam * t00
 

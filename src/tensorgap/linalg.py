@@ -16,7 +16,11 @@ its pivots over F_p and F_{p^m}.  Rank has two other field routes.  Over
 F_2, the hot case of the order-4 partition-rank gates, rows are packed into
 bitmasks and reduced by XOR.  Over Q each row is scaled to integers (its
 nonzero entries only) and the sparse integer rows are reduced fraction-free,
-each updated row divided by its content.
+each updated row divided by its content.  Where the question is only
+whether one row is a multiple of another (the rank-one flattening gate, the
+one-vector step of the certificate builder's valuation reduction), `_ratio`
+answers it by cross-multiplying against the first nonzero entry, with no
+elimination.
 
 K(eps) holds Laurent polynomials, a ring whose only units are the monomials
 c*eps^n, so it has no field division: `mat_rank`, `mat_solve` and
@@ -248,6 +252,31 @@ def _solve(ring, rows, ncols: int):
     if any(row[ncols] for row in rows[len(pivots) :]):
         return None
     return _back_substitute(ring, rows, pivots, ncols, ncols)
+
+
+def _ratio(ring, a, b):
+    """The raw lam with b = lam * a, for rows a (not all zero) and b of raw
+    values over a field, or None when b is no multiple of a.
+
+    No elimination: with p0 = a[j0] the first nonzero entry of a, b is a
+    multiple of a exactly when b[j] * p0 == a[j] * b[j0] for every j.  That
+    holds at j0 itself, and before it only b[j] = 0 is left to test, so the
+    products start past j0; a zero pair costs only its two truth tests.
+    """
+    mul = ring.mul
+    j0 = next(j for j, x in enumerate(a) if x)
+    p0, c = a[j0], b[j0]
+    if not c:
+        return None if any(b) else c
+    if any(b[:j0]):
+        return None
+    for x, y in zip(a[j0 + 1 :], b[j0 + 1 :]):
+        if x:
+            if not y or mul(y, p0) != mul(x, c):
+                return None
+        elif y:
+            return None
+    return mul(c, ring.inv(p0))
 
 
 def _integer_row(values) -> tuple[int, dict]:

@@ -1,13 +1,22 @@
 """Flattening-rank signatures, partition-rank gates, and brute-force oracles.
 
 Two independent routes decide whether a tensor has partition rank at least
-two.  The direct route inspects the rank signature: partition rank one means
-exactly that some flattening has rank one, so pR >= 2 holds iff the tensor
-is nonzero and no flattening rank drops to one.  The recursive route fixes
-the last factor p, requires rk(T_p) >= 2, and searches the image of T_p for
-an order-(k-1) element that again has partition rank at least two.  It never
-consults the direct route; the test suite checks that the two agree,
-exhaustively over F_2 and F_3 and on seeded instances over Q and F_p.
+two.  The direct route looks for a flattening of rank one: partition rank
+one means exactly that some flattening has rank one, so pR >= 2 holds iff
+the tensor is nonzero and no flattening rank drops to one.  Its gate,
+`has_rank_one_flattening`, ranks nothing: a flattening has rank <= 1
+exactly when every row is a multiple of its first nonzero row, a
+proportionality test (`linalg._ratio`) that stops at the first row that
+fails.  `rank_signature` still ranks every flattening by elimination
+(`mat_rank`), and the test suite checks the gate's witness against those
+exact ranks.  The recursive route fixes the last factor p, requires
+rk(T_p) >= 2, and searches the image of T_p for an order-(k-1) element that
+again has partition rank at least two.  It never consults the direct route,
+and the two share no kernel (the recursion ranks its order-2 leaves by
+elimination, the gate compares rows), so each is an oracle for the other:
+a fault in one route does not recur in the route that checks it.  The test
+suite checks that the two agree, exhaustively over F_2 and F_3 and on seeded
+instances over Q and F_p.
 
 The recursive route enumerates one fixed grid of image points, exactly over
 every field.  An order-(k-1) image element has partition rank one exactly
@@ -76,8 +85,8 @@ from .errors import (
     ZeroTensorError,
 )
 from .fields import GF, FieldSpec
-from .linalg import Matrix, _echelon, mat_rank
-from .tensors import Tensor, _strides, flatten, identity_maps, lift_tensor, restrict
+from .linalg import Matrix, _echelon, _ratio, mat_rank
+from .tensors import Tensor, _flatten_plan, _strides, flatten, identity_maps, lift_tensor, restrict
 
 DEFAULT_BRUTE_CEILING = 2**30
 DEFAULT_START_BOUND = 8
@@ -161,13 +170,36 @@ def rank_signature(t: Tensor) -> RankSignature:
 
 
 def has_rank_one_flattening(t: Tensor):
-    """A witness subset I with rk(T_I) <= 1, or None; rejects the zero tensor."""
-    if t.is_zero():
+    """A witness subset I with rk(T_I) <= 1, the first in `canonical_subsets`
+    order, or None; rejects the zero tensor.
+
+    No flattening is built or ranked: its rows are read in place through
+    `_flatten_plan`'s gather order, the first nonzero row is the pivot, and
+    the flattening has rank one exactly when every later row is a multiple
+    of it (`linalg._ratio`), so the walk stops at the first row that is not.
+    The support is read once per tensor, so a zero row, a multiple of any
+    pivot, is passed over by a set test on its flat indices.
+    """
+    ring, entries = t.ring, t.entries
+    support = {f for f, e in enumerate(entries) if e}
+    if not support:
         raise ZeroTensorError("rank-one flattening test presupposes a nonzero tensor")
     if t.order < 2:
         raise DimensionMismatchError("flattening test needs order >= 2")
     for axes in canonical_subsets(t.order):
-        if mat_rank(flatten(t, axes)) <= 1:
+        nrows, order = _flatten_plan(t.dims, axes)
+        n = t.size // nrows
+        pivot = None
+        for start in range(0, t.size, n):
+            flat = order[start : start + n]
+            if support.isdisjoint(flat):
+                continue
+            row = [entries[f] for f in flat]
+            if pivot is None:
+                pivot = row
+            elif _ratio(ring, pivot, row) is None:
+                break
+        else:
             return axes
     return None
 

@@ -11,14 +11,17 @@ per factor.
 
 Every reshuffle of entries (flattenings, slices, axis permutations, the
 Kronecker product) is a gather through one cached axis-order map,
-``_axis_order(dims, perm)``; `flatten` reads it, with its row count and its
-axis checks, from one cached plan per (dims, axes).  `restrict` over Q and
+``_axis_order(dims, perm)``; `flatten` (and the rank-one flattening gate,
+which reads rows in place) reads it, with its row count and its axis
+checks, from one cached plan per (dims, axes).  `restrict` over Q and
 over K(eps) (whose values are Laurent polynomials) is one integer pass over
 all axes, ``_integer_restrict``: it carries the support as integer
 numerators over denominators, read off each entry as it stands (a
 Fraction's numerator, a RatFunc's coefficient map), scales each map row and
 each source fiber along an axis over the lcm of its own denominators, and
-builds one Fraction or RatFunc per nonzero output entry.
+builds one Fraction or RatFunc per nonzero output entry.  The same pass
+expands a base-field tensor under K(eps) curves, reading its entries as
+constants with no lifted copy.
 Over F_p and F_{p^m} it takes one ``mode_apply`` per axis: one map applied
 along one axis with the ring's own add and mul (padding and the covector
 tables of the brute-force oracles).
@@ -243,19 +246,20 @@ def flatten(t: Tensor, axes) -> Matrix:
     return Matrix._from_raw(t.ring, nrows, t.size // nrows, [entries[f] for f in order])
 
 
-def _check_map(t: Tensor, m: Matrix, axis: int):
-    """Refuse a map over another ring or of the wrong width for its axis."""
-    if m.ring is not t.ring:
+def _check_map(ring, dims, m: Matrix, axis: int):
+    """Refuse a map over a ring other than ring, or of the wrong width for
+    axis of a dims-shaped tensor."""
+    if m.ring is not ring:
         raise FieldMismatchError("map and tensor over different rings")
-    if m.cols != t.dims[axis]:
+    if m.cols != dims[axis]:
         raise DimensionMismatchError(
-            f"map is {m.rows}x{m.cols} but axis {axis} has dimension {t.dims[axis]}"
+            f"map is {m.rows}x{m.cols} but axis {axis} has dimension {dims[axis]}"
         )
 
 
 def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
     """Apply one linear map along a single axis."""
-    _check_map(t, m, axis)
+    _check_map(t.ring, t.dims, m, axis)
     # Work in axis-first order: the source is then an n x rest matrix and
     # output row j is sum_i m[j, i] * (source row i).
     ring = t.ring
@@ -291,7 +295,7 @@ def restrict(t: Tensor, maps) -> Tensor:
         raise DimensionMismatchError(f"need {t.order} maps, got {len(maps)}")
     if t.ring is QQ or isinstance(t.ring, EpsField):
         for axis, m in enumerate(maps):
-            _check_map(t, m, axis)
+            _check_map(t.ring, t.dims, m, axis)
         return _integer_restrict(t, maps)
     out = t
     for axis, m in enumerate(maps):
@@ -325,26 +329,35 @@ def _add_laurent(out: dict, base: int, column, a: dict, scale: int):
 
 def _integer_restrict(t: Tensor, maps) -> Tensor:
     """`restrict` on integer numerators, over Q or K(eps), for a tensor and
-    checked maps.
+    checked maps; the result is over the maps' ring.
 
     The support is carried through all axes as {flat index: (d, value)},
     each entry over its own denominator d: a Fraction's (denominator,
-    numerator) over Q, a RatFunc's own (_d, _c) over K(eps).  At each axis
-    every map row is scaled over the lcm of its own denominators and every
-    source fiber along the axis over the lcm of its own, so each output
-    entry is an integer sum over the product of the two scales, accumulated
-    by `_add_ints` or `_add_laurent`; it is brought to lowest terms before
-    the next axis, so a RatFunc wraps the last one as it stands.  Zero
-    fibers and zero map rows cost nothing past the scan, an identity map
-    costs only its own scan, the fiber lcms are taken only when some
-    denominator is not 1, and one Fraction or RatFunc is built per nonzero
-    output entry.
+    numerator) over Q, a RatFunc's own (_d, _c) over K(eps).  A tensor over
+    the base field of K(eps) maps is read straight into constants, (den,
+    {0: num}) over Q and (1, {0: r}) over F_p, the forms `lift_tensor`
+    would give its entries.  At each axis every map row is scaled over the
+    lcm of its own denominators and every source fiber along the axis over
+    the lcm of its own, so each output entry is an integer sum over the
+    product of the two scales, accumulated by `_add_ints` or
+    `_add_laurent`; it is brought to lowest terms before the next axis, so a
+    RatFunc wraps the last one as it stands.  Zero fibers and zero map rows
+    cost nothing past the scan, an identity map costs only its own scan, the
+    fiber lcms are taken only when some denominator is not 1, and one
+    Fraction or RatFunc is built per nonzero output entry.
     """
-    ring = t.ring
+    ring = maps[0].ring
     laurent = ring is not QQ
     if laurent:
         field, scaled, add = ring.base, _integer_laurent, _add_laurent
-        support = {f: (e._d, e._c) for f, e in enumerate(t.entries) if e}
+        if t.ring is ring:
+            support = {f: (e._d, e._c) for f, e in enumerate(t.entries) if e}
+        elif field is QQ:
+            support = {
+                f: (e.denominator, {0: e.numerator}) for f, e in enumerate(t.entries) if e
+            }
+        else:
+            support = {f: (1, {0: e}) for f, e in enumerate(t.entries) if e}
     else:
         field, scaled, add = QQ, _q_integers, _add_ints
         support = {f: (e.denominator, e.numerator) for f, e in enumerate(t.entries) if e}

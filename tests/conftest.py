@@ -97,3 +97,51 @@ def dense_monomial_quotient(field, num, den) -> tuple:
         return 1, {i - m: x for i, x in enumerate(num) if x}
     d = math.lcm(*[x.denominator for x in num])
     return d, {i - m: x.numerator * (d // x.denominator) for i, x in enumerate(num) if x}
+
+
+# -- the lifting routes of the curve expansion and the DVR step -------------------
+# The base tensor lifted to K(eps) before restricting, each rescaling a product
+# with eps^n, and the one-vector coordinate solved by elimination: the references
+# for degeneration._expand (which reads base-field entries straight into its
+# integer kernel) and degeneration._dvr_reduce_pair (which shifts exponents and
+# takes the coordinate by a proportionality test).
+
+
+def lifted_expand(base, curves):
+    """The base tensor lifted to the curves' K(eps), then restricted."""
+    from tensorgap.tensors import lift_tensor, restrict
+
+    return restrict(lift_tensor(base, curves[0].ring), curves)
+
+
+def solved_dvr_reduce_pair(a, b):
+    """`_dvr_reduce_pair` with each rescaling a `Tensor.scale` by eps^n and
+    the coordinate of b0 in the basis a0 solved by elimination."""
+    from tensorgap.degeneration import _coordinates, eps_coefficient_tensor, tensor_min_valuation
+    from tensorgap.errors import DegenerateSpanError
+    from tensorgap.linalg import Matrix
+
+    eps_ring = a.ring
+    va = tensor_min_valuation(a)
+    if va == math.inf:
+        raise DegenerateSpanError("first transported vector vanishes")
+    t00 = eps_ring.eps(-va)
+    if va != 0:
+        a = a.scale(t00)
+    a0 = eps_coefficient_tensor(a, 0)
+    t10, t11 = eps_ring.zero(), eps_ring.one()
+    while True:
+        vb = tensor_min_valuation(b)
+        if vb == math.inf:
+            raise DegenerateSpanError("transported pair collapsed to one dimension")
+        if vb != 0:
+            shift = eps_ring.eps(-vb)
+            b = b.scale(shift)
+            t10, t11 = t10 * shift, t11 * shift
+        b0 = eps_coefficient_tensor(b, 0)
+        coords = _coordinates((a0,), b0)
+        if coords is None:
+            return a, b, a0, b0, Matrix._from_raw(eps_ring, 2, 2, [t00, eps_ring.zero(), t10, t11])
+        lam = eps_ring._constant(coords[0])
+        b = b - a.scale(lam)
+        t10 = t10 - lam * t00

@@ -3,6 +3,7 @@ import itertools
 import math
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -41,7 +42,7 @@ from tensorgap.linalg import Matrix, lift_matrix, mat_rank
 from tensorgap.ranks import has_rank_one_flattening, rank_signature
 from tensorgap.ratfunc import EpsField
 from tensorgap.tensors import Tensor, flatten, lift_tensor, pad, restrict, unit_tensor, w_tensor
-from conftest import random_rational_tensor
+from conftest import lifted_expand, random_rational_tensor, solved_dvr_reduce_pair
 
 EPS = EpsField(QQ)
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -124,6 +125,49 @@ def test_verify_refuses_target_over_another_field():
     odd = DegenerationCertificate(source=t, target=w_tensor(3, (2, 2, 2), GF(3)), curves=cert.curves)
     with pytest.raises(FieldMismatchError):
         verify_certificate(odd)
+
+
+def _no_arithmetic(monkeypatch):
+    """Fail on any curve determinant, compression or expansion."""
+
+    def refuse(*args):
+        raise AssertionError("arithmetic before the ring checks")
+
+    for name in ("mat_det", "restrict", "_expand"):
+        monkeypatch.setattr(degeneration, name, refuse)
+
+
+def test_verify_refuses_another_target_field_before_a_pole(monkeypatch):
+    # Q(eps) curves with a pole, target over F_3: the rings are refused
+    # before the pole could be reported as a negative valuation
+    cert = unit_to_w_certificate(3)
+    curves = (cert.curves[0].scale(EPS.eps(-1)),) + cert.curves[1:]
+    odd = DegenerationCertificate(cert.source, w_tensor(3, (2, 2, 2), GF(3)), curves)
+    same_field = DegenerationCertificate(cert.source, cert.target, curves)
+    assert verify_certificate(same_field).condition == "negative-valuation"
+    _no_arithmetic(monkeypatch)
+    with pytest.raises(FieldMismatchError, match="target"):
+        verify_certificate(odd)
+
+
+def test_verify_refuses_foreign_rings_before_any_arithmetic(monkeypatch):
+    # A source over F_3 (with F_3 compression maps) under Q(eps) curves, and
+    # a curve over F_3(eps) beside Q(eps) ones, are refused before the
+    # determinants and before the source is compressed.
+    f3 = GF(3)
+    cert = unit_to_w_certificate(3)
+    source = unit_tensor(3, 2, f3)
+    identity = tuple(Matrix.identity(f3, 2) for _ in range(3))
+    foreign_curve = (Matrix.identity(EpsField(f3), 2),) + cert.curves[1:]
+    bad = [
+        DegenerationCertificate(source, cert.target, cert.curves),
+        DegenerationCertificate(source, cert.target, cert.curves, compression=identity),
+        DegenerationCertificate(cert.source, cert.target, foreign_curve),
+    ]
+    _no_arithmetic(monkeypatch)
+    for odd in bad:
+        with pytest.raises(FieldMismatchError):
+            verify_certificate(odd)
 
 
 def test_verify_rejects_wrong_constant_term():
@@ -422,6 +466,106 @@ def test_dvr_reduction_transform_is_exact():
                 assert rb == pair[0].scale(t[1, 0]) + pair[1].scale(t[1, 1])
                 subtracted += bool(t[1, 0])
     assert cases >= 40 and subtracted >= cases
+
+
+def _forms(t):
+    """A K(eps) tensor or matrix as its ring, shape and entries' integer
+    forms (_d, _c): equal exactly when every RatFunc is identical."""
+    shape = t.dims if isinstance(t, Tensor) else (t.rows, t.cols)
+    return t.ring, shape, [(e._d, e._c) for e in t.entries]
+
+
+def _assert_reductions_identical(got, want):
+    """All five outputs of `_dvr_reduce_pair`: ra, rb and T as integer
+    forms, the base-field a0 and b0 by value."""
+    ra, rb, a0, b0, t = got
+    wa, wb, wa0, wb0, wt = want
+    assert [_forms(x) for x in (ra, rb, t)] == [_forms(x) for x in (wa, wb, wt)]
+    assert (a0, b0) == (wa0, wb0)
+
+
+def test_builder_dvr_steps_and_expansions_match_the_lifting_routes(monkeypatch):
+    # Every transported pair the builder reduces and every expansion it and
+    # the verifier take, on the unit ladder (whose slices are unit tensors)
+    # and on random Q cubes, equals the lifting and elimination route
+    # (`lifted_expand`, `solved_dvr_reduce_pair`) entry for entry.
+    reduce_pair, expand = degeneration._dvr_reduce_pair, degeneration._expand
+    seen = {"reduce": 0, "expand": 0}
+
+    def checked_reduce(a, b):
+        got = reduce_pair(a, b)
+        _assert_reductions_identical(got, solved_dvr_reduce_pair(a, b))
+        seen["reduce"] += 1
+        return got
+
+    def checked_expand(base, curves):
+        got = expand(base, curves)
+        assert _forms(got) == _forms(lifted_expand(base, curves))
+        seen["expand"] += 1
+        return got
+
+    monkeypatch.setattr(degeneration, "_dvr_reduce_pair", checked_reduce)
+    monkeypatch.setattr(degeneration, "_expand", checked_expand)
+    rng = random.Random(3301)
+    inputs = [unit_tensor(k, 2, QQ) for k in (3, 4, 5)]
+    for dims in ((2, 2, 2), (3, 3, 3), (3, 3, 3), (2, 3, 2), (2, 2, 2, 2)):
+        t = random_rational_tensor(dims, rng, bound=3)
+        if not t.is_zero() and has_rank_one_flattening(t) is None:
+            inputs.append(t)
+    assert len(inputs) >= 7
+    for t in inputs:
+        assert verify_certificate(construct_w_degeneration(t, seed=0))
+    assert seen["reduce"] >= 2 * len(inputs) and seen["expand"] >= 3 * len(inputs)
+
+
+def _fractional_eps_entry(ring, rng):
+    """c0 + c1 eps with small fractional c_i (residues over F_p), divided by
+    eps a quarter of the time."""
+    e = ring.zero()
+    for d in range(2):
+        e = e + ring.coerce(Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))) * ring.eps(d)
+    return e * ring.eps(-1) if rng.random() < 0.25 else e
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_dvr_step_and_expansion_match_the_lifting_routes_on_random_curves(field):
+    # Base tensors with fractional entries under curves whose coefficients
+    # have fractional denominators, square and rectangular: the expansion
+    # equals the lifted restriction entry for entry, and each independent
+    # transported pair, also reduced as (a, c*a + eps^j * b) so that the
+    # b -= lam * a step runs, reduces exactly as by elimination.
+    ring = EpsField(field)
+    rng = random.Random(5501 + (field.p or 0))
+    pairs = subtracted = 0
+    for order, trials in ((2, 30), (3, 10)):
+        for _ in range(trials):
+            dims = tuple(rng.choice((2, 3)) for _ in range(order))
+            rows = (2,) * order if rng.random() < 0.7 else tuple(rng.choice((1, 2, 3)) for _ in dims)
+            curves = tuple(
+                Matrix(ring, r, n, [_fractional_eps_entry(ring, rng) for _ in range(r * n)])
+                for r, n in zip(rows, dims)
+            )
+            bases = [
+                Tensor(
+                    field,
+                    dims,
+                    [Fraction(rng.randint(-2, 2), rng.choice((1, 2, 4))) for _ in range(math.prod(dims))],
+                )
+                for _ in range(2)
+            ]
+            a, b = (_expand(x, curves) for x in bases)
+            for x, got in zip(bases, (a, b)):
+                assert _forms(got) == _forms(lifted_expand(x, curves))
+            if rows != (2,) * order or pluecker_wedge(a, b).is_zero():
+                continue
+            pairs += 1
+            shift = max(1, tensor_min_valuation(a) - tensor_min_valuation(b) + 1)
+            c = ring.coerce(Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 3))))
+            for pair in ((a, b), (a, a.scale(c) + b.scale(ring.eps(shift)))):
+                got = _dvr_reduce_pair(*pair)
+                _assert_reductions_identical(got, solved_dvr_reduce_pair(*pair))
+                subtracted += bool(got[4][1, 0])
+    assert pairs >= 20 and subtracted >= pairs
 
 
 @pytest.mark.parametrize("case", ["first-zero", "second-zero", "laurent-multiple"])

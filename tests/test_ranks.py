@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tensorgap import census, ranks
 from tensorgap.errors import (
+    DimensionMismatchError,
     FieldMismatchError,
     SearchSpaceTooLargeError,
     ZeroTensorError,
@@ -72,6 +73,60 @@ def test_has_rank_one_flattening_examples():
     assert has_rank_one_flattening(m) == frozenset([0])
     with pytest.raises(ZeroTensorError):
         has_rank_one_flattening(Tensor.zeros(QQ, (2, 2)))
+
+
+@st.composite
+def _gate_tensors(draw):
+    """Tensors of order 1 to 5 over Q (fractional entries), F_2, F_3 and F_4:
+    dense, sparse, or planted u (x) M across a random split of the axes."""
+    field = draw(st.sampled_from([QQ, F2, GF(3), GF(2, 2)]))
+    if field.p is None:
+        value = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    else:
+        value = st.integers(0, field.q - 1).map(lambda code: field.element(code).value)
+    order = draw(st.integers(1, 5))
+    dims = tuple(draw(st.integers(1, 3 if order <= 3 else 2)) for _ in range(order))
+    kind = draw(st.sampled_from(["dense", "sparse", "planted"]))
+    size = math.prod(dims)
+    if kind == "dense":
+        entries = draw(st.lists(value, min_size=size, max_size=size))
+    elif kind == "sparse":
+        support = draw(st.dictionaries(st.integers(0, size - 1), value, max_size=3))
+        entries = [support.get(f, field._raw(0)) for f in range(size)]
+    else:
+        axes = draw(st.sets(st.integers(0, order - 1), min_size=1, max_size=max(1, order - 1)))
+        rest = [a for a in range(order) if a not in axes]
+        u, m = (
+            draw(st.lists(value, min_size=n, max_size=n))
+            for n in (math.prod(dims[a] for a in axes), math.prod(dims[a] for a in rest))
+        )
+        entries = []
+        for idx in itertools.product(*(range(d) for d in dims)):
+            i = j = 0
+            for a in range(order):
+                if a in axes:
+                    i = i * dims[a] + idx[a]
+                else:
+                    j = j * dims[a] + idx[a]
+            entries.append(field.mul(u[i], m[j]) if rest else u[i])
+    return Tensor._from_raw(field, dims, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gate_tensors())
+def test_rank_one_gate_matches_exact_flattening_ranks(t):
+    # The gate's proportionality test against elimination: the first
+    # canonical subset whose flattening has exact rank <= 1, or None.
+    if t.is_zero():
+        with pytest.raises(ZeroTensorError):
+            has_rank_one_flattening(t)
+    elif t.order == 1:
+        with pytest.raises(DimensionMismatchError):
+            has_rank_one_flattening(t)
+    else:
+        ranks_ = rank_signature(t).ranks
+        expected = next((axes for axes in canonical_subsets(t.order) if ranks_[axes] <= 1), None)
+        assert has_rank_one_flattening(t) == expected
 
 
 def test_pr_at_least_two_examples():
