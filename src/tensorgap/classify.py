@@ -42,7 +42,7 @@ from .errors import (
     ZeroTensorError,
 )
 from .fields import FieldSpec, Scalar
-from .linalg import Matrix, mat_inverse, mat_rank
+from .linalg import Matrix, _ratio, mat_inverse, mat_rank
 from .ranks import (
     RankSignature,
     generic_compress,
@@ -220,13 +220,7 @@ def _independent_rows(field, m: Matrix) -> tuple:
     rows = [m.row(i) for i in range(m.rows)]
     first = next(i for i, row in enumerate(rows) if any(row))
     base = rows[first]
-    k = next(c for c, x in enumerate(base) if x)
-    mul, lead = field.mul, base[k]
-    second = next(
-        i
-        for i in range(first + 1, m.rows)
-        if any(mul(lead, x) != mul(rows[i][k], y) for x, y in zip(rows[i], base))
-    )
+    second = next(i for i in range(first + 1, m.rows) if _ratio(field, base, rows[i]) is None)
     return first, second
 
 

@@ -4,9 +4,10 @@ A :class:`DegenerationCertificate` holds a source tensor T, a target S of the
 same shape as the (optionally compressed) source, and one square curve matrix
 over K(eps) per factor.  It witnesses that S lies in the orbit closure of T,
 and the verifier checks it by two tests only: every curve has a determinant
-that is not identically zero (`linalg.mat_det`, the one routine of linear
-algebra over K(eps)), and applying the curves produces S + O(eps), checked by
-exact expansion at eps = 0 (every entry has valuation >= 0 and the eps^0
+that is not identically zero (`linalg._eps_invertible`, a rank test of the
+curve evaluated at a few points of the base field, so no linear algebra runs
+over K(eps)), and applying the curves produces S + O(eps), checked by exact
+expansion at eps = 0 (every entry has valuation >= 0 and the eps^0
 coefficient tensor equals S).  Verification is a value, never an error, and
 works over any supported coefficient field.
 
@@ -47,7 +48,7 @@ from .errors import (
     SingularCurveError,
 )
 from .fields import QQ, FieldSpec, Scalar
-from .linalg import Matrix, _ratio, _solve, lift_matrix, mat_det, mat_inverse
+from .linalg import Matrix, _eps_invertible, _ratio, _solve, lift_matrix, mat_inverse
 from .ratfunc import EpsField, _rf
 from .ranks import generic_compress, has_rank_one_flattening
 from .tensors import (
@@ -143,10 +144,12 @@ def _expand_certificate(cert: DegenerationCertificate) -> Tensor:
     """curve * (compressed) source over K(eps), after the ring and shape
     checks.
 
-    Raises SingularCurveError when a curve matrix has determinant zero.
+    Raises SingularCurveError when a curve matrix has determinant zero, and
+    SearchSpaceTooLargeError for an F_p curve whose invertibility test needs
+    more points than the largest extension field has.
     Every ring (each curve's against the first curve's K(eps), the source's,
     the target's and the compression maps' against its base field), every
-    shape and every curve determinant are checked before the source is
+    shape and every curve's invertibility are checked before the source is
     compressed, so a malformed or singular certificate costs no
     restriction and a certificate over mixed fields no arithmetic at all.
     Compression maps of the checked shapes give the compressed source the
@@ -174,7 +177,7 @@ def _expand_certificate(cert: DegenerationCertificate) -> Tensor:
     for j, curve in enumerate(cert.curves):
         if curve.rows != curve.cols or curve.rows != dims[j]:
             raise DimensionMismatchError(f"curve {j} has the wrong shape")
-        if not mat_det(curve):
+        if not _eps_invertible(curve):
             raise SingularCurveError(f"curve {j} has determinant identically zero")
     return _expand(cert.compressed_source(), cert.curves)
 
@@ -495,7 +498,7 @@ def _certify_cube(t: Tensor):
     if top is None or bottom is None:
         raise CertificateConstructionError("the limit plane is not span(W, corner)")
     x = lift_matrix(Matrix._from_raw(field, 2, 2, top + bottom), eps_ring) * transform
-    if not mat_det(x):
+    if not _eps_invertible(x):
         raise CertificateConstructionError("recovered final factor is singular")
     return compose_maps(stab, rec) + (x,)
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .errors import FieldMismatchError
+from .errors import FieldMismatchError, SearchSpaceTooLargeError
 
 # Word-sized prime moduli; extension fields up to 2^16 elements (tables of
 # that length are built per field).
@@ -255,6 +255,22 @@ def GF(p: int, m: int = 1) -> FieldSpec:
     """The finite field with p^m elements: F_p itself for m = 1 (p a
     word-sized prime), the ExtensionField F_p[x]/(f) for m >= 2."""
     return FieldSpec(p) if m == 1 else ExtensionField(p, m)
+
+
+def _extension_past(p: int, n: int, what: str) -> FieldSpec:
+    """The smallest F_{p^m}, m >= 2, with more than n elements, the field
+    that `what` needs; SearchSpaceTooLargeError, naming `what`, when that
+    field has more than MAX_EXTENSION_ORDER elements."""
+    m = 2
+    while p**m <= n:
+        m += 1
+    if p**m > MAX_EXTENSION_ORDER:
+        raise SearchSpaceTooLargeError(
+            f"{what} needs a field of characteristic {p} with more than {n} elements, "
+            f"past the largest extension field ({MAX_EXTENSION_ORDER} elements)",
+            size=p**m, ceiling=MAX_EXTENSION_ORDER,
+        )
+    return GF(p, m)
 
 
 # -- extension fields ------------------------------------------------------------

@@ -34,8 +34,8 @@ FORMAT_VERSION = 1
 # Dense tensors are allocated from a document's dims before any entry is
 # read, so dims that ask for more entries than this are refused.
 _MAX_TENSOR_ENTRIES = 2**20
-# The verifier's work (the curve determinants, the expansion) grows with the
-# products of the curve entries' lengths, so coefficient lists longer than
+# The verifier's work (the curve invertibility tests, the expansion) grows
+# with the curve entries' lengths and their products, so lists longer than
 # this are refused before they are parsed.  The builder's longest list for
 # the unit tensor of order k has (k - 1)^2 coefficients: 121 at k = 12.
 MAX_EPS_COEFFS = 128

@@ -23,30 +23,23 @@ answers it by cross-multiplying against the first nonzero entry, with no
 elimination.
 
 K(eps) holds Laurent polynomials, a ring whose only units are the monomials
-c*eps^n, so it has no field division: `mat_rank`, `mat_solve` and
-`mat_inverse` refuse it.  Its one routine is the determinant, which a
-degeneration curve needs to be invertible: `mat_det` takes it by one
-fraction-free (Bareiss) kernel, `_eps_bareiss`, on the entries' own integer
-coefficient maps (`ratfunc.RatFunc`), each row rescaled to the lcm of its
-own denominators.  Its only divisions are exact ones by the previous pivot,
-and a column without a pivot ends it with determinant zero.  All results
-are exact.
+c*eps^n, so it has no field division: `mat_rank`, `mat_solve`, `mat_det` and
+`mat_inverse` refuse it, and no elimination runs over it.  The one question
+a degeneration curve poses, whether it is invertible, `_eps_invertible`
+answers over the base field: it evaluates the curve at enough points eps = a
+that a determinant which is not identically zero cannot vanish at all of
+them, and ranks each evaluation by the kernels above.  All results are
+exact.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .fields import GF, QQ
-from .ratfunc import (
-    EpsField,
-    _add_product,
-    _exact_quotient,
-    _integer_laurent,
-    _laurent_from_integers,
-    _reduce,
-)
+from .fields import GF, QQ, _extension_past
+from .ratfunc import EpsField
 
 
 def _check_dims(*dims):
@@ -373,14 +366,12 @@ def mat_solve(a: Matrix, b):
 
 
 def mat_det(m: Matrix):
-    """Exact determinant of a square matrix (any supported ring): over K(eps)
-    `_eps_bareiss`, elsewhere the swap sign times the product of the pivots
-    of `_echelon`."""
+    """Exact determinant of a square matrix over Q, F_p or F_{p^m}: the swap
+    sign times the product of the pivots of `_echelon`."""
+    _over_a_field(m, "mat_det")
     if m.rows != m.cols:
         raise DimensionMismatchError("determinant of a non-square matrix")
     ring = m.ring
-    if isinstance(ring, EpsField):
-        return _eps_bareiss(m)
     rows = m.to_rows()
     pivots, parity = _echelon(ring, rows, m.cols)
     if len(pivots) < m.rows:
@@ -391,48 +382,60 @@ def mat_det(m: Matrix):
     return ring._box(det)
 
 
-def _eps_bareiss(m: Matrix):
-    """The determinant of a square K(eps) matrix by fraction-free (Bareiss)
-    elimination over the base field on integer Laurent polynomials.
+def _eps_invertible(m: Matrix) -> bool:
+    """Whether the square K(eps) matrix m is invertible, that is whether
+    det m is not identically zero, decided by evaluation at points.
 
-    Row i is taken to integer coefficients over the lcm d_i of its own
-    denominators (over F_p the residues, d_i = 1), and scale is prod d_i.
-    Column j's pivot is the first nonzero entry at or below row j, swapped
-    up if needed (sign records the parity of the swaps); a column without
-    one makes the determinant zero.  Every entry right of the pivot column
-    below the pivot row becomes pivot * entry - (its row's pivot-column
-    entry) * (the pivot row's entry), divided exactly by the previous pivot,
-    so after each step the entries are minors of the integer matrix (over
-    F_p reduced mod p) and the last pivot is its determinant: the
-    determinant is sign * pivot / scale, ad - bc for a 2x2 curve.
+    If row i's exponents lie in [low_i, high_i], its entries are eps^low_i
+    times polynomials of degree at most high_i - low_i, so det m is
+    eps^(sum low_i) times a polynomial P of degree at most
+    D = sum (high_i - low_i).  A nonzero P has at most D roots, so it is zero
+    exactly when it vanishes at D + 1 distinct nonzero points a, and at such
+    an a, P(a) != 0 exactly when m(a) has full rank.  The points are tried in
+    order until one gives full rank; a zero row ends the test at once.
+
+    Row i is evaluated scaled by a^-low_i and, over Q, by the lcm of its
+    denominators, which leaves the rank alone and gives integer entries
+    (residues over F_p).  Over Q the points are 1, 2, ... and the rows are
+    ranked by `_q_rank`, over F_p with p - 1 > D they are the residues
+    1 .. D + 1, and otherwise the codes 1 .. D + 1 of the smallest F_{p^m}
+    with p^m - 1 > D (F_p's own first), both ranked by `_echelon`.  A curve
+    that needs more points than the largest extension field has raises
+    SearchSpaceTooLargeError.
     """
     field, n = m.ring.base, m.rows
-    scale, rows = 1, []
+    rows, span, width = [], 0, 0
     for i in range(n):
-        d, row = _integer_laurent(field, m.row(i))
-        scale *= d
-        rows.append(row)
-    sign, prev = 1, {0: 1}
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return m.ring.zero()
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        top = rows[col]
-        pk = top[col]
-        for rr in rows[col + 1 :]:
-            for c in range(col + 1, n):
-                acc = {}
-                _add_product(acc, pk, rr[c])
-                _add_product(acc, rr[col], top[c], -1)
-                _reduce(field, 1, acc)
-                # the previous pivot is 1 at the first step
-                rr[c] = _exact_quotient(field, acc, prev) if col else acc
-        prev = pk
-    det = _laurent_from_integers(field, scale, prev)
-    return -det if sign < 0 else det
+        row = m.row(i)
+        exponents = [e for x in row for e in x._c]
+        if not exponents:
+            return False
+        low, high = min(exponents), max(exponents)
+        rows.append((low, math.lcm(*[x._d for x in row]), row))
+        span, width = span + high - low, max(width, high - low)
+    ring = field
+    if field.p is not None and field.p - 1 <= span:
+        ring = _extension_past(field.p, span + 1, f"a curve of determinant span {span}")
+    add, mul = ring.add, ring.mul
+    for a in range(1, span + 2):
+        powers = [ring.power(a, k) for k in range(width + 1)]
+        if ring is QQ:
+            table = [
+                {j: v * (d // x._d) for j, x in enumerate(row)
+                 if (v := sum([c * powers[e - low] for e, c in x._c.items()]))}
+                for low, d, row in rows
+            ]
+            if _q_rank(table, n) == n:
+                return True
+        else:
+            table = [
+                [functools.reduce(add, [mul(c, powers[e - low]) for e, c in x._c.items()], 0)
+                 for x in row]
+                for low, _, row in rows
+            ]
+            if len(_echelon(ring, table, n)[0]) == n:
+                return True
+    return False
 
 
 def mat_inverse(m: Matrix) -> Matrix:

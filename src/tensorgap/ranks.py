@@ -84,7 +84,7 @@ from .errors import (
     SearchSpaceTooLargeError,
     ZeroTensorError,
 )
-from .fields import GF, FieldSpec
+from .fields import FieldSpec, _extension_past
 from .linalg import Matrix, _echelon, _ratio, mat_rank
 from .tensors import Tensor, _flatten_plan, _strides, flatten, identity_maps, lift_tensor, restrict
 
@@ -237,7 +237,8 @@ def _witness_degree(order: int) -> int:
 def _witness_field(field: FieldSpec, order: int):
     """The smallest F_{p^m} over which enumerating the image of an order-k
     tensor is exact, p^m > _witness_degree(k), or None when the field itself
-    is large enough (or infinite)."""
+    is large enough (or infinite); SearchSpaceTooLargeError when no extension
+    field is large enough."""
     if field.p is None or order < 3:
         return None
     bound = _witness_degree(order)
@@ -248,10 +249,7 @@ def _witness_field(field: FieldSpec, order: int):
             f"a partition-rank 'no' at order {order} is exact only over more than "
             f"{bound} elements, and {field.name} tensors are not lifted further"
         )
-    m = 2
-    while field.p**m <= bound:
-        m += 1
-    return GF(field.p, m)
+    return _extension_past(field.p, bound, f"a partition-rank 'no' at order {order}")
 
 
 def pr_at_least_two(t: Tensor, seed: int = 0) -> bool:

@@ -12,12 +12,12 @@ positive integer denominator ``_d``, the value sum_n _c[n] eps^n / _d, in
 lowest terms (`_reduce`); over F_p, _d = 1 and the coefficients are
 residues.  Equal values have equal (_d, _c), and zero is (1, {}).  Its
 ``+`` and ``-`` add scaled maps and its ``*`` is `_add_product`, the product
-of the restriction and determinant kernels (`tensors._integer_restrict`,
-`linalg._eps_bareiss`), which read (_d, _c) directly: `_integer_laurent`
-only rescales values to one denominator, `_exact_quotient` divides, and
-`_laurent_from_integers` brings a result to lowest terms and wraps it.  A
-value's map may be shared with a kernel or another value and is never
-changed in place.
+of the restriction kernel `tensors._integer_restrict`.  That kernel and the
+curve invertibility test `linalg._eps_invertible`, which evaluates values at
+points, read (_d, _c) directly: `_integer_laurent` only rescales values to
+one denominator, and `_laurent_from_integers` brings a result to lowest
+terms and wraps it.  Nothing divides by more than a monomial.  A value's map
+may be shared with a kernel or another value and is never changed in place.
 
 Raw coefficient tuples indexed by exponent from eps^0 upward (Fractions
 over Q, int residues over F_p, trailing zeros trimmed; zero is the empty
@@ -345,28 +345,6 @@ def _add_product(acc: dict, a: dict, b: dict, scale: int = 1):
         for eb, y in b.items():
             e = ea + eb
             acc[e] = acc.get(e, 0) + x * y
-
-
-def _exact_quotient(field, a: dict, b: dict) -> dict:
-    """a / b for integer coefficient maps reduced by `_reduce` where b
-    (nonzero) divides a exactly, over Z[eps, 1/eps] or, as residues, over
-    F_p[eps, 1/eps]: long division from the top, each step an exact integer
-    division (over F_p a product with the inverse of b's leading
-    coefficient)."""
-    if not a:
-        return a
-    p, va, vb = field.p, min(a), min(b)
-    rem = [a.get(e, 0) for e in range(va, max(a) + 1)]
-    den = [b.get(e, 0) for e in range(vb, max(b) + 1)]
-    lead, db, quo = den[-1], len(den) - 1, {}
-    inv = None if p is None else pow(lead, -1, p)
-    for i in range(len(rem) - 1, db - 1, -1):
-        q = rem[i] // lead if p is None else rem[i] * inv % p
-        if q:
-            quo[va - vb + i - db] = q
-            for j, y in enumerate(den):
-                rem[i - db + j] -= q * y
-    return quo
 
 
 def _reduce(field, d: int, coeffs: dict) -> int:

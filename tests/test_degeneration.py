@@ -35,9 +35,15 @@ from tensorgap.errors import (
     DimensionMismatchError,
     DocumentFormatError,
     FieldMismatchError,
+    SearchSpaceTooLargeError,
 )
 from tensorgap.fields import GF, QQ
-from tensorgap.io import certificate_from_document, certificate_to_document, save_certificate
+from tensorgap.io import (
+    certificate_from_document,
+    certificate_to_document,
+    load_certificate,
+    save_certificate,
+)
 from tensorgap.linalg import Matrix, lift_matrix, mat_rank
 from tensorgap.ranks import has_rank_one_flattening, rank_signature
 from tensorgap.ratfunc import EpsField
@@ -117,6 +123,33 @@ def test_unit_to_w_certificate_over_f2():
     assert verify_certificate(cert).accepted
 
 
+def test_f2_certificate_with_a_curve_singular_at_eps_one_round_trips(tmp_path):
+    # det [[1, eps], [0, 1 + eps]] = 1 + eps is 0 at eps = 1, F_2's only
+    # nonzero point, yet not identically 0: the saved and reloaded
+    # certificate is accepted only because F_4's points are tried too
+    f2 = EpsField(GF(2))
+    t = unit_tensor(3, 2, GF(2))
+    curve = Matrix(f2, 2, 2, [f2.one(), f2.eps(), f2.zero(), f2.one() + f2.eps()])
+    cert = DegenerationCertificate(t, t, (curve,) + tuple(Matrix.identity(f2, 2) for _ in range(2)))
+    path = tmp_path / "f2.json"
+    save_certificate(cert, path)
+    loaded = load_certificate(path)
+    assert loaded.curves[0] == curve
+    assert verify_certificate(loaded).accepted
+
+
+def test_verify_refuses_a_curve_past_the_largest_extension_field():
+    # An F_2 curve whose determinant spans 2^16 degrees needs more nonzero
+    # points than F_{2^16} has: the verifier raises a typed error naming the
+    # span, not GF's ValueError
+    f2 = EpsField(GF(2))
+    t = unit_tensor(3, 1, GF(2))
+    curve = Matrix(f2, 1, 1, [f2.one() + f2.eps(2**16)])
+    cert = DegenerationCertificate(t, t, (curve,) + tuple(Matrix.identity(f2, 1) for _ in range(2)))
+    with pytest.raises(SearchSpaceTooLargeError, match="determinant span 65536"):
+        verify_certificate(cert)
+
+
 def test_verify_refuses_target_over_another_field():
     # entries are raw values, so a target over another field must be refused
     # before any comparison: F_3 residues would compare equal to rationals
@@ -128,12 +161,12 @@ def test_verify_refuses_target_over_another_field():
 
 
 def _no_arithmetic(monkeypatch):
-    """Fail on any curve determinant, compression or expansion."""
+    """Fail on any curve invertibility test, compression or expansion."""
 
     def refuse(*args):
         raise AssertionError("arithmetic before the ring checks")
 
-    for name in ("mat_det", "restrict", "_expand"):
+    for name in ("_eps_invertible", "restrict", "_expand"):
         monkeypatch.setattr(degeneration, name, refuse)
 
 

@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorgap.errors import DimensionMismatchError, FieldMismatchError
+from tensorgap.errors import DimensionMismatchError, FieldMismatchError, SearchSpaceTooLargeError
 from tensorgap.fields import GF, QQ
-from tensorgap.linalg import Matrix, lift_matrix, mat_det, mat_inverse, mat_rank, mat_solve
+from tensorgap.linalg import (
+    Matrix,
+    _eps_invertible,
+    lift_matrix,
+    mat_det,
+    mat_inverse,
+    mat_rank,
+    mat_solve,
+)
 from tensorgap.ratfunc import EpsField
 
 EPS = EpsField(QQ)
@@ -134,14 +142,15 @@ def test_det_and_inverse():
 
 
 def test_rank_over_eps_field():
-    # K(eps) has no field division: rank refuses it as solve and inverse do,
-    # and the determinant is its one routine
+    # K(eps) has no field division: rank and the determinant refuse it as
+    # solve and inverse do, and invertibility is decided by evaluation
     eps = EPS.eps()
     m = Matrix(EPS, 2, 2, [eps, EPS.one(), eps * eps, eps])
-    with pytest.raises(FieldMismatchError):
-        mat_rank(m)
     m2 = Matrix(EPS, 2, 2, [eps, EPS.one(), EPS.one(), eps])
-    assert mat_det(m2) == eps * eps - 1
+    for routine in (mat_rank, mat_det):
+        with pytest.raises(FieldMismatchError, match="field division"):
+            routine(m2)
+    assert not _eps_invertible(m) and _eps_invertible(m2)
 
 
 def test_matrix_product_and_mismatches():
@@ -217,11 +226,13 @@ def test_det_needs_row_swaps_in_every_ring():
     for ring in RINGS.values():
         one, zero = ring.one(), ring.zero()
         swap = Matrix(ring, 2, 2, [zero, one, one, zero])
-        assert mat_det(swap) == -one
         cycle = Matrix(ring, 3, 3, [zero, one, zero, zero, zero, one, one, zero, zero])
+        if ring is EPS:  # K(eps) has no field division
+            assert _eps_invertible(swap) and _eps_invertible(cycle)
+            continue
+        assert mat_det(swap) == -one
         assert mat_det(cycle) == one
-        if ring is not EPS:  # K(eps) has no field division
-            assert mat_inverse(cycle) == cycle.transpose()
+        assert mat_inverse(cycle) == cycle.transpose()
 
 
 @settings(max_examples=150, deadline=None)
@@ -230,10 +241,13 @@ def test_det_inverse_and_solve_match_oracles(ring_name, n, seed):
     ring = RINGS[ring_name]
     rng = random.Random(seed)
     a = Matrix(ring, n, n, [_random_element(ring, rng) for _ in range(n * n)])
+    if ring is EPS:
+        # K(eps) has no field division: the determinant, mat_inverse and
+        # mat_solve refuse it, and invertibility is decided by evaluation
+        assert _eps_invertible(a) == bool(_leibniz_det(a))
+        return
     det = mat_det(a)
     assert det == _leibniz_det(a)
-    if ring is EPS:
-        return  # K(eps) has no field division: mat_inverse and mat_solve refuse it
     if det:
         assert a * mat_inverse(a) == Matrix.identity(ring, n)
     else:
@@ -265,11 +279,11 @@ def test_det_inverse_and_solve_match_oracles(ring_name, n, seed):
     assert mat_solve(singular, [b[i] for i in order]) is None
 
 
-# -- the fraction-free kernel over K(eps) --------------------------------------------
+# -- curve invertibility over K(eps) -----------------------------------------------
 
 
 def _random_eps_element(ring, rng):
-    """Zero, a Laurent polynomial, or a product of two, so that pivots with
+    """Zero, a Laurent polynomial, or a product of two, so that entries with
     several terms occur."""
     kind = rng.randrange(4)
     if kind == 0:
@@ -296,12 +310,13 @@ def _random_eps_element(ring, rng):
     st.integers(0, 2**32 - 1),
     st.sets(st.integers(0, 4), max_size=3),
     st.integers(0, 2),
+    st.booleans(),
 )
-def test_eps_det_matches_echelon_pivot_product(base, n, seed, zero_cols, dependent):
-    # A zero column has no pivot when the kernel reaches it, and dependent
-    # rows (combinations of the rows above them) make it run out of pivots;
-    # either way it stops with determinant zero.  Full-rank draws check
-    # every exact division by the previous pivot.
+def test_eps_invertible_matches_leibniz_det(base, n, seed, zero_cols, dependent, vanish_at_one):
+    # A zero column or dependent rows (combinations of the rows above them)
+    # make the determinant zero at every point.  A row times 1 - eps makes it
+    # vanish at eps = 1 without being zero, so the later points are needed,
+    # and over F_2, whose only nonzero point is 1, the points of F_{2^m}.
     ring = EpsField(base)
     rng = random.Random(seed)
     rows = [
@@ -311,8 +326,33 @@ def test_eps_det_matches_echelon_pivot_product(base, n, seed, zero_cols, depende
     for i in range(max(1, n - dependent), n):
         a, b = _random_eps_element(ring, rng), _random_eps_element(ring, rng)
         rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[i - 1])]
+    if vanish_at_one and n:
+        i = rng.randrange(n)
+        rows[i] = [x * (ring.one() - ring.eps()) for x in rows[i]]
     m = Matrix.from_rows(ring, rows) if n else Matrix.zeros(ring, 0, 0)
-    det = mat_det(m)
-    assert det == _leibniz_det(m)
+    invertible = _eps_invertible(m)
+    assert invertible == bool(_leibniz_det(m))
     if zero_cols & set(range(n)) or (dependent and n >= 2):
-        assert det == ring.zero()
+        assert not invertible
+
+
+def test_eps_invertible_needs_the_later_points():
+    # det = (1 - eps)(2 - eps) vanishes at eps = 1 and 2, so Q needs its
+    # third point; over F_2 det = 1 + eps vanishes at F_2's only nonzero
+    # point and is decided in F_4; over F_3, eps^2 (1 - eps) at eps = 2
+    eps = EPS.eps()
+    assert _eps_invertible(Matrix(EPS, 2, 2, [1 - eps, EPS.zero(), eps**-1, 2 - eps]))
+    f2 = EpsField(GF(2))
+    assert _eps_invertible(Matrix(f2, 2, 2, [f2.one(), f2.eps(), f2.one(), f2.one()]))
+    f3 = EpsField(GF(3))
+    assert _eps_invertible(Matrix(f3, 1, 1, [f3.eps(2) - f3.eps(3)]))
+    assert not _eps_invertible(Matrix(f2, 2, 2, [f2.one(), f2.eps()] * 2))
+
+
+def test_eps_invertible_refuses_curves_past_the_largest_extension_field():
+    # Over F_2, a determinant of degree span 2^16 needs 2^16 + 1 nonzero
+    # points, more than F_{2^16} has: a typed refusal naming the span
+    f2 = EpsField(GF(2))
+    m = Matrix(f2, 1, 1, [f2.one() + f2.eps(2**16)])
+    with pytest.raises(SearchSpaceTooLargeError, match="determinant span 65536"):
+        _eps_invertible(m)

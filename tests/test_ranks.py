@@ -349,6 +349,9 @@ def test_pr_gate_witness_field_sizes():
     assert _witness_field(GF(7), 4) is None
     assert _witness_field(QQ, 5) is None
     assert _witness_field(F2, 2) is None
+    # order 18 needs more than 2^16 elements, past the largest extension field
+    with pytest.raises(SearchSpaceTooLargeError, match="order 18"):
+        _witness_field(F2, 18)
     # over F_4 an order-4 "yes" stands, but a "no" is not rechecked further
     f4 = GF(2, 2)
     assert _witness_field(f4, 3) is None

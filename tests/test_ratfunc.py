@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,14 +7,11 @@ from hypothesis import strategies as st
 
 from tensorgap.errors import FieldMismatchError
 from tensorgap.fields import GF, QQ
-from tensorgap.linalg import Matrix, mat_det, mat_inverse, mat_solve
+from tensorgap.linalg import Matrix, _eps_invertible, mat_inverse, mat_solve
 from tensorgap.ratfunc import (
     EpsField,
     RatFunc,
-    _add_product,
-    _exact_quotient,
     _monomial_quotient,
-    _reduce,
     coeff_parse,
     coeff_text,
 )
@@ -45,32 +41,6 @@ def test_poly_trims_trailing_zeros():
     assert _times(QQ, P(1, 2), ()) == ()
     with pytest.raises(ZeroDivisionError):
         RF((1,), (0, 0))
-
-
-def test_poly_divmod_exact():
-    # The one polynomial division left is `_exact_quotient`, the exact
-    # division of the fraction-free elimination, over Z[eps, 1/eps] and, as
-    # residues, over F_p[eps, 1/eps].
-    assert _exact_quotient(QQ, {-3: -1, -1: 1}, {0: -1, 1: 1}) == {-3: 1, -2: 1}  # (x^2-1)/(x-1)
-    assert _exact_quotient(QQ, {0: 6, 2: -4}, {1: 2}) == {-1: 3, 1: -2}
-    # over F_5: (1 + 2 eps + eps^2) / (3 + 3 eps) = (1 + eps) / 3 = 2 + 2 eps
-    assert _exact_quotient(GF(5), {0: 1, 1: 2, 2: 1}, {0: 3, 1: 3}) == {0: 2, 1: 2}
-    assert _exact_quotient(GF(5), {}, {0: 1, 1: 1}) == {}
-    rng = random.Random(11)
-    for field in (QQ, GF(2), GF(5)):
-        for _ in range(60):
-            a, b = (
-                {e: rng.randint(-9, 9) for e in range(rng.randint(-3, 1), rng.randint(1, 4))}
-                for _ in range(2)
-            )
-            _reduce(field, 1, a)
-            _reduce(field, 1, b)
-            if not b:
-                continue
-            product = {}
-            _add_product(product, a, b)
-            _reduce(field, 1, product)
-            assert _exact_quotient(field, product, b) == a
 
 
 def test_poly_over_prime_field():
@@ -425,8 +395,9 @@ def _eps_adic_cases(draw):
 
 
 def _one_form(field, r, f):
-    """r built again by the constructor, arithmetic, `restrict` and
-    `mat_det`: every route gives one (_d, _c), so one hash."""
+    """r built again by the constructor, arithmetic and `restrict`: every
+    route gives one (_d, _c), so one hash; and r is invertible as a 1x1
+    curve exactly when it is nonzero."""
     ring, c = EpsField(field), field._raw(-1)
     routes = (
         RatFunc(field, (0,) + tuple(field.mul(c, x) for x in r.num),
@@ -434,10 +405,10 @@ def _one_form(field, r, f):
         (r + f) - f,
         r * ring.eps() * ring.eps(-1),
         restrict(Tensor(ring, (1,), [r]), (Matrix(ring, 1, 1, [1]),)).entries[0],
-        mat_det(Matrix(ring, 1, 1, [r])),
     )
     for x in routes:
         assert x == r and hash(x) == hash(r) and (x._d, x._c) == (r._d, r._c)
+    assert _eps_invertible(Matrix(ring, 1, 1, [r])) == bool(r)
 
 
 def _agrees(r, ref):
@@ -483,8 +454,8 @@ def test_reflected_division():
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_kernels_leave_input_maps_unchanged(field):
-    # restrict and mat_det read each entry's (_d, _c) as it stands and may
-    # share its map; neither may change it
+    # restrict and the invertibility test read each entry's (_d, _c) as it
+    # stands and may share its map; neither may change it
     ring = EpsField(field)
     eps, one = ring.eps(), ring.one()
     values = [
@@ -497,9 +468,9 @@ def test_kernels_leave_input_maps_unchanged(field):
     inputs = values + list(maps[0].entries) + list(maps[1].entries)
     snapshot = [(e._d, dict(e._c)) for e in inputs]
     restrict(Tensor(ring, (3, 3), values), maps)
-    mat_det(m)
-    # singular: the kernel stops at the pivot-free third column
-    mat_det(Matrix(ring, 3, 3, values[:6] + values[:3]))
+    assert _eps_invertible(m)
+    # singular: the first row repeated, so every point is tried
+    assert not _eps_invertible(Matrix(ring, 3, 3, values[:6] + values[:3]))
     for e in values:
-        mat_det(Matrix(ring, 1, 1, [e]))
+        assert _eps_invertible(Matrix(ring, 1, 1, [e])) == bool(e)
     assert [(e._d, e._c) for e in inputs] == snapshot

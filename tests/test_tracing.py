@@ -117,10 +117,10 @@ def test_traced_f2_gates_keep_their_rank_spans():
     assert calls["linalg.rank.fp"] == gate_ranks + 7
 
 
-def test_traced_verifier_keeps_its_determinant_spans():
-    # The per-layer metrics linalg.det.eps.* count the verifier's one piece
-    # of K(eps) linear algebra: a determinant per curve.  K(eps) has no rank
-    # route, so no rank span of any ring is opened.
+def test_traced_verifier_opens_no_linalg_span():
+    # The verifier runs no linear algebra over K(eps): each curve's
+    # invertibility is a base-field rank test of the curve at a few points,
+    # taken by private kernels, so no linalg span of any ring is opened.
     cert = tensorgap.degeneration.unit_to_w_certificate(3)
     tracing = _load_tracing()
     tracer = tracing.Tracer()
@@ -132,6 +132,4 @@ def test_traced_verifier_keeps_its_determinant_spans():
         tracer.uninstall()
     calls, _ = tracer.span_totals()
     assert calls["degeneration.verify"] == 1
-    under_verify = tracer.child_calls("degeneration.verify", "linalg.det.eps", direct=False)
-    assert calls["linalg.det.eps"] == under_verify == 3
-    assert not [name for name in calls if name.startswith("linalg.rank.")]
+    assert not [name for name in calls if name.startswith("linalg.")]
