@@ -22,7 +22,8 @@ to 2x2x2 that keeps partition rank >= 2 restricts to invertible maps on the
 fibre spans, so its hyperdeterminant is prod det(g_j)^2 times the core's,
 and the seeded samples the report lists are provably 0.  The report
 derives its "randomized" confidence from the number of those samples.
-Otherwise seeded random compressions to 2x2x2 are tried; a nonvanishing
+Otherwise DEFAULT_TRIALS (8) seeded random compressions to 2x2x2 are
+tried; a nonvanishing
 hyperdeterminant sample is a deterministic certificate for the unit class,
 and its ground-field witness is built from the compression maps.
 """
@@ -358,25 +359,22 @@ def unit_restriction_witness(t: Tensor):
 DEFAULT_TRIALS = 8
 
 
-def trichotomy(t: Tensor, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ClassificationReport:
+def trichotomy(t: Tensor, seed: int = 0) -> ClassificationReport:
     """Classify a nonzero order-3 tensor into the three-class hierarchy.
 
     Deterministic gate first: a flattening of rank one settles the first
     class.  With every multilinear rank equal to 2, the hyperdeterminant of
     the coordinate core decides the W class exactly (module docstring): the
-    W report lists the `trials` seeds drawn from `random.Random(seed)`, each
-    with the sample value 0 its compression provably has, and computes no
-    compression; the report derives its "randomized" confidence from them.
-    Otherwise `trials` independent random compressions to 2x2x2 are
+    W report lists the DEFAULT_TRIALS seeds drawn from `random.Random(seed)`,
+    each with the sample value 0 its compression provably has, and computes
+    no compression; the report derives its "randomized" confidence from them.
+    Otherwise DEFAULT_TRIALS independent random compressions to 2x2x2 are
     classified; any unit-class hit is a deterministic certificate (the
     sampled hyperdeterminant value is a polynomial certificate, and a
     ground-field witness map is attached when the pencil splits).  If every
     sample vanishes, some multilinear rank exceeds 2 and the seed gave
-    degenerate compressions: ClassificationInconsistencyError.  `trials`
-    must be at least 1.
+    degenerate compressions: ClassificationInconsistencyError.
     """
-    if trials < 1:
-        raise ValueError(f"trichotomy needs at least one trial, got {trials}")
     if t.order != 3:
         raise DimensionMismatchError("trichotomy classifies order-3 tensors")
     if t.is_zero():
@@ -395,11 +393,11 @@ def trichotomy(t: Tensor, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Classi
             # prod det(g_j)^2 * Cay(core) = 0, so the samples are recorded
             # without being computed.
             zero = t.ring.zero()
-            samples = tuple((rng.randrange(2**63), zero) for _ in range(trials))
+            samples = tuple((rng.randrange(2**63), zero) for _ in range(DEFAULT_TRIALS))
             return ClassificationReport(TrichotomyClass.W_ISOMORPHIC, signature, samples)
 
     samples = []
-    for trial in range(trials):
+    for _ in range(DEFAULT_TRIALS):
         trial_seed = rng.randrange(2**63)
         maps, compressed = generic_compress(t, trial_seed)
         cay = cayley_hyperdet(compressed)

@@ -2,12 +2,11 @@
 
 Exit codes: 0 on success, 1 on a negative classification/verification result
 (certificate rejected, subrank threshold not met), 2 on usage or document
-errors.  All randomness is seed-controlled; TENSORGAP_SEED overrides the
-default seed.
+errors.  All randomness is seed-controlled: --seed, 0 by default.
 
 `main(argv)` may be called any number of times in one process: it parses with
-one parser built on the first call and kept, and reads TENSORGAP_SEED afresh
-on every call that does not pass --seed.
+one parser built on the first call and kept, and the same arguments give the
+same output.
 """
 
 from __future__ import annotations
@@ -15,11 +14,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .census import census_222, census_summary, write_census
-from .classify import DEFAULT_TRIALS, TrichotomyClass, gap_constant, trichotomy
+from .classify import TrichotomyClass, gap_constant, trichotomy
 from .degeneration import construct_w_degeneration, verify_certificate
 from .errors import TensorGapError
 from .io import (
@@ -34,18 +32,6 @@ from .ranks import (
     rank_signature,
     subrank_bruteforce,
 )
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("TENSORGAP_SEED", "0"))
-    except ValueError:
-        return 0
-
-
-def _seed(args) -> int:
-    """The --seed given, else TENSORGAP_SEED as it is now."""
-    return _default_seed() if args.seed is None else args.seed
 
 
 def _report_json(report) -> dict:
@@ -76,7 +62,7 @@ def _report_json(report) -> dict:
 
 def _cmd_classify(args) -> int:
     t = load_tensor(args.file)
-    report = trichotomy(t, seed=_seed(args), trials=args.trials)
+    report = trichotomy(t, seed=args.seed)
     print(f"trichotomy class : {report.trichotomy.value}")
     print(f"asymptotic class : {report.asymptotic_class.value}")
     bound = ">= " if report.constant.lower_bound_only else ""
@@ -124,7 +110,7 @@ def _cmd_verify_cert(args) -> int:
 def _cmd_make_w_cert(args) -> int:
     t = load_tensor(args.file)
     try:
-        cert = construct_w_degeneration(t, seed=_seed(args))
+        cert = construct_w_degeneration(t, seed=args.seed)
     except ValueError as exc:
         print(f"cannot construct certificate: {exc}")
         return 1
@@ -158,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="order-3 trichotomy classification")
     p.add_argument("file")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the structured report here")
     p.set_defaults(func=_cmd_classify)
 
@@ -179,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-w-cert", help="construct a W-tensor degeneration certificate")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_make_w_cert)
 

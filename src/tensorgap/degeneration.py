@@ -8,8 +8,11 @@ that is not identically zero (`linalg._eps_invertible`, a rank test of the
 curve evaluated at a few points of the base field, so no linear algebra runs
 over K(eps)), and applying the curves produces S + O(eps), checked by exact
 expansion at eps = 0 (every entry has valuation >= 0 and the eps^0
-coefficient tensor equals S).  Verification is a value, never an error, and
-works over any supported coefficient field.
+coefficient tensor equals S).  The expansion is `tensors.restrict` of the
+base-field source under the K(eps) curves, as in the builder; it needs
+only + - x, the valuation and the eps^0 coefficient, never a division.
+Verification is a value, never an error, and works over any supported
+coefficient field.
 
 The builder realizes the constructive induction that pulls the order-k
 W-tensor out of any tensor of partition rank at least two:
@@ -53,8 +56,6 @@ from .ratfunc import EpsField, _rf
 from .ranks import generic_compress, has_rank_one_flattening
 from .tensors import (
     Tensor,
-    _check_map,
-    _integer_restrict,
     as_matrix,
     compose_maps,
     flatten,
@@ -121,28 +122,9 @@ def eps_coefficient_tensor(t: Tensor, exponent: int) -> Tensor:
     return Tensor._from_raw(ring.base, t.dims, [e._coefficient(exponent) for e in t.entries])
 
 
-def _expand(base_tensor: Tensor, curves) -> Tensor:
-    """The base-field tensor restricted by K(eps) curves, its entries read
-    as constants by `_integer_restrict` with no lifted copy; the curves are
-    checked as `restrict` checks maps (ring first, then width, axis by
-    axis)."""
-    eps_ring = curves[0].ring
-    if not isinstance(eps_ring, EpsField):
-        raise FieldMismatchError("curves must be K(eps) matrices")
-    if base_tensor.ring is not eps_ring.base:
-        raise FieldMismatchError(
-            f"cannot expand a {base_tensor.ring.name} tensor over {eps_ring.name}"
-        )
-    if len(curves) != base_tensor.order:
-        raise DimensionMismatchError(f"need {base_tensor.order} maps, got {len(curves)}")
-    for axis, m in enumerate(curves):
-        _check_map(eps_ring, base_tensor.dims, m, axis)
-    return _integer_restrict(base_tensor, curves)
-
-
 def _expand_certificate(cert: DegenerationCertificate) -> Tensor:
-    """curve * (compressed) source over K(eps), after the ring and shape
-    checks.
+    """curve * (compressed) source over K(eps), by `restrict`, after the
+    ring and shape checks.
 
     Raises SingularCurveError when a curve matrix has determinant zero, and
     SearchSpaceTooLargeError for an F_p curve whose invertibility test needs
@@ -179,7 +161,7 @@ def _expand_certificate(cert: DegenerationCertificate) -> Tensor:
             raise DimensionMismatchError(f"curve {j} has the wrong shape")
         if not _eps_invertible(curve):
             raise SingularCurveError(f"curve {j} has determinant identically zero")
-    return _expand(cert.compressed_source(), cert.curves)
+    return restrict(cert.compressed_source(), cert.curves)
 
 
 def verify_certificate(cert: DegenerationCertificate) -> VerificationResult:
@@ -487,7 +469,7 @@ def _certify_cube(t: Tensor):
         )
     corner_prev = Tensor.from_dict(field, (2,) * (k - 1), {(0,) * (k - 1): 1})
 
-    pair = (_expand(s0, rec), _expand(s1, rec))
+    pair = (restrict(s0, rec), restrict(s1, rec))
     shear = _find_shear(*_dvr_reduce_pair(*pair)[2:4])
     stab = scaling_map_tuple(k - 1, field)
     if shear is not None:

@@ -14,8 +14,9 @@ the swap sign times the product of the pivots, `mat_inverse` eliminates
 [A | I] once and back-substitutes each column of I, and `mat_rank` counts
 its pivots over F_p and F_{p^m}.  Rank has two other field routes.  Over
 F_2, the hot case of the order-4 partition-rank gates, rows are packed into
-bitmasks and reduced by XOR.  Over Q each row is scaled to integers (its
-nonzero entries only) and the sparse integer rows are reduced fraction-free,
+bitmasks and reduced by XOR.  Over Q each row is scaled to the integer map
+of its nonzero entries by `ratfunc._integer_map` (the form RatFunc
+coefficients take) and the sparse integer rows are reduced fraction-free,
 each updated row divided by its content.  Where the question is only
 whether one row is a multiple of another (the rank-one flattening gate, the
 one-vector step of the certificate builder's valuation reduction), `_ratio`
@@ -39,7 +40,7 @@ import math
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import GF, QQ, _extension_past
-from .ratfunc import EpsField
+from .ratfunc import EpsField, _integer_map
 
 
 def _check_dims(*dims):
@@ -272,14 +273,6 @@ def _ratio(ring, a, b):
     return mul(c, ring.inv(p0))
 
 
-def _integer_row(values) -> tuple[int, dict]:
-    """A row of Fractions scaled to integers: (d, {column: d * value}) over
-    its nonzero entries, d the lcm of their denominators."""
-    row = [(j, e) for j, e in enumerate(values) if e]
-    d = math.lcm(*(e.denominator for _, e in row))
-    return d, {j: e.numerator * (d // e.denominator) for j, e in row}
-
-
 def _q_rank(rows, ncols: int) -> int:
     """Rank over Q of rows given as {column: nonzero int} dicts, read until
     ncols of them are independent.
@@ -345,7 +338,7 @@ def mat_rank(m: Matrix) -> int:
             rows.append(bits)
         return _gf2_rank(rows)
     if m.ring is QQ:
-        return _q_rank((_integer_row(m.row(i))[1] for i in range(m.rows)), m.cols)
+        return _q_rank((_integer_map(m.row(i))[1] for i in range(m.rows)), m.cols)
     _over_a_field(m, "mat_rank")
     return len(_echelon(m.ring, m.to_rows(), m.cols)[0])
 

@@ -178,9 +178,12 @@ def has_rank_one_flattening(t: Tensor):
     the flattening has rank one exactly when every later row is a multiple
     of it (`linalg._ratio`), so the walk stops at the first row that is not.
     The support is read once per tensor, so a zero row, a multiple of any
-    pivot, is passed over by a set test on its flat indices.
+    pivot, is passed over by a set test on its flat indices.  Like the other
+    flattening-rank tests it works over Q or a finite field only.
     """
     ring, entries = t.ring, t.entries
+    if not isinstance(ring, FieldSpec):
+        raise FieldMismatchError("rank-one flattening test works over Q or a finite field")
     support = {f for f, e in enumerate(entries) if e}
     if not support:
         raise ZeroTensorError("rank-one flattening test presupposes a nonzero tensor")

@@ -3,8 +3,11 @@
 A degeneration needs only curves with entries in K[eps, 1/eps]: the
 expansion must have no pole and its constant term must be the target
 (Buergisser-Clausen-Shokrollahi, ch. 15).  So every K(eps) value here is a
-Laurent polynomial, and division is by the units of K[eps, 1/eps], the
-monomials c*eps^n, only; anything else raises ValueError.
+Laurent polynomial, and checking a certificate takes the ring operations
++ - x, the valuation and the eps^0 coefficient: K(eps) values have those
+and no division.  The one quotient taken is that of a value read with a
+monomial denominator c*eps^m (`_monomial_quotient`); any other denominator
+raises ValueError.
 
 A :class:`RatFunc` holds its value in the one form the K(eps) kernels
 work on: an integer coefficient map ``_c`` {exponent: nonzero int} over a
@@ -16,8 +19,8 @@ of the restriction kernel `tensors._integer_restrict`.  That kernel and the
 curve invertibility test `linalg._eps_invertible`, which evaluates values at
 points, read (_d, _c) directly: `_integer_laurent` only rescales values to
 one denominator, and `_laurent_from_integers` brings a result to lowest
-terms and wraps it.  Nothing divides by more than a monomial.  A value's map
-may be shared with a kernel or another value and is never changed in place.
+terms and wraps it.  A value's map may be shared with a kernel or another
+value and is never changed in place.
 
 Raw coefficient tuples indexed by exponent from eps^0 upward (Fractions
 over Q, int residues over F_p, trailing zeros trimmed; zero is the empty
@@ -86,9 +89,6 @@ class EpsField:
     def from_int(self, n: int) -> "RatFunc":
         return self._constant(self.base._raw(n))
 
-    def lift(self, s: Scalar) -> "RatFunc":
-        return self._embedding(s.field)(s.value)
-
     def _embedding(self, field):
         """The map of raw values of the base field into K(eps)."""
         if field is not self.base:
@@ -114,7 +114,7 @@ class EpsField:
     # A RatFunc is its own raw value and its own boxed element.
     _raw = _box = coerce
     add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
-    inv, text = operator.methodcaller("inverse"), operator.methodcaller("text")
+    text = operator.methodcaller("text")
 
 
 class RatFunc:
@@ -205,32 +205,8 @@ class RatFunc:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __neg__(self):
         return _rf(self.field, self._d, {e: self.field.neg(c) for e, c in self._c.items()})
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __bool__(self):
         return bool(self._c)
@@ -243,16 +219,6 @@ class RatFunc:
 
     def __hash__(self):
         return hash((self._d, frozenset(self._c.items())))
-
-    def inverse(self) -> "RatFunc":
-        """The inverse of a monomial c*eps^n, (1/c)*eps^-n.  The monomials
-        are the units of K[eps, 1/eps]; any other value raises ValueError."""
-        if not self._c:
-            raise ZeroDivisionError("inverse of the zero rational function")
-        if len(self._c) > 1:
-            raise ValueError(f"{self.text()} is not a monomial c*eps^n, a unit of K[eps, 1/eps]")
-        (n,) = self._c
-        return _rf(self.field, *_integer_map((self.field.inv(self._coefficient(n)),), -n))
 
     def valuation(self):
         """Order of vanishing at eps = 0; negative at a pole, +inf for 0."""
@@ -298,7 +264,9 @@ def _rf(field, d: int, c: dict, r=None) -> RatFunc:
 def _integer_map(raw, v: int = 0) -> tuple:
     """The integer form (d, map) of raw coefficients of eps^v, eps^(v+1), ...
     (ints, Fractions in lowest terms, or residues over F_p): d is the lcm of
-    their denominators, which is in lowest terms with no gcd to take."""
+    their denominators, which is in lowest terms with no gcd to take.  A
+    row of Fractions (v = 0) gives the integer row `linalg.mat_rank` ranks
+    over Q, keyed by column."""
     d = math.lcm(*[x.denominator for x in raw])
     if d == 1:
         return 1, {v + i: x.numerator for i, x in enumerate(raw) if x}

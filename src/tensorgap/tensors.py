@@ -19,9 +19,9 @@ all axes, ``_integer_restrict``: it carries the support as integer
 numerators over denominators, read off each entry as it stands (a
 Fraction's numerator, a RatFunc's coefficient map), scales each map row and
 each source fiber along an axis over the lcm of its own denominators, and
-builds one Fraction or RatFunc per nonzero output entry.  The same pass
-expands a base-field tensor under K(eps) curves, reading its entries as
-constants with no lifted copy.
+builds one Fraction or RatFunc per nonzero output entry.  The same pass,
+through `restrict` itself, expands a base-field tensor under K(eps) curves,
+reading its entries as constants with no lifted copy.
 Over F_p and F_{p^m} it takes one ``mode_apply`` per axis: one map applied
 along one axis with the ring's own add and mul (padding and the covector
 tables of the brute-force oracles).
@@ -287,15 +287,22 @@ def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
 def restrict(t: Tensor, maps) -> Tensor:
     """Restriction by a tuple of linear maps, one map per factor.
 
-    Over Q and K(eps) one pass of `_integer_restrict`; over F_p and F_{p^m}
-    one `mode_apply` per axis.
+    The maps are over the tensor's ring, or all over K(eps) for a tensor
+    over its base field K: that expands the tensor under degeneration
+    curves, its entries read as constants, and the result is over K(eps).
+    Every other pairing of rings, and a map of the wrong width, is refused
+    before any arithmetic.  Over Q and K(eps) one pass of
+    `_integer_restrict`; over F_p and F_{p^m} one `mode_apply` per axis.
     """
     maps = tuple(maps)
     if len(maps) != t.order:
         raise DimensionMismatchError(f"need {t.order} maps, got {len(maps)}")
-    if t.ring is QQ or isinstance(t.ring, EpsField):
-        for axis, m in enumerate(maps):
-            _check_map(t.ring, t.dims, m, axis)
+    ring = maps[0].ring
+    if not (isinstance(ring, EpsField) and t.ring is ring.base):
+        ring = t.ring
+    for axis, m in enumerate(maps):
+        _check_map(ring, t.dims, m, axis)
+    if ring is QQ or isinstance(ring, EpsField):
         return _integer_restrict(t, maps)
     out = t
     for axis, m in enumerate(maps):

@@ -102,9 +102,10 @@ def dense_monomial_quotient(field, num, den) -> tuple:
 # -- the lifting routes of the curve expansion and the DVR step -------------------
 # The base tensor lifted to K(eps) before restricting, each rescaling a product
 # with eps^n, and the one-vector coordinate solved by elimination: the references
-# for degeneration._expand (which reads base-field entries straight into its
-# integer kernel) and degeneration._dvr_reduce_pair (which shifts exponents and
-# takes the coordinate by a proportionality test).
+# for tensors.restrict of a base-field tensor under K(eps) curves (which reads
+# base-field entries straight into its integer kernel) and
+# degeneration._dvr_reduce_pair (which shifts exponents and takes the
+# coordinate by a proportionality test).
 
 
 def lifted_expand(base, curves):

@@ -203,7 +203,7 @@ def test_criterion_3_f2_census():
 
 
 def _check_gate_agreement(t, expected, seed):
-    report = trichotomy(t, seed=seed, trials=8)
+    report = trichotomy(t, seed=seed)
     assert report.trichotomy is expected, (expected, report.trichotomy)
     det_rank_one = has_rank_one_flattening(t) is not None
     assert (report.trichotomy is TrichotomyClass.FLATTENING_RANK_ONE) == det_rank_one
@@ -226,12 +226,12 @@ def test_criterion_4_trichotomy():
     with a verifying witness; a slice-degenerate tensor -> rank-one class;
     deterministic and randomized gates agree on 100 seeded tensors per class."""
     w3p = pad(w_tensor(3, (2, 2, 2), QQ), (5, 4, 3))
-    report = trichotomy(w3p, seed=41, trials=8)
+    report = trichotomy(w3p, seed=41)
     assert report.trichotomy is TrichotomyClass.W_ISOMORPHIC
     assert abs(report.constant.decimal - gap_constant(3)[1]) < 1e-12
 
     i32p = pad(unit_tensor(3, 2, QQ), (5, 4, 3))
-    report = trichotomy(i32p, seed=43, trials=8)
+    report = trichotomy(i32p, seed=43)
     assert report.trichotomy is TrichotomyClass.RESTRICTS_TO_UNIT2
     assert report.unit_witness is not None
     assert restrict(i32p, report.unit_witness) == unit_tensor(3, 2, QQ)

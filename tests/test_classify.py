@@ -315,7 +315,7 @@ def test_unit_restriction_witness_over_large_primes(p):
 
 def test_trichotomy_examples():
     w3p = pad(w_tensor(3, (2, 2, 2), QQ), (5, 4, 3))
-    report = trichotomy(w3p, seed=3, trials=8)
+    report = trichotomy(w3p, seed=3)
     assert report.trichotomy is TrichotomyClass.W_ISOMORPHIC
     assert report.asymptotic_class is AsymptoticClass.C3
     assert abs(report.constant.decimal - 1.88988) < 1e-5
@@ -324,7 +324,7 @@ def test_trichotomy_examples():
     assert all(not v for _, v in report.cayley_samples)
 
     i32p = pad(unit_tensor(3, 2, QQ), (5, 4, 3))
-    report = trichotomy(i32p, seed=5, trials=8)
+    report = trichotomy(i32p, seed=5)
     assert report.trichotomy is TrichotomyClass.RESTRICTS_TO_UNIT2
     assert report.unit_witness is not None
     assert restrict(i32p, report.unit_witness) == unit_tensor(3, 2, QQ)
@@ -378,25 +378,18 @@ def test_gap_constant_monotone_decreasing():
     assert values[1] < 2  # c_3 sits strictly inside the (1, 2) gap
 
 
-@pytest.mark.parametrize("trials", [0, -2])
-def test_trichotomy_refuses_fewer_than_one_trial(trials):
-    # with no samples the all-W branch would rest on the multilinear-rank gate alone
-    with pytest.raises(ValueError, match="at least one trial"):
-        trichotomy(unit_tensor(3, 2, QQ), trials=trials)
-
-
 # -- the W verdict from the coordinate core ------------------------------------
 
 
-def _reference_trichotomy(t, seed, trials):
-    """Every verdict past the rank-one gate from `trials` seeded compressions
-    to 2x2x2, the W verdict when all their hyperdeterminants vanish."""
+def _reference_trichotomy(t, seed):
+    """Every verdict past the rank-one gate from 8 seeded compressions to
+    2x2x2, the W verdict when all their hyperdeterminants vanish."""
     signature = rank_signature(t)
     if any(r <= 1 for r in signature.ranks.values()):
         return ClassificationReport(TrichotomyClass.FLATTENING_RANK_ONE, signature, ())
     samples = []
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(8):
         trial_seed = rng.randrange(2**63)
         maps, compressed = generic_compress(t, trial_seed)
         cay = cayley_hyperdet(compressed)
@@ -434,18 +427,17 @@ def test_trichotomy_matches_reference_trial_loop():
     seen = {}
     rng = random.Random(77)
     for t in _planted_order3_cases():
-        for trials in (1, 3, 8):
-            for seed in (0, rng.randrange(2**31)):
-                try:
-                    expected = _reference_trichotomy(t, seed, trials)
-                except TensorGapError:
-                    continue
-                got = trichotomy(t, seed=seed, trials=trials)
-                assert json.dumps(_report_json(got)) == json.dumps(_report_json(expected)), (
-                    t.ring.name, t.dims, seed, trials,
-                )
-                le2 = multilinear_rank_le_2(t)
-                seen[got.trichotomy, le2] = seen.get((got.trichotomy, le2), 0) + 1
+        for seed in (0, *(rng.randrange(2**31) for _ in range(3))):
+            try:
+                expected = _reference_trichotomy(t, seed)
+            except TensorGapError:
+                continue
+            got = trichotomy(t, seed=seed)
+            assert json.dumps(_report_json(got)) == json.dumps(_report_json(expected)), (
+                t.ring.name, t.dims, seed,
+            )
+            le2 = multilinear_rank_le_2(t)
+            seen[got.trichotomy, le2] = seen.get((got.trichotomy, le2), 0) + 1
     assert seen[TrichotomyClass.W_ISOMORPHIC, True] >= 50
     assert seen[TrichotomyClass.RESTRICTS_TO_UNIT2, True] >= 50
     assert seen[TrichotomyClass.RESTRICTS_TO_UNIT2, False] >= 50
@@ -459,14 +451,12 @@ def test_w_verdict_computes_no_compression(monkeypatch):
     rng = random.Random(5)
     w3 = w_tensor(3, (2, 2, 2), QQ)
     planted = restrict(w3, tuple(_random_injection(QQ, d, rng) for d in (4, 3, 4)))
-    for t, seed, trials in ((pad(w3, (5, 4, 3)), 3, 8), (planted, 11, 5)):
-        report = trichotomy(t, seed=seed, trials=trials)
+    for t, seed in ((pad(w3, (5, 4, 3)), 3), (planted, 11)):
+        report = trichotomy(t, seed=seed)
         assert report.trichotomy is TrichotomyClass.W_ISOMORPHIC
-        assert report.confidence == Confidence.randomized(trials)
+        assert report.confidence == Confidence.randomized(8)
         draws = random.Random(seed)
-        assert report.cayley_samples == tuple(
-            (draws.randrange(2**63), QQ.zero()) for _ in range(trials)
-        )
+        assert report.cayley_samples == tuple((draws.randrange(2**63), QQ.zero()) for _ in range(8))
 
 
 @pytest.mark.parametrize("tensor_id", [1044, 1758, 8226])
@@ -475,7 +465,7 @@ def test_w_verdict_where_f2_compression_runs_out(tensor_id):
     # exhausts its attempts, so the trial loop raised before a W verdict.
     t = Tensor(F2, (2, 3, 3), [F2.from_int((tensor_id >> i) & 1) for i in range(18)])
     with pytest.raises(SearchBudgetError):
-        _reference_trichotomy(t, 0, 8)
+        _reference_trichotomy(t, 0)
     assert multilinear_rank_le_2(t)
     assert classify_222(_coordinate_core(t)[1]) is Orbit222.W_CLASS
     assert trichotomy(t, seed=0).trichotomy is TrichotomyClass.W_ISOMORPHIC

@@ -224,15 +224,6 @@ def test_census_guard_exit_code(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_seed_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TENSORGAP_SEED", "123")
-    from tensorgap.cli import _default_seed
-
-    assert _default_seed() == 123
-    monkeypatch.setenv("TENSORGAP_SEED", "junk")
-    assert _default_seed() == 0
-
-
 # sha256 of command outputs, recorded before tensors and matrices switched to
 # raw entries; every text path (tensor documents, witness maps, the census
 # hyperdeterminant column) runs through them.
@@ -257,14 +248,6 @@ def test_classify_report_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CLASSIFY_REPORT_SHA256
 
 
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_classify_refuses_fewer_than_one_trial(w3_file, trials, capsys):
-    assert main(["classify", str(w3_file), "--trials", trials]) == 2
-    captured = capsys.readouterr()
-    assert "at least one trial" in captured.err
-    assert "randomized" not in captured.out
-
-
 @pytest.fixture
 def padded_unit_file(tmp_path):
     # make-w-cert output depends on the seed for this input
@@ -273,7 +256,7 @@ def padded_unit_file(tmp_path):
     return path
 
 
-def test_env_seed_is_read_on_every_call(padded_unit_file, w3_file, tmp_path, monkeypatch, capsys):
+def test_seed_defaults_to_zero_on_every_call(padded_unit_file, w3_file, tmp_path, capsys):
     def run(*argv):
         out = tmp_path / "out.json"
         assert main([*argv, "--out", str(out)]) == 0
@@ -283,15 +266,12 @@ def test_env_seed_is_read_on_every_call(padded_unit_file, w3_file, tmp_path, mon
 
     make = ("make-w-cert", str(padded_unit_file))
     classify = ("classify", str(w3_file))
-    monkeypatch.delenv("TENSORGAP_SEED", raising=False)
-    at_zero = run(*make), run(*classify)
-    monkeypatch.setenv("TENSORGAP_SEED", "123")
-    at_env = run(*make), run(*classify)
+    at_default = run(*make), run(*classify)
     at_flag = run(*make, "--seed", "123"), run(*classify, "--seed", "123")
-    assert at_env == at_flag
-    assert at_env[0] != at_zero[0] and at_env[1] != at_zero[1]
-    # an explicit --seed wins over the environment
-    assert (run(*make, "--seed", "0"), run(*classify, "--seed", "0")) == at_zero
+    assert at_flag[0] != at_default[0] and at_flag[1] != at_default[1]
+    # an omitted --seed is 0, on a call after one that passed another seed
+    assert (run(*make), run(*classify)) == at_default
+    assert (run(*make, "--seed", "0"), run(*classify, "--seed", "0")) == at_default
 
 
 def test_parser_survives_usage_errors_and_keeps_no_options(w3_file, tmp_path, capsys):
@@ -301,16 +281,16 @@ def test_parser_survives_usage_errors_and_keeps_no_options(w3_file, tmp_path, ca
     assert main(["ranks", str(w3_file)]) == 0
 
     report = tmp_path / "report.json"
-    assert main(["classify", str(w3_file), "--seed", "4", "--trials", "3", "--out", str(report)]) == 0
+    assert main(["classify", str(w3_file), "--seed", "4", "--out", str(report)]) == 0
     first = json.loads(report.read_text())
-    assert len(first["cayley-samples"]) == 3
     report.unlink()
     assert main(["constant", "--k", "3"]) == 0
     assert main(["classify", str(w3_file)]) == 0
     assert not report.exists()  # --out did not carry over
     assert main(["classify", str(w3_file), "--out", str(report)]) == 0
     second = json.loads(report.read_text())
-    assert len(second["cayley-samples"]) == 8  # nor did --trials
+    assert len(first["cayley-samples"]) == len(second["cayley-samples"]) == 8
+    assert first["cayley-samples"] != second["cayley-samples"]  # nor did --seed
     with pytest.raises(SystemExit):
         main(["ranks", str(w3_file), "--seed", "4"])  # nor does --seed exist for ranks
 

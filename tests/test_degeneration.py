@@ -17,7 +17,6 @@ from tensorgap.degeneration import (
     _choose_slice_combo,
     _coordinates,
     _dvr_reduce_pair,
-    _expand,
     _find_shear,
     construct_w_degeneration,
     eps_coefficient_tensor,
@@ -161,12 +160,13 @@ def test_verify_refuses_target_over_another_field():
 
 
 def _no_arithmetic(monkeypatch):
-    """Fail on any curve invertibility test, compression or expansion."""
+    """Fail on any curve invertibility test, compression or expansion (all
+    restrictions, under base-field maps or K(eps) curves)."""
 
     def refuse(*args):
         raise AssertionError("arithmetic before the ring checks")
 
-    for name in ("_eps_invertible", "restrict", "_expand"):
+    for name in ("_eps_invertible", "restrict"):
         monkeypatch.setattr(degeneration, name, refuse)
 
 
@@ -376,7 +376,7 @@ def _pluecker_accepts(limit, e_s) -> bool:
 def _limit_plane(curves, e_t):
     """The basis a0, b0 of the limit plane of the transported pair e_t: the
     leading coefficients of the pair reduced by `_dvr_reduce_pair`."""
-    return _dvr_reduce_pair(*(_expand(t, curves) for t in e_t))[2:4]
+    return _dvr_reduce_pair(*(restrict(t, curves) for t in e_t))[2:4]
 
 
 def _in_plane(plane, tensors) -> bool:
@@ -508,6 +508,12 @@ def _forms(t):
     return t.ring, shape, [(e._d, e._c) for e in t.entries]
 
 
+def _is_expansion(t, maps) -> bool:
+    """Whether restrict(t, maps) expands a base-field tensor under K(eps)
+    curves (maps over K(eps), t over its base field)."""
+    return isinstance(maps[0].ring, EpsField) and t.ring is maps[0].ring.base
+
+
 def _assert_reductions_identical(got, want):
     """All five outputs of `_dvr_reduce_pair`: ra, rb and T as integer
     forms, the base-field a0 and b0 by value."""
@@ -522,7 +528,7 @@ def test_builder_dvr_steps_and_expansions_match_the_lifting_routes(monkeypatch):
     # the verifier take, on the unit ladder (whose slices are unit tensors)
     # and on random Q cubes, equals the lifting and elimination route
     # (`lifted_expand`, `solved_dvr_reduce_pair`) entry for entry.
-    reduce_pair, expand = degeneration._dvr_reduce_pair, degeneration._expand
+    reduce_pair = degeneration._dvr_reduce_pair
     seen = {"reduce": 0, "expand": 0}
 
     def checked_reduce(a, b):
@@ -531,14 +537,15 @@ def test_builder_dvr_steps_and_expansions_match_the_lifting_routes(monkeypatch):
         seen["reduce"] += 1
         return got
 
-    def checked_expand(base, curves):
-        got = expand(base, curves)
-        assert _forms(got) == _forms(lifted_expand(base, curves))
-        seen["expand"] += 1
+    def checked_restrict(t, maps):
+        got = restrict(t, maps)
+        if _is_expansion(t, maps):
+            assert _forms(got) == _forms(lifted_expand(t, maps))
+            seen["expand"] += 1
         return got
 
     monkeypatch.setattr(degeneration, "_dvr_reduce_pair", checked_reduce)
-    monkeypatch.setattr(degeneration, "_expand", checked_expand)
+    monkeypatch.setattr(degeneration, "restrict", checked_restrict)
     rng = random.Random(3301)
     inputs = [unit_tensor(k, 2, QQ) for k in (3, 4, 5)]
     for dims in ((2, 2, 2), (3, 3, 3), (3, 3, 3), (2, 3, 2), (2, 2, 2, 2)):
@@ -563,10 +570,11 @@ def _fractional_eps_entry(ring, rng):
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
 def test_dvr_step_and_expansion_match_the_lifting_routes_on_random_curves(field):
     # Base tensors with fractional entries under curves whose coefficients
-    # have fractional denominators, square and rectangular: the expansion
-    # equals the lifted restriction entry for entry, and each independent
-    # transported pair, also reduced as (a, c*a + eps^j * b) so that the
-    # b -= lam * a step runs, reduces exactly as by elimination.
+    # have fractional denominators, square and rectangular: `restrict` of
+    # the base tensor under the curves equals the lifted restriction entry
+    # for entry (ring included), and each independent transported pair,
+    # also reduced as (a, c*a + eps^j * b) so that the b -= lam * a step
+    # runs, reduces exactly as by elimination.
     ring = EpsField(field)
     rng = random.Random(5501 + (field.p or 0))
     pairs = subtracted = 0
@@ -586,7 +594,7 @@ def test_dvr_step_and_expansion_match_the_lifting_routes_on_random_curves(field)
                 )
                 for _ in range(2)
             ]
-            a, b = (_expand(x, curves) for x in bases)
+            a, b = (restrict(x, curves) for x in bases)
             for x, got in zip(bases, (a, b)):
                 assert _forms(got) == _forms(lifted_expand(x, curves))
             if rows != (2,) * order or pluecker_wedge(a, b).is_zero():
@@ -747,7 +755,7 @@ def _reference_certify_cube(t):
     rec = _reference_certify_cube(s)
     w_prev = w_tensor(k - 1, (2,) * (k - 1), field)
     corner_prev = Tensor.from_dict(field, (2,) * (k - 1), {(0,) * (k - 1): 1})
-    shear = _find_shear(_dvr_reduce_pair(_expand(s, rec), _expand(s1 if alpha else s0, rec))[3])
+    shear = _find_shear(_dvr_reduce_pair(restrict(s, rec), restrict(s1 if alpha else s0, rec))[3])
     stab = scaling_map_tuple(k - 1, field)
     if shear is not None:
         stab = tuple(d * lift_matrix(m, eps_ring) for d, m in zip(stab, shear))
@@ -757,7 +765,7 @@ def _reference_certify_cube(t):
             for m in rec
         )
         curve = tuple(d * m for d, m in zip(stab, inner))
-        a, b = _expand(s0, curve), _expand(s1, curve)
+        a, b = restrict(s0, curve), restrict(s1, curve)
         if pluecker_wedge(a, b).is_zero():
             continue
         _, _, a0, b0, transform = _dvr_reduce_pair(a, b)
@@ -840,11 +848,12 @@ def test_certify_cube_transports_each_level_once(monkeypatch):
     # call is the order-4 level's verification of its recursive result.
     calls = []
     verifying = []
-    expand, verify = degeneration._expand, degeneration.verify_certificate
+    verify = degeneration.verify_certificate
 
-    def counting_expand(base, curves):
-        calls.append((bool(verifying), len(curves)))
-        return expand(base, curves)
+    def counting_restrict(t, maps):
+        if _is_expansion(t, maps):
+            calls.append((bool(verifying), len(maps)))
+        return restrict(t, maps)
 
     def flagged_verify(cert):
         verifying.append(cert)
@@ -853,7 +862,7 @@ def test_certify_cube_transports_each_level_once(monkeypatch):
         finally:
             verifying.pop()
 
-    monkeypatch.setattr(degeneration, "_expand", counting_expand)
+    monkeypatch.setattr(degeneration, "restrict", counting_restrict)
     monkeypatch.setattr(degeneration, "verify_certificate", flagged_verify)
     _certify_cube(unit_tensor(4, 2, QQ))
     assert [order for inside, order in calls if not inside] == [2, 2, 3, 3]
@@ -884,7 +893,9 @@ def test_verify_refuses_misshapen_compression_before_restricting(monkeypatch):
 def test_verify_rejects_a_singular_curve_before_compressing(monkeypatch):
     # Every shape and every curve determinant is checked before the source
     # is compressed: a singular copy of a compressed certificate is rejected
-    # without a Q restriction, and the valid certificate takes exactly one.
+    # without a restriction, and the valid certificate takes exactly one
+    # under Q maps (the compression) and one under Q(eps) curves (the
+    # expansion).
     cert = construct_w_degeneration(random_rational_tensor((3, 3, 3), random.Random(5)), seed=0)
     assert cert.compression is not None
     c0 = cert.curves[0]
@@ -894,18 +905,17 @@ def test_verify_rejects_a_singular_curve_before_compressing(monkeypatch):
         cert.source, cert.target, (Matrix(EPS, c0.rows, c0.cols, entries),) + cert.curves[1:],
         compression=cert.compression,
     )
-    q_restricts = []
+    restricts = {QQ: [], EPS: []}  # by map ring
 
     def counting_restrict(t, maps):
-        if t.ring is QQ:
-            q_restricts.append(t.dims)
+        restricts[maps[0].ring].append(t.dims)
         return restrict(t, maps)
 
     monkeypatch.setattr(degeneration, "restrict", counting_restrict)
     assert verify_certificate(singular).condition == "singular-curve"
-    assert q_restricts == []
+    assert restricts == {QQ: [], EPS: []}
     assert verify_certificate(cert).accepted
-    assert q_restricts == [(3, 3, 3)]
+    assert restricts == {QQ: [(3, 3, 3)], EPS: [(2, 2, 2)]}
 
 
 # sha256 of the saved certificate of construct_w_degeneration(I_{k,2}, seed=0)

@@ -234,7 +234,7 @@ def test_fields_never_mix_and_invalid_fields_are_not_interned():
     with pytest.raises(FieldMismatchError):
         q_eps.eps() == f3_eps.eps()
     with pytest.raises(FieldMismatchError):
-        q_eps.lift(f3.one())
+        q_eps.coerce(f3.one())
     interned = dict(fields._FIELDS)
     for _ in range(3):
         for bad in ((4,), (4, 2), (2, 17), (2**63 + 9,), (3.0,)):

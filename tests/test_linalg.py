@@ -341,7 +341,7 @@ def test_eps_invertible_needs_the_later_points():
     # third point; over F_2 det = 1 + eps vanishes at F_2's only nonzero
     # point and is decided in F_4; over F_3, eps^2 (1 - eps) at eps = 2
     eps = EPS.eps()
-    assert _eps_invertible(Matrix(EPS, 2, 2, [1 - eps, EPS.zero(), eps**-1, 2 - eps]))
+    assert _eps_invertible(Matrix(EPS, 2, 2, [1 - eps, EPS.zero(), EPS.eps(-1), 2 - eps]))
     f2 = EpsField(GF(2))
     assert _eps_invertible(Matrix(f2, 2, 2, [f2.one(), f2.eps(), f2.one(), f2.one()]))
     f3 = EpsField(GF(3))

@@ -26,6 +26,7 @@ from tensorgap.ranks import (
     restricts_to_bruteforce,
     subrank_bruteforce,
 )
+from tensorgap.ratfunc import EpsField
 from tensorgap.tensors import (
     Tensor,
     _strides,
@@ -73,6 +74,10 @@ def test_has_rank_one_flattening_examples():
     assert has_rank_one_flattening(m) == frozenset([0])
     with pytest.raises(ZeroTensorError):
         has_rank_one_flattening(Tensor.zeros(QQ, (2, 2)))
+    # K(eps) has no field division: refused like rank_signature's mat_rank,
+    # rank-one input included
+    with pytest.raises(FieldMismatchError, match="works over Q or a finite field"):
+        has_rank_one_flattening(lift_tensor(t, EpsField(QQ)))
 
 
 @st.composite

@@ -331,7 +331,8 @@ def test_index_calculus_matches_elementwise_definitions(data):
 def test_mode_apply_over_k_eps():
     eps_ring = EpsField(QQ)
     e, one = eps_ring.eps(), eps_ring.one()
-    t = Tensor(eps_ring, (2, 3), [one, e, eps_ring.zero(), (one + e) / e, e * e, one - e])
+    inv_e = eps_ring.eps(-1)
+    t = Tensor(eps_ring, (2, 3), [one, e, eps_ring.zero(), (one + e) * inv_e, e * e, one - e])
     m = Matrix(eps_ring, 3, 2, [e, one, (one - e) * eps_ring.eps(-2), eps_ring.zero(), one + e, e])
     for axis, mm in ((0, m), (1, m.transpose())):
         assert mode_apply(t, mm, axis) == _mode_product_reference(t, mm, axis)
@@ -426,7 +427,7 @@ def test_restrict_takes_the_laurent_kernel_exactly_on_laurent_input(monkeypatch)
         e, one = ring.eps(), ring.one()
         t = Tensor(ring, (2, 2), [one, e, ring.eps(-1), one - e])
         laurent = Matrix(ring, 2, 2, [e, one, ring.eps(-2), ring.zero()])
-        dense = Matrix(ring, 2, 2, [e, (one + e) ** 3, ring.eps(-2) - e, one])
+        dense = Matrix(ring, 2, 2, [e, (one + e) * (one + e) * (one + e), ring.eps(-2) - e, one])
         for maps in ((laurent, laurent), (laurent, dense)):
             expected = _mode_product_reference(_mode_product_reference(t, maps[0], 0), maps[1], 1)
             assert restrict(t, maps) == expected
@@ -560,6 +561,32 @@ def test_restrict_errors_are_the_per_axis_errors():
         restrict(t, good[:1])
     with pytest.raises(DimensionMismatchError, match="need 2 maps, got 3"):
         restrict(t, good + good[:1])
+
+
+def test_restrict_refuses_every_other_ring_pairing_before_any_arithmetic(monkeypatch):
+    # A tensor over a field other than the K(eps) maps' base, maps over two
+    # rings (K and K(eps), or two K(eps)), and a K(eps) tensor under
+    # base-field maps: each is refused with the per-map message before
+    # either kernel runs.
+    def refuse(*args):
+        raise AssertionError("arithmetic before the ring checks")
+
+    for name in ("_integer_restrict", "mode_apply"):
+        monkeypatch.setattr(tensors, name, refuse)
+    q_eps, f5_eps = EpsField(QQ), EpsField(GF(5))
+    q, f5 = Matrix.identity(QQ, 2), Matrix.identity(GF(5), 2)
+    curve = Matrix.identity(q_eps, 2)
+    cases = [
+        (unit_tensor(2, 2, GF(5)), (curve, curve)),
+        (unit_tensor(2, 2, QQ), (curve, Matrix.identity(f5_eps, 2))),
+        (unit_tensor(2, 2, QQ), (curve, q)),
+        (unit_tensor(2, 2, QQ), (q, curve)),
+        (unit_tensor(2, 2, GF(5)), (f5, Matrix.identity(f5_eps, 2))),
+        (lift_tensor(unit_tensor(2, 2, QQ), q_eps), (q, q)),
+    ]
+    for t, maps in cases:
+        with pytest.raises(FieldMismatchError, match="map and tensor over different rings"):
+            restrict(t, maps)
 
 
 def _prime_denominator_tensor(rng):

@@ -120,7 +120,8 @@ def test_traced_f2_gates_keep_their_rank_spans():
 def test_traced_verifier_opens_no_linalg_span():
     # The verifier runs no linear algebra over K(eps): each curve's
     # invertibility is a base-field rank test of the curve at a few points,
-    # taken by private kernels, so no linalg span of any ring is opened.
+    # taken by private kernels, so no linalg span of any ring is opened.  Its
+    # one expansion is a tensors.restrict span beneath it.
     cert = tensorgap.degeneration.unit_to_w_certificate(3)
     tracing = _load_tracing()
     tracer = tracing.Tracer()
@@ -133,3 +134,5 @@ def test_traced_verifier_opens_no_linalg_span():
     calls, _ = tracer.span_totals()
     assert calls["degeneration.verify"] == 1
     assert not [name for name in calls if name.startswith("linalg.")]
+    assert calls["tensors.restrict"] == 1
+    assert tracer.child_calls("degeneration.verify", "tensors.restrict", direct=False) == 1
